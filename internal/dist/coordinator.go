@@ -313,11 +313,14 @@ func (c *Coordinator) merge(run *runState, out *bufio.Writer, cw *countingWriter
 }
 
 // workerLoop is one worker slot: claim the lowest runnable shard, run
-// it, repeat. The loop parks while its member drains and exits when
-// the member dies or the sweep ends. Failed attempts requeue the shard
-// immediately — any worker may reclaim it — while this slot backs off
-// exponentially with deterministic jitter, so a mass failure neither
-// delays reassignment nor resubmits in lockstep.
+// it, repeat. The loop parks while its member drains or is suspect and
+// exits when the member dies or the sweep ends. A failed attempt is
+// classified (classify): a permanent failure fails the sweep; a member
+// fault the member's probe confirms requeues the shard uncharged; any
+// other failure costs the shard an attempt. Failed attempts requeue the
+// shard immediately — any worker may reclaim it — while a charged slot
+// backs off exponentially with deterministic jitter, so a mass failure
+// neither delays reassignment nor resubmits in lockstep.
 func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, w *workerClient) {
 	consecutive := 0
 	for {
@@ -343,30 +346,46 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 		if run.ctx.Err() != nil {
 			return // the whole sweep is stopping
 		}
+		class := classify(runErr)
+		moveOn := false
+		if class == memberFault && ctx.Err() == nil {
+			moveOn = c.memberAtFault(ctx, run.cfg, m)
+		}
 		if ctx.Err() != nil {
-			// Only this member was canceled (probe death): rebalance the
-			// claimed shard onto the live pool without charging an
-			// attempt — the shard did nothing wrong.
+			// Only this member was canceled (probe death), during the
+			// attempt or its fault probe: rebalance the claimed shard onto
+			// the live pool without charging an attempt — the shard did
+			// nothing wrong.
 			st.setPhase(phasePending)
 			run.sched.requeue(idx)
 			return
+		}
+		if class == permanentFault {
+			c.fail(run.cancel, runErr)
+			return
+		}
+		if moveOn {
+			// The member is down, not the shard: requeue it for the live
+			// pool uncharged, and park this slot until the member answers
+			// a probe again (or dies).
+			st.setPhase(phasePending)
+			c.retries.Add(1)
+			c.logf("dist: shard %s failed on %s (%v): %v — worker is suspect, shard requeued", st.shard, w.base, class, runErr)
+			run.sched.requeue(idx)
+			consecutive = 0
+			continue
 		}
 		st.mu.Lock()
 		st.attempts++
 		attempts := st.attempts
 		st.phase = phasePending
 		st.mu.Unlock()
-		var perm *permanentError
-		if errors.As(runErr, &perm) {
-			c.fail(run.cancel, runErr)
-			return
-		}
 		if attempts >= run.cfg.MaxAttempts {
 			c.fail(run.cancel, fmt.Errorf("dist: shard %s failed %d attempts: %w", st.shard, attempts, runErr))
 			return
 		}
 		c.retries.Add(1)
-		c.logf("dist: shard %s attempt %d failed on %s: %v — requeued", st.shard, attempts, w.base, runErr)
+		c.logf("dist: shard %s attempt %d failed on %s (%v): %v — requeued", st.shard, attempts, w.base, class, runErr)
 		run.sched.requeue(idx)
 
 		consecutive++

@@ -104,8 +104,9 @@ type Config struct {
 	// PerWorker caps concurrently in-flight shards per worker
 	// (default DefaultPerWorker).
 	PerWorker int
-	// MaxAttempts bounds one shard's run attempts (default
-	// DefaultMaxAttempts).
+	// MaxAttempts bounds one shard's charged run attempts (default
+	// DefaultMaxAttempts). A failure on a member its probe then finds
+	// down is not charged while another member is ready (classify).
 	MaxAttempts int
 	// StallTimeout abandons a shard attempt whose result stream goes
 	// silent this long (default DefaultStallTimeout).

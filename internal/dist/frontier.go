@@ -184,6 +184,7 @@ type DurableOutput interface {
 // does not belong to this journal.
 func refoldPrefix(r io.ReaderAt, n int64, plan []scenario.Shard, frontier int, shards []*shardState) error {
 	br := bufio.NewReader(io.NewSectionReader(r, 0, n))
+	var rec sink.Record
 	for i := 0; i < frontier; i++ {
 		st := shards[i]
 		for t := plan[i].Lo; t < plan[i].Hi; t++ {
@@ -193,8 +194,7 @@ func refoldPrefix(r io.ReaderAt, n int64, plan []scenario.Shard, frontier int, s
 					"dist: merged output ends before the frontier journal's boundary (shard %s, trial %d) — wrong output file for this journal?: %w",
 					plan[i], t, err)
 			}
-			var rec sink.Record
-			if err := json.Unmarshal(line, &rec); err != nil {
+			if err := sink.ParseRecord(line, &rec); err != nil {
 				return fmt.Errorf("dist: merged output line for trial %d is malformed — wrong output file for this journal?: %w", t, err)
 			}
 			if rec.Trial != t {

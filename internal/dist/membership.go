@@ -19,6 +19,12 @@ const (
 	// in-flight shards run to completion, but its slots claim nothing
 	// new until it reports ready again.
 	StateDraining = "draining"
+	// StateSuspect: one of the worker's shard attempts failed as a
+	// member fault (classify) and the probe that followed went
+	// unanswered. Its slots claim nothing until a probe succeeds again
+	// (back to ready or draining) or the liveness deadline passes
+	// (dead).
+	StateSuspect = "suspect"
 	// StateDead: the worker missed its liveness deadline (or was
 	// removed). Its slots are gone and its in-flight shards were
 	// requeued onto the live pool. A dead worker rejoins only by
@@ -202,6 +208,37 @@ func probeWorker(ctx context.Context, client *http.Client, base string, timeout 
 	default:
 		return probeFailed
 	}
+}
+
+// memberAtFault settles a member fault on m and reports whether the
+// failed shard should move on uncharged. m turns suspect — its slots
+// stop claiming — and is probed at once. An answer (ready or draining)
+// proves the member alive, so the failure counts against the shard
+// after all. No answer confirms the member at fault: it stays suspect
+// for the probe loop to revive or declare dead, and the shard is
+// requeued without an attempt — unless no other member is ready to take
+// it. Then the failure is charged and m keeps claiming, so a pool that
+// is down entirely still fails after MaxAttempts instead of waiting
+// forever.
+func (c *Coordinator) memberAtFault(ctx context.Context, cfg Config, m *member) bool {
+	m.setState(StateSuspect)
+	switch probeWorker(ctx, cfg.Client, m.base, cfg.ProbeTimeout) {
+	case probeReady:
+		m.setState(StateReady)
+		return false
+	case probeDraining:
+		m.setState(StateDraining)
+		return false
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, o := range c.members {
+		if o != m && o.getState() == StateReady {
+			return true
+		}
+	}
+	m.setState(StateReady)
+	return false
 }
 
 // probeLoop is a member's health monitor: probe every ProbeInterval,

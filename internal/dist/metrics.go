@@ -6,7 +6,7 @@ package dist
 type Metrics struct {
 	// Workers counts live (non-dead) pool members; Members maps each
 	// known worker's base URL to its membership state (ready, draining,
-	// dead). Joins and Leaves count pool transitions over the
+	// suspect, dead). Joins and Leaves count pool transitions over the
 	// coordinator's lifetime.
 	Workers     int               `json:"workers"`
 	Members     map[string]string `json:"members"`

@@ -20,14 +20,6 @@ import (
 // limiter: every shard submission shares one slot pool per worker.
 const clientIDHeader = "rccoord"
 
-// permanentError marks a failure no retry can fix (the worker rejected
-// the submission as invalid) — the sweep fails immediately instead of
-// burning attempts.
-type permanentError struct{ err error }
-
-func (e *permanentError) Error() string { return e.err.Error() }
-func (e *permanentError) Unwrap() error { return e.err }
-
 // workerClient runs shards on one worker service over its HTTP API.
 type workerClient struct {
 	base     string // normalized base URL, no trailing slash
@@ -91,9 +83,9 @@ func (w *workerClient) runShard(ctx context.Context, st *shardState) error {
 	return w.follow(ctx, id, st)
 }
 
-// submit posts the shard job and returns its id. 4xx responses are
-// permanent (the request itself is bad); everything else — connection
-// errors, 429, 5xx — is retryable.
+// submit posts the shard job and returns its id. Failures carry the
+// type classify reads: a transport error, an HTTP status, or an
+// unbuildable request.
 func (w *workerClient) submit(ctx context.Context, sh scenario.Shard) (string, error) {
 	body, err := json.Marshal(submitBody{
 		Scenario: w.scenario,
@@ -114,24 +106,24 @@ func (w *workerClient) submit(ctx context.Context, sh scenario.Shard) (string, e
 	req.Header.Set("X-Client-ID", clientIDHeader)
 	resp, err := w.http.Do(req)
 	if err != nil {
-		return "", fmt.Errorf("dist: submit to %s: %w", w.base, err)
+		return "", &transportError{fmt.Errorf("dist: submit to %s: %w", w.base, err)}
 	}
 	defer resp.Body.Close()
 	data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	switch {
-	case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted:
-	case resp.StatusCode == http.StatusTooManyRequests:
-		return "", fmt.Errorf("dist: %s is busy: %s", w.base, snippet(data))
-	case resp.StatusCode >= 400 && resp.StatusCode < 500:
-		return "", &permanentError{fmt.Errorf("dist: %s rejected shard %s: %s", w.base, sh, snippet(data))}
+	switch code := resp.StatusCode; {
+	case code == http.StatusOK || code == http.StatusAccepted:
+	case code == http.StatusTooManyRequests:
+		return "", &statusError{true, code, fmt.Errorf("dist: %s is busy: %s", w.base, snippet(data))}
+	case code >= 400 && code < 500:
+		return "", &statusError{true, code, fmt.Errorf("dist: %s rejected shard %s: %s", w.base, sh, snippet(data))}
 	default:
-		return "", fmt.Errorf("dist: submit to %s: status %d: %s", w.base, resp.StatusCode, snippet(data))
+		return "", &statusError{true, code, fmt.Errorf("dist: submit to %s: status %d: %s", w.base, code, snippet(data))}
 	}
 	var status struct {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(data, &status); err != nil || status.ID == "" {
-		return "", fmt.Errorf("dist: submit to %s: malformed response: %s", w.base, snippet(data))
+		return "", &transportError{fmt.Errorf("dist: submit to %s: malformed response: %s", w.base, snippet(data))}
 	}
 	return status.ID, nil
 }
@@ -159,17 +151,18 @@ func (w *workerClient) follow(ctx context.Context, id string, st *shardState) er
 	req.Header.Set("X-Client-ID", clientIDHeader)
 	resp, err := w.http.Do(req)
 	if err != nil {
-		return fmt.Errorf("dist: attach to %s job %s: %w", w.base, id, err)
+		return &transportError{fmt.Errorf("dist: attach to %s job %s: %w", w.base, id, err)}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("dist: attach to %s job %s: status %d: %s", w.base, id, resp.StatusCode, snippet(data))
+		return &statusError{false, resp.StatusCode, fmt.Errorf("dist: attach to %s job %s: status %d: %s", w.base, id, resp.StatusCode, snippet(data))}
 	}
 
 	skip := st.sent // lines earlier attempts already buffered
 	want := st.shard.Len()
 	br := bufio.NewReader(resp.Body)
+	var rec sink.Record // parse scratch, reused line to line
 	for {
 		line, err := br.ReadBytes('\n')
 		if len(line) > 0 && line[len(line)-1] == '\n' {
@@ -180,7 +173,7 @@ func (w *workerClient) follow(ctx context.Context, id string, st *shardState) er
 			case st.sent >= want:
 				return fmt.Errorf("dist: %s job %s emitted more than %d lines for shard %s", w.base, id, want, st.shard)
 			default:
-				if err := st.accept(line); err != nil {
+				if err := st.accept(line, &rec); err != nil {
 					return fmt.Errorf("dist: %s job %s: %w", w.base, id, err)
 				}
 				if st.sent == want {
@@ -195,11 +188,11 @@ func (w *workerClient) follow(ctx context.Context, id string, st *shardState) er
 				return ctx.Err() // the whole run is stopping
 			case reqCtx.Err() != nil:
 				// Only the watchdog cancels reqCtx once ctx is ruled out.
-				return fmt.Errorf("dist: %s job %s: stream stalled for %v at %d/%d lines", w.base, id, w.stall, st.sent, want)
+				return &transportError{fmt.Errorf("dist: %s job %s: stream stalled for %v at %d/%d lines", w.base, id, w.stall, st.sent, want)}
 			case errors.Is(err, io.EOF):
-				return fmt.Errorf("dist: %s job %s: stream ended at %d/%d lines", w.base, id, st.sent, want)
+				return &transportError{fmt.Errorf("dist: %s job %s: stream ended at %d/%d lines", w.base, id, st.sent, want)}
 			default:
-				return fmt.Errorf("dist: %s job %s: read stream: %w", w.base, id, err)
+				return &transportError{fmt.Errorf("dist: %s job %s: read stream: %w", w.base, id, err)}
 			}
 		}
 	}
@@ -217,18 +210,20 @@ func snippet(data []byte) string {
 	return s
 }
 
-// accept validates, folds, and buffers one result line. The line's
-// trial index must be the shard's next sweep-global index — anything
-// else means the worker's journal or feed is corrupt.
-func (st *shardState) accept(line []byte) error {
-	var rec sink.Record
-	if err := json.Unmarshal(line, &rec); err != nil {
+// accept validates, folds, and buffers one result line. The line must
+// parse under the strict record layout (sink.ParseRecord) and carry the
+// shard's next sweep-global trial index — anything else means the
+// worker's journal or feed is corrupt, and nothing is buffered. rec is
+// the caller's parse scratch: reused across a stream, it decodes a
+// repeated strategy name without allocating.
+func (st *shardState) accept(line []byte, rec *sink.Record) error {
+	if err := sink.ParseRecord(line, rec); err != nil {
 		return fmt.Errorf("malformed result line: %w", err)
 	}
 	if wantTrial := st.shard.Lo + st.sent; rec.Trial != wantTrial {
 		return fmt.Errorf("result line has trial %d, want %d (shard %s)", rec.Trial, wantTrial, st.shard)
 	}
-	st.sum.add(&rec)
+	st.sum.add(rec)
 	st.lines <- line // never blocks: cap == shard.Len()
 	st.sent++
 	return nil

@@ -2,6 +2,8 @@ package sink
 
 import (
 	"bufio"
+	"encoding/json"
+	"fmt"
 	"io"
 	"strconv"
 	"unicode"
@@ -89,6 +91,194 @@ func (rec *Record) appendJSON(buf []byte) []byte {
 	buf = appendJSONString(buf, rec.Strategy)
 	buf = append(buf, '}', '\n')
 	return buf
+}
+
+// LayoutError reports a record line that is not in the exact layout
+// appendJSON emits: Offset is the byte where parsing stopped, Want what
+// the layout required there.
+type LayoutError struct {
+	Offset int
+	Want   string
+}
+
+func (e *LayoutError) Error() string {
+	return fmt.Sprintf("sink: record line breaks the NDJSON layout at byte %d: want %s", e.Offset, e.Want)
+}
+
+// ParseRecord decodes one NDJSON record line — the exact inverse of
+// appendJSON, so this file alone owns the line layout. It accepts only
+// the encoder's fixed field order, with no whitespace, ending in `}\n`.
+// Every integer must be JSON number syntax (no leading zeros, no plus
+// sign, no fraction) and fit its field; anything else is a
+// *LayoutError. A strict parse is safe because the encoder is pinned
+// byte for byte to encoding/json (TestAppendJSONMatchesEncodingJSON):
+// every worker version emits exactly this layout, and every line it
+// accepts, json.Unmarshal accepts with an identical result
+// (FuzzParseRecord).
+//
+// rec is written only on success. A plain-ASCII strategy equal to
+// rec's current one keeps rec.Strategy, so a caller reusing one Record
+// across a stream decodes a repeated strategy without allocating; a
+// strategy with escapes or non-ASCII bytes falls to encoding/json for
+// that one quoted token.
+func ParseRecord(line []byte, rec *Record) error {
+	d := lineDecoder{b: line}
+	r := Record{
+		Trial:          int(d.int(`{"trial":`, strconv.IntSize)),
+		N:              int(d.int(`,"n":`, strconv.IntSize)),
+		Informed:       int(d.int(`,"informed":`, strconv.IntSize)),
+		Stranded:       int(d.int(`,"stranded":`, strconv.IntSize)),
+		Dead:           int(d.int(`,"dead":`, strconv.IntSize)),
+		Completed:      d.bool(`,"completed":`),
+		Rounds:         int(d.int(`,"rounds":`, strconv.IntSize)),
+		Slots:          d.int(`,"slots":`, 64),
+		AliceCost:      d.int(`,"alice_cost":`, 64),
+		NodeMedianCost: d.int(`,"node_median_cost":`, 64),
+		NodeMaxCost:    d.int(`,"node_max_cost":`, 64),
+		AdversarySpent: d.int(`,"adversary_spent":`, 64),
+		Strategy:       d.str(`,"strategy":`, rec.Strategy),
+	}
+	d.lit("}\n")
+	if d.err == nil && d.p != len(d.b) {
+		d.fail("end of line")
+	}
+	if d.err != nil {
+		return d.err
+	}
+	*rec = r
+	return nil
+}
+
+// lineDecoder walks a record line left to right. The first mismatch
+// sets err; every later call is a no-op, so ParseRecord reads as the
+// field list it decodes.
+type lineDecoder struct {
+	b   []byte
+	p   int
+	err error
+}
+
+func (d *lineDecoder) fail(want string) {
+	if d.err == nil {
+		d.err = &LayoutError{Offset: d.p, Want: want}
+	}
+}
+
+// lit consumes the literal s.
+func (d *lineDecoder) lit(s string) bool {
+	if d.err != nil {
+		return false
+	}
+	if len(d.b)-d.p < len(s) || string(d.b[d.p:d.p+len(s)]) != s {
+		d.fail(strconv.Quote(s))
+		return false
+	}
+	d.p += len(s)
+	return true
+}
+
+// int consumes key and then a JSON integer that fits a bits-wide
+// signed integer.
+func (d *lineDecoder) int(key string, bits int) int64 {
+	if !d.lit(key) {
+		return 0
+	}
+	b, i := d.b, d.p
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
+	}
+	if i >= len(b) || b[i] < '0' || b[i] > '9' || (b[i] == '0' && i+1 < len(b) && b[i+1] >= '0' && b[i+1] <= '9') {
+		d.fail("a JSON integer")
+		return 0
+	}
+	limit := uint64(1)<<(bits-1) - 1 // largest magnitude that fits
+	if neg {
+		limit++
+	}
+	var u uint64
+	for ; i < len(b) && b[i] >= '0' && b[i] <= '9'; i++ {
+		dig := uint64(b[i] - '0')
+		if u > (limit-dig)/10 {
+			d.fail(fmt.Sprintf("an integer that fits %d bits", bits))
+			return 0
+		}
+		u = u*10 + dig
+	}
+	d.p = i
+	if neg {
+		return -int64(u)
+	}
+	return int64(u)
+}
+
+// bool consumes key and then true or false.
+func (d *lineDecoder) bool(key string) bool {
+	if !d.lit(key) {
+		return false
+	}
+	rest := d.b[d.p:]
+	switch {
+	case len(rest) >= 4 && string(rest[:4]) == "true":
+		d.p += 4
+		return true
+	case len(rest) >= 5 && string(rest[:5]) == "false":
+		d.p += 5
+		return false
+	}
+	d.fail("true or false")
+	return false
+}
+
+// str consumes key and then a JSON string, returning prev itself when
+// the string is plain ASCII with prev's exact bytes.
+func (d *lineDecoder) str(key, prev string) string {
+	if !d.lit(key) {
+		return ""
+	}
+	b := d.b[d.p:]
+	if len(b) == 0 || b[0] != '"' {
+		d.fail("a JSON string")
+		return ""
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			d.p += i + 1
+			if string(b[1:i]) == prev {
+				return prev
+			}
+			return string(b[1:i])
+		case c == '\\' || c >= utf8.RuneSelf:
+			return d.escapedStr(b)
+		case c < 0x20:
+			d.fail("a JSON string")
+			return ""
+		}
+	}
+	d.fail("a JSON string")
+	return ""
+}
+
+// escapedStr decodes the quoted token at the start of b with
+// encoding/json — the slow path for escapes and non-ASCII bytes.
+func (d *lineDecoder) escapedStr(b []byte) string {
+	for i := 1; i < len(b); i++ {
+		switch b[i] {
+		case '\\':
+			i++
+		case '"':
+			var s string
+			if json.Unmarshal(b[:i+1], &s) != nil {
+				d.fail("a JSON string")
+				return ""
+			}
+			d.p += i + 1
+			return s
+		}
+	}
+	d.fail("a JSON string")
+	return ""
 }
 
 const hexDigits = "0123456789abcdef"
