@@ -125,6 +125,17 @@ func (c *Coordinator) fail(cancel context.CancelFunc, err error) {
 	cancel()
 }
 
+// DurableOutput is what Config.Journal requires of the merged-output
+// destination: appending, plus re-reading and truncating the already-
+// merged prefix on resume. *os.File satisfies it; a pipe or plain
+// buffer cannot resume and is rejected up front.
+type DurableOutput interface {
+	io.Writer
+	io.ReaderAt
+	io.Seeker
+	Truncate(size int64) error
+}
+
 // Run executes the sweep: plan shards, dispatch them across the worker
 // pool, and write the merged NDJSON — byte-identical to a
 // single-machine scenario.Stream run — to out, returning the

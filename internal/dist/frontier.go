@@ -7,28 +7,24 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
 
+	"rcbcast/internal/journal"
 	"rcbcast/internal/scenario"
 	"rcbcast/internal/sim/sink"
 )
 
-// The frontier journal is the coordinator's own durability record,
-// the same torn-tail-tolerant NDJSON discipline as sink.Checkpoint one
-// level up: a header line naming the sweep, then one line per *merged*
-// shard recording the cumulative merged-output byte offset after it.
-// A SIGKILLed coordinator restarts, truncates its merged output back
-// to the last journaled shard boundary (dropping any torn tail the
-// kill left mid-shard), re-folds the retained prefix into per-shard
-// summaries (reproducing the original fold tree exactly), and
+// The frontier journal is the coordinator's own durability record, an
+// internal/journal log: a header line naming the sweep, then one line
+// per *merged* shard recording the cumulative merged-output byte offset
+// after it. A SIGKILLed coordinator restarts, truncates its merged
+// output back to the last journaled shard boundary (dropping any torn
+// tail the kill left mid-shard), re-folds the retained prefix into
+// per-shard summaries (reproducing the original fold tree exactly), and
 // dispatches only the unmerged shards — the final bytes are identical
 // to an uninterrupted run because every retained byte was already
 // identical and every regenerated byte is deterministic.
 type frontierJournal struct {
-	path string
-	f    *os.File
-	bw   *bufio.Writer
-	enc  *json.Encoder
+	log *journal.Log
 
 	merged    int   // shards [0, merged) are durably merged
 	bytes     int64 // merged-output size at the `merged` boundary
@@ -74,64 +70,47 @@ func frontierFingerprint(enc []byte, baseSeed uint64) string {
 // consecutive from 0 with non-decreasing byte offsets; the first
 // violation (a torn write from the kill) truncates the tail away.
 func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int) (*frontierJournal, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("dist: frontier journal: %w", err)
-	}
-	fj := &frontierJournal{path: path, f: f, shardSize: shardSize}
-	br := bufio.NewReader(f)
-	var off int64
+	fj := &frontierJournal{shardSize: shardSize}
 	headerDone := false
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // EOF or a newline-less torn tail: drop it
-		}
+	var reject error // a header this run must not overwrite, returned verbatim
+	lg, err := journal.Open(path, func(line []byte) (bool, error) {
 		if !headerDone {
 			var h frontierHeader
 			if json.Unmarshal(line, &h) != nil || h.Sweep == "" {
-				f.Close()
-				return nil, fmt.Errorf(
+				reject = fmt.Errorf(
 					"dist: frontier journal %s has an unreadable header — delete it (and the merged output) to restart the sweep", path)
+				return false, reject
 			}
 			if h.Sweep != fp || h.Trials != trials || h.BaseSeed != baseSeed {
-				f.Close()
-				return nil, fmt.Errorf(
+				reject = fmt.Errorf(
 					"dist: frontier journal %s was written by a different sweep (sweep %s/%d trials/seed %d, this run %s/%d/%d) — delete it or rerun with the original flags",
 					path, h.Sweep, h.Trials, h.BaseSeed, fp, trials, baseSeed)
+				return false, reject
 			}
 			if h.ShardSize > 0 {
 				fj.shardSize = h.ShardSize
 			}
 			headerDone = true
-			off += int64(len(line))
-			continue
+			return true, nil
 		}
 		var fl frontierLine
 		if json.Unmarshal(line, &fl) != nil || fl.Shard != fj.merged || fl.Bytes < fj.bytes {
-			break // torn or corrupt tail
+			return false, nil // torn or corrupt tail
 		}
 		fj.merged++
 		fj.bytes = fl.Bytes
-		off += int64(len(line))
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dist: frontier journal: %w", err)
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("dist: frontier journal: %w", err)
-	}
-	fj.bw = bufio.NewWriter(f)
-	fj.enc = json.NewEncoder(fj.bw)
-	if !headerDone {
-		if err := fj.enc.Encode(frontierHeader{Sweep: fp, Trials: trials, BaseSeed: baseSeed, ShardSize: shardSize}); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("dist: frontier journal header: %w", err)
+		return true, nil
+	})
+	if err != nil {
+		if err == reject {
+			return nil, err
 		}
-		if err := fj.bw.Flush(); err != nil {
-			f.Close()
+		return nil, fmt.Errorf("dist: frontier journal: %w", err)
+	}
+	fj.log = lg
+	if !headerDone {
+		if err := lg.Append(frontierHeader{Sweep: fp, Trials: trials, BaseSeed: baseSeed, ShardSize: shardSize}); err != nil {
+			lg.Close()
 			return nil, fmt.Errorf("dist: frontier journal header: %w", err)
 		}
 	}
@@ -144,10 +123,7 @@ func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int) (
 // last journaled boundary (the restart truncates the excess) but never
 // short of it.
 func (fj *frontierJournal) record(shard int, bytes int64) error {
-	if err := fj.enc.Encode(frontierLine{Shard: shard, Bytes: bytes}); err != nil {
-		return fmt.Errorf("dist: frontier journal: %w", err)
-	}
-	if err := fj.bw.Flush(); err != nil {
+	if err := fj.log.Append(frontierLine{Shard: shard, Bytes: bytes}); err != nil {
 		return fmt.Errorf("dist: frontier journal: %w", err)
 	}
 	fj.merged = shard + 1
@@ -155,25 +131,7 @@ func (fj *frontierJournal) record(shard int, bytes int64) error {
 	return nil
 }
 
-func (fj *frontierJournal) Close() error {
-	ferr := fj.bw.Flush()
-	cerr := fj.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
-
-// DurableOutput is what Config.Journal requires of the merged-output
-// destination: appending, plus re-reading and truncating the already-
-// merged prefix on resume. *os.File satisfies it; a pipe or plain
-// buffer cannot resume and is rejected up front.
-type DurableOutput interface {
-	io.Writer
-	io.ReaderAt
-	io.Seeker
-	Truncate(size int64) error
-}
+func (fj *frontierJournal) Close() error { return fj.log.Close() }
 
 // refoldPrefix rebuilds the per-shard summary folds for the already-
 // merged shards [0, frontier) from the retained output prefix —

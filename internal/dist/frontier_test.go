@@ -1,6 +1,8 @@
 package dist
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -147,4 +149,78 @@ func TestFrontierJournalNonMonotonicTail(t *testing.T) {
 	if re.merged != 1 || re.bytes != 120 {
 		t.Fatalf("after out-of-order tail: %d/%d, want 1/120", re.merged, re.bytes)
 	}
+}
+
+// FuzzOpenFrontier pins openFrontier's contract on arbitrary file
+// bytes: it never panics, and either fails leaving the file untouched
+// or keeps a newline-terminated prefix of it — the header plus exactly
+// merged shard lines — stamping a fresh header only when the input held
+// no complete line at all.
+func FuzzOpenFrontier(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "frontier")
+	fj, err := openFrontier(path, "abcd", 100, 7, 10)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i, b := range []int64{120, 260, 390} {
+		if err := fj.record(i, b); err != nil {
+			f.Fatal(err)
+		}
+	}
+	fj.Close()
+	written, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	lines := bytes.SplitAfter(written, []byte("\n")) // header, shards 0-2, ""
+	fresh, err := json.Marshal(frontierHeader{Sweep: "abcd", Trials: 100, BaseSeed: 7, ShardSize: 10})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fresh = append(fresh, '\n')
+	for _, seed := range [][]byte{
+		written, nil,
+		written[:len(written)-5],                                              // torn tail
+		bytes.Join([][]byte{lines[0], lines[1], lines[3]}, nil),               // out of order
+		append(bytes.Join(lines[:2], nil), `{"shard":1,"bytes":100}`+"\n"...), // bytes regress
+		append(bytes.Join(lines[:2], nil), `{"shard":1,"bytes":null}`+"\n"...),
+		bytes.Replace(written, []byte(`"trials":100`), []byte(`"trials":200`), 1), // mismatched header
+		[]byte("not json\n"),
+		fresh[:len(fresh)-1], // torn header
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "frontier")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fj, err := openFrontier(path, "abcd", 100, 7, 10)
+		kept, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(kept, data) {
+				t.Fatalf("failed open (%v) modified the file", err)
+			}
+			return
+		}
+		defer fj.Close()
+		if bytes.IndexByte(data, '\n') < 0 {
+			if !bytes.Equal(kept, fresh) || fj.merged != 0 {
+				t.Fatalf("no complete line in the input, but the journal is %q at %d merged", kept, fj.merged)
+			}
+			return
+		}
+		if !bytes.HasPrefix(data, kept) || len(kept) == 0 || kept[len(kept)-1] != '\n' {
+			t.Fatalf("kept %q is not a newline-terminated prefix of the input", kept)
+		}
+		if want := bytes.Count(kept, []byte("\n")) - 1; fj.merged != want {
+			t.Fatalf("merged = %d, but %d shard lines were kept", fj.merged, want)
+		}
+		if fj.shardSize <= 0 {
+			t.Fatalf("shard size %d", fj.shardSize)
+		}
+	})
 }

@@ -13,9 +13,9 @@
 // giving up bit-for-bit reproducibility. The session exploits that: one
 // worker pool (StreamMap) executes trials in whatever order scheduling
 // happens to produce but *delivers* results in trial-index order, so
-// sink folds — and the collected slices RunTrials and Map build on top
-// — are byte-identical for Procs=1 and Procs=32, including
-// floating-point aggregation.
+// sink folds — and the collected slice RunTrials builds on top — are
+// byte-identical for Procs=1 and Procs=32, including floating-point
+// aggregation.
 //
 // Per-trial seeds come from TrialSeed, a SplitMix64 mix of
 // (base seed, trial index). Unlike affine schemes such as
@@ -109,34 +109,6 @@ func Procs(procs int) int {
 		return procs
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// Map runs fn(0..n-1) on a pool of procs workers and returns the results
-// indexed by input, exposed for sweeps that execute something other than
-// the single-hop engine (multi-hop pipelines, baseline protocols) and
-// want the whole result slice.
-//
-// fn must be a pure function of its index (it may of course read shared
-// immutable data). Map is a thin wrapper over StreamMap — one worker
-// pool implementation serves both APIs — so the returned slice is
-// identical for every procs value and a failure reports the lowest
-// failing index, keeping even errors deterministic.
-func Map[T any](procs, n int, fn func(i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	results := make([]T, n)
-	err := StreamMap(context.Background(), procs, n,
-		func(_ context.Context, i int) (T, error) { return fn(i) },
-		func(i int, v T) error { results[i] = v; return nil })
-	if err != nil {
-		var pe *PartialError
-		if errors.As(err, &pe) {
-			return nil, fmt.Errorf("sim: %w", pe.Err)
-		}
-		return nil, err
-	}
-	return results, nil
 }
 
 // RunTrials executes every spec on the sequential engine across a pool

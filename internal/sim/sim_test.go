@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"errors"
 	"reflect"
 	"testing"
 
@@ -53,51 +52,6 @@ func TestSweepSeedDisjointAcrossPoints(t *testing.T) {
 				t.Fatalf("seed collision at point %d, trial %d", point, s)
 			}
 			seen[seed] = true
-		}
-	}
-}
-
-func TestMapOrderIndependent(t *testing.T) {
-	fn := func(i int) (int, error) { return i * i, nil }
-	want, err := Map(1, 100, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, procs := range []int{0, 2, 8, 100, 1000} {
-		got, err := Map(procs, 100, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("procs=%d: results diverge from sequential run", procs)
-		}
-	}
-}
-
-func TestMapEmpty(t *testing.T) {
-	got, err := Map(4, 0, func(int) (int, error) { t.Fatal("fn must not run"); return 0, nil })
-	if err != nil || got != nil {
-		t.Fatalf("empty map: got %v, %v", got, err)
-	}
-}
-
-// TestMapErrorDeterministic asserts failures are reported for the lowest
-// failing index, regardless of which worker hit an error first.
-func TestMapErrorDeterministic(t *testing.T) {
-	sentinel := errors.New("boom")
-	fn := func(i int) (int, error) {
-		if i == 3 || i == 7 {
-			return 0, sentinel
-		}
-		return i, nil
-	}
-	for _, procs := range []int{1, 8} {
-		_, err := Map(procs, 10, fn)
-		if err == nil || !errors.Is(err, sentinel) {
-			t.Fatalf("procs=%d: want wrapped sentinel, got %v", procs, err)
-		}
-		if want := "sim: trial 3: boom"; err.Error() != want {
-			t.Fatalf("procs=%d: error %q, want %q (lowest index wins)", procs, err.Error(), want)
 		}
 	}
 }

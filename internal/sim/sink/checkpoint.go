@@ -7,10 +7,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 
 	"rcbcast/internal/engine"
+	"rcbcast/internal/journal"
 	"rcbcast/internal/sim"
 )
 
@@ -36,13 +36,10 @@ import (
 // at most the trial in flight.
 type Checkpoint struct {
 	path   string
-	f      *os.File
-	bw     *bufio.Writer
-	enc    *json.Encoder
+	log    *journal.Log
 	done   int
 	sweep  string // fingerprint from the journal header ("" when absent)
 	lo, hi int    // shard range from the header (0,0 = whole-sweep journal)
-	err    error
 }
 
 // journalHeader is the journal's first line: a fingerprint of the spec
@@ -66,51 +63,34 @@ type journalLine struct {
 }
 
 // OpenCheckpoint opens (or creates) a journal at path and validates its
-// leading lines: consecutive trials from 0, each a decodable
-// journalLine. Anything after the valid prefix — a torn line from an
-// interrupted write — is truncated away.
+// leading lines: an optional header, then consecutive trials from 0,
+// each a decodable journalLine with a non-null result. Anything after
+// the valid prefix — a torn line from an interrupted write, or a
+// corrupt one — is truncated away (internal/journal).
 func OpenCheckpoint(path string) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("sink: checkpoint: %w", err)
-	}
-	br := bufio.NewReader(f)
-	var off int64
-	done := 0
-	sweep := ""
-	lo, hi := 0, 0
+	c := &Checkpoint{path: path}
 	first := true
-	for {
-		line, err := br.ReadBytes('\n')
-		if err != nil {
-			break // EOF: a newline-less tail is a torn write, drop it
-		}
+	lg, err := journal.Open(path, func(line []byte) (bool, error) {
 		if first {
 			first = false
 			var jh journalHeader
 			if json.Unmarshal(line, &jh) == nil && jh.Sweep != "" {
-				sweep, lo, hi = jh.Sweep, jh.Lo, jh.Hi
-				off += int64(len(line))
-				continue
+				c.sweep, c.lo, c.hi = jh.Sweep, jh.Lo, jh.Hi
+				return true, nil
 			}
 		}
 		var jl journalLine
-		if json.Unmarshal(line, &jl) != nil || jl.Trial != done {
-			break
+		if json.Unmarshal(line, &jl) != nil || jl.Trial != c.done || jl.Result == nil {
+			return false, nil
 		}
-		done++
-		off += int64(len(line))
-	}
-	if err := f.Truncate(off); err != nil {
-		f.Close()
+		c.done++
+		return true, nil
+	})
+	if err != nil {
 		return nil, fmt.Errorf("sink: checkpoint: %w", err)
 	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("sink: checkpoint: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	return &Checkpoint{path: path, f: f, bw: bw, enc: json.NewEncoder(bw), done: done, sweep: sweep, lo: lo, hi: hi}, nil
+	c.log = lg
+	return c, nil
 }
 
 // Done returns the number of journaled leading trials; a resumed sweep
@@ -155,15 +135,7 @@ func (c *Checkpoint) Replay(sinks ...sim.Sink) error {
 // the tail specs (indices restart at 0), and in-order contiguous
 // delivery guarantees the count is the sweep-global index.
 func (c *Checkpoint) Trial(_ int, r *engine.Result) error {
-	if c.err != nil {
-		return c.err
-	}
-	if err := c.enc.Encode(journalLine{Trial: c.done, Result: r}); err != nil {
-		c.err = err
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.err = err
+	if err := c.log.Append(journalLine{Trial: c.done, Result: r}); err != nil {
 		return err
 	}
 	c.done++
@@ -174,35 +146,19 @@ func (c *Checkpoint) Trial(_ int, r *engine.Result) error {
 // for shard journals, the trial range [lo, hi). Whole-sweep journals
 // pass (0, 0) and keep the pre-shard header shape.
 func (c *Checkpoint) writeHeader(fp string, lo, hi int) error {
-	if err := c.enc.Encode(journalHeader{Sweep: fp, Lo: lo, Hi: hi}); err != nil {
-		c.err = err
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		c.err = err
+	if err := c.log.Append(journalHeader{Sweep: fp, Lo: lo, Hi: hi}); err != nil {
 		return err
 	}
 	c.sweep, c.lo, c.hi = fp, lo, hi
 	return nil
 }
 
-// Flush implements sim.Sink.
-func (c *Checkpoint) Flush() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.bw.Flush()
-}
+// Flush implements sim.Sink. Every Trial has already flushed its line;
+// Flush reports the first write failure, if any.
+func (c *Checkpoint) Flush() error { return c.log.Err() }
 
-// Close flushes and closes the journal file.
-func (c *Checkpoint) Close() error {
-	ferr := c.bw.Flush()
-	cerr := c.f.Close()
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
-}
+// Close closes the journal file.
+func (c *Checkpoint) Close() error { return c.log.Close() }
 
 // fingerprint hashes the sweep's first spec — its seed, protocol
 // instance, and topology — into the journal-header token. Derived

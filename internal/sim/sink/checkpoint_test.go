@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -239,6 +240,63 @@ func TestCheckpointOutOfOrderTrialsTruncated(t *testing.T) {
 	defer cp2.Close()
 	if cp2.Done() != 1 {
 		t.Fatalf("gapped journal recovered %d trials, want 1", cp2.Done())
+	}
+}
+
+// TestCheckpointNullResultTruncated: a line that decodes as the next
+// trial but carries no result — an explicit null, a missing field, or a
+// repeated header line, which decodes as trial 0 — is a corrupt tail,
+// not a trial. Accepting it would hand Replay a nil *engine.Result for
+// the sinks to dereference.
+func TestCheckpointNullResultTruncated(t *testing.T) {
+	var want bytes.Buffer
+	if err := sim.Stream(context.Background(), 1, jamSpecs(64, 3), NewNDJSON(&want)); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sweep.ckpt")
+	cp := openCheckpoint(t, path)
+	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 2), cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n")) // header, trial 0, trial 1, ""
+	for name, tc := range map[string]struct {
+		kept [][]byte
+		bad  string
+	}{
+		"null result":     {lines[:3], `{"trial":2,"result":null}` + "\n"},
+		"missing result":  {lines[:3], `{"trial":2}` + "\n"},
+		"repeated header": {lines[:1], string(lines[0])},
+	} {
+		t.Run(name, func(t *testing.T) {
+			kept := bytes.Join(tc.kept, nil)
+			if err := os.WriteFile(path, append(append([]byte{}, kept...), tc.bad...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cp := openCheckpoint(t, path)
+			done := cp.Done()
+			reopened, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out bytes.Buffer
+			if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 3), cp, NewNDJSON(&out)); err != nil {
+				t.Fatal(err)
+			}
+			if done != len(tc.kept)-1 {
+				t.Fatalf("recovered %d trials, want %d", done, len(tc.kept)-1)
+			}
+			if !bytes.Equal(reopened, kept) {
+				t.Fatalf("journal not truncated to the valid prefix:\n%s", reopened)
+			}
+			if !bytes.Equal(out.Bytes(), want.Bytes()) {
+				t.Fatalf("resumed output differs from uninterrupted run:\n%s\nvs\n%s", out.String(), want.String())
+			}
+		})
 	}
 }
 
@@ -525,4 +583,80 @@ func TestCheckpointShardTornTailTruncated(t *testing.T) {
 		t.Fatalf("resumed shard output differs from uninterrupted run:\n%s\nvs\n%s",
 			got.String(), want.String())
 	}
+}
+
+// FuzzOpenCheckpoint pins OpenCheckpoint's contract on arbitrary file
+// bytes: it never panics, and either fails leaving the file untouched
+// or keeps a newline-terminated prefix of it — an optional header plus
+// exactly Done() trial lines — that Replay can deliver to a sink.
+func FuzzOpenCheckpoint(f *testing.F) {
+	dir := f.TempDir()
+	journalOf := func(name string, stream func(cp *Checkpoint) error) []byte {
+		path := filepath.Join(dir, name)
+		cp, err := OpenCheckpoint(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if err := stream(cp); err != nil {
+			f.Fatal(err)
+		}
+		cp.Close()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
+	whole := journalOf("whole", func(cp *Checkpoint) error {
+		return StreamCheckpointed(context.Background(), 1, jamSpecs(16, 3), cp)
+	})
+	shard := journalOf("shard", func(cp *Checkpoint) error {
+		return StreamCheckpointedShard(context.Background(), 1, 1, 2, jamSpecs(16, 4)[2:], cp)
+	})
+	headerless := journalOf("headerless", func(cp *Checkpoint) error {
+		return sim.Stream(context.Background(), 1, jamSpecs(16, 2), cp)
+	})
+	lines := bytes.SplitAfter(whole, []byte("\n")) // header, trials 0-2, ""
+	for _, seed := range [][]byte{
+		whole, shard, headerless, nil,
+		whole[:len(whole)-7], // torn tail
+		bytes.Join([][]byte{lines[0], lines[1], lines[3]}, nil),                     // out of order
+		append(bytes.Join(lines[:2], nil), `{"trial":1,"result":null}`+"\n"...),     // null result
+		append(bytes.Join(lines[:2], nil), `{"trial":1}`+"\n"...),                   // missing result
+		bytes.Join([][]byte{lines[0], lines[0], lines[1]}, nil),                     // repeated header
+		bytes.Join([][]byte{shard[:bytes.IndexByte(shard, '\n')+1], lines[1]}, nil), // mismatched header
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := OpenCheckpoint(path)
+		kept, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if err != nil {
+			if !bytes.Equal(kept, data) {
+				t.Fatalf("failed open (%v) modified the file", err)
+			}
+			return
+		}
+		defer cp.Close()
+		if !bytes.HasPrefix(data, kept) || (len(kept) > 0 && kept[len(kept)-1] != '\n') {
+			t.Fatalf("kept %q is not a newline-terminated prefix of the input", kept)
+		}
+		entries := bytes.Count(kept, []byte("\n"))
+		if cp.sweep != "" {
+			entries--
+		}
+		if cp.Done() != entries {
+			t.Fatalf("Done() = %d, but %d trial lines were kept", cp.Done(), entries)
+		}
+		if err := cp.Replay(NewNDJSON(io.Discard)); err != nil {
+			t.Fatalf("replay of the kept prefix: %v", err)
+		}
+	})
 }

@@ -76,10 +76,10 @@ type streamItem[T any] struct {
 // generic over the per-trial result type (multi-hop pipelines and
 // baseline protocols stream through it directly). It runs
 // fn(ctx, 0..n-1) on a pool of procs workers and calls deliver(i, v)
-// in strict index order from the calling goroutine. Unlike Map it
-// never materializes the result slice: at most streamWindow(procs)
-// results are live at once, because a worker may only claim a new
-// trial after enough older trials have been delivered.
+// in strict index order from the calling goroutine. It never
+// materializes the result slice: at most streamWindow(procs) results
+// are live at once, because a worker may only claim a new trial after
+// enough older trials have been delivered.
 //
 // fn must be a pure function of its index. The first in-order failure
 // wins deterministically: trials are delivered up to the lowest failing

@@ -200,7 +200,7 @@ type FuncCancelSink func(i int)
 func (f FuncCancelSink) Trial(i int, _ *engine.Result) error { f(i); return nil }
 func (FuncCancelSink) Flush() error                          { return nil }
 
-// TestStreamTrialErrorDeterministic mirrors Map's error rule: the
+// TestStreamTrialErrorDeterministic pins the session's error rule: the
 // lowest failing trial index wins, whatever the schedule, and earlier
 // trials are still delivered.
 func TestStreamTrialErrorDeterministic(t *testing.T) {
