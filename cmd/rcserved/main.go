@@ -1,5 +1,5 @@
 // Command rcserved is the sweep-job service: a long-running HTTP server
-// over the scenario + streaming + checkpoint stack (internal/service,
+// over the scenario + streaming stack (internal/service,
 // DESIGN.md §12).
 //
 // Usage:
@@ -16,14 +16,16 @@
 //	curl -s localhost:8344/v1/jobs/<id>
 //	curl -sN localhost:8344/v1/jobs/<id>/results > runs.jsonl
 //
-// Every job journals through sink.Checkpoint in its -dir subdirectory,
-// so killing the server — SIGKILL included — loses nothing: on restart,
-// interrupted jobs resume from their journaled prefix and their final
-// NDJSON output is byte-identical to an uninterrupted run (and to
+// Every job writes its NDJSON output, one flushed line per trial, to
+// out.ndjson in its -dir subdirectory, and that file is also its resume
+// journal, so killing the server — SIGKILL included — loses nothing: on
+// restart, interrupted jobs keep the output's complete lines and run
+// only the trials it lacks, and their final NDJSON output is
+// byte-identical to an uninterrupted run (and to
 // `rcexp -scenario ... -trials N` with the same spec). SIGINT/SIGTERM
 // shut down gracefully: readiness is withdrawn first (GET /readyz turns
-// 503 while GET /healthz stays 200), then running jobs drain to their
-// checkpoints within -drain.
+// 503 while GET /healthz stays 200), then running jobs stop within
+// -drain, their output a valid prefix to resume from.
 package main
 
 import (

@@ -1,7 +1,7 @@
 // Package journal owns the durable NDJSON line discipline every
-// crash-resumable record in rcbcast shares (DESIGN.md §8, §15): a file
-// of complete newline-terminated JSON lines, scanned in order on open,
-// truncated at the first torn or rejected line, and extended one
+// crash-resumable record in rcbcast shares (DESIGN.md §8, §12, §15): a
+// file of complete newline-terminated JSON lines, scanned in order on
+// open, truncated at the first torn or rejected line, and extended one
 // flushed line at a time. A process killed mid-write leaves at most one
 // torn tail, which the next Open drops.
 //
@@ -89,7 +89,23 @@ func (l *Log) Append(v any) error {
 	return nil
 }
 
-// Err returns the sticky Append error, if any.
+// Write appends p, one or more lines the caller has already encoded,
+// straight to the file — the io.Writer face of a journal whose lines
+// come from an encoder of their own. It shares Append's sticky error.
+// Append flushes its buffer before it returns, so bytes from the two
+// never reorder.
+func (l *Log) Write(p []byte) (int, error) {
+	if l.err != nil {
+		return 0, l.err
+	}
+	n, err := l.f.Write(p)
+	if err != nil {
+		l.err = err
+	}
+	return n, err
+}
+
+// Err returns the sticky write error, if any.
 func (l *Log) Err() error { return l.err }
 
 // Close closes the file. Every Append has already flushed its line, so

@@ -61,3 +61,33 @@ func TestAppendErrorSticks(t *testing.T) {
 		t.Fatalf("Append after a failure = %v, want the sticky %v", err, l.Err())
 	}
 }
+
+func TestWriteInterleavesWithAppendAndSharesStickyError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	l, err := Open(path, keepUpTo(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(1); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := l.Write([]byte("2\n")); n != 2 || err != nil {
+		t.Fatalf("Write = %d, %v", n, err)
+	}
+	if err := l.Append(3); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "1\n2\n3\n" {
+		t.Fatalf("journal after Append/Write/Append: %q", got)
+	}
+	if err := l.Append(func() {}); err == nil {
+		t.Fatal("encoding a func must fail")
+	}
+	if n, err := l.Write([]byte("4\n")); n != 0 || err == nil || err != l.Err() {
+		t.Fatalf("Write after a failure = %d, %v, want 0 and the sticky %v", n, err, l.Err())
+	}
+	if got, _ := os.ReadFile(path); string(got) != "1\n2\n3\n" {
+		t.Fatalf("Write after a failure reached the file: %q", got)
+	}
+}

@@ -4,69 +4,91 @@ import (
 	"fmt"
 	"os"
 	"sync"
+
+	"rcbcast/internal/journal"
+	"rcbcast/internal/sim/sink"
 )
 
 // feed is one job's live result stream: the out.ndjson file plus an
 // in-memory watch point so subscribers follow appends without polling
-// the filesystem. The file is the single source of truth — a late
-// subscriber reads it from byte 0 and gets exactly what an early
-// subscriber saw, because the sweep layer's determinism makes the
-// file's content a pure function of the job spec (a resume rewrites the
-// identical prefix before appending new trials).
+// the filesystem. The file is both the job's output and its only
+// durable journal: a late subscriber reads it from byte 0 and gets
+// exactly what an early subscriber saw, and a resume appends after the
+// file's complete lines, dropping at most a torn tail no subscriber was
+// shown.
 //
 // Appends come from the job runner's single delivery goroutine;
 // subscribers and status queries read concurrently through snapshot.
 type feed struct {
-	path string
-
 	mu       sync.Mutex
-	f        *os.File      // open only while the job runs
+	log      *journal.Log  // attached only while the job runs
 	size     int64         // bytes visible to subscribers
 	watch    chan struct{} // closed and replaced on every append/reset
 	terminal bool          // no further appends will come
 }
 
-// newFeed wires a feed to its backing file. Existing bytes (a completed
-// or interrupted job from a previous process) are immediately visible;
-// terminal is set by the caller from the job's loaded state.
+// newFeed makes the feed of the job whose output is at path. A
+// terminal job's bytes (a completed, failed or canceled job from a
+// previous process) are immediately visible; a job that will run again
+// shows nothing until its run reopens the file, so a torn tail left by
+// a kill is never served.
 func newFeed(path string, terminal bool) *feed {
-	size := int64(0)
-	if st, err := os.Stat(path); err == nil {
-		size = st.Size()
+	fd := &feed{watch: make(chan struct{}), terminal: terminal}
+	if st, err := os.Stat(path); err == nil && terminal {
+		fd.size = st.Size()
 	}
-	return &feed{path: path, size: size, watch: make(chan struct{}), terminal: terminal}
+	return fd
 }
 
-// openForRun truncates the file and resets the visible size for a job
-// (re)start: the run's checkpoint replay rewrites the journaled prefix
-// byte-identically, so subscribers that already read past the reset
-// simply wait for the size to catch back up — the bytes they hold are
-// the bytes being rewritten.
-func (fd *feed) openForRun() error {
-	f, err := os.OpenFile(fd.path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("service: open results: %w", err)
-	}
+// openResults opens the job's out.ndjson as its record journal for a
+// run over the trials [lo, lo+total) of an n-node sweep. Lines must be
+// the sweep's records in order: a line sink.ParseRecord rejects is a
+// torn or corrupt tail and is truncated, while a parseable line that is
+// not the next trial — another index or node count, or a line past the
+// shard's end — means another sweep wrote the file, and the open fails
+// with the file untouched. done and size are the kept trials and bytes.
+func openResults(path string, lo, n, total int) (lg *journal.Log, done int, size int64, err error) {
+	var rec sink.Record
+	lg, err = journal.Open(path, func(line []byte) (bool, error) {
+		if sink.ParseRecord(line, &rec) != nil {
+			return false, nil
+		}
+		if done == total || rec.Trial != lo+done || rec.N != n {
+			return false, fmt.Errorf(
+				"service: %s was written by a different sweep (line %d is trial %d with n=%d; this job wants trial %d of [%d,%d) with n=%d)",
+				path, done+1, rec.Trial, rec.N, lo+done, lo, lo+total, n)
+		}
+		done++
+		size += int64(len(line))
+		return true, nil
+	})
+	return lg, done, size, err
+}
+
+// openForRun attaches the job's record journal for a run attempt at its
+// kept size: appends land after the file's complete lines.
+func (fd *feed) openForRun(lg *journal.Log, size int64) {
 	fd.mu.Lock()
-	fd.f = f
-	fd.size = 0
+	fd.log = lg
+	fd.size = size
 	fd.terminal = false
 	fd.notifyLocked()
 	fd.mu.Unlock()
-	return nil
 }
 
-// Write implements io.Writer for the NDJSON sink: append, publish the
-// new size, wake subscribers. One call per trial line.
+// Write implements io.Writer for the NDJSON sink: append through the
+// journal, publish the new size, wake subscribers. One call per trial
+// line; a failed write publishes nothing, so subscribers only ever see
+// complete lines.
 func (fd *feed) Write(p []byte) (int, error) {
 	fd.mu.Lock()
-	f := fd.f
+	lg := fd.log
 	fd.mu.Unlock()
-	if f == nil {
+	if lg == nil {
 		return 0, fmt.Errorf("service: results feed is not open")
 	}
-	n, err := f.Write(p)
-	if n > 0 {
+	n, err := lg.Write(p)
+	if err == nil {
 		fd.mu.Lock()
 		fd.size += int64(n)
 		fd.notifyLocked()
@@ -75,15 +97,15 @@ func (fd *feed) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// closeRun closes the backing file after a run attempt. terminal marks
-// whether the job reached a final state (done/failed/canceled) or will
-// resume (shutdown requeue) — subscribers end on terminal, keep waiting
-// otherwise.
+// closeRun detaches and closes the record journal after a run attempt.
+// terminal marks whether the job reached a final state
+// (done/failed/canceled) or will resume (shutdown requeue) —
+// subscribers end on terminal, keep waiting otherwise.
 func (fd *feed) closeRun(terminal bool) {
 	fd.mu.Lock()
-	if fd.f != nil {
-		fd.f.Close()
-		fd.f = nil
+	if fd.log != nil {
+		fd.log.Close()
+		fd.log = nil
 	}
 	fd.terminal = terminal
 	fd.notifyLocked()

@@ -75,7 +75,10 @@ type Job struct {
 	dir  string
 	feed *feed
 
+	saveMu sync.Mutex // serializes saveJob: one job.json.tmp per job
+
 	mu        sync.Mutex
+	sweep     string // sink.Fingerprint of the specs, pinned by the first run
 	state     State
 	errMsg    string
 	partials  int // run attempts that ended in a *sim.PartialError
@@ -83,7 +86,7 @@ type Job struct {
 	cancelRun func() // non-nil while running
 
 	done      atomic.Int64 // trials delivered to sinks (sweep coordinates)
-	execBase  atomic.Int64 // journal prefix replayed, not executed, this run
+	execBase  atomic.Int64 // trials already in out.ndjson when this run started
 	execStart atomic.Int64 // unixnano of the first executed delivery this run
 }
 
@@ -129,7 +132,6 @@ func (j *Job) shardLen() int {
 
 // Paths inside the job's store directory.
 func (j *Job) recordPath() string  { return filepath.Join(j.dir, "job.json") }
-func (j *Job) journalPath() string { return filepath.Join(j.dir, "journal.ckpt") }
 func (j *Job) resultsPath() string { return filepath.Join(j.dir, "out.ndjson") }
 
 // Status is the wire form of a job's state — the status endpoint's
@@ -154,9 +156,8 @@ type Status struct {
 }
 
 // Status snapshots the job. Rate covers only trials executed in the
-// current run (a resume's replayed prefix arrives in microseconds and
-// would otherwise dwarf the real rate), measured from the first
-// executed delivery.
+// current run (a resume's kept prefix took no time in it), measured
+// from the run's first delivery.
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	st := Status{
@@ -188,8 +189,8 @@ func (j *Job) Status() Status {
 
 // meterSink plumbs delivery progress into the job's atomics: done is
 // the count of the job's own trials delivered (indices arrive in sweep
-// coordinates, so shard jobs rebase by lo), and the first delivery past
-// the replayed prefix starts the rate clock.
+// coordinates, so shard jobs rebase by lo), and the run's first
+// delivery starts the rate clock.
 type meterSink struct {
 	j  *Job
 	lo int
@@ -199,7 +200,7 @@ func (m meterSink) Trial(i int, _ *engine.Result) error {
 	j := m.j
 	count := int64(i - m.lo + 1)
 	j.done.Store(count)
-	if count > j.execBase.Load() && j.execStart.Load() == 0 {
+	if j.execStart.Load() == 0 {
 		j.execStart.Store(time.Now().UnixNano())
 	}
 	return nil
@@ -219,6 +220,7 @@ func (j *Job) record() jobRecord {
 		Trials:        j.Trials,
 		BaseSeed:      j.BaseSeed,
 		Shard:         j.Shard,
+		Sweep:         j.sweep,
 		State:         j.state,
 		Done:          int(j.done.Load()),
 		PartialErrors: j.partials,

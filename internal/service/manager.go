@@ -37,10 +37,10 @@ var testExtraSinks func(*Job) []sim.Sink
 
 // Manager owns the job lifecycle: a bounded FIFO queue feeding a fixed
 // set of runner goroutines, each executing one job at a time on the
-// shared engine pool (Config.Procs workers via sim/sink's checkpointed
-// streaming). All durability flows through the per-job checkpoint
-// journal; the manager itself keeps no state a restart cannot rebuild
-// from the store directory.
+// shared engine pool (Config.Procs workers via sim's batched
+// streaming). All durability flows through each job's out.ndjson, its
+// record journal; the manager itself keeps no state a restart cannot
+// rebuild from the store directory.
 type Manager struct {
 	cfg     Config
 	version string
@@ -118,7 +118,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		if err := saveJob(j); err != nil {
 			m.logf("%v", err)
 		}
-		m.logf("service: resuming job %s (%d/%d trials journaled)", j.ID, j.done.Load(), j.shardLen())
+		m.logf("service: resuming job %s", j.ID)
 	}
 
 	m.wg.Add(cfg.Runners)
@@ -146,6 +146,7 @@ func (m *Manager) jobFromRecord(rec jobRecord) (*Job, error) {
 		Shard:    rec.Shard,
 		Version:  rec.Version,
 		dir:      m.jobDir(rec.ID),
+		sweep:    rec.Sweep,
 		state:    rec.State,
 		errMsg:   rec.Error,
 		partials: rec.PartialErrors,
@@ -378,20 +379,17 @@ func (m *Manager) claim(j *Job) bool {
 	return true
 }
 
-// runJob executes one job attempt through the checkpointed streaming
-// session and classifies the outcome. Every path leaves the journal a
-// valid contiguous prefix of the sweep, which is the whole durability
-// story: the next attempt — in this process or the next — replays it
-// and continues.
+// runJob executes one job attempt through the streaming session and
+// classifies the outcome. Every path leaves out.ndjson a valid
+// contiguous prefix of the sweep's records, which is the whole
+// durability story: the next attempt — in this process or the next —
+// keeps it and appends the rest.
 func (m *Manager) runJob(j *Job) {
 	runCtx, cancelRun := context.WithCancel(m.ctx)
 	defer cancelRun()
 	j.mu.Lock()
 	j.cancelRun = cancelRun
 	j.mu.Unlock()
-	if err := saveJob(j); err != nil {
-		m.logf("%v", err)
-	}
 
 	err := m.runSweep(runCtx, j)
 
@@ -408,8 +406,8 @@ func (m *Manager) runJob(j *Job) {
 	case j.canceled:
 		j.state = StateCanceled
 	case isPartial && m.ctx.Err() != nil:
-		// Graceful shutdown: the job drained to its checkpoint; the
-		// next process start re-admits it.
+		// Graceful shutdown: the job drained with its output a
+		// valid prefix; the next process start re-admits it.
 		j.state = StateQueued
 	default:
 		j.state = StateFailed
@@ -433,45 +431,59 @@ func (m *Manager) runJob(j *Job) {
 	case StateCanceled:
 		m.logf("service: job %s canceled after %d trials", j.ID, j.done.Load())
 	case StateQueued:
-		m.logf("service: job %s drained to checkpoint at %d trials (shutdown)", j.ID, j.done.Load())
+		m.logf("service: job %s drained at %d trials (shutdown)", j.ID, j.done.Load())
 	}
 }
 
-// runSweep is the one place a job touches the execution stack: open the
-// journal, point the NDJSON sink at the live feed, and hand the sweep
-// (or its shard) to sink's checkpointed streaming — replay, fingerprint
-// check, scalar or batched execution, and per-trial journaling all come
-// from there. Shard jobs use the range-stamped journal entry point, so
-// their NDJSON carries sweep-global trial indices while the journal
-// stays shard-local.
+// runSweep is the one place a job touches the execution stack. It pins
+// the sweep's fingerprint in the job record on the first run (and
+// refuses a later run whose specs no longer match it), reopens
+// out.ndjson as the job's record journal, and streams only the trials
+// the file lacks, appending their lines after its kept prefix. Every
+// sink sees sweep-global trial indices.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	specs, err := j.Scenario.ShardSpecs(j.BaseSeed, 0, j.Trials, j.Shard)
 	if err != nil {
 		return err
 	}
+	fp := sink.Fingerprint(specs)
+	j.mu.Lock()
+	if j.sweep == "" {
+		j.sweep = fp
+	}
+	pinned := j.sweep
+	j.mu.Unlock()
+	if err := saveJob(j); err != nil {
+		m.logf("%v", err)
+	}
+	if pinned != fp {
+		return fmt.Errorf(
+			"service: job %s was started by a different sweep (fingerprint %s, this sweep %s) — delete its directory to rerun it",
+			j.ID, pinned, fp)
+	}
 	if testWrapSpecs != nil {
 		specs = testWrapSpecs(j, specs)
 	}
-	cp, err := sink.OpenCheckpoint(j.journalPath())
+	lo, _ := j.shardRange()
+	lg, done, size, err := openResults(j.resultsPath(), lo, specs[0].Params.N, len(specs))
 	if err != nil {
 		return err
 	}
-	defer cp.Close()
-	j.done.Store(int64(cp.Done()))
-	j.execBase.Store(int64(cp.Done()))
-	j.execStart.Store(0)
-	if err := j.feed.openForRun(); err != nil {
-		return err
+	if done > 0 {
+		m.logf("service: job %s keeps %d/%d trials from its output", j.ID, done, len(specs))
 	}
-	lo, _ := j.shardRange()
+	j.done.Store(int64(done))
+	j.execBase.Store(int64(done))
+	j.execStart.Store(0)
+	j.feed.openForRun(lg, size)
 	sinks := []sim.Sink{sink.NewNDJSON(j.feed), meterSink{j: j, lo: lo}}
 	if testExtraSinks != nil {
 		sinks = append(sinks, testExtraSinks(j)...)
 	}
-	if j.Shard.IsZero() {
-		return sink.StreamCheckpointedBatch(ctx, m.cfg.Procs, j.Scenario.Batch, specs, cp, sinks...)
+	for i, s := range sinks {
+		sinks[i] = sink.Offset(lo+done, s)
 	}
-	return sink.StreamCheckpointedShard(ctx, m.cfg.Procs, j.Scenario.Batch, lo, specs, cp, sinks...)
+	return sim.StreamBatch(ctx, m.cfg.Procs, j.Scenario.Batch, specs[done:], sinks...)
 }
 
 // BeginDrain flips the service to not-ready: GET /readyz answers 503

@@ -77,11 +77,11 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 	if err := os.WriteFile(recPath, doctored, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jf, err := os.OpenFile(filepath.Join(dir, j.ID, "journal.ckpt"), os.O_APPEND|os.O_WRONLY, 0)
+	jf, err := os.OpenFile(filepath.Join(dir, j.ID, "out.ndjson"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := jf.WriteString(`{"trial": 9999, "result": {"succ`); err != nil {
+	if _, err := jf.WriteString(`{"trial":9999,"n":64,"informed":1`); err != nil {
 		t.Fatal(err)
 	}
 	jf.Close()
@@ -170,14 +170,14 @@ func TestForeignJournalFailsTheJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := os.ReadFile(jA.journalPath())
+	journal, err := os.ReadFile(jA.resultsPath())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := os.MkdirAll(filepath.Join(dir, idB), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, idB, "journal.ckpt"), journal, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, idB, "out.ndjson"), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -209,5 +209,70 @@ func TestStoreSkipsCorruptRecords(t *testing.T) {
 	waitStatus(t, j, "done", stateIs(StateDone))
 	if got := len(m.List()); got != 1 {
 		t.Fatalf("list holds %d jobs, want 1 (the corrupt record skipped)", got)
+	}
+}
+
+// TestStaleSweepFingerprintFailsTheJob: job.json pins the fingerprint
+// of the specs its first run streamed. A restarted job whose specs hash
+// differently must fail loudly and leave out.ndjson as it was, never
+// append another sweep's trials to it.
+func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
+	dir := t.TempDir()
+	sc := testScenario("stale-fingerprint")
+	const trials = 40
+	gate := newTrialGate(3)
+	teardown := setWrapSpecs(gate.wrap)
+
+	m1, err := NewManager(Config{Dir: dir, Procs: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m1.Logf = t.Logf
+	j, _, err := m1.Submit("alice", sc, trials, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, j, "prefix delivered", func(st Status) bool { return st.Done >= 1 })
+	gate.waitParked(t)
+	if err := m1.Cancel(j.ID); err != nil {
+		t.Fatal(err)
+	}
+	gate.release()
+	waitStatus(t, j, "canceled", stateIs(StateCanceled))
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := m1.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	teardown()
+
+	recPath := filepath.Join(dir, j.ID, "job.json")
+	rec, err := os.ReadFile(recPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := `"sweep": "` + j.sweep + `"`
+	if j.sweep == "" || !bytes.Contains(rec, []byte(pinned)) {
+		t.Fatalf("record does not pin the sweep fingerprint %q:\n%s", j.sweep, rec)
+	}
+	if err := os.WriteFile(recPath, bytes.Replace(rec, []byte(pinned), []byte(`"sweep": "0123456789abcdef"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := readResults(t, j)
+	if len(before) == 0 {
+		t.Fatal("canceled job left no results to protect")
+	}
+
+	m2 := newTestManager(t, Config{Dir: dir, Procs: 2})
+	j2, accepted, err := m2.Submit("alice", sc, trials, 1)
+	if err != nil || !accepted {
+		t.Fatalf("resubmit: accepted=%v err=%v", accepted, err)
+	}
+	st := waitStatus(t, j2, "failed", stateIs(StateFailed))
+	if !strings.Contains(st.Error, "different sweep") {
+		t.Fatalf("failure %q does not name the fingerprint mismatch", st.Error)
+	}
+	if got := readResults(t, j2); !bytes.Equal(got, before) {
+		t.Fatalf("a stale-fingerprint run modified out.ndjson (%d bytes, was %d)", len(got), len(before))
 	}
 }

@@ -20,8 +20,8 @@ import (
 //	                           400 invalid, 429 over a limit)
 //	GET  /v1/jobs              list all jobs
 //	GET  /v1/jobs/{id}         one job's status and progress
-//	GET  /v1/jobs/{id}/results stream results as NDJSON: replay the
-//	                           journal-backed file from byte 0, then
+//	GET  /v1/jobs/{id}/results stream results as NDJSON: read the
+//	                           job's out.ndjson from byte 0, then
 //	                           follow live appends until the job is
 //	                           terminal
 //	POST /v1/jobs/{id}/cancel  request cancellation
@@ -159,12 +159,11 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // results streams the job's NDJSON output over chunked HTTP. The
-// backing file is replayed from byte 0 — determinism makes it the same
+// backing file is read from byte 0 — determinism makes it the same
 // stream every subscriber sees, whenever they attach — then followed
 // until the job reaches a terminal state and the subscriber has read
-// every byte. A mid-stream resume truncates the file and rewrites an
-// identical prefix, so a subscriber that is momentarily "ahead" of the
-// visible size just waits for it to catch back up.
+// every byte. A resume keeps the file's complete lines and appends
+// after them, so the bytes a subscriber already holds never change.
 func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.m.Get(r.PathValue("id"))
 	if !ok {

@@ -1,6 +1,5 @@
 // Package service is the sweep-job layer: a long-running HTTP server
-// that lets many clients drive the scenario/streaming/checkpoint stack
-// as jobs.
+// that lets many clients drive the scenario/streaming stack as jobs.
 //
 // A client POSTs a scenario (the same JSON internal/scenario decodes
 // and validates everywhere else — nothing is scheduled before the spec
@@ -10,14 +9,16 @@
 // caps, so heavy users queue behind their own work instead of starving
 // everyone else's.
 //
-// Durability is the checkpoint journal's (DESIGN.md §8): every job
-// writes through sink.Checkpoint keyed by the sweep fingerprint, so a
-// killed server — SIGKILL included — resumes each interrupted job from
-// its journaled prefix on restart, and the job's final NDJSON output is
-// byte-identical to an uninterrupted run. Live result streaming reads
-// the same bytes: a subscriber attaching mid-job (or after a resume)
-// replays the output from trial 0 and then follows appends, so every
-// subscriber sees the one canonical byte stream.
+// Durability is the output's own (DESIGN.md §12): each job's
+// out.ndjson is an internal/journal record journal, one flushed line
+// per trial, so a killed server — SIGKILL included — reopens it on
+// restart, drops at most a torn tail, and runs only the trials it
+// lacks; the job's final NDJSON output is byte-identical to an
+// uninterrupted run. job.json pins the sweep fingerprint, so a resume
+// never appends another sweep's trials. Live result streaming reads the
+// same bytes: a subscriber attaching mid-job (or after a resume) reads
+// the output from trial 0 and then follows appends, so every subscriber
+// sees the one canonical byte stream.
 //
 // The layering is strict: service sits above scenario, sim and
 // sim/sink, and below cmd/rcserved. It adds no execution semantics of
@@ -32,8 +33,8 @@ import "time"
 // default, so Config{Dir: dir} is a working single-runner service.
 type Config struct {
 	// Dir is the job store root: one subdirectory per job holding the
-	// job record, the checkpoint journal, and the NDJSON output.
-	// Required.
+	// job record (job.json) and the NDJSON output (out.ndjson), which
+	// doubles as the job's resume journal. Required.
 	Dir string
 	// Procs is the engine worker-pool size each running job uses
 	// (<= 0 selects GOMAXPROCS, as everywhere in internal/sim).
@@ -58,9 +59,9 @@ type Config struct {
 
 // Defaults, exported so cmd/rcserved's flag help states them once.
 // DefaultDrainTimeout bounds graceful shutdown: running jobs are
-// canceled at the next engine phase boundary and drained to their
-// checkpoints within the deadline the caller passes to Manager.Close
-// (cmd/rcserved's -drain flag).
+// canceled at the next engine phase boundary, their output a valid
+// prefix to resume from, within the deadline the caller passes to
+// Manager.Close (cmd/rcserved's -drain flag).
 const (
 	DefaultRunners      = 1
 	DefaultQueueDepth   = 64

@@ -12,6 +12,9 @@ import (
 
 // jobRecord is the on-disk job description (job.json): enough to rebuild
 // the Job after a restart — spec, scheduling state, and bookkeeping.
+// Sweep is sink.Fingerprint of the job's specs, stamped by its first
+// run; a later run whose specs hash differently (a build that derives
+// them otherwise) fails instead of appending to another sweep's output.
 // Written atomically (temp + rename) at submit and at every state
 // transition, so a SIGKILL leaves at worst a stale-but-consistent
 // record; a record claiming "running" simply resumes as queued.
@@ -22,6 +25,7 @@ type jobRecord struct {
 	Trials        int             `json:"trials"`
 	BaseSeed      uint64          `json:"base_seed"`
 	Shard         scenario.Shard  `json:"shard,omitzero"`
+	Sweep         string          `json:"sweep,omitempty"`
 	State         State           `json:"state"`
 	Done          int             `json:"done,omitempty"`
 	PartialErrors int             `json:"partial_errors,omitempty"`
@@ -31,7 +35,12 @@ type jobRecord struct {
 }
 
 // saveJob persists the job record atomically into its directory.
+// Concurrent saves of one job share its temp file, so the job's save
+// lock spans snapshot, write and rename: the last save publishes the
+// latest state, whole.
 func saveJob(j *Job) error {
+	j.saveMu.Lock()
+	defer j.saveMu.Unlock()
 	rec := j.record()
 	data, err := json.MarshalIndent(rec, "", "  ")
 	if err != nil {

@@ -29,8 +29,8 @@ import (
 // the O(n) NodeCosts vector and recorded phases, so one journal line
 // costs roughly one serialized Result (~kilobytes at n=1024) rather
 // than the ~200-byte summary Record. Budget journal disk as
-// trials × result size; sweeps that only need summary outputs and can
-// afford to re-run on interruption can skip the checkpoint entirely.
+// trials × result size. A sweep whose only output is summary Records
+// can journal those instead: service jobs resume from their out.ndjson.
 //
 // Each Trial call flushes its line, so a context-canceled process loses
 // at most the trial in flight.
@@ -160,15 +160,16 @@ func (c *Checkpoint) Flush() error { return c.log.Err() }
 // Close closes the journal file.
 func (c *Checkpoint) Close() error { return c.log.Close() }
 
-// fingerprint hashes the sweep's first spec — its seed, protocol
-// instance, and topology — into the journal-header token. Derived
-// sweeps share one scenario and base seed across all specs, so the
-// first spec catches the realistic mismatches (a different -n, -seed,
-// -topology, or scenario override) while still allowing a longer
-// -trials resume of the same sweep. Strategy, pool, and Configure are
-// factories and cannot be hashed; two sweeps differing only in those
-// are not distinguished.
-func fingerprint(specs []sim.TrialSpec) string {
+// Fingerprint hashes the sweep's first spec — its seed, protocol
+// instance, and topology — into the token a checkpoint header (and a
+// service job record) pins a sweep with. Derived sweeps share one
+// scenario and base seed across all specs, so the first spec catches
+// the realistic mismatches (a different -n, -seed, -topology, or
+// scenario override) while still allowing a longer -trials resume of
+// the same sweep. Strategy, pool, and Configure are factories and
+// cannot be hashed; two sweeps differing only in those are not
+// distinguished.
+func Fingerprint(specs []sim.TrialSpec) string {
 	h := fnv.New64a()
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], specs[0].Seed)
@@ -241,7 +242,7 @@ func streamCheckpointed(ctx context.Context, procs, width, lo int, sharded bool,
 	if sharded {
 		wantLo, wantHi = lo, lo+len(specs)
 	}
-	fp := fingerprint(specs)
+	fp := Fingerprint(specs)
 	switch {
 	case cp.sweep == "" && cp.done == 0:
 		// Fresh journal: stamp the header before any trial.
