@@ -257,11 +257,11 @@ func BenchmarkStreamTrials(b *testing.B) {
 		}
 		b.ReportMetric(float64(maxLive.Load()), "live_results")
 	})
-	// The batch variants run the identical sweep through the batched
-	// lockstep kernel (sim.StreamBatch); per-trial results and sink
-	// deliveries are byte-identical to the stream variant, so ns/op is a
-	// direct same-work comparison. live_results grows to O(width·procs):
-	// a batch group's results exist together by construction.
+	// The batch variants run the identical sweep on the batch kernel
+	// (sim.StreamBatch); per-trial results and sink deliveries are
+	// byte-identical to the stream variant, so ns/op is a direct
+	// same-work comparison. The width only selects the kernel, so
+	// live_results keeps the stream's bound.
 	for _, width := range []int{8, 16} {
 		b.Run(fmt.Sprintf("batch%d", width), func(b *testing.B) {
 			b.ReportAllocs()

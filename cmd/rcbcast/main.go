@@ -66,7 +66,7 @@ func run(args []string, out io.Writer) error {
 		strand  = fs.Float64("strand", 0.05, "stranded fraction for -adversary partition")
 		decoy   = fs.Bool("decoy", false, "enable the §4.1 decoy defence")
 		eng     = fs.String("engine", "fast", "fast|actors")
-		batch   = fs.Int("batch", 0, "sweep batch width stamped into the scenario (used by rcexp sweeps; a single run here is unaffected)")
+		batch   = fs.Int("batch", 0, "batch value stamped into the scenario: > 1 selects the batch kernel for rcexp sweeps (a single run here is unaffected)")
 		phases  = fs.Bool("phases", false, "print the per-phase trace")
 		traceTo = fs.String("trace", "", "write an event trace: 'text' or 'json' to stdout, or a .ndjson file path")
 		paper   = fs.Bool("paper", false, "use PaperParams instead of PracticalParams")

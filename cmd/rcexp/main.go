@@ -99,7 +99,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		topo       = fs.String("topology", "", "raw sweep mode: override the scenario's topology (KIND[:KNOB=V,...])")
 		trials     = fs.Int("trials", 0, "raw sweep trial count (requires -scenario)")
 		shard      = fs.String("shard", "", "run only the i-th of N contiguous sweep shards, as i/N; output is the byte-exact slice of the full run")
-		batch      = fs.Int("batch", 0, "raw sweep batch width: run that many trials per engine call on the batched kernel (0/1 = scalar; output is byte-identical)")
+		batch      = fs.Int("batch", 0, "raw sweep engine: > 1 runs each trial on the batch kernel, 0/1 on the scalar engine (output is byte-identical)")
 		outFormat  = fs.String("out", "jsonl", "raw sweep output format: jsonl or csv")
 		progress   = fs.Bool("progress", false, "report sweep progress on stderr")
 		checkpoint = fs.String("checkpoint", "", "journal completed trials here; rerun to resume")
@@ -292,8 +292,8 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 	if cfg.trials <= 0 {
 		return errors.New("-trials must be positive in sweep mode")
 	}
-	// -batch overrides the scenario's own batch width; either routes the
-	// sweep through the batched lockstep kernel.
+	// -batch overrides the scenario's own batch value; either, above 1,
+	// routes the sweep through the batch kernel.
 	width := sc.Batch
 	if cfg.batch > 0 {
 		width = cfg.batch

@@ -28,7 +28,7 @@ func RunActors(opts Options) (*Result, error) {
 	defer r.releaseScratch()
 	exec := newActorPool(r)
 	defer exec.shutdown()
-	if err := r.loop(nil, exec); err != nil {
+	if err := r.loop(nil, exec.phase); err != nil {
 		return nil, err
 	}
 	return r.result(), nil
@@ -56,6 +56,9 @@ type actorPool struct {
 	wg   sync.WaitGroup
 	once sync.Once
 }
+
+// phase runs one phase with node work on the actors.
+func (p *actorPool) phase(ph core.Phase) { p.r.runPhase(ph, p) }
 
 func newActorPool(r *run) *actorPool {
 	p := &actorPool{r: r, work: make([]chan actorWork, len(r.nodes))}

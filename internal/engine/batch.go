@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"math"
 	"slices"
 
@@ -15,17 +14,16 @@ import (
 	"rcbcast/internal/topology"
 )
 
-// The batched lockstep kernel.
+// The batch kernel.
 //
-// RunBatch executes B trials of the same sweep point — equal Params and
-// Topology spec, per-lane seeds, strategies, pools, and budgets — in
-// lockstep over one shared phase schedule: each phase of the round
-// structure is executed across every still-running lane before the next
-// phase is fetched. Four things make the batch faster than B scalar
-// runs while keeping every lane's Result byte-identical to its scalar
-// counterpart (pinned by the differential and fuzz tests):
+// RunBatch executes a slice of trials one after another, each to
+// completion, on one reusable lane. The trials are independent — lanes
+// may differ in every Options field — and every Result is
+// byte-identical to Run's for the same Options (pinned by the
+// differential and fuzz tests). Four things make a lane faster than the
+// scalar engine:
 //
-//   - Block geometric draws. Every schedule walked in a batch lane uses
+//   - Block geometric draws. Every schedule a lane walks uses
 //     sampling.BlockSchedule, which prefetches skips through
 //     rng.Stream.GeometricBlockLnQ's four-lane log kernel — the draw is
 //     the engine's dominant cost and its log/divide tail serializes in
@@ -36,100 +34,78 @@ import (
 //     byte-per-slot counts array; observe checks the jam plan before
 //     touching channel state at all. Under heavy jamming the scalar
 //     engine misses cache on a counts load per listen just to discard
-//     it; the batch kernel's hot listen path reads only packed bits.
-//   - Indexed sparse reception. Each lockstep phase runs as three batch
-//     passes: sends for every lane, then reception-index construction,
-//     then listens for every lane. The index pass walks each lane's
-//     transmissions through the CSR neighborhood rows exactly once per
-//     phase — scattering them into per-listener slot-sorted rows, built
-//     only for listeners that actually listen this phase — and the
-//     listen walks then merge their ascending sampled slots against the
-//     row with monotone cursors: a listen below the next event slot
-//     (own send, jam, or audible record) is silence by construction and
-//     resolves with one compare, never touching channel state. See
-//     buildRecvIndex and walkNodeListensIdx.
+//     it; the kernel's hot listen path reads only packed bits.
+//   - Indexed sparse reception. A phase runs sends, then (on sparse
+//     topologies) reception-index construction, then listens. The index
+//     pass walks the phase's transmissions through the CSR neighborhood
+//     rows exactly once — scattering them into per-listener slot-sorted
+//     rows, built only for listeners that actually listen this phase —
+//     and the listen walks then merge their ascending sampled slots
+//     against the row with monotone cursors: a listen below the next
+//     event slot (own send, jam, or audible record) is silence by
+//     construction and resolves with one compare, never touching channel
+//     state. See buildRecvIndex and walkNodeListensIdx.
 //   - Cross-trial topology caching. Lanes resolve their graphs through
 //     one topology.Cache: clique and grid specs are trial-invariant, so
-//     a whole batch (and every batch after it on the same BatchScratch)
-//     shares a single build and CSR; Gilbert graphs are keyed by seed,
-//     so each lane holds its own entry, kept live by capacity ≥ width.
+//     every trial on a BatchScratch shares a single build and CSR;
+//     Gilbert graphs are keyed by seed, so re-runs of a trial reuse
+//     theirs.
 //
-// The scalar engine (Run / RunContext) is untouched and serves as the
-// byte-identity oracle.
+// The scalar engine (Run / RunContext) is the byte-identity oracle.
 
-// BatchScratch recycles the batch kernel's working state across
-// RunBatch calls: the per-lane engine Scratches (their node arrays
-// carved from one flat slab, so a batch's lane states sit contiguously),
-// the per-lane reception bitsets, block schedules, and reception-index
-// offset arrays (likewise slab-carved), the shared phase schedule, and
-// the cross-trial topology cache. It must never be shared by
-// concurrently executing batches; sim's batch workers pool them.
+// BatchScratch recycles the batch kernel's working state across trials
+// and RunBatch calls: the lane's engine Scratch, reception bitsets,
+// block schedules and reception index, and the cross-trial topology
+// cache. It must never be shared by concurrently executing batches;
+// sim's workers pool them.
 type BatchScratch struct {
-	lanes    []batchLane
-	nodeSlab []nodeState
-	slabN    int
-	cache    *topology.Cache
-	sched    core.Schedule
-
-	// Reception-index offset slabs: lane i's rowOff/rowEnd windows are
-	// carved from these alongside its node-state window, keeping the
-	// batch's struct-of-arrays state contiguous per array kind.
-	rowOffSlab []int32
-	rowEndSlab []int32
-
-	// noRecvIndex forces every sparse lane onto the record-walk fallback
-	// (observeSparse over slot-sorted txRecs) instead of the reception
-	// index — the differential tests pin the two paths against each
-	// other and against the scalar engine with this.
-	noRecvIndex bool
+	lane  batchLane
+	sc    *Scratch
+	cache *topology.Cache
 }
 
+// batchCacheGraphs is the topology cache's capacity: enough for a
+// sweep's trial-invariant graph plus a few Gilbert builds that a
+// differential oracle or a re-run looks up again.
+const batchCacheGraphs = 4
+
 // NewBatchScratch returns an empty batch scratch; buffers grow to the
-// batch widths and node counts the runs it serves need.
-func NewBatchScratch() *BatchScratch { return &BatchScratch{} }
+// node counts and phase lengths the runs it serves need.
+func NewBatchScratch() *BatchScratch {
+	return &BatchScratch{sc: NewScratch(), cache: topology.NewCache(batchCacheGraphs)}
+}
 
 // Reception-index packing. A sparse transmission is one uint64 —
-// slot<<24 | (src+txpSrcBias)<<8 | kind — so the per-phase record set
-// sorts slot-major with plain slices.Sort (no comparator, no stability
-// machinery: records that could swap under an unstable sort are either
-// bit-identical or same-slot, and same-slot reception is order-blind —
-// a solo record has nothing to swap with and two-plus records are noise
-// for every listener however they are ordered).
+// slot<<33 | (src+txpSrcBias)<<2 | (kind-1) — so the per-phase record
+// set sorts slot-major with plain slices.Sort (no comparator, no
+// stability machinery: records that could swap under an unstable sort
+// are either bit-identical or same-slot, and same-slot reception is
+// order-blind — a solo record has nothing to swap with and two-plus
+// records are noise for every listener however they are ordered).
+// Slots are below 2^31 (Options.validate caps MaxPhaseSlots), node ids
+// are int32, and msg defines exactly four frame kinds (1–4), so every
+// record fits.
 const (
-	txpSlotShift = 24
-	txpSrcShift  = 8
-	txpSrcMask   = 0xffff
-	txpKindMask  = 0xff
+	txpSlotShift = 33
+	txpSrcShift  = 2
+	txpSrcMask   = 1<<31 - 1
+	txpKindMask  = 3
 	// txpSrcBias shifts txSrcAdversary (-2) to zero so sources pack
-	// unsigned; node ids then need n+1 ≤ txpSrcMask.
+	// unsigned.
 	txpSrcBias = 2
-
-	// txpMaxSlots bounds the phase lengths the packed encoding can hold.
-	txpMaxSlots = 1 << (64 - txpSlotShift - 1)
 )
 
-// batchLane is one trial's execution state inside a batch: its run plus
-// the lane-owned reception bitsets, the block-draw schedules its
-// walkers reuse (one node is walked to completion before the next, so
-// two schedules per lane suffice — data/listen and decoy), and the
-// lane's slice of the reception index.
+// batchLane is one trial's execution state: its run plus the
+// lane-owned reception bitsets, the block-draw schedules its walkers
+// reuse (one node is walked to completion before the next, so two
+// schedules suffice — data/listen and decoy), and the reception index.
 type batchLane struct {
-	sc          *Scratch
 	r           *run
 	busy, multi bitset.Set
 	blkA, blkB  sampling.BlockSchedule
 
-	// Lockstep-pass state, valid between sendPhase and listenPhase.
-	active bool
-	out    adversary.PhaseOutcome
-	plan   *adversary.Plan
-
-	// packed selects the reception-index path for this batch's sparse
-	// lanes (decided once per RunBatch: a topology is present and ids
-	// and slots fit the packed encoding).
-	packed bool
-	// txp holds the phase's packed transmission records, slot-sorted
-	// before the index build.
+	// txp holds the phase's packed transmission records (sparse
+	// topologies only), slot-sorted before the index build.
 	txp []uint64
 	// The reception index: listener v's audible transmissions for the
 	// current phase occupy rowSlot/rowInfo[rowOff[v]:rowEnd[v]], slots
@@ -161,225 +137,95 @@ type batchLane struct {
 	// own listener's state, so the mask computed between the send and
 	// listen passes is exact.
 	lmask []bool
-	idx   bool // reception index valid for the current phase
 }
 
-// ensure grows the scratch for a batch of the given width over n-node
-// trials. Per-lane node arrays and reception-index offset arrays are
-// carved from contiguous slabs (re-carved only when the width or n
-// outgrows them), and the topology cache is sized so every lane's graph
-// stays live for the whole batch.
-func (bs *BatchScratch) ensure(width, n int) {
-	if bs.cache == nil {
-		bs.cache = topology.NewCache(width + 2)
-	}
-	bs.cache.EnsureCapacity(width + 2)
-	for len(bs.lanes) < width {
-		bs.lanes = append(bs.lanes, batchLane{})
-	}
-	for i := 0; i < width; i++ {
-		if bs.lanes[i].sc == nil {
-			bs.lanes[i].sc = NewScratch()
-		}
-	}
-	if need := width * n; cap(bs.nodeSlab) < need || bs.slabN != n {
-		bs.nodeSlab = make([]nodeState, need)
-		bs.rowOffSlab = make([]int32, width*(n+2))
-		bs.rowEndSlab = make([]int32, width*(n+1))
-		bs.slabN = n
-		for i := 0; i < width; i++ {
-			// Full three-index slices: a lane's segment can never grow
-			// into its neighbor's.
-			bs.lanes[i].sc.nodes = bs.nodeSlab[i*n : (i+1)*n : (i+1)*n]
-			bs.lanes[i].rowOff = bs.rowOffSlab[i*(n+2) : (i+1)*(n+2) : (i+1)*(n+2)]
-			bs.lanes[i].rowEnd = bs.rowEndSlab[i*(n+1) : (i+1)*(n+1) : (i+1)*(n+1)]
-		}
-	}
-}
-
-// RunBatch executes the lanes' trials in lockstep on the batched kernel
-// and returns their Results indexed like opts. Every lane's Result is
-// byte-identical to Run(opts[i]). All lanes must share Params, Topology,
-// and MaxPhaseSlots (the execution-shaping fields — a batch is B trials
-// of one sweep point); seeds, strategies, pools, budgets, perturbations,
-// and tracers are per-lane. Strategy and Pool instances carry per-run
-// state and must not be shared across lanes. A nil scratch allocates
-// fresh working state.
+// RunBatch executes the trials on the batch kernel, one after another,
+// and returns their Results indexed like opts. Every Result is
+// byte-identical to Run(opts[i]); the options may differ in every
+// field. Strategy and Pool instances carry per-run state and must not
+// be shared across entries. A nil scratch allocates fresh working
+// state.
 func RunBatch(opts []Options, bs *BatchScratch) ([]*Result, error) {
 	return RunBatchContext(nil, opts, bs)
 }
 
-var errBatchMismatch = errors.New(
-	"engine: batch lanes must share Params, Topology, and MaxPhaseSlots")
-
-// RunBatchContext is RunBatch checking ctx once per lockstep phase.
-// Cancellation returns a *PartialRunError carrying the furthest lane's
-// progress; no Results accompany it (as with RunContext, partial-state
-// invariants do not hold).
+// RunBatchContext is RunBatch checking ctx once per phase. Cancellation
+// returns the running trial's *PartialRunError; no Results accompany it
+// (as with RunContext, partial-state invariants do not hold).
 func RunBatchContext(ctx context.Context, opts []Options, bs *BatchScratch) ([]*Result, error) {
 	if len(opts) == 0 {
 		return nil, nil
 	}
-	for i := 1; i < len(opts); i++ {
-		if opts[i].Params != opts[0].Params ||
-			opts[i].Topology != opts[0].Topology ||
-			opts[i].MaxPhaseSlots != opts[0].MaxPhaseSlots {
-			return nil, errBatchMismatch
-		}
-	}
 	if bs == nil {
 		bs = NewBatchScratch()
 	}
-	// Invalid params fail lane construction below with the scalar
-	// engine's error; the slab sizing just must not trip on them first.
-	n := opts[0].Params.N
-	if n < 0 {
-		n = 0
-	}
-	bs.ensure(len(opts), n)
-	lanes := bs.lanes[:len(opts)]
-	defer func() {
-		for i := range lanes {
-			if lanes[i].r != nil {
-				lanes[i].r.releaseScratch()
-				lanes[i].r = nil
-			}
-		}
-	}()
-	// The reception index needs node ids and slots to fit the packed
-	// record encoding; anything outside (or the test hook) rides the
-	// record-walk fallback, byte-identical by the differential tests.
-	indexable := !bs.noRecvIndex && n+1 <= txpSrcMask && opts[0].maxPhaseSlots() <= txpMaxSlots
-	for i := range lanes {
-		l := &lanes[i]
-		o := opts[i]
-		if o.Scratch == nil {
-			o.Scratch = l.sc
-		}
-		r, err := newRunTopo(&o, bs.cache.Get)
+	results := make([]*Result, len(opts))
+	for i := range opts {
+		res, err := bs.run(ctx, opts[i])
 		if err != nil {
 			return nil, err
 		}
-		l.r = r
-		l.packed = indexable && r.topo != nil
-	}
-
-	maxSlots := opts[0].maxPhaseSlots()
-	bs.sched.Reset(&lanes[0].r.params)
-	for {
-		alive := false
-		for i := range lanes {
-			if !lanes[i].r.done() {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			break
-		}
-		if ctx != nil {
-			select {
-			case <-ctx.Done():
-				var rounds int
-				var slots int64
-				for i := range lanes {
-					if r := lanes[i].r; r.lastRound > rounds {
-						rounds = r.lastRound
-					}
-					if r := lanes[i].r; r.slots > slots {
-						slots = r.slots
-					}
-				}
-				return nil, &PartialRunError{Rounds: rounds, Slots: slots, Err: ctx.Err()}
-			default:
-			}
-		}
-		ph, ok := bs.sched.Next()
-		if !ok {
-			break
-		}
-		if ph.Length > maxSlots {
-			return nil, ErrPhaseTooLong
-		}
-		// Three lockstep passes per phase: every lane's sends commit,
-		// then every packed lane's reception index is built (one CSR
-		// scatter per lane — grouped so lanes sharing a graph walk its
-		// rows back to back, cache-warm), then every lane listens.
-		for i := range lanes {
-			l := &lanes[i]
-			l.active = !l.r.done()
-			if l.active {
-				l.sendPhase(ph)
-			}
-		}
-		for i := range lanes {
-			if l := &lanes[i]; l.active && l.packed {
-				l.buildRecvIndex(ph)
-			}
-		}
-		for i := range lanes {
-			if l := &lanes[i]; l.active {
-				l.listenPhase(ph)
-			}
-		}
-	}
-	results := make([]*Result, len(lanes))
-	for i := range lanes {
-		if t := lanes[i].r.opts.Tracer; t != nil {
-			t.Done()
-		}
-		results[i] = lanes[i].r.result()
+		results[i] = res
 	}
 	return results, nil
 }
 
-// sendPhase is the first lockstep pass of a phase on this lane,
-// mirroring the front half of run.runPhase: transmissions committed and
-// charged, the adversary's plan fixed, the record set slot-sorted.
-func (l *batchLane) sendPhase(ph core.Phase) {
+// run executes one trial on the scratch's lane.
+func (bs *BatchScratch) run(ctx context.Context, o Options) (*Result, error) {
+	if o.Scratch == nil {
+		o.Scratch = bs.sc
+	}
+	r, err := newRunTopo(&o, bs.cache.Get)
+	if err != nil {
+		return nil, err
+	}
+	defer r.releaseScratch()
+	l := &bs.lane
+	l.r = r
+	err = r.loop(ctx, l.phase)
+	l.r = nil
+	if err != nil {
+		return nil, err
+	}
+	return r.result(), nil
+}
+
+// phase mirrors run.runPhase on the kernel's reception state:
+// transmissions committed and charged, the adversary's plan fixed, the
+// sparse reception index built, then listens resolved and the phase
+// settled exactly as run.runPhase settles it.
+func (l *batchLane) phase(ph core.Phase) {
 	r := l.r
 	l.ensureBuffers(ph.Length)
-	l.out = adversary.PhaseOutcome{Phase: ph}
+	out := adversary.PhaseOutcome{Phase: ph}
 	if r.opts.Tracer != nil {
 		r.opts.Tracer.PhaseStart(ph)
 	}
 
-	l.aliceSends(ph, &l.out)
+	l.aliceSends(ph, &out)
 	for i := range r.nodes {
 		l.planNodeSends(&r.nodes[i], ph)
 	}
-	l.mergeNodeSends(&l.out)
-
-	l.plan = l.adversaryPlan(ph, &l.out)
-
-	if l.packed {
-		if len(l.txp) > 1 {
-			slices.Sort(l.txp)
-		}
-	} else if r.topo != nil && len(r.txs) > 1 {
-		slices.SortStableFunc(r.txs, func(a, b txRec) int { return int(a.slot - b.slot) })
+	l.mergeNodeSends(&out)
+	plan := l.adversaryPlan(ph, &out)
+	if r.topo != nil {
+		slices.Sort(l.txp)
+		l.buildRecvIndex(ph)
 	}
-}
 
-// listenPhase is the final lockstep pass: listens resolve against the
-// reception state the earlier passes built, then the phase is settled
-// exactly as run.runPhase settles it.
-func (l *batchLane) listenPhase(ph core.Phase) {
-	r := l.r
-	plan := l.plan
 	for i := range r.nodes {
 		l.walkNodeListens(&r.nodes[i], ph, plan)
 	}
 	for i := range r.nodes {
-		l.out.NodeListens += r.nodes[i].phaseListens
+		out.NodeListens += r.nodes[i].phaseListens
 	}
-	l.aliceListens(ph, plan, &l.out)
+	l.aliceListens(ph, plan, &out)
 
 	aliceWasActive := r.alice.active()
 	terminatedBefore := r.terminatedSet()
 	r.endPhase(ph)
 	r.emitTrace(ph, aliceWasActive, terminatedBefore)
-	r.recordOutcome(l.out)
+	r.recordOutcome(out)
 	if r.opts.Tracer != nil {
 		r.opts.Tracer.PhaseEnd(r.hist.Outcomes[len(r.hist.Outcomes)-1])
 	}
@@ -388,43 +234,47 @@ func (l *batchLane) listenPhase(ph core.Phase) {
 	l.clearDirty()
 	if plan != nil {
 		plan.Release()
-		l.plan = nil
 	}
 }
 
 // ensureBuffers sizes the lane's per-slot reception state. Sparse lanes
 // need only the busy prescreen bitset (their listener-resolved state
-// lives in the reception index or record set); dense lanes add the
-// multi bitset and the solo-kind bytes, read only on an actual solo
-// reception. Resize keeps contents, which are all-zero between phases
-// by the dirty-clearing discipline. The scalar counts array is never
-// touched by the batch kernel.
+// lives in the reception index); dense lanes add the multi bitset and
+// the solo-kind bytes, read only on an actual solo reception. Resize
+// keeps contents, which are all-zero between phases by the
+// dirty-clearing discipline. The scalar counts array is never touched
+// by the batch kernel.
 func (l *batchLane) ensureBuffers(length int) {
 	r := l.r
 	l.busy.Resize(length)
 	if r.topo != nil {
 		return
 	}
-	if cap(r.soloKind) < length {
-		r.soloKind = make([]uint8, length)
-	}
-	r.soloKind = r.soloKind[:length]
+	resize(&r.soloKind, length)
 	l.multi.Resize(length)
+}
+
+// resize sets *s to length n, reallocating (zeroed) only when its
+// capacity is short; otherwise the contents within n are kept.
+func resize[T any](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
+	}
+	*s = (*s)[:n]
+	return *s
 }
 
 // clearDirty restores the all-zero between-phases channel state. Sparse
 // lanes write only the busy bits (their listener-resolved state lives in
-// the reception index or the record set), so one word-parallel reset
-// suffices; the dense path clears multi against busy in one AndNot pass
-// — collisions are a subset of traffic — and picks whole-array or
-// per-dirty-slot soloKind clearing by how much of the phase was touched.
+// the reception index), so one word-parallel reset suffices; the dense
+// path clears multi against busy in one AndNot pass — collisions are a
+// subset of traffic — and picks whole-array or per-dirty-slot soloKind
+// clearing by how much of the phase was touched.
 func (l *batchLane) clearDirty() {
 	r := l.r
 	if r.topo != nil {
 		l.busy.Reset(l.busy.Len())
-		r.txs = r.txs[:0]
 		l.txp = l.txp[:0]
-		l.idx = false
 		return
 	}
 	l.multi.AndNot(&l.busy)
@@ -443,7 +293,7 @@ func (l *batchLane) clearDirty() {
 // lanes keep the busy/multi/soloKind encoding (reception distinguishes
 // only zero, one, and many). Sparse lanes set just the busy prescreen
 // bit — their reception is listener-relative — and record the
-// transmission packed (index path) or as a txRec (fallback path).
+// transmission packed for the index build.
 func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
 	r := l.r
 	if r.topo == nil {
@@ -457,14 +307,10 @@ func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
 		return
 	}
 	l.busy.Set(slot)
-	if l.packed {
-		l.txp = append(l.txp,
-			uint64(slot)<<txpSlotShift|
-				uint64(uint32(src+txpSrcBias))<<txpSrcShift|
-				uint64(kind))
-	} else {
-		r.txs = append(r.txs, txRec{slot: int32(slot), src: src, kind: uint8(kind)})
-	}
+	l.txp = append(l.txp,
+		uint64(slot)<<txpSlotShift|
+			uint64(src+txpSrcBias)<<txpSrcShift|
+			uint64(kind-1))
 }
 
 // buildRecvIndex scatters the phase's slot-sorted transmission records
@@ -484,15 +330,9 @@ func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
 func (l *batchLane) buildRecvIndex(ph core.Phase) {
 	r := l.r
 	n := len(r.nodes)
-	if cap(l.srcCnt) < n+1 {
-		l.srcCnt = make([]int32, n+1)
-	}
-	srcCnt := l.srcCnt[:n+1]
+	srcCnt := resize(&l.srcCnt, n+1)
 	clear(srcCnt)
-	if cap(l.lmask) < n+1 {
-		l.lmask = make([]bool, n+1)
-	}
-	lm := l.lmask[:n+1]
+	lm := resize(&l.lmask, n+1)
 	for i := range r.nodes {
 		nd := &r.nodes[i]
 		lm[nd.id] = nd.active() && !nd.informed &&
@@ -510,10 +350,8 @@ func (l *batchLane) buildRecvIndex(ph core.Phase) {
 			srcCnt[n]++
 		}
 	}
-	cnt := l.rowEnd // reused: counts now, fill cursors after the prefix sum
-	for i := range cnt {
-		cnt[i] = 0
-	}
+	cnt := resize(&l.rowEnd, n+1) // counts now, fill cursors after the prefix sum
+	clear(cnt)
 	for u := 0; u < n; u++ {
 		c := srcCnt[u]
 		if c == 0 {
@@ -539,23 +377,19 @@ func (l *batchLane) buildRecvIndex(ph core.Phase) {
 			cnt[n] += ac // Alice hears her own transmissions
 		}
 	}
-	off := l.rowOff
+	off := resize(&l.rowOff, n+2)
 	off[0] = 0
 	for v := 0; v <= n; v++ {
 		off[v+1] = off[v] + cnt[v]
 	}
 	total := int(off[n+1])
-	if cap(l.rowSlot) < total {
-		l.rowSlot = make([]int32, total)
-		l.rowInfo = make([]uint8, total)
-	}
-	l.rowSlot = l.rowSlot[:total]
-	l.rowInfo = l.rowInfo[:total]
+	resize(&l.rowSlot, total)
+	resize(&l.rowInfo, total)
 	copy(l.rowEnd, off[:n+1])
 	for _, p := range l.txp {
 		slot := int32(p >> txpSlotShift)
 		src := int32(p>>txpSrcShift&txpSrcMask) - txpSrcBias
-		kind := uint8(p & txpKindMask)
+		kind := uint8(p&txpKindMask) + 1
 		switch {
 		case src >= 0:
 			for _, v := range r.csr.Row(int(src)) {
@@ -580,7 +414,6 @@ func (l *batchLane) buildRecvIndex(ph core.Phase) {
 			l.advKind = append(l.advKind, kind)
 		}
 	}
-	l.idx = true
 }
 
 // scatter appends one audible transmission to listener row v — three
@@ -593,12 +426,14 @@ func (l *batchLane) scatter(v, slot int32, kind uint8) {
 	l.rowEnd[v] = e + 1
 }
 
-// observe mirrors run.observe with the load order inverted: the jam
-// plan is consulted before any channel state, so a jammed listen — the
-// common case under the strategies that matter — resolves without
-// touching the per-slot arrays at all. The outputs are identical for
-// every input: jammed slots are noise in both kernels regardless of
-// traffic.
+// observe mirrors run.observe on a dense lane with the load order
+// inverted: the jam plan is consulted before any channel state, so a
+// jammed listen — the common case under the strategies that matter —
+// resolves without touching the per-slot arrays at all. The outputs are
+// identical for every input: jammed slots are noise in both kernels
+// regardless of traffic. Sparse lanes never observe: their listens
+// resolve through the reception index (walkNodeListensIdx,
+// aliceListensIdx).
 func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
 	if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, listener) {
 		return 0, outcomeNoise
@@ -606,52 +441,10 @@ func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind,
 	if !l.busy.Get(slot) {
 		return 0, outcomeSilence
 	}
-	if l.r.topo != nil {
-		// Packed lanes never reach here: their listens resolve through
-		// the event-skip walks (walkNodeListensIdx / aliceListensIdx),
-		// whose rows are filtered to actual listeners and would be wrong
-		// for anyone else. Only fallback lanes observe sparsely.
-		return l.observeSparse(slot, listener)
-	}
 	if l.multi.Get(slot) {
 		return 0, outcomeNoise
 	}
 	return msg.Kind(l.r.soloKind[slot]), outcomeReceived
-}
-
-// observeSparse mirrors run.observeSparse past its jam and empty-slot
-// checks (both already resolved by observe): the listener's perception
-// is a binary search over the phase's slot-sorted transmission records,
-// counting audible transmitters. This is the fallback for lanes the
-// packed index encoding cannot hold (and the differential foil for the
-// index path, forced via BatchScratch.noRecvIndex).
-func (l *batchLane) observeSparse(slot, listener int) (msg.Kind, outcome) {
-	r := l.r
-	s := int32(slot)
-	lo, hi := 0, len(r.txs)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.txs[mid].slot < s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	heard := 0
-	var kind msg.Kind
-	for i := lo; i < len(r.txs) && r.txs[i].slot == s; i++ {
-		if !r.audible(r.txs[i].src, listener) {
-			continue
-		}
-		if heard++; heard > 1 {
-			return 0, outcomeNoise
-		}
-		kind = msg.Kind(r.txs[i].kind)
-	}
-	if heard == 0 {
-		return 0, outcomeSilence
-	}
-	return kind, outcomeReceived
 }
 
 // planNodeSends mirrors run.planNodeSends walking the lane's block
@@ -833,8 +626,8 @@ func (l *batchLane) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome) *a
 }
 
 // walkNodeListens mirrors run.walkNodeListens on a block schedule and
-// the lane's observe. With a built reception index the walk dispatches
-// to the event-skip loop instead.
+// the lane's observe. Sparse lanes dispatch to the event-skip loop over
+// the reception index instead.
 func (l *batchLane) walkNodeListens(n *nodeState, ph core.Phase, plan *adversary.Plan) {
 	r := l.r
 	if !n.active() || n.informed {
@@ -846,7 +639,7 @@ func (l *batchLane) walkNodeListens(n *nodeState, ph core.Phase, plan *adversary
 	}
 	n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpListen)
 	l.blkA.Reset(&n.streamA, listenP, ph.Length)
-	if l.idx {
+	if r.topo != nil {
 		l.walkNodeListensIdx(n, ph, plan)
 		return
 	}
@@ -1088,7 +881,7 @@ func (l *batchLane) aliceListens(ph core.Phase, plan *adversary.Plan, out *adver
 	}
 	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpListen)
 	l.blkA.Reset(&r.aliceStream, ph.AliceListenP, ph.Length)
-	if l.idx {
+	if r.topo != nil {
 		l.aliceListensIdx(ph, plan, out)
 		return
 	}

@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rcbcast/internal/adversary"
 	"rcbcast/internal/core"
 	"rcbcast/internal/energy"
+	"rcbcast/internal/rng"
 	"rcbcast/internal/topology"
 )
 
@@ -51,33 +54,111 @@ func TestBatchMatchesScalar(t *testing.T) {
 		for _, tp := range batchTopos {
 			for _, width := range widths {
 				t.Run(fmt.Sprintf("%s/%s/w%d", name, tp.name, width), func(t *testing.T) {
-					scalar := make([]*Result, width)
-					for lane := 0; lane < width; lane++ {
-						res, err := Run(batchLaneOptions(mk, tp.spec, lane))
-						if err != nil {
-							t.Fatal(err)
-						}
-						scalar[lane] = res
-					}
-					opts := make([]Options, width)
-					for lane := range opts {
-						opts[lane] = batchLaneOptions(mk, tp.spec, lane)
-					}
-					batch, err := RunBatch(opts, nil)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(batch) != width {
-						t.Fatalf("got %d results for %d lanes", len(batch), width)
-					}
-					for lane := range batch {
-						if !reflect.DeepEqual(scalar[lane], batch[lane]) {
-							t.Fatalf("lane %d diverged:\nscalar: %+v\nbatch:  %+v",
-								lane, scalar[lane], batch[lane])
-						}
-					}
+					batchMatchesScalar(t, width, func(lane int) Options {
+						return batchLaneOptions(mk, tp.spec, lane)
+					})
 				})
 			}
+		}
+	}
+	// One call mixing topology kinds, node counts, adversaries, and
+	// MaxPhaseSlots: lanes are independent trials.
+	t.Run("mixed", func(t *testing.T) { batchMatchesScalar(t, 9, mixedLane) })
+	// Node ids past 0xffff in the packed reception record: one round on
+	// a 70000-node grid, where the request phase's NACKs and spoofs reach
+	// listeners with wide ids.
+	t.Run("grid-70000", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("70000-node grid: slow")
+		}
+		batchMatchesScalar(t, 1, func(int) Options {
+			params := core.PracticalParams(70000, 2)
+			params.MaxRound = params.StartRound
+			return Options{
+				Params:       params,
+				Seed:         9,
+				Topology:     topology.Spec{Kind: "grid", Reach: 1},
+				Strategy:     &adversary.NackSpoofer{Rate: 0.4, MaxRounds: 1},
+				RecordPhases: true,
+			}
+		})
+	})
+}
+
+// mixedLane is lane i of the heterogeneous differential batch: the
+// topology kind cycles with i, the node count with i/3 (so every
+// kind meets every count), and the adversary, budgets, and
+// MaxPhaseSlots vary per lane.
+func mixedLane(i int) Options {
+	tp := batchTopos[i%len(batchTopos)]
+	params := core.PracticalParams([]int{64, 96, 128}[(i/3)%3], 2)
+	if !tp.spec.IsClique() {
+		params.MaxRound = params.StartRound + 2
+	}
+	o := Options{
+		Params:        params,
+		Seed:          uint64(500 + i),
+		Topology:      tp.spec,
+		MaxPhaseSlots: 1<<20 + i,
+	}
+	switch i % 4 {
+	case 1:
+		o.Strategy = adversary.FullJam{}
+		o.Pool = energy.NewPool(8000)
+	case 2:
+		o.Strategy = &adversary.NackSpoofer{Rate: 0.4, MaxRounds: 2}
+	case 3:
+		o.NodeBudget, o.AliceBudget = 40, 500
+	}
+	return o
+}
+
+// batchMatchesScalar runs the lanes in one RunBatch call and checks
+// each Result against Run on a fresh construction of the same lane.
+func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) {
+	t.Helper()
+	opts := make([]Options, width)
+	for i := range opts {
+		opts[i] = lane(i)
+	}
+	batch, err := RunBatch(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch) != width {
+		t.Fatalf("got %d results for %d lanes", len(batch), width)
+	}
+	for i := range batch {
+		scalar, err := Run(lane(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(scalar, batch[i]) {
+			t.Fatalf("lane %d diverged:\nscalar: %+v\nbatch:  %+v", i, scalar, batch[i])
+		}
+	}
+}
+
+// TestBatchNoGeoBlock8MatchesScalar re-runs a slice of the batch
+// differential with the assembly draw kernel force-disabled in process,
+// pinning the pure-Go block-draw path against the scalar engine even on
+// hosts that have the kernel. CI additionally runs the full batch
+// byte-identity suite under RCBCAST_NO_GEOBLOCK8=1; this in-process
+// variant keeps the coupling visible to a plain `go test`.
+func TestBatchNoGeoBlock8MatchesScalar(t *testing.T) {
+	was := rng.SetGeoBlock8(false)
+	defer rng.SetGeoBlock8(was)
+	for _, name := range []string{"benign", "full-jam", "reactive-decoy", "budgets"} {
+		mk, ok := equivalenceConfigs()[name]
+		if !ok {
+			t.Fatalf("missing equivalence config %q", name)
+		}
+		for _, tp := range batchTopos {
+			t.Run(fmt.Sprintf("%s/%s", name, tp.name), func(t *testing.T) {
+				batchMatchesScalar(t, 4, func(lane int) Options {
+					return batchLaneOptions(mk, tp.spec, lane)
+				})
+			})
 		}
 	}
 }
@@ -149,33 +230,39 @@ func TestBatchScratchReuse(t *testing.T) {
 	}
 }
 
-// TestBatchValidation covers the batch API's edges: empty input, lane
-// mismatch on each execution-shaping field, and per-lane option errors.
+// TestBatchValidation covers the batch API's edges: empty input and
+// per-lane option errors.
 func TestBatchValidation(t *testing.T) {
 	res, err := RunBatch(nil, nil)
 	if res != nil || err != nil {
 		t.Fatalf("empty batch: got (%v, %v)", res, err)
 	}
-	base := Options{Params: core.PracticalParams(64, 2), Seed: 1}
-	bad := base
-	bad.Params.K = 3
-	if _, err := RunBatch([]Options{base, bad}, nil); !errors.Is(err, errBatchMismatch) {
-		t.Fatalf("params mismatch: %v", err)
-	}
-	bad = base
-	bad.Topology = topology.Spec{Kind: "grid"}
-	if _, err := RunBatch([]Options{base, bad}, nil); !errors.Is(err, errBatchMismatch) {
-		t.Fatalf("topology mismatch: %v", err)
-	}
-	bad = base
-	bad.MaxPhaseSlots = 9999
-	if _, err := RunBatch([]Options{base, bad}, nil); !errors.Is(err, errBatchMismatch) {
-		t.Fatalf("max-phase-slots mismatch: %v", err)
-	}
-	invalid := base
+	invalid := Options{Params: core.PracticalParams(64, 2), Seed: 1}
 	invalid.Params.N = 0
 	if _, err := RunBatch([]Options{invalid, invalid}, nil); err == nil {
 		t.Fatal("invalid lane options must be rejected")
+	}
+}
+
+// TestMaxPhaseSlotsBound: both engines store slots as int32, so a
+// MaxPhaseSlots past math.MaxInt32 is rejected up front rather than
+// wrapping.
+func TestMaxPhaseSlotsBound(t *testing.T) {
+	if math.MaxInt == math.MaxInt32 {
+		t.Skip("int is 32 bits: no MaxPhaseSlots value exceeds the bound")
+	}
+	o := Options{Params: core.PracticalParams(64, 2), Seed: 1}
+	limit := int64(math.MaxInt32)
+	o.MaxPhaseSlots = int(limit + 1)
+	if _, err := Run(o); err == nil || !strings.Contains(err.Error(), "MaxPhaseSlots") {
+		t.Fatalf("Run: got %v, want the MaxPhaseSlots bound", err)
+	}
+	if _, err := RunBatch([]Options{o}, nil); err == nil || !strings.Contains(err.Error(), "MaxPhaseSlots") {
+		t.Fatalf("RunBatch: got %v, want the MaxPhaseSlots bound", err)
+	}
+	o.MaxPhaseSlots = math.MaxInt32
+	if _, err := Run(o); err != nil {
+		t.Fatalf("MaxPhaseSlots = math.MaxInt32 must be accepted: %v", err)
 	}
 }
 
@@ -196,7 +283,7 @@ func TestBatchContextCancel(t *testing.T) {
 }
 
 // steadyBatch mirrors steadyTrials for the batch kernel: the
-// BENCH_ENGINE workload at batch width 8 with everything a sweep hoists
+// BENCH_ENGINE workload, 8 trials per call, with everything a sweep hoists
 // (options slice, pools, scratch) hoisted out of the loop.
 func steadyBatch(spec topology.Spec, fail func(error)) (trial func(), width int) {
 	const w = 8
@@ -266,8 +353,9 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 }
 
 // BenchmarkSteadyStateBatch is BenchmarkSteadyState on the batch
-// kernel: width-8 batches, scratch warmed before the timer. ns/op is
-// per batch (8 trials); compare ns/op/8 against BenchmarkSteadyState.
+// kernel: one RunBatch call of 8 trials per op, scratch warmed before
+// the timer. ns/op covers the 8 trials; compare ns/op/8 against
+// BenchmarkSteadyState.
 func BenchmarkSteadyStateBatch(b *testing.B) {
 	for _, tc := range steadyKinds {
 		b.Run(tc.name, func(b *testing.B) {

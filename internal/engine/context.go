@@ -36,7 +36,7 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer r.releaseScratch()
-	if err := r.loop(ctx, seqExecutor{r}); err != nil {
+	if err := r.loop(ctx, r.seqPhase); err != nil {
 		return nil, err
 	}
 	return r.result(), nil
@@ -54,7 +54,7 @@ func RunActorsContext(ctx context.Context, opts Options) (*Result, error) {
 	defer r.releaseScratch()
 	exec := newActorPool(r)
 	defer exec.shutdown()
-	if err := r.loop(ctx, exec); err != nil {
+	if err := r.loop(ctx, exec.phase); err != nil {
 		return nil, err
 	}
 	return r.result(), nil

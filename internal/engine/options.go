@@ -1,7 +1,7 @@
 // Package engine executes ε-BROADCAST (internal/core) against an adversary
 // (internal/adversary) on the slot channel model (internal/slotsim).
 //
-// Two engines are provided:
+// Three engines are provided:
 //
 //   - Run: a sequential, event-driven engine. Per-slot coin flips are
 //     simulated by geometric skipping (internal/sampling), so the work per
@@ -11,11 +11,16 @@
 //     the natural Go mapping for a sensor network. Node work — schedule
 //     generation, energy charging, and listen resolution — runs in the
 //     actors; the coordinator owns the shared channel state.
+//   - RunBatch: the batch kernel behind sim.StreamBatch. It runs each
+//     trial to completion on one reusable lane, with block geometric
+//     draws, bitset channel state, and a per-phase reception index on
+//     sparse topologies (see batch.go).
 //
-// Both engines draw every random decision from the same keyed streams
+// All three draw every random decision from the same keyed streams
 // (internal/rng), charge energy under the same rules, and therefore
 // produce bit-for-bit identical Results for identical Options. The
-// equivalence test in this package asserts exactly that.
+// equivalence and batch differential tests in this package assert
+// exactly that; Run is the oracle.
 //
 // Energy-enforcement rule (shared): a device's transmissions for a phase
 // are committed and charged at phase start in slot order, truncated when
@@ -27,6 +32,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"rcbcast/internal/adversary"
 	"rcbcast/internal/core"
@@ -79,7 +85,8 @@ type Options struct {
 	// need not be concurrency-safe).
 	Tracer trace.Tracer
 	// MaxPhaseSlots aborts runs whose next phase exceeds this many slots
-	// (guards against accidentally unbounded memory). 0 means 1<<26.
+	// (guards against accidentally unbounded memory). 0 means 1<<26; at
+	// most math.MaxInt32, since both engines store slots as int32.
 	MaxPhaseSlots int
 	// Scratch, if non-nil, recycles the run's working buffers (channel
 	// state, per-node state) across executions — the allocation-rate
@@ -115,6 +122,9 @@ func (o *Options) validate() error {
 	}
 	if err := o.Topology.Validate(); err != nil {
 		return fmt.Errorf("engine: %w", err)
+	}
+	if o.MaxPhaseSlots > math.MaxInt32 {
+		return errors.New("engine: MaxPhaseSlots exceeds math.MaxInt32")
 	}
 	return nil
 }

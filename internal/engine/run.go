@@ -794,11 +794,12 @@ func (r *run) emitTrace(ph core.Phase, aliceWasActive bool, terminatedBefore []b
 	}
 }
 
-// loop drives phases until everyone stops or the round limit is reached.
-// A nil ctx (the plain Run/RunActors path) skips cancellation checks
-// entirely; otherwise ctx is polled at every phase boundary and
-// cancellation surfaces as a *PartialRunError.
-func (r *run) loop(ctx context.Context, exec phaseExecutor) error {
+// loop drives phases until everyone stops or the round limit is reached;
+// phase executes one phase (runPhase on an executor, or the batch
+// kernel's lane). A nil ctx (the plain Run/RunActors path) skips
+// cancellation checks entirely; otherwise ctx is polled at every phase
+// boundary and cancellation surfaces as a *PartialRunError.
+func (r *run) loop(ctx context.Context, phase func(core.Phase)) error {
 	r.sched.Reset(&r.params)
 	for {
 		if r.done() {
@@ -818,7 +819,7 @@ func (r *run) loop(ctx context.Context, exec phaseExecutor) error {
 		if ph.Length > r.opts.maxPhaseSlots() {
 			return ErrPhaseTooLong
 		}
-		r.runPhase(ph, exec)
+		phase(ph)
 	}
 	if r.opts.Tracer != nil {
 		r.opts.Tracer.Done()
@@ -889,6 +890,9 @@ func summarizeCosts(costs []int64) CostSummary {
 // seqExecutor runs node work inline — the fast sequential engine.
 type seqExecutor struct{ r *run }
 
+// seqPhase runs one phase on the sequential executor.
+func (r *run) seqPhase(ph core.Phase) { r.runPhase(ph, seqExecutor{r}) }
+
 func (e seqExecutor) eachNodeSends(ph core.Phase) {
 	for i := range e.r.nodes {
 		e.r.planNodeSends(&e.r.nodes[i], ph)
@@ -908,7 +912,7 @@ func Run(opts Options) (*Result, error) {
 		return nil, err
 	}
 	defer r.releaseScratch()
-	if err := r.loop(nil, seqExecutor{r}); err != nil {
+	if err := r.loop(nil, r.seqPhase); err != nil {
 		return nil, err
 	}
 	return r.result(), nil

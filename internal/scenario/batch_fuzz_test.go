@@ -19,7 +19,7 @@ func (c *fuzzCollect) Trial(i int, r *engine.Result) error {
 func (c *fuzzCollect) Flush() error { return nil }
 
 // FuzzBatchStreamMatchesScalar feeds arbitrary scenario JSON through
-// the scalar stream and the batched lockstep kernel and requires
+// the scalar stream and the batch kernel and requires
 // identical results: whatever protocol instance, topology, adversary,
 // and budget the fuzzer assembles, StreamBatch must reproduce the
 // scalar engine bit for bit at every batch width. Inputs the scalar

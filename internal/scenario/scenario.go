@@ -142,10 +142,10 @@ type Scenario struct {
 	Seed uint64 `json:"seed,omitempty"`
 	// Engine selects the executor: "", "fast", "actors".
 	Engine string `json:"engine,omitempty"`
-	// Batch sets the sweep batch width: values > 1 route Stream through
-	// the batched lockstep kernel (sim.StreamBatch), executing that many
-	// same-point trials per engine call. Results and sink output are
-	// byte-identical at every width; 0 and 1 select the scalar stream.
+	// Batch selects the engine for sweeps: values > 1 route Stream
+	// through the batch kernel (sim.StreamBatch), one trial per kernel
+	// call; 0 and 1 select the scalar stream. The value sets no group
+	// size. Results and sink output are byte-identical either way.
 	Batch int `json:"batch,omitempty"`
 	// RecordPhases retains per-phase outcomes in the Result.
 	RecordPhases bool `json:"record_phases,omitempty"`
@@ -363,9 +363,8 @@ func ExecuteContext(ctx context.Context, engineName string, opts engine.Options)
 // sim.SweepSeed(base, point, t) exactly like TrialSpecs — through the
 // streaming run session: results are delivered to the sinks in trial
 // order with bounded buffering, so the sweep holds O(procs) live
-// results however large trials gets. Batch > 1 executes the trials
-// through the batched lockstep kernel in groups of that width, with
-// byte-identical sink output. Cancellation of ctx surfaces as a
+// results however large trials gets. Batch > 1 executes the trials on
+// the batch kernel, with byte-identical sink output. Cancellation of ctx surfaces as a
 // *sim.PartialError whose Delivered prefix has reached every sink.
 func (s Scenario) Stream(ctx context.Context, procs int, base uint64, point, trials int, sinks ...sim.Sink) error {
 	specs, err := s.TrialSpecs(base, point, trials)

@@ -307,7 +307,7 @@ func TestScenarioStream(t *testing.T) {
 }
 
 // TestScenarioStreamBatch pins the batch field's routing: a scenario
-// with Batch > 1 streams through the batched lockstep kernel with sink
+// with Batch > 1 streams through the batch kernel with sink
 // output identical to the scalar stream's.
 func TestScenarioStreamBatch(t *testing.T) {
 	sc := Scenario{

@@ -111,55 +111,62 @@ func TestConcurrencyLimits(t *testing.T) {
 // TestLiveResultBoundHolds measures, from inside the worker pool, the
 // maximum number of started-but-undelivered trials a running job holds
 // and checks it never exceeds the streaming session's published bound
-// sim.Window(procs) = 4·procs.
+// sim.Window(procs) = 4·procs — on the scalar stream and on the batch
+// kernel alike.
 func TestLiveResultBoundHolds(t *testing.T) {
 	const procs = 2
 	const trials = 64
 
-	var inflight, peak atomic.Int64
-	wrap := func(_ *Job, specs []sim.TrialSpec) []sim.TrialSpec {
-		out := append([]sim.TrialSpec(nil), specs...)
-		for i := range out {
-			inner := out[i].Configure
-			out[i].Configure = func(o *engine.Options) {
-				cur := inflight.Add(1)
-				for {
-					p := peak.Load()
-					if cur <= p || peak.CompareAndSwap(p, cur) {
-						break
+	for _, batch := range []int{0, 8} {
+		t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+			var inflight, peak atomic.Int64
+			wrap := func(_ *Job, specs []sim.TrialSpec) []sim.TrialSpec {
+				out := append([]sim.TrialSpec(nil), specs...)
+				for i := range out {
+					inner := out[i].Configure
+					out[i].Configure = func(o *engine.Options) {
+						cur := inflight.Add(1)
+						for {
+							p := peak.Load()
+							if cur <= p || peak.CompareAndSwap(p, cur) {
+								break
+							}
+						}
+						if inner != nil {
+							inner(o)
+						}
 					}
 				}
-				if inner != nil {
-					inner(o)
-				}
+				return out
 			}
-		}
-		return out
-	}
-	sinks := func(j *Job) []sim.Sink {
-		base := int(j.execBase.Load())
-		return []sim.Sink{sinkFunc(func(i int) {
-			if i >= base {
-				inflight.Add(-1)
+			sinks := func(j *Job) []sim.Sink {
+				base := int(j.execBase.Load())
+				return []sim.Sink{sinkFunc(func(i int) {
+					if i >= base {
+						inflight.Add(-1)
+					}
+				})}
 			}
-		})}
-	}
-	defer setWrapSpecs(wrap)()
-	defer setExtraSinks(sinks)()
+			defer setWrapSpecs(wrap)()
+			defer setExtraSinks(sinks)()
 
-	m := newTestManager(t, Config{Procs: procs})
-	j, _, err := m.Submit("alice", testScenario("live-bound"), trials, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitStatus(t, j, "done", stateIs(StateDone))
+			m := newTestManager(t, Config{Procs: procs})
+			sc := testScenario("live-bound")
+			sc.Batch = batch
+			j, _, err := m.Submit("alice", sc, trials, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitStatus(t, j, "done", stateIs(StateDone))
 
-	bound := sim.Window(procs)
-	if got := int(peak.Load()); got == 0 || got > bound {
-		t.Fatalf("peak live results = %d, want within (0, %d]", got, bound)
-	}
-	if m.Metrics().LiveResultBound != bound {
-		t.Fatalf("metrics live-result bound = %d, want %d", m.Metrics().LiveResultBound, bound)
+			bound := sim.Window(procs)
+			if got := int(peak.Load()); got == 0 || got > bound {
+				t.Fatalf("peak live results = %d, want within (0, %d]", got, bound)
+			}
+			if m.Metrics().LiveResultBound != bound {
+				t.Fatalf("metrics live-result bound = %d, want %d", m.Metrics().LiveResultBound, bound)
+			}
+		})
 	}
 }
 

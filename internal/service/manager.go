@@ -37,8 +37,7 @@ var testExtraSinks func(*Job) []sim.Sink
 
 // Manager owns the job lifecycle: a bounded FIFO queue feeding a fixed
 // set of runner goroutines, each executing one job at a time on the
-// shared engine pool (Config.Procs workers via sim's batched
-// streaming). All durability flows through each job's out.ndjson, its
+// shared engine pool (Config.Procs workers via sim.StreamBatch). All durability flows through each job's out.ndjson, its
 // record journal; the manager itself keeps no state a restart cannot
 // rebuild from the store directory.
 type Manager struct {

@@ -2,145 +2,37 @@ package sim
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 
 	"rcbcast/internal/engine"
 )
 
-// batchGroup is one contiguous run of trial indices executed as a unit:
-// either a batch-kernel call of up to the stream's width, or — when
-// per-spec Configure hooks diverge the execution-shaping options — a
-// scalar fallback over the same indices.
-type batchGroup struct{ start, end int }
-
-// batchGroups partitions specs into contiguous runs of at most width
-// trials sharing the execution-shaping spec fields (Params, Topology).
-// A sweep's specs differ only in seeds, so its groups are simply
-// ceil(n/width) full-width slices; heterogeneous spec lists (stacked
-// sweep points) split at every point boundary, never batching across
-// one.
-func batchGroups(specs []TrialSpec, width int) []batchGroup {
-	groups := make([]batchGroup, 0, len(specs)/width+1)
-	for start := 0; start < len(specs); {
-		end := start + 1
-		for end < len(specs) && end-start < width &&
-			specs[end].Params == specs[start].Params &&
-			specs[end].Topology == specs[start].Topology {
-			end++
-		}
-		groups = append(groups, batchGroup{start: start, end: end})
-		start = end
-	}
-	return groups
-}
-
-// batchScratches recycles the batch kernel's working state — lane
-// scratches, reception bitsets, block schedules, and the cross-trial
-// topology cache — across the groups a worker executes, exactly as
-// scratches does for scalar trials.
+// batchScratches recycles the batch kernel's working state — the lane's
+// scratch, reception bitsets and index, block schedules, and the
+// cross-trial topology cache — across the trials a worker executes,
+// exactly as scratches does for scalar trials.
 var batchScratches = sync.Pool{New: func() any { return engine.NewBatchScratch() }}
 
-// batchOut carries one finished group from a worker: the per-trial
-// results for the delivered prefix and, when the group stopped early,
-// the error already attributed to its position in the sweep. Group
-// execution never fails the StreamMap unit directly — the error rides
-// in the value so the collector can deliver the group's completed
-// prefix (scalar fallback) before surfacing it in order.
-type batchOut struct {
-	rs  []*engine.Result
-	err error
-}
-
-// runBatchGroup executes one group on a worker goroutine. The happy
-// path is a single batch-kernel call; when a Configure hook makes the
-// lanes' options unbatchable (diverging MaxPhaseSlots, say), the group
-// falls back to per-trial scalar runs — the kernel's byte-identity
-// oracle — so StreamBatch accepts every spec list Stream does.
-func runBatchGroup(ctx context.Context, specs []TrialSpec, base int) batchOut {
-	opts := make([]engine.Options, len(specs))
-	batchable := true
-	for i := range specs {
-		opts[i] = specs[i].options()
-		if opts[i].Params != opts[0].Params ||
-			opts[i].Topology != opts[0].Topology ||
-			opts[i].MaxPhaseSlots != opts[0].MaxPhaseSlots {
-			batchable = false
-		}
-	}
-	if !batchable {
-		rs := make([]*engine.Result, 0, len(opts))
-		for i := range opts {
-			if opts[i].Scratch == nil {
-				sc := scratches.Get().(*engine.Scratch)
-				defer scratches.Put(sc)
-				opts[i].Scratch = sc
-			}
-			r, err := engine.RunContext(ctx, opts[i])
-			if err != nil {
-				return batchOut{rs: rs, err: fmt.Errorf("trial %d: %w", base+i, err)}
-			}
-			rs = append(rs, r)
-		}
-		return batchOut{rs: rs}
-	}
-	bs := batchScratches.Get().(*engine.BatchScratch)
-	rs, err := engine.RunBatchContext(ctx, opts, bs)
-	batchScratches.Put(bs)
-	if err != nil {
-		// A batch stops as a unit: no lane's partial state is
-		// observable, so the error names the whole trial range.
-		return batchOut{err: fmt.Errorf("trials %d-%d: %w", base, base+len(opts)-1, err)}
-	}
-	return batchOut{rs: rs}
-}
-
-// StreamBatch is Stream executing trials through the batched lockstep
-// kernel: contiguous specs sharing a sweep point (equal Params and
-// Topology) are grouped into batches of up to width lanes and run with
-// engine.RunBatch, whose per-lane results are byte-identical to the
-// scalar engine's. Sink delivery is unchanged — every trial exactly
-// once, in trial-index order, from a single goroutine — so a sweep's
-// sink output is byte-for-byte the Stream output at every width and
-// procs value. width <= 1 is exactly Stream.
-//
-// Early stops surface as *PartialError with Delivered counting trials,
-// as with Stream; because a failed batch group contributes no results,
-// a mid-sweep failure may deliver up to width-1 fewer trials than the
-// scalar stream would have before stopping at the same cause.
+// StreamBatch is Stream executing each trial on the batch kernel
+// (engine.RunBatch), whose results are byte-identical to the scalar
+// engine's; sink output is byte-for-byte the Stream output at every
+// width and procs value, and an early stop's Delivered is exact. width
+// only selects the engine: any value > 1 runs the kernel, one trial per
+// call; width <= 1 is exactly Stream, the scalar oracle.
 func StreamBatch(ctx context.Context, procs, width int, specs []TrialSpec, sinks ...Sink) error {
 	if width <= 1 {
 		return Stream(ctx, procs, specs, sinks...)
 	}
-	groups := batchGroups(specs, width)
-	delivered := 0
-	streamErr := StreamMap(ctx, procs, len(groups), func(ctx context.Context, g int) (batchOut, error) {
-		gr := groups[g]
-		return runBatchGroup(ctx, specs[gr.start:gr.end], gr.start), nil
-	}, func(g int, out batchOut) error {
-		base := groups[g].start
-		for j, r := range out.rs {
-			for _, s := range sinks {
-				if err := s.Trial(base+j, r); err != nil {
-					return err
-				}
-			}
-			delivered++
-		}
-		return out.err
-	})
-	// StreamMap counts delivered *groups*; re-shape its PartialError to
-	// the per-trial contract. delivered is written only by the deliver
-	// callback, which StreamMap runs on this goroutine.
-	var pe *PartialError
-	if errors.As(streamErr, &pe) {
-		streamErr = &PartialError{Delivered: delivered, Err: pe.Err}
+	return stream(ctx, procs, specs, sinks, runKernel)
+}
+
+// runKernel executes one trial on a pooled batch scratch.
+func runKernel(ctx context.Context, opts engine.Options) (*engine.Result, error) {
+	bs := batchScratches.Get().(*engine.BatchScratch)
+	defer batchScratches.Put(bs)
+	rs, err := engine.RunBatchContext(ctx, []engine.Options{opts}, bs)
+	if err != nil {
+		return nil, err
 	}
-	for _, s := range sinks {
-		if err := s.Flush(); err != nil && streamErr == nil {
-			streamErr = fmt.Errorf("sim: flush: %w", err)
-		}
-	}
-	return streamErr
+	return rs[0], nil
 }

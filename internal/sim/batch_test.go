@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rcbcast/internal/core"
@@ -15,9 +16,8 @@ import (
 // TestStreamBatchMatchesStream is the wiring-level identity contract:
 // for every batch width and worker count, StreamBatch's delivery
 // sequence — indices and result fingerprints — is byte-for-byte the
-// scalar Stream's. (Per-lane engine identity is pinned in
-// internal/engine; this test pins the grouping and re-delivery above
-// it.)
+// scalar Stream's. (Per-trial engine identity is pinned in
+// internal/engine; this test pins the delivery above it.)
 func TestStreamBatchMatchesStream(t *testing.T) {
 	specs := jamSpecs(128, 19) // deliberately not a multiple of any width
 	want := &recordingSink{}
@@ -40,10 +40,9 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 	}
 }
 
-// TestStreamBatchGroupsSplitAtPointBoundaries pins the grouping rule: a
-// heterogeneous spec list (stacked sweep points) never batches across a
-// Params or Topology change, and the full sweep still matches the
-// scalar stream.
+// TestStreamBatchGroupsSplitAtPointBoundaries pins a heterogeneous spec
+// list (stacked sweep points changing Params and Topology every few
+// trials) against the scalar stream.
 func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 	topos := []topology.Spec{
 		{},
@@ -53,7 +52,7 @@ func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 	var specs []TrialSpec
 	for point, n := range []int{96, 128} {
 		for _, spec := range topos {
-			s := jamSpecs(n, 5) // 5 trials per point: smaller than the width
+			s := jamSpecs(n, 5) // 5 trials per point: fewer than the width
 			for i := range s {
 				s[i].Topology = spec
 				s[i].Seed = SweepSeed(7, point, i)
@@ -64,14 +63,6 @@ func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 				}
 			}
 			specs = append(specs, s...)
-		}
-	}
-	groups := batchGroups(specs, 8)
-	for _, g := range groups {
-		for i := g.start + 1; i < g.end; i++ {
-			if specs[i].Params != specs[g.start].Params || specs[i].Topology != specs[g.start].Topology {
-				t.Fatalf("group [%d,%d) spans a sweep-point boundary", g.start, g.end)
-			}
 		}
 	}
 	want := &recordingSink{}
@@ -87,13 +78,13 @@ func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 	}
 }
 
-// TestStreamBatchScalarFallback drives the unbatchable path: Configure
-// hooks that diverge MaxPhaseSlots across a group force the per-trial
-// scalar fallback, which must deliver the same results as Stream.
+// TestStreamBatchScalarFallback: Configure hooks that give every trial
+// its own MaxPhaseSlots run on the kernel and must deliver the same
+// results as Stream.
 func TestStreamBatchScalarFallback(t *testing.T) {
 	specs := jamSpecs(96, 6)
 	for i := range specs {
-		caps := 1<<20 + i // distinct per lane: unbatchable
+		caps := 1<<20 + i // distinct per trial
 		specs[i].Configure = func(o *engine.Options) { o.MaxPhaseSlots = caps }
 	}
 	want := &recordingSink{}
@@ -105,17 +96,16 @@ func TestStreamBatchScalarFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got.spent, want.spent) {
-		t.Fatal("scalar fallback diverges from scalar stream")
+		t.Fatal("per-trial MaxPhaseSlots diverges from scalar stream")
 	}
 }
 
-// TestStreamBatchPartialDeliveredCountsTrials pins the re-shaped
-// PartialError contract: Delivered counts trials (not batch groups),
-// and the failing sink stops the stream with the delivered prefix
-// flushed.
+// TestStreamBatchPartialDeliveredCountsTrials pins the PartialError
+// contract: Delivered counts exactly the trials delivered, and the
+// failing sink stops the stream with the delivered prefix flushed.
 func TestStreamBatchPartialDeliveredCountsTrials(t *testing.T) {
 	specs := jamSpecs(96, 16)
-	failAt := 9 // mid-group for width 4
+	failAt := 9
 	sink := &batchFailSink{failAt: failAt}
 	err := StreamBatch(context.Background(), 2, 4, specs, sink)
 	var pe *PartialError
@@ -123,16 +113,16 @@ func TestStreamBatchPartialDeliveredCountsTrials(t *testing.T) {
 		t.Fatalf("want *PartialError, got %v", err)
 	}
 	if pe.Delivered != failAt {
-		t.Fatalf("Delivered = %d, want %d (trials, not groups)", pe.Delivered, failAt)
+		t.Fatalf("Delivered = %d, want %d", pe.Delivered, failAt)
 	}
 	if sink.flushes != 1 {
 		t.Fatalf("Flush ran %d times on early stop, want once", sink.flushes)
 	}
 }
 
-// TestStreamBatchValidationError pins early-stop shape when a group's
-// options are invalid: a *PartialError naming the failing trial range,
-// with the preceding groups delivered.
+// TestStreamBatchValidationError pins early-stop shape when a trial's
+// options are invalid: a *PartialError naming the failing trial, with
+// every trial before it delivered.
 func TestStreamBatchValidationError(t *testing.T) {
 	specs := jamSpecs(96, 8)
 	bad := TrialSpec{Params: core.Params{N: -1}, Seed: 1}
@@ -145,6 +135,9 @@ func TestStreamBatchValidationError(t *testing.T) {
 	}
 	if pe.Delivered != 8 {
 		t.Fatalf("Delivered = %d, want 8", pe.Delivered)
+	}
+	if !strings.Contains(err.Error(), "trial 8:") {
+		t.Fatalf("error does not name trial 8: %v", err)
 	}
 }
 
@@ -163,7 +156,7 @@ func TestStreamBatchCancellation(t *testing.T) {
 		return nil
 	})
 	// procs=1 runs the inline StreamMap path, which checks ctx before
-	// every group — the cancel is guaranteed to be observed mid-sweep.
+	// every trial — the cancel is guaranteed to be observed mid-sweep.
 	err := StreamBatch(ctx, 1, 4, specs, rec, cancelSink)
 	var pe *PartialError
 	if !errors.As(err, &pe) {

@@ -201,10 +201,9 @@ func StreamCheckpointed(ctx context.Context, procs int, specs []sim.TrialSpec, c
 }
 
 // StreamCheckpointedBatch is StreamCheckpointed executing the
-// un-journaled tail through the batched lockstep kernel
-// (sim.StreamBatch) at the given width. Journal and sink output are
-// byte-identical at every width — including across an interrupt/resume
-// whose tail regroups at different batch boundaries — because the
+// un-journaled tail on the batch kernel (sim.StreamBatch) when width >
+// 1. Journal and sink output are byte-identical at every width —
+// including across an interrupt/resume at another width — because the
 // kernel's per-trial results match the scalar engine's bit for bit.
 func StreamCheckpointedBatch(ctx context.Context, procs, width int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
 	return streamCheckpointed(ctx, procs, width, 0, false, specs, cp, sinks)

@@ -222,14 +222,25 @@ var scratches = sync.Pool{New: func() any { return engine.NewScratch() }}
 // Delivered prefix has reached every sink. Flush runs on every sink
 // even when the stream stops early.
 func Stream(ctx context.Context, procs int, specs []TrialSpec, sinks ...Sink) error {
+	return stream(ctx, procs, specs, sinks, runScalar)
+}
+
+// runScalar executes one trial on the scalar engine with a pooled
+// scratch (unless Configure supplied one).
+func runScalar(ctx context.Context, opts engine.Options) (*engine.Result, error) {
+	if opts.Scratch == nil {
+		sc := scratches.Get().(*engine.Scratch)
+		defer scratches.Put(sc)
+		opts.Scratch = sc
+	}
+	return engine.RunContext(ctx, opts)
+}
+
+// stream is the session behind Stream and StreamBatch: run executes one
+// trial's options on the chosen engine.
+func stream(ctx context.Context, procs int, specs []TrialSpec, sinks []Sink, run func(context.Context, engine.Options) (*engine.Result, error)) error {
 	streamErr := StreamMap(ctx, procs, len(specs), func(ctx context.Context, i int) (*engine.Result, error) {
-		opts := specs[i].options()
-		if opts.Scratch == nil {
-			sc := scratches.Get().(*engine.Scratch)
-			defer scratches.Put(sc)
-			opts.Scratch = sc
-		}
-		return engine.RunContext(ctx, opts)
+		return run(ctx, specs[i].options())
 	}, func(i int, r *engine.Result) error {
 		for _, s := range sinks {
 			if err := s.Trial(i, r); err != nil {

@@ -5,14 +5,14 @@ package topology
 // trial-invariant — a pure function of (spec, n) — so a sweep's worker
 // builds each exactly once however many trials it runs; Gilbert graphs
 // are keyed by their derived graph seed, so repeated executions of the
-// same trial (differential oracles, batch lanes, re-runs) reuse the
-// build, while distinct trials get distinct graphs exactly as before.
+// same trial (differential oracles, re-runs) reuse the build, while
+// distinct trials get distinct graphs exactly as before.
 //
 // Every entry owns its construction scratch, so a cached graph and its
 // CSR stay valid for the entry's whole lifetime — unlike a build into a
-// shared Scratch, which the next build invalidates. That lifetime
-// guarantee is what lets the batched engine kernel keep B lanes'
-// Gilbert graphs alive simultaneously; size the capacity accordingly.
+// shared Scratch, which the next build invalidates: a graph in use
+// stays valid across lookups as long as the capacity covers every graph
+// held at once.
 //
 // A Cache must not be used by concurrently executing builds or lookups;
 // give each worker its own (the engine's batch scratch embeds one).
@@ -49,15 +49,6 @@ func NewCache(capacity int) *Cache {
 
 // Capacity reports the maximum number of live entries.
 func (c *Cache) Capacity() int { return c.capacity }
-
-// EnsureCapacity raises the capacity to at least capacity, never
-// lowering it — the batch kernel calls this so every lane of a batch
-// can hold its graph live at once.
-func (c *Cache) EnsureCapacity(capacity int) {
-	if capacity > c.capacity {
-		c.capacity = capacity
-	}
-}
 
 // Stats reports the lookup counters.
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }

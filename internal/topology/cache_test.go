@@ -190,14 +190,6 @@ func TestCacheEvictionLRU(t *testing.T) {
 	if c.Capacity() != 2 {
 		t.Fatalf("capacity changed: %d", c.Capacity())
 	}
-	c.EnsureCapacity(5)
-	if c.Capacity() != 5 {
-		t.Fatalf("EnsureCapacity(5) left capacity %d", c.Capacity())
-	}
-	c.EnsureCapacity(1)
-	if c.Capacity() != 5 {
-		t.Fatal("EnsureCapacity must never lower capacity")
-	}
 }
 
 // TestCacheBuildError: an invalid spec reports its error and leaves the
