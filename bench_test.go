@@ -257,28 +257,4 @@ func BenchmarkStreamTrials(b *testing.B) {
 		}
 		b.ReportMetric(float64(maxLive.Load()), "live_results")
 	})
-	// The batch variants run the identical sweep on the batch kernel
-	// (sim.StreamBatch); per-trial results and sink deliveries are
-	// byte-identical to the stream variant, so ns/op is a direct
-	// same-work comparison. The width only selects the kernel, so
-	// live_results keeps the stream's bound.
-	for _, width := range []int{8, 16} {
-		b.Run(fmt.Sprintf("batch%d", width), func(b *testing.B) {
-			b.ReportAllocs()
-			reset()
-			for i := 0; i < b.N; i++ {
-				fold := sink.NewFold(trialsPerBatch,
-					func(r *engine.Result) float64 { return r.InformedFrac() })
-				drop := sink.Func(func(int, *engine.Result) error { released.Add(1); return nil })
-				if err := sim.StreamBatch(context.Background(), 0, width, mkSpecs(i), fold, drop); err != nil {
-					b.Fatal(err)
-				}
-				acc := fold.Acc(0, 0)
-				if acc.N() != trialsPerBatch {
-					b.Fatal("missing results")
-				}
-			}
-			b.ReportMetric(float64(maxLive.Load()), "live_results")
-		})
-	}
 }

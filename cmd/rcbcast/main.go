@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) error {
 		strand  = fs.Float64("strand", 0.05, "stranded fraction for -adversary partition")
 		decoy   = fs.Bool("decoy", false, "enable the §4.1 decoy defence")
 		eng     = fs.String("engine", "fast", "fast|actors")
-		batch   = fs.Int("batch", 0, "batch value stamped into the scenario: > 1 selects the batch kernel for rcexp sweeps (a single run here is unaffected)")
 		phases  = fs.Bool("phases", false, "print the per-phase trace")
 		traceTo = fs.String("trace", "", "write an event trace: 'text' or 'json' to stdout, or a .ndjson file path")
 		paper   = fs.Bool("paper", false, "use PaperParams instead of PracticalParams")
@@ -154,7 +153,6 @@ func run(args []string, out io.Writer) error {
 	override("pool", func() { sc.Budget.Pool = *pool; sc.Budget.ModelC, sc.Budget.ModelF = 0, 0 })
 	override("decoy", func() { sc.Decoy = *decoy })
 	override("engine", func() { sc.Engine = *eng })
-	override("batch", func() { sc.Batch = *batch })
 	override("phases", func() { sc.RecordPhases = *phases })
 	override("paper", func() { sc.Paper = *paper })
 	override("budgets", func() {

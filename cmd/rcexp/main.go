@@ -19,10 +19,10 @@
 //
 // Raw sweep mode streams per-trial records instead of aggregated
 // reports — bounded memory however many trials, so it is the mode for
-// Theorem-1-scale runs:
+// Theorem-1-scale runs. Every trial runs on the batch kernel, whose
+// results are byte-identical to the scalar engine's:
 //
 //	rcexp -scenario full-jam -n 1024 -trials 100000 > runs.jsonl
-//	rcexp -scenario full-jam -trials 100000 -batch 8 > runs.jsonl
 //	rcexp -scenario file.json -trials 50000 -out csv > runs.csv
 //	rcexp -scenario gilbert-jam -topology gilbert:r=0.3 -trials 1000 > runs.jsonl
 //	rcexp -scenario full-jam -trials 100000 -progress \
@@ -99,7 +99,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		topo       = fs.String("topology", "", "raw sweep mode: override the scenario's topology (KIND[:KNOB=V,...])")
 		trials     = fs.Int("trials", 0, "raw sweep trial count (requires -scenario)")
 		shard      = fs.String("shard", "", "run only the i-th of N contiguous sweep shards, as i/N; output is the byte-exact slice of the full run")
-		batch      = fs.Int("batch", 0, "raw sweep engine: > 1 runs each trial on the batch kernel, 0/1 on the scalar engine (output is byte-identical)")
 		outFormat  = fs.String("out", "jsonl", "raw sweep output format: jsonl or csv")
 		progress   = fs.Bool("progress", false, "report sweep progress on stderr")
 		checkpoint = fs.String("checkpoint", "", "journal completed trials here; rerun to resume")
@@ -145,7 +144,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			n:          *n,
 			trials:     *trials,
 			shard:      *shard,
-			batch:      *batch,
 			baseSeed:   *baseSeed,
 			procs:      *procs,
 			outFormat:  *outFormat,
@@ -212,7 +210,6 @@ type sweepConfig struct {
 	n          int
 	trials     int
 	shard      string // "i/N", empty = whole sweep
-	batch      int
 	baseSeed   uint64
 	procs      int
 	outFormat  string
@@ -292,12 +289,6 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 	if cfg.trials <= 0 {
 		return errors.New("-trials must be positive in sweep mode")
 	}
-	// -batch overrides the scenario's own batch value; either, above 1,
-	// routes the sweep through the batch kernel.
-	width := sc.Batch
-	if cfg.batch > 0 {
-		width = cfg.batch
-	}
 	var sh scenario.Shard
 	if cfg.shard != "" {
 		sh, err = parseShard(cfg.shard, cfg.trials)
@@ -335,9 +326,9 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 				cp.Done(), len(specs), cfg.checkpoint)
 		}
 		if sh.IsZero() {
-			err = sink.StreamCheckpointedBatch(ctx, cfg.procs, width, specs, cp, sinks...)
+			err = sink.StreamCheckpointed(ctx, cfg.procs, specs, cp, sinks...)
 		} else {
-			err = sink.StreamCheckpointedShard(ctx, cfg.procs, width, sh.Lo, specs, cp, sinks...)
+			err = sink.StreamCheckpointedShard(ctx, cfg.procs, 0, sh.Lo, specs, cp, sinks...)
 		}
 	} else {
 		if !sh.IsZero() {
@@ -347,7 +338,7 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 				sinks[i] = sink.Offset(sh.Lo, s)
 			}
 		}
-		err = sim.StreamBatch(ctx, cfg.procs, width, specs, sinks...)
+		err = sim.Stream(ctx, cfg.procs, specs, sinks...)
 	}
 	var pe *sim.PartialError
 	if errors.As(err, &pe) && errors.Is(pe, context.Canceled) {

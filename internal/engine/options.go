@@ -11,16 +11,16 @@
 //     the natural Go mapping for a sensor network. Node work — schedule
 //     generation, energy charging, and listen resolution — runs in the
 //     actors; the coordinator owns the shared channel state.
-//   - RunBatch: the batch kernel behind sim.StreamBatch. It runs each
-//     trial to completion on one reusable lane, with block geometric
-//     draws, bitset channel state, and a per-phase reception index on
-//     sparse topologies (see batch.go).
+//   - RunBatch: the batch kernel every sweep runs on (sim.Stream). It
+//     runs each trial to completion on one reusable lane, with block
+//     geometric draws, bitset channel state, and a per-phase reception
+//     index on sparse topologies (see batch.go).
 //
 // All three draw every random decision from the same keyed streams
 // (internal/rng), charge energy under the same rules, and therefore
 // produce bit-for-bit identical Results for identical Options. The
 // equivalence and batch differential tests in this package assert
-// exactly that; Run is the oracle.
+// exactly that; Run is the oracle, and stays the single-run engine.
 //
 // Energy-enforcement rule (shared): a device's transmissions for a phase
 // are committed and charged at phase start in slot order, truncated when

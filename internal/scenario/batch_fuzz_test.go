@@ -9,22 +9,15 @@ import (
 	"rcbcast/internal/sim"
 )
 
-// fuzzCollect gathers streamed results for the differential below.
-type fuzzCollect struct{ rs []*engine.Result }
-
-func (c *fuzzCollect) Trial(i int, r *engine.Result) error {
-	c.rs = append(c.rs, r)
-	return nil
-}
-func (c *fuzzCollect) Flush() error { return nil }
-
 // FuzzBatchStreamMatchesScalar feeds arbitrary scenario JSON through
-// the scalar stream and the batch kernel and requires
-// identical results: whatever protocol instance, topology, adversary,
-// and budget the fuzzer assembles, StreamBatch must reproduce the
-// scalar engine bit for bit at every batch width. Inputs the scalar
-// stream itself rejects (or fails on) are skipped — the kernel's
-// contract covers exactly the runs the scalar engine completes.
+// the sweep session (sim.Stream, which runs every trial on the batch
+// kernel) and requires each delivered result to equal the scalar
+// engine's run of the same trial (engine.RunContext, the oracle):
+// whatever protocol instance, topology, adversary, and budget the
+// fuzzer assembles, the kernel must reproduce the scalar engine bit for
+// bit. Inputs the scalar engine itself rejects (or fails on) are
+// skipped — the kernel's contract covers exactly the runs the scalar
+// engine completes.
 func FuzzBatchStreamMatchesScalar(f *testing.F) {
 	for _, seed := range []string{
 		`{"n":48,"adversary":{"kind":"full"},"budget":{"pool":1024},"seed":7}`,
@@ -33,17 +26,17 @@ func FuzzBatchStreamMatchesScalar(f *testing.F) {
 		`{"n":64,"k":3,"decoy":true,"adversary":{"kind":"bursty","burst":16,"gap":16},"budget":{"model_c":4,"model_f":0.05},"seed":3}`,
 		`{"n":32,"paper":true,"quiet":"fraction","adversary":{"kind":"sweep","fraction":0.75},"budget":{"pool":256},"reactive":true,"seed":5}`,
 	} {
-		f.Add([]byte(seed), uint8(8))
+		f.Add([]byte(seed), uint8(3))
 	}
-	f.Fuzz(func(t *testing.T, data []byte, widthByte uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, trialsByte uint8) {
 		sc, err := Decode(data)
 		if err != nil {
 			return
 		}
 		// Bound the run so the fuzzer cannot assemble an hours-long
 		// trial: small networks, a short round window, and a phase-slot
-		// cap. The bounds apply identically to both streams, so the
-		// differential is untouched.
+		// cap. The bounds apply identically to the session and the
+		// oracle, so the differential is untouched.
 		if sc.N > 96 || sc.K > 4 || sc.Overrides.StartRound > 8 {
 			return
 		}
@@ -52,36 +45,37 @@ func FuzzBatchStreamMatchesScalar(f *testing.F) {
 		if sc.Validate() != nil {
 			return
 		}
-		width := 1 + int(widthByte%8)
-		trials := width + 3 // at least one full batch plus a remainder group
-		specs, err := sc.TrialSpecs(42, 0, trials)
+		const maxPhaseSlots = 1 << 22
+		specs, err := sc.TrialSpecs(42, 0, 1+int(trialsByte%8))
 		if err != nil {
 			return
 		}
+		want := make([]*engine.Result, len(specs))
 		for i := range specs {
+			opts := mustBuildWithSeed(t, sc, specs[i].Seed)
+			opts.MaxPhaseSlots = maxPhaseSlots
+			if want[i], err = engine.RunContext(context.Background(), opts); err != nil {
+				return // the scalar oracle itself rejects this input
+			}
 			prev := specs[i].Configure
 			specs[i].Configure = func(o *engine.Options) {
 				if prev != nil {
 					prev(o)
 				}
-				o.MaxPhaseSlots = 1 << 22
+				o.MaxPhaseSlots = maxPhaseSlots
 			}
 		}
-		scalar := &fuzzCollect{}
-		if err := sim.Stream(context.Background(), 1, specs, scalar); err != nil {
-			return // the scalar oracle itself rejects this input
+		var got []*engine.Result
+		err = sim.Stream(context.Background(), 1, specs, sinkFunc(func(i int, r *engine.Result) error {
+			got = append(got, r)
+			return nil
+		}))
+		if err != nil {
+			t.Fatalf("scalar engine succeeded but the stream failed: %v", err)
 		}
-		batched := &fuzzCollect{}
-		if err := sim.StreamBatch(context.Background(), 1, width, specs, batched); err != nil {
-			t.Fatalf("scalar stream succeeded but width-%d batch failed: %v", width, err)
-		}
-		if len(batched.rs) != len(scalar.rs) {
-			t.Fatalf("width %d delivered %d trials, scalar %d", width, len(batched.rs), len(scalar.rs))
-		}
-		for i := range scalar.rs {
-			if !reflect.DeepEqual(batched.rs[i], scalar.rs[i]) {
-				t.Fatalf("width %d trial %d diverges from scalar engine:\nbatch:  %+v\nscalar: %+v",
-					width, i, batched.rs[i], scalar.rs[i])
+		for i := range want {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("trial %d diverges from the scalar engine:\nstream: %+v\nscalar: %+v", i, got[i], want[i])
 			}
 		}
 	})

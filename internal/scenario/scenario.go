@@ -140,12 +140,15 @@ type Scenario struct {
 
 	// Seed drives every random decision of the run.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine selects the executor: "", "fast", "actors".
+	// Engine selects the executor of single runs (Run, RunContext):
+	// "", "fast", "actors". Sweeps (Stream) always run on the batch
+	// kernel and ignore it.
 	Engine string `json:"engine,omitempty"`
-	// Batch selects the engine for sweeps: values > 1 route Stream
-	// through the batch kernel (sim.StreamBatch), one trial per kernel
-	// call; 0 and 1 select the scalar stream. The value sets no group
-	// size. Results and sink output are byte-identical either way.
+	// Batch is ignored: every sweep runs on the batch kernel. It is
+	// kept, and still range-checked, so stored scenarios and job files
+	// that carry "batch" keep decoding.
+	//
+	// Deprecated: ignored.
 	Batch int `json:"batch,omitempty"`
 	// RecordPhases retains per-phase outcomes in the Result.
 	RecordPhases bool `json:"record_phases,omitempty"`
@@ -363,16 +366,12 @@ func ExecuteContext(ctx context.Context, engineName string, opts engine.Options)
 // sim.SweepSeed(base, point, t) exactly like TrialSpecs — through the
 // streaming run session: results are delivered to the sinks in trial
 // order with bounded buffering, so the sweep holds O(procs) live
-// results however large trials gets. Batch > 1 executes the trials on
-// the batch kernel, with byte-identical sink output. Cancellation of ctx surfaces as a
+// results however large trials gets. Cancellation of ctx surfaces as a
 // *sim.PartialError whose Delivered prefix has reached every sink.
 func (s Scenario) Stream(ctx context.Context, procs int, base uint64, point, trials int, sinks ...sim.Sink) error {
 	specs, err := s.TrialSpecs(base, point, trials)
 	if err != nil {
 		return err
-	}
-	if s.Batch > 1 {
-		return sim.StreamBatch(ctx, procs, s.Batch, specs, sinks...)
 	}
 	return sim.Stream(ctx, procs, specs, sinks...)
 }

@@ -306,35 +306,42 @@ func TestScenarioStream(t *testing.T) {
 	}
 }
 
-// TestScenarioStreamBatch pins the batch field's routing: a scenario
-// with Batch > 1 streams through the batch kernel with sink
-// output identical to the scalar stream's.
+// TestScenarioStreamBatch pins that the deprecated batch field is
+// ignored: at every value the scenario streams the scalar engine's
+// results in trial order.
 func TestScenarioStreamBatch(t *testing.T) {
 	sc := Scenario{
 		N: 64, K: 2,
 		Adversary: AdversarySpec{Kind: "full"},
 		Budget:    BudgetSpec{Pool: 1 << 10},
 	}
-	render := func(sc Scenario) []int64 {
-		var spents []int64
-		err := sc.Stream(context.Background(), 1, 1, 0, 10,
+	const trials = 10
+	specs, err := sc.TrialSpecs(1, 0, trials)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]*engine.Result, trials)
+	for i := range want {
+		if want[i], err = engine.Run(mustBuildWithSeed(t, sc, specs[i].Seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, width := range []int{0, 1, 8} {
+		sc.Batch = width
+		var got []*engine.Result
+		err := sc.Stream(context.Background(), 1, 1, 0, trials,
 			sinkFunc(func(i int, r *engine.Result) error {
-				if i != len(spents) {
-					t.Fatalf("delivery out of order: got %d at position %d", i, len(spents))
+				if i != len(got) {
+					t.Fatalf("delivery out of order: got %d at position %d", i, len(got))
 				}
-				spents = append(spents, r.AdversarySpent)
+				got = append(got, r)
 				return nil
 			}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return spents
-	}
-	scalar := render(sc)
-	for _, width := range []int{2, 4, 8} {
-		sc.Batch = width
-		if !reflect.DeepEqual(render(sc), scalar) {
-			t.Fatalf("batch=%d stream diverges from the scalar stream", width)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch=%d stream diverges from the scalar engine", width)
 		}
 	}
 }

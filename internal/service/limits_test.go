@@ -111,8 +111,8 @@ func TestConcurrencyLimits(t *testing.T) {
 // TestLiveResultBoundHolds measures, from inside the worker pool, the
 // maximum number of started-but-undelivered trials a running job holds
 // and checks it never exceeds the streaming session's published bound
-// sim.Window(procs) = 4·procs — on the scalar stream and on the batch
-// kernel alike.
+// sim.Window(procs) = 4·procs. Scenario.Batch is deprecated and ignored;
+// the batch8 case checks a job that still carries it keeps the bound.
 func TestLiveResultBoundHolds(t *testing.T) {
 	const procs = 2
 	const trials = 64

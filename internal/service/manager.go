@@ -37,9 +37,10 @@ var testExtraSinks func(*Job) []sim.Sink
 
 // Manager owns the job lifecycle: a bounded FIFO queue feeding a fixed
 // set of runner goroutines, each executing one job at a time on the
-// shared engine pool (Config.Procs workers via sim.StreamBatch). All durability flows through each job's out.ndjson, its
-// record journal; the manager itself keeps no state a restart cannot
-// rebuild from the store directory.
+// shared engine pool (Config.Procs workers via sim.Stream). All
+// durability flows through each job's out.ndjson, its record journal;
+// the manager itself keeps no state a restart cannot rebuild from the
+// store directory.
 type Manager struct {
 	cfg     Config
 	version string
@@ -482,7 +483,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	for i, s := range sinks {
 		sinks[i] = sink.Offset(lo+done, s)
 	}
-	return sim.StreamBatch(ctx, m.cfg.Procs, j.Scenario.Batch, specs[done:], sinks...)
+	return sim.Stream(ctx, m.cfg.Procs, specs[done:], sinks...)
 }
 
 // BeginDrain flips the service to not-ready: GET /readyz answers 503

@@ -13,28 +13,47 @@ import (
 	"rcbcast/internal/topology"
 )
 
-// TestStreamBatchMatchesStream is the wiring-level identity contract:
-// for every batch width and worker count, StreamBatch's delivery
-// sequence — indices and result fingerprints — is byte-for-byte the
-// scalar Stream's. (Per-trial engine identity is pinned in
-// internal/engine; this test pins the delivery above it.)
-func TestStreamBatchMatchesStream(t *testing.T) {
-	specs := jamSpecs(128, 19) // deliberately not a multiple of any width
-	want := &recordingSink{}
-	if err := Stream(context.Background(), 1, specs, want); err != nil {
-		t.Fatal(err)
+// scalarResults runs every spec on the scalar engine (engine.RunContext)
+// — the oracle the session's kernel results must equal.
+func scalarResults(t *testing.T, specs []TrialSpec) []*engine.Result {
+	t.Helper()
+	want := make([]*engine.Result, len(specs))
+	for i := range specs {
+		r, err := engine.RunContext(context.Background(), specs[i].options())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
 	}
-	for _, width := range []int{1, 2, 3, 8, 32} {
+	return want
+}
+
+// TestStreamBatchMatchesStream is the wiring-level identity contract:
+// for every worker count, the session's delivery sequence is trial
+// order and every delivered result is DeepEqual to the scalar engine's
+// run of the same spec; StreamBatch ignores its width. (Per-trial
+// engine identity is pinned in internal/engine; this test pins the
+// delivery above it.)
+func TestStreamBatchMatchesStream(t *testing.T) {
+	specs := jamSpecs(128, 19)
+	want := scalarResults(t, specs)
+	for _, width := range []int{0, 8} {
 		for _, procs := range []int{1, 4} {
-			got := &recordingSink{}
-			if err := StreamBatch(context.Background(), procs, width, specs, got); err != nil {
+			got := make([]*engine.Result, len(specs))
+			rec := &recordingSink{}
+			if err := StreamBatch(context.Background(), procs, width, specs, collect(got), rec); err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got.order, want.order) || !reflect.DeepEqual(got.spent, want.spent) {
-				t.Fatalf("width=%d procs=%d: delivery sequence diverges from scalar stream", width, procs)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("width=%d procs=%d: results diverge from the scalar engine", width, procs)
 			}
-			if got.flushes != 1 {
-				t.Fatalf("width=%d procs=%d: Flush ran %d times, want once", width, procs, got.flushes)
+			for i, idx := range rec.order {
+				if idx != i {
+					t.Fatalf("width=%d procs=%d: delivery order %v not the trial order", width, procs, rec.order)
+				}
+			}
+			if rec.flushes != 1 {
+				t.Fatalf("width=%d procs=%d: Flush ran %d times, want once", width, procs, rec.flushes)
 			}
 		}
 	}
@@ -42,7 +61,8 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 
 // TestStreamBatchGroupsSplitAtPointBoundaries pins a heterogeneous spec
 // list (stacked sweep points changing Params and Topology every few
-// trials) against the scalar stream.
+// trials, so consecutive trials on one pooled scratch differ) against
+// the scalar engine.
 func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 	topos := []topology.Spec{
 		{},
@@ -52,7 +72,7 @@ func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 	var specs []TrialSpec
 	for point, n := range []int{96, 128} {
 		for _, spec := range topos {
-			s := jamSpecs(n, 5) // 5 trials per point: fewer than the width
+			s := jamSpecs(n, 5)
 			for i := range s {
 				s[i].Topology = spec
 				s[i].Seed = SweepSeed(7, point, i)
@@ -65,38 +85,32 @@ func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 			specs = append(specs, s...)
 		}
 	}
-	want := &recordingSink{}
-	if err := Stream(context.Background(), 1, specs, want); err != nil {
+	want := scalarResults(t, specs)
+	got := make([]*engine.Result, len(specs))
+	if err := Stream(context.Background(), 2, specs, collect(got)); err != nil {
 		t.Fatal(err)
 	}
-	got := &recordingSink{}
-	if err := StreamBatch(context.Background(), 2, 8, specs, got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.order, want.order) || !reflect.DeepEqual(got.spent, want.spent) {
-		t.Fatal("stacked-point sweep diverges from scalar stream")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("stacked-point sweep diverges from the scalar engine")
 	}
 }
 
 // TestStreamBatchScalarFallback: Configure hooks that give every trial
-// its own MaxPhaseSlots run on the kernel and must deliver the same
-// results as Stream.
+// its own MaxPhaseSlots run on the kernel and must deliver the scalar
+// engine's results.
 func TestStreamBatchScalarFallback(t *testing.T) {
 	specs := jamSpecs(96, 6)
 	for i := range specs {
 		caps := 1<<20 + i // distinct per trial
 		specs[i].Configure = func(o *engine.Options) { o.MaxPhaseSlots = caps }
 	}
-	want := &recordingSink{}
-	if err := Stream(context.Background(), 1, specs, want); err != nil {
+	want := scalarResults(t, specs)
+	got := make([]*engine.Result, len(specs))
+	if err := Stream(context.Background(), 1, specs, collect(got)); err != nil {
 		t.Fatal(err)
 	}
-	got := &recordingSink{}
-	if err := StreamBatch(context.Background(), 1, 4, specs, got); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.spent, want.spent) {
-		t.Fatal("per-trial MaxPhaseSlots diverges from scalar stream")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("per-trial MaxPhaseSlots diverges from the scalar engine")
 	}
 }
 
@@ -107,7 +121,7 @@ func TestStreamBatchPartialDeliveredCountsTrials(t *testing.T) {
 	specs := jamSpecs(96, 16)
 	failAt := 9
 	sink := &batchFailSink{failAt: failAt}
-	err := StreamBatch(context.Background(), 2, 4, specs, sink)
+	err := Stream(context.Background(), 2, specs, sink)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PartialError, got %v", err)
@@ -128,7 +142,7 @@ func TestStreamBatchValidationError(t *testing.T) {
 	bad := TrialSpec{Params: core.Params{N: -1}, Seed: 1}
 	specs = append(specs, bad)
 	rec := &recordingSink{}
-	err := StreamBatch(context.Background(), 1, 4, specs, rec)
+	err := Stream(context.Background(), 1, specs, rec)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PartialError, got %v", err)
@@ -157,7 +171,7 @@ func TestStreamBatchCancellation(t *testing.T) {
 	})
 	// procs=1 runs the inline StreamMap path, which checks ctx before
 	// every trial — the cancel is guaranteed to be observed mid-sweep.
-	err := StreamBatch(ctx, 1, 4, specs, rec, cancelSink)
+	err := Stream(ctx, 1, specs, rec, cancelSink)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("want *PartialError, got %v", err)

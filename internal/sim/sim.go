@@ -111,10 +111,9 @@ func Procs(procs int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// RunTrials executes every spec on the sequential engine across a pool
-// of procs workers (procs <= 0 selects GOMAXPROCS) and returns the
-// results indexed like specs. Output is byte-identical for every procs
-// value.
+// RunTrials executes every spec across a pool of procs workers
+// (procs <= 0 selects GOMAXPROCS) and returns the results indexed like
+// specs. Output is byte-identical for every procs value.
 //
 // RunTrials is retained as a thin compatibility wrapper over the
 // streaming session: it is exactly Stream with a collecting sink, so it

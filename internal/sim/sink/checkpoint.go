@@ -197,19 +197,10 @@ func Fingerprint(specs []sim.TrialSpec) string {
 // override) is rejected instead of silently splicing two different
 // sweeps into one output.
 func StreamCheckpointed(ctx context.Context, procs int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
-	return StreamCheckpointedBatch(ctx, procs, 1, specs, cp, sinks...)
+	return streamCheckpointed(ctx, procs, 0, false, specs, cp, sinks)
 }
 
-// StreamCheckpointedBatch is StreamCheckpointed executing the
-// un-journaled tail on the batch kernel (sim.StreamBatch) when width >
-// 1. Journal and sink output are byte-identical at every width —
-// including across an interrupt/resume at another width — because the
-// kernel's per-trial results match the scalar engine's bit for bit.
-func StreamCheckpointedBatch(ctx context.Context, procs, width int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
-	return streamCheckpointed(ctx, procs, width, 0, false, specs, cp, sinks)
-}
-
-// StreamCheckpointedShard is StreamCheckpointedBatch for one contiguous
+// StreamCheckpointedShard is StreamCheckpointed for one contiguous
 // shard [lo, lo+len(specs)) of a larger sweep (scenario.ShardSpecs):
 // sink delivery is re-indexed to sweep-global trial coordinates, and
 // the journal header records the shard range alongside the sweep
@@ -218,19 +209,20 @@ func StreamCheckpointedBatch(ctx context.Context, procs, width int, specs []sim.
 // separates shards with different lo (their leading seeds differ), and
 // the recorded range separates same-lo shards with different hi —
 // and a whole-sweep run rejects a shard journal (and vice versa)
-// instead of silently splicing ranges.
+// instead of silently splicing ranges. width is ignored (every sweep
+// runs on the batch kernel); it stays for existing callers.
 func StreamCheckpointedShard(ctx context.Context, procs, width, lo int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
 	if lo < 0 {
 		return fmt.Errorf("sink: shard lo must be >= 0 (got %d)", lo)
 	}
-	return streamCheckpointed(ctx, procs, width, lo, true, specs, cp, sinks)
+	return streamCheckpointed(ctx, procs, lo, true, specs, cp, sinks)
 }
 
 // streamCheckpointed is the one implementation under both entry points.
 // sharded selects the shard contract: delivery offset by lo and a
 // range-stamped, range-checked journal header covering [lo,
 // lo+len(specs)).
-func streamCheckpointed(ctx context.Context, procs, width, lo int, sharded bool, specs []sim.TrialSpec, cp *Checkpoint, sinks []sim.Sink) error {
+func streamCheckpointed(ctx context.Context, procs, lo int, sharded bool, specs []sim.TrialSpec, cp *Checkpoint, sinks []sim.Sink) error {
 	if cp.Done() > len(specs) {
 		return fmt.Errorf("sink: checkpoint has %d trials but the sweep has %d", cp.Done(), len(specs))
 	}
@@ -273,20 +265,12 @@ func streamCheckpointed(ctx context.Context, procs, width, lo int, sharded bool,
 		return err
 	}
 	base := cp.Done()
-	if base == len(specs) {
-		for _, s := range sinks {
-			if err := s.Flush(); err != nil {
-				return fmt.Errorf("sink: flush: %w", err)
-			}
-		}
-		return cp.Flush()
-	}
 	session := make([]sim.Sink, 0, len(sinks)+1)
 	session = append(session, cp) // journal first: never emit a trial the journal lacks
 	for _, s := range sinks {
 		session = append(session, offset{d: base + lo, s: s})
 	}
-	return sim.StreamBatch(ctx, procs, width, specs[base:], session...)
+	return sim.Stream(ctx, procs, specs[base:], session...)
 }
 
 // rangeLabel names a header range for error messages; (0,0) is the

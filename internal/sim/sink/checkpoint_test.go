@@ -461,6 +461,39 @@ func TestCheckpointShardInterruptResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointFullyJournaledResumeFlushesEverySink: resuming a sweep
+// whose journal already holds every trial replays it and flushes every
+// sink, as a live stream does — a failing Flush on the first sink does
+// not skip the later ones — and reports the flush error.
+func TestCheckpointFullyJournaledResumeFlushesEverySink(t *testing.T) {
+	specs := jamSpecs(64, 4)
+	path := filepath.Join(t.TempDir(), "full.ckpt")
+	cp := openCheckpoint(t, path)
+	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+
+	first := &flushCounter{err: errors.New("disk full")}
+	second := &flushCounter{}
+	err := StreamCheckpointed(context.Background(), 1, specs, openCheckpoint(t, path), first, second)
+	if !errors.Is(err, first.err) {
+		t.Fatalf("want the first sink's flush error, got %v", err)
+	}
+	if second.trials != len(specs) || second.flushes != 1 {
+		t.Fatalf("second sink saw %d trials and %d flushes, want %d and 1", second.trials, second.flushes, len(specs))
+	}
+}
+
+// flushCounter counts deliveries and flushes; Flush returns err.
+type flushCounter struct {
+	err             error
+	trials, flushes int
+}
+
+func (f *flushCounter) Trial(int, *engine.Result) error { f.trials++; return nil }
+func (f *flushCounter) Flush() error                    { f.flushes++; return f.err }
+
 // TestCheckpointShardRangeMismatchRejected: the range-stamped header
 // separates shard journals from each other and from whole-sweep
 // journals — resuming any of them with the wrong range fails fast.
@@ -484,7 +517,7 @@ func TestCheckpointShardRangeMismatchRejected(t *testing.T) {
 	}
 	// A whole-sweep run must not splice a shard journal either (again a
 	// fingerprint collision: trial 0 leads both).
-	err = StreamCheckpointedBatch(context.Background(), 1, 1, whole, openCheckpoint(t, path))
+	err = StreamCheckpointed(context.Background(), 1, whole, openCheckpoint(t, path))
 	if err == nil || !strings.Contains(err.Error(), "shard [0,6)") {
 		t.Fatalf("whole-sweep resume of a shard journal: want range rejection, got %v", err)
 	}
@@ -492,7 +525,7 @@ func TestCheckpointShardRangeMismatchRejected(t *testing.T) {
 	// And the converse: a shard run must not splice a whole-sweep journal.
 	wholePath := filepath.Join(t.TempDir(), "whole.ckpt")
 	cpw := openCheckpoint(t, wholePath)
-	if err := StreamCheckpointedBatch(context.Background(), 1, 1, whole[:6], cpw); err != nil {
+	if err := StreamCheckpointed(context.Background(), 1, whole[:6], cpw); err != nil {
 		t.Fatal(err)
 	}
 	cpw.Close()

@@ -204,43 +204,35 @@ func StreamMap[T any](ctx context.Context, procs, n int, fn func(ctx context.Con
 	return nil
 }
 
-// scratches recycles engine working buffers across the trials a worker
-// executes: sync.Pool's per-P caching makes a Get/Put pair around each
-// trial an effectively per-worker scratch, cutting the steady-state
-// allocation rate of long sweeps. Results are byte-identical with and
-// without reuse (the engine's scratch test pins that), so determinism
-// is untouched.
-var scratches = sync.Pool{New: func() any { return engine.NewScratch() }}
+// batchScratches recycles the batch kernel's working state — the lane's
+// engine scratch, reception bitsets and index, block schedules, and the
+// cross-trial topology cache — across the trials a worker executes:
+// sync.Pool's per-P caching makes a Get/Put pair around each trial an
+// effectively per-worker scratch. Results are byte-identical with and
+// without reuse (the engine's scratch tests pin that).
+var batchScratches = sync.Pool{New: func() any { return engine.NewBatchScratch() }}
 
 // Stream is the streaming run session: it executes every spec on a pool
 // of procs workers (procs <= 0 selects GOMAXPROCS) and delivers results
 // to the sinks in trial order with bounded buffering — a million-trial
 // sweep holds O(procs) live engine.Results instead of O(trials).
-// Delivery is single-goroutine and index-ordered, so sink output is
-// byte-identical for every procs value; ctx cancellation stops workers
-// at the next engine phase boundary and returns a *PartialError whose
-// Delivered prefix has reached every sink. Flush runs on every sink
-// even when the stream stops early.
+// Each trial runs on the batch kernel (engine.RunBatchContext, one trial
+// per call), whose results are byte-identical to the scalar engine's
+// (engine.Run stays the single-run engine and the differential tests'
+// oracle). Delivery is single-goroutine and index-ordered, so sink
+// output is byte-identical for every procs value; ctx cancellation stops
+// workers at the next engine phase boundary and returns a *PartialError
+// whose Delivered prefix has reached every sink. Flush runs on every
+// sink even when the stream stops early.
 func Stream(ctx context.Context, procs int, specs []TrialSpec, sinks ...Sink) error {
-	return stream(ctx, procs, specs, sinks, runScalar)
-}
-
-// runScalar executes one trial on the scalar engine with a pooled
-// scratch (unless Configure supplied one).
-func runScalar(ctx context.Context, opts engine.Options) (*engine.Result, error) {
-	if opts.Scratch == nil {
-		sc := scratches.Get().(*engine.Scratch)
-		defer scratches.Put(sc)
-		opts.Scratch = sc
-	}
-	return engine.RunContext(ctx, opts)
-}
-
-// stream is the session behind Stream and StreamBatch: run executes one
-// trial's options on the chosen engine.
-func stream(ctx context.Context, procs int, specs []TrialSpec, sinks []Sink, run func(context.Context, engine.Options) (*engine.Result, error)) error {
 	streamErr := StreamMap(ctx, procs, len(specs), func(ctx context.Context, i int) (*engine.Result, error) {
-		return run(ctx, specs[i].options())
+		bs := batchScratches.Get().(*engine.BatchScratch)
+		defer batchScratches.Put(bs)
+		rs, err := engine.RunBatchContext(ctx, []engine.Options{specs[i].options()}, bs)
+		if err != nil {
+			return nil, err
+		}
+		return rs[0], nil
 	}, func(i int, r *engine.Result) error {
 		for _, s := range sinks {
 			if err := s.Trial(i, r); err != nil {
@@ -255,6 +247,13 @@ func stream(ctx context.Context, procs int, specs []TrialSpec, sinks []Sink, run
 		}
 	}
 	return streamErr
+}
+
+// StreamBatch is Stream; width is ignored.
+//
+// Deprecated: every sweep runs on the batch kernel. Call Stream.
+func StreamBatch(ctx context.Context, procs, width int, specs []TrialSpec, sinks ...Sink) error {
+	return Stream(ctx, procs, specs, sinks...)
 }
 
 // collect is the Sink behind the RunTrials compatibility wrapper.
