@@ -17,15 +17,20 @@
 //	curl -sN localhost:8344/v1/jobs/<id>/results > runs.jsonl
 //
 // Every job writes its NDJSON output, one flushed line per trial, to
-// out.ndjson in its -dir subdirectory, and that file is also its resume
-// journal, so killing the server — SIGKILL included — loses nothing: on
+// <id>.ndjson in -dir, and that file is also its resume journal; a
+// store journal beside it, jobs.ndjson, records every job and its
+// state. Killing the server — SIGKILL included — loses nothing: on
 // restart, interrupted jobs keep the output's complete lines and run
 // only the trials it lacks, and their final NDJSON output is
 // byte-identical to an uninterrupted run (and to
-// `rcexp -scenario ... -trials N` with the same spec). SIGINT/SIGTERM
-// shut down gracefully: readiness is withdrawn first (GET /readyz turns
-// 503 while GET /healthz stays 200), then running jobs stop within
-// -drain, their output a valid prefix to resume from.
+// `rcexp -scenario ... -trials N` with the same spec). A job that
+// failed because its output belongs to a different sweep reruns from
+// trial 0 once its <id>.ndjson is deleted and it is resubmitted. A -dir
+// written in the older one-directory-per-job layout is imported on
+// start. SIGINT/SIGTERM shut down gracefully: readiness is withdrawn
+// first (GET /readyz turns 503 while GET /healthz stays 200), then
+// running jobs stop within -drain, their output a valid prefix to
+// resume from.
 package main
 
 import (

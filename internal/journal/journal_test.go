@@ -22,6 +22,9 @@ func TestOpenTruncatesAtFirstRejectedLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !l.Truncated() {
+		t.Fatal("Truncated() = false after dropping a rejected line")
+	}
 	if err := l.Append(4); err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +33,35 @@ func TestOpenTruncatesAtFirstRejectedLine(t *testing.T) {
 	}
 	if got, _ := os.ReadFile(path); string(got) != "1\n2\n4\n" {
 		t.Fatalf("journal after reopen and append: %q", got)
+	}
+}
+
+// TestOpenTruncatesOnlyATail: a newline-less tail alone is dropped; a
+// file of kept lines, or an empty one, is left as it is.
+func TestOpenTruncatesOnlyATail(t *testing.T) {
+	for _, tc := range []struct {
+		data, kept string
+		truncated  bool
+	}{
+		{"", "", false},
+		{"1\n2\n", "1\n2\n", false},
+		{"1\n2\ntorn", "1\n2\n", true},
+	} {
+		path := filepath.Join(t.TempDir(), "j")
+		if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(path, keepUpTo(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.Truncated() != tc.truncated {
+			t.Errorf("%q: Truncated() = %v, want %v", tc.data, l.Truncated(), tc.truncated)
+		}
+		l.Close()
+		if got, _ := os.ReadFile(path); string(got) != tc.kept {
+			t.Errorf("%q: file after open = %q, want %q", tc.data, got, tc.kept)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"rcbcast/internal/sim/sink"
 )
 
-// feed is one job's live result stream: the out.ndjson file plus an
+// feed is one job's live result stream: the <id>.ndjson file plus an
 // in-memory watch point so subscribers follow appends without polling
 // the filesystem. The file is both the job's output and its only
 // durable journal: a late subscriber reads it from byte 0 and gets
@@ -40,7 +40,7 @@ func newFeed(path string, terminal bool) *feed {
 	return fd
 }
 
-// openResults opens the job's out.ndjson as its record journal for a
+// openResults opens the job's output as its record journal for a
 // run over the trials [lo, lo+total) of an n-node sweep. Lines must be
 // the sweep's records in order: a line sink.ParseRecord rejects is a
 // torn or corrupt tail and is truncated, while a parseable line that is

@@ -11,7 +11,7 @@ import (
 )
 
 // recordLines renders n-node records for the given trial indices with
-// the NDJSON sink, exactly as a job writes out.ndjson.
+// the NDJSON sink, exactly as a job writes its output.
 func recordLines(n int, trials ...int) []byte {
 	var buf bytes.Buffer
 	s := sink.NewNDJSON(&buf)

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -44,6 +43,9 @@ func (s State) terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
+// valid reports whether s is one of the lifecycle states.
+func (s State) valid() bool { return s == StateQueued || s == StateRunning || s.terminal() }
+
 // Job is one submitted sweep: an immutable spec (scenario, trial count,
 // base seed) plus scheduling state. The spec fields are never mutated
 // after submit; the state fields are guarded by mu, and the progress
@@ -72,13 +74,11 @@ type Job struct {
 	// Version stamps the build that accepted the job (internal/version).
 	Version string
 
-	dir  string
+	out  string // the NDJSON output, <Dir>/<id>.ndjson, also the resume journal
 	feed *feed
 
-	saveMu sync.Mutex // serializes saveJob: one job.json.tmp per job
-
 	mu        sync.Mutex
-	sweep     string // sink.Fingerprint of the specs, pinned by the first run
+	sweep     string // sink.Fingerprint of the specs, pinned at submit
 	state     State
 	errMsg    string
 	partials  int // run attempts that ended in a *sim.PartialError
@@ -86,7 +86,7 @@ type Job struct {
 	cancelRun func() // non-nil while running
 
 	done      atomic.Int64 // trials delivered to sinks (sweep coordinates)
-	execBase  atomic.Int64 // trials already in out.ndjson when this run started
+	execBase  atomic.Int64 // trials already in the output when this run started
 	execStart atomic.Int64 // unixnano of the first executed delivery this run
 }
 
@@ -129,10 +129,6 @@ func (j *Job) shardLen() int {
 	lo, hi := j.shardRange()
 	return hi - lo
 }
-
-// Paths inside the job's store directory.
-func (j *Job) recordPath() string  { return filepath.Join(j.dir, "job.json") }
-func (j *Job) resultsPath() string { return filepath.Join(j.dir, "out.ndjson") }
 
 // Status is the wire form of a job's state — the status endpoint's
 // response body and one element of the list endpoint's.
@@ -208,24 +204,32 @@ func (m meterSink) Trial(i int, _ *engine.Result) error {
 
 func (m meterSink) Flush() error { return nil }
 
-// record converts the job to its persisted form (store.go).
-func (j *Job) record() jobRecord {
+// update is the job's mutable state as a store journal line (store.go).
+func (j *Job) update() jobRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	raw, _ := json.Marshal(j.Scenario)
 	return jobRecord{
 		ID:            j.ID,
 		Client:        j.Client,
-		Scenario:      raw,
-		Trials:        j.Trials,
-		BaseSeed:      j.BaseSeed,
-		Shard:         j.Shard,
-		Sweep:         j.sweep,
 		State:         j.state,
 		Done:          int(j.done.Load()),
 		PartialErrors: j.partials,
 		Canceled:      j.canceled,
 		Error:         j.errMsg,
-		Version:       j.Version,
 	}
+}
+
+// opening is the store journal line that opens the job: its update
+// plus the immutable spec and the pinned fingerprint.
+func (j *Job) opening() jobRecord {
+	rec := j.update()
+	rec.Scenario, _ = json.Marshal(j.Scenario)
+	rec.Trials = j.Trials
+	rec.BaseSeed = j.BaseSeed
+	rec.Shard = j.Shard
+	rec.Version = j.Version
+	j.mu.Lock()
+	rec.Sweep = j.sweep
+	j.mu.Unlock()
+	return rec
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 
@@ -38,9 +39,10 @@ var testExtraSinks func(*Job) []sim.Sink
 // Manager owns the job lifecycle: a bounded FIFO queue feeding a fixed
 // set of runner goroutines, each executing one job at a time on the
 // shared engine pool (Config.Procs workers via sim.Stream). All
-// durability flows through each job's out.ndjson, its record journal;
-// the manager itself keeps no state a restart cannot rebuild from the
-// store directory.
+// durability flows through two kinds of journal: the store journal
+// (jobs.ndjson), one line per job transition, and each job's output,
+// one line per trial. The manager keeps no state a restart cannot
+// rebuild from them.
 type Manager struct {
 	cfg     Config
 	version string
@@ -54,6 +56,7 @@ type Manager struct {
 
 	queue   chan *Job
 	limiter *limiter
+	store   *store
 
 	mu    sync.Mutex
 	jobs  map[string]*Job
@@ -65,9 +68,12 @@ type Manager struct {
 	draining  atomic.Bool
 }
 
-// NewManager opens (or creates) the store directory, re-admits every
-// resumable job found there — anything recorded as queued or running
-// when the previous process died — and starts the runner pool.
+// NewManager opens (or creates) the store directory, replays its store
+// journal, imports any jobs left in the older per-job directory layout,
+// re-admits every resumable job — anything recorded as queued or
+// running when the previous process died — and starts the runner pool.
+// A store journal line that breaks the record schema fails it with a
+// *StoreError.
 func NewManager(cfg Config) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
@@ -85,10 +91,15 @@ func NewManager(cfg Config) (*Manager, error) {
 	}
 	m.ctx, m.cancel = context.WithCancel(context.Background())
 
-	recs, err := loadRecords(cfg.Dir, func(err error) { m.logf("%v", err) })
+	st, recs, err := openStore(cfg.Dir, m.logf)
 	if err != nil {
 		return nil, err
 	}
+	if recs, err = importLegacy(cfg.Dir, st, recs, m.logf); err != nil {
+		st.close()
+		return nil, err
+	}
+	m.store = st
 	var resume []*Job
 	for _, rec := range recs {
 		j, err := m.jobFromRecord(rec)
@@ -115,9 +126,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	for _, j := range resume {
 		m.limiter.force(j.Client)
 		m.queue <- j
-		if err := saveJob(j); err != nil {
-			m.logf("%v", err)
-		}
 		m.logf("service: resuming job %s", j.ID)
 	}
 
@@ -145,7 +153,7 @@ func (m *Manager) jobFromRecord(rec jobRecord) (*Job, error) {
 		BaseSeed: rec.BaseSeed,
 		Shard:    rec.Shard,
 		Version:  rec.Version,
-		dir:      m.jobDir(rec.ID),
+		out:      outputPath(m.cfg.Dir, rec.ID),
 		sweep:    rec.Sweep,
 		state:    rec.State,
 		errMsg:   rec.Error,
@@ -153,11 +161,19 @@ func (m *Manager) jobFromRecord(rec jobRecord) (*Job, error) {
 		canceled: rec.Canceled,
 	}
 	j.done.Store(int64(rec.Done))
-	j.feed = newFeed(j.resultsPath(), rec.State.terminal())
+	j.feed = newFeed(j.out, rec.State.terminal())
 	return j, nil
 }
 
-func (m *Manager) jobDir(id string) string { return m.cfg.Dir + string(os.PathSeparator) + id }
+// save appends the job's current mutable state to the store journal.
+// A failed append is logged, not fatal: the job's output still holds
+// every delivered trial, so the worst a lost line costs is a rerun
+// that keeps them all.
+func (m *Manager) save(j *Job) {
+	if err := m.store.append(j.update); err != nil {
+		m.logf("%v", err)
+	}
+}
 
 func (m *Manager) logf(format string, args ...any) {
 	if m.Logf != nil {
@@ -165,11 +181,11 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// Submit accepts a sweep: validate, dedupe on the sweep key, enforce the
-// per-client cap and the queue bound, persist, enqueue. accepted
-// reports whether this call scheduled work (a fresh job or the
-// resumption of a failed/canceled one); a dedupe hit on a live or
-// completed job returns accepted = false.
+// Submit accepts a sweep: validate, dedupe on the sweep key, pin the
+// sweep fingerprint, enforce the per-client cap and the queue bound,
+// persist, enqueue. accepted reports whether this call scheduled work
+// (a fresh job or the resumption of a failed/canceled one); a dedupe
+// hit on a live or completed job returns accepted = false.
 func (m *Manager) Submit(client string, sc scenario.Scenario, trials int, baseSeed uint64) (j *Job, accepted bool, err error) {
 	return m.SubmitShard(client, sc, trials, baseSeed, scenario.Shard{})
 }
@@ -201,6 +217,10 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 	if existing, ok := m.jobs[id]; ok {
 		return m.resubmitLocked(existing, client)
 	}
+	sweep, err := pinSweep(sc, trials, baseSeed, sh)
+	if err != nil {
+		return nil, false, err
+	}
 
 	if !m.limiter.acquire(client) {
 		m.rejected.Add(1)
@@ -214,27 +234,26 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 		BaseSeed: baseSeed,
 		Shard:    sh,
 		Version:  m.version,
-		dir:      m.jobDir(id),
+		out:      outputPath(m.cfg.Dir, id),
+		sweep:    sweep,
 		state:    StateQueued,
 	}
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
-		m.limiter.release(client)
-		return nil, false, fmt.Errorf("service: create job dir: %w", err)
-	}
-	j.feed = newFeed(j.resultsPath(), false)
-	select {
-	case m.queue <- j:
-	default:
+	j.feed = newFeed(j.out, false)
+	// Every send to the queue holds m.mu, so room now is room at the
+	// send below. The opening line must land before a runner can see the
+	// job: its updates are only valid after it.
+	if len(m.queue) == cap(m.queue) {
 		m.limiter.release(client)
 		m.rejected.Add(1)
 		return nil, false, ErrQueueFull
 	}
+	if err := m.store.append(j.opening); err != nil {
+		m.logf("%v", err)
+	}
+	m.queue <- j
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.submitted.Add(1)
-	if err := saveJob(j); err != nil {
-		m.logf("%v", err)
-	}
 	if sh.IsZero() {
 		m.logf("service: job %s queued by %s (%d trials)", id, client, trials)
 	} else {
@@ -276,9 +295,7 @@ func (m *Manager) resubmitLocked(j *Job, client string) (*Job, bool, error) {
 	}
 	j.feed.reopen()
 	m.submitted.Add(1)
-	if err := saveJob(j); err != nil {
-		m.logf("%v", err)
-	}
+	m.save(j)
 	m.logf("service: job %s re-queued by %s (resume from %d trials)", j.ID, client, j.done.Load())
 	return j, true, nil
 }
@@ -342,9 +359,7 @@ func (m *Manager) Cancel(id string) error {
 	case queued:
 		j.feed.setTerminal()
 		m.limiter.release(j.Client)
-		if err := saveJob(j); err != nil {
-			m.logf("%v", err)
-		}
+		m.save(j)
 	}
 	m.logf("service: job %s cancel requested", id)
 	return nil
@@ -380,7 +395,7 @@ func (m *Manager) claim(j *Job) bool {
 }
 
 // runJob executes one job attempt through the streaming session and
-// classifies the outcome. Every path leaves out.ndjson a valid
+// classifies the outcome. Every path leaves the output a valid
 // contiguous prefix of the sweep's records, which is the whole
 // durability story: the next attempt — in this process or the next —
 // keeps it and appends the rest.
@@ -420,9 +435,7 @@ func (m *Manager) runJob(j *Job) {
 	if state.terminal() {
 		m.limiter.release(j.Client)
 	}
-	if err := saveJob(j); err != nil {
-		m.logf("%v", err)
-	}
+	m.save(j)
 	switch state {
 	case StateDone:
 		m.logf("service: job %s done (%d trials)", j.ID, j.done.Load())
@@ -435,37 +448,24 @@ func (m *Manager) runJob(j *Job) {
 	}
 }
 
-// runSweep is the one place a job touches the execution stack. It pins
-// the sweep's fingerprint in the job record on the first run (and
-// refuses a later run whose specs no longer match it), reopens
-// out.ndjson as the job's record journal, and streams only the trials
-// the file lacks, appending their lines after its kept prefix. Every
-// sink sees sweep-global trial indices.
+// runSweep is the one place a job touches the execution stack. It
+// refuses a run whose specs no longer match the fingerprint pinned at
+// submit, reopens the job's output as its record journal, and streams
+// only the trials the file lacks, appending their lines after its kept
+// prefix. Every sink sees sweep-global trial indices.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	specs, err := j.Scenario.ShardSpecs(j.BaseSeed, 0, j.Trials, j.Shard)
 	if err != nil {
 		return err
 	}
-	fp := sink.Fingerprint(specs)
-	j.mu.Lock()
-	if j.sweep == "" {
-		j.sweep = fp
-	}
-	pinned := j.sweep
-	j.mu.Unlock()
-	if err := saveJob(j); err != nil {
-		m.logf("%v", err)
-	}
-	if pinned != fp {
-		return fmt.Errorf(
-			"service: job %s was started by a different sweep (fingerprint %s, this sweep %s) — delete its directory to rerun it",
-			j.ID, pinned, fp)
+	if err := m.checkPin(j, sink.Fingerprint(specs)); err != nil {
+		return err
 	}
 	if testWrapSpecs != nil {
 		specs = testWrapSpecs(j, specs)
 	}
 	lo, _ := j.shardRange()
-	lg, done, size, err := openResults(j.resultsPath(), lo, specs[0].Params.N, len(specs))
+	lg, done, size, err := openResults(j.out, lo, specs[0].Params.N, len(specs))
 	if err != nil {
 		return err
 	}
@@ -484,6 +484,42 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		sinks[i] = sink.Offset(lo+done, s)
 	}
 	return sim.Stream(ctx, m.cfg.Procs, specs[done:], sinks...)
+}
+
+// checkPin compares a run's fingerprint with the job's pin. A mismatch
+// fails the run while the output holds any bytes, since they may be
+// another sweep's. With no output there is nothing to splice onto, so
+// the job is re-pinned instead: that is how an operator resets a job,
+// by deleting its output file.
+func (m *Manager) checkPin(j *Job, fp string) error {
+	j.mu.Lock()
+	pinned := j.sweep
+	j.mu.Unlock()
+	if pinned == fp {
+		return nil
+	}
+	if pinned != "" {
+		st, err := os.Stat(j.out)
+		if err == nil && st.Size() > 0 || err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf(
+				"service: job %s was started by a different sweep (fingerprint %s, this sweep %s) — delete %s to rerun it",
+				j.ID, pinned, fp, filepath.Base(j.out))
+		}
+	}
+	j.mu.Lock()
+	j.sweep = fp
+	j.mu.Unlock()
+	if err := m.store.append(func() jobRecord {
+		rec := j.update()
+		rec.Sweep = fp
+		return rec
+	}); err != nil {
+		return err
+	}
+	if pinned != "" {
+		m.logf("service: job %s has no output; re-pinned from fingerprint %s to %s", j.ID, pinned, fp)
+	}
+	return nil
 }
 
 // BeginDrain flips the service to not-ready: GET /readyz answers 503
@@ -511,6 +547,9 @@ func (m *Manager) Close(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
+		if err := m.store.close(); err != nil {
+			m.logf("service: close store journal: %v", err)
+		}
 		close(done)
 	}()
 	select {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -63,21 +64,24 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatalf("drained job delivered %d trials, want a strict mid-run prefix", st.Done)
 	}
 
-	// Make the store look SIGKILLed rather than drained: the record
-	// still claims "running" and the journal's last line is torn.
-	recPath := filepath.Join(dir, j.ID, "job.json")
-	rec, err := os.ReadFile(recPath)
+	// Make the store look SIGKILLed rather than drained: the job's last
+	// journal line still claims "running" and its output's last line is
+	// torn.
+	storePath := filepath.Join(dir, "jobs.ndjson")
+	rec, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	doctored := bytes.Replace(rec, []byte(`"state": "queued"`), []byte(`"state": "running"`), 1)
-	if bytes.Equal(doctored, rec) {
+	queued := []byte(`"state":"queued"`)
+	last := bytes.LastIndex(rec, queued)
+	if last < 0 || bytes.IndexByte(rec[last:], '\n') != len(rec[last:])-1 {
 		t.Fatalf("record did not contain the queued state:\n%s", rec)
 	}
-	if err := os.WriteFile(recPath, doctored, 0o644); err != nil {
+	doctored := slices.Concat(rec[:last], []byte(`"state":"running"`), rec[last+len(queued):])
+	if err := os.WriteFile(storePath, doctored, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	jf, err := os.OpenFile(filepath.Join(dir, j.ID, "out.ndjson"), os.O_APPEND|os.O_WRONLY, 0)
+	jf, err := os.OpenFile(filepath.Join(dir, j.ID+".ndjson"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +174,11 @@ func TestForeignJournalFailsTheJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	journal, err := os.ReadFile(jA.resultsPath())
+	journal, err := os.ReadFile(jA.out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.MkdirAll(filepath.Join(dir, idB), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, idB, "out.ndjson"), journal, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, idB+".ndjson"), journal, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -212,10 +213,11 @@ func TestStoreSkipsCorruptRecords(t *testing.T) {
 	}
 }
 
-// TestStaleSweepFingerprintFailsTheJob: job.json pins the fingerprint
-// of the specs its first run streamed. A restarted job whose specs hash
-// differently must fail loudly and leave out.ndjson as it was, never
-// append another sweep's trials to it.
+// TestStaleSweepFingerprintFailsTheJob: the store journal pins the
+// fingerprint of the job's specs at submit. A restarted job whose specs
+// hash differently must fail loudly and leave its output as it was,
+// never append another sweep's trials to it. Once the operator deletes
+// the output, the same resubmit re-pins the job and reruns it.
 func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
 	dir := t.TempDir()
 	sc := testScenario("stale-fingerprint")
@@ -246,16 +248,16 @@ func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
 	}
 	teardown()
 
-	recPath := filepath.Join(dir, j.ID, "job.json")
-	rec, err := os.ReadFile(recPath)
+	storePath := filepath.Join(dir, "jobs.ndjson")
+	rec, err := os.ReadFile(storePath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pinned := `"sweep": "` + j.sweep + `"`
+	pinned := `"sweep":"` + j.sweep + `"`
 	if j.sweep == "" || !bytes.Contains(rec, []byte(pinned)) {
 		t.Fatalf("record does not pin the sweep fingerprint %q:\n%s", j.sweep, rec)
 	}
-	if err := os.WriteFile(recPath, bytes.Replace(rec, []byte(pinned), []byte(`"sweep": "0123456789abcdef"`), 1), 0o644); err != nil {
+	if err := os.WriteFile(storePath, bytes.Replace(rec, []byte(pinned), []byte(`"sweep":"0123456789abcdef"`), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	before := readResults(t, j)
@@ -269,10 +271,39 @@ func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
 		t.Fatalf("resubmit: accepted=%v err=%v", accepted, err)
 	}
 	st := waitStatus(t, j2, "failed", stateIs(StateFailed))
-	if !strings.Contains(st.Error, "different sweep") {
-		t.Fatalf("failure %q does not name the fingerprint mismatch", st.Error)
+	if !strings.Contains(st.Error, "different sweep") || !strings.Contains(st.Error, "delete "+j.ID+".ndjson") {
+		t.Fatalf("failure %q does not name the fingerprint mismatch and the reset", st.Error)
 	}
 	if got := readResults(t, j2); !bytes.Equal(got, before) {
-		t.Fatalf("a stale-fingerprint run modified out.ndjson (%d bytes, was %d)", len(got), len(before))
+		t.Fatalf("a stale-fingerprint run modified its output (%d bytes, was %d)", len(got), len(before))
+	}
+	if err := m2.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	// The operator reset: with the output gone, the resubmit re-pins the
+	// job and reruns it from trial 0, and the new pin survives a restart.
+	if err := os.Remove(j2.out); err != nil {
+		t.Fatal(err)
+	}
+	m3 := newTestManager(t, Config{Dir: dir, Procs: 2})
+	j3, accepted, err := m3.Submit("alice", sc, trials, 1)
+	if err != nil || !accepted {
+		t.Fatalf("resubmit after reset: accepted=%v err=%v", accepted, err)
+	}
+	waitStatus(t, j3, "done after reset", stateIs(StateDone))
+	if got, want := readResults(t, j3), referenceNDJSON(t, sc, trials, 1); !bytes.Equal(got, want) {
+		t.Fatalf("rerun after reset differs from an uninterrupted run (%d vs %d bytes)", len(got), len(want))
+	}
+	if err := m3.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
+	m4 := newTestManager(t, Config{Dir: dir, Procs: 2})
+	j4, ok := m4.Get(j.ID)
+	if !ok {
+		t.Fatal("restarted manager lost the re-pinned job")
+	}
+	if j4.sweep != j.sweep || j4.Status().State != StateDone {
+		t.Fatalf("after restart the job is %s pinned to %q, want done pinned to %q", j4.Status().State, j4.sweep, j.sweep)
 	}
 }

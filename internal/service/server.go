@@ -21,7 +21,7 @@ import (
 //	GET  /v1/jobs              list all jobs
 //	GET  /v1/jobs/{id}         one job's status and progress
 //	GET  /v1/jobs/{id}/results stream results as NDJSON: read the
-//	                           job's out.ndjson from byte 0, then
+//	                           job's <id>.ndjson from byte 0, then
 //	                           follow live appends until the job is
 //	                           terminal
 //	POST /v1/jobs/{id}/cancel  request cancellation
@@ -173,7 +173,7 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 	s.m.StreamStart()
 	defer s.m.StreamEnd()
 
-	f, err := os.Open(j.resultsPath())
+	f, err := os.Open(j.out)
 	if err != nil && !os.IsNotExist(err) {
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
@@ -190,7 +190,7 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 			if f == nil {
 				// The job had produced nothing when we attached; its
 				// first append created the file.
-				if f, err = os.Open(j.resultsPath()); err != nil {
+				if f, err = os.Open(j.out); err != nil {
 					return
 				}
 			}

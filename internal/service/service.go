@@ -9,16 +9,19 @@
 // caps, so heavy users queue behind their own work instead of starving
 // everyone else's.
 //
-// Durability is the output's own (DESIGN.md §12): each job's
-// out.ndjson is an internal/journal record journal, one flushed line
-// per trial, so a killed server — SIGKILL included — reopens it on
-// restart, drops at most a torn tail, and runs only the trials it
-// lacks; the job's final NDJSON output is byte-identical to an
-// uninterrupted run. job.json pins the sweep fingerprint, so a resume
-// never appends another sweep's trials. Live result streaming reads the
-// same bytes: a subscriber attaching mid-job (or after a resume) reads
-// the output from trial 0 and then follows appends, so every subscriber
-// sees the one canonical byte stream.
+// Durability rests on two internal/journal files (DESIGN.md §12). Each
+// job's output, <id>.ndjson in the store directory, is its record
+// journal, one flushed line per trial, so a killed server — SIGKILL
+// included — reopens it on restart, drops at most a torn tail, and runs
+// only the trials it lacks; the job's final NDJSON output is
+// byte-identical to an uninterrupted run. The store journal,
+// jobs.ndjson, holds one line per job transition: the line that opens
+// a job pins its sweep fingerprint, so a resume never appends another
+// sweep's trials; a job failed by that check reruns from trial 0 once
+// its output is deleted and it is resubmitted. Live result streaming
+// reads the same bytes: a subscriber attaching mid-job (or after a
+// resume) reads the output from trial 0 and then follows appends, so
+// every subscriber sees the one canonical byte stream.
 //
 // The layering is strict: service sits above scenario, sim and
 // sim/sink, and below cmd/rcserved. It adds no execution semantics of
@@ -32,9 +35,11 @@ import "time"
 // Config sizes the service. The zero value of any field selects its
 // default, so Config{Dir: dir} is a working single-runner service.
 type Config struct {
-	// Dir is the job store root: one subdirectory per job holding the
-	// job record (job.json) and the NDJSON output (out.ndjson), which
-	// doubles as the job's resume journal. Required.
+	// Dir is the job store root: the store journal (jobs.ndjson), one
+	// line per job transition, beside one flat <id>.ndjson per job, its
+	// NDJSON output, which doubles as the job's resume journal. A store
+	// in the older layout (a <id>/ directory per job holding job.json
+	// and out.ndjson) is imported on start. Required.
 	Dir string
 	// Procs is the engine worker-pool size each running job uses
 	// (<= 0 selects GOMAXPROCS, as everywhere in internal/sim).

@@ -389,7 +389,7 @@ func TestResultsStreamFollowsLiveAppends(t *testing.T) {
 // readResults drains a job's results file directly.
 func readResults(t *testing.T, j *Job) []byte {
 	t.Helper()
-	data, err := os.ReadFile(j.resultsPath())
+	data, err := os.ReadFile(j.out)
 	if err != nil {
 		t.Fatal(err)
 	}
