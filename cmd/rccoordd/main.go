@@ -76,7 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		baseSeed  = fs.Uint64("seed", 1, "base seed")
 		shardSize = fs.Int("shard-size", 0, "trials per shard (0 = auto: about four shards per worker slot)")
 		window    = fs.Int("window", 0, "merge reorder window in shards (0 = auto)")
-		perWorker = fs.Int("per-worker", dist.DefaultPerWorker, "in-flight shards per worker")
+		perWorker = fs.Int("per-worker", dist.DefaultPerWorker, "shards streamed at once per worker; each slot also keeps one shard submitted ahead in the worker's queue")
 		attempts  = fs.Int("attempts", dist.DefaultMaxAttempts, "run attempts per shard before the sweep fails")
 		stall     = fs.Duration("stall", dist.DefaultStallTimeout, "abandon a shard attempt whose result stream is silent this long")
 		backoff   = fs.Duration("backoff", dist.DefaultBackoff, "first retry delay for a failing worker (doubles per consecutive failure, jittered)")

@@ -324,28 +324,65 @@ func (c *Coordinator) merge(run *runState, out *bufio.Writer, cw *countingWriter
 }
 
 // workerLoop is one worker slot: claim the lowest runnable shard, run
-// it, repeat. The loop parks while its member drains or is suspect and
-// exits when the member dies or the sweep ends. A failed attempt is
-// classified (classify): a permanent failure fails the sweep; a member
-// fault the member's probe confirms requeues the shard uncharged; any
-// other failure costs the shard an attempt. Failed attempts requeue the
-// shard immediately — any worker may reclaim it — while a charged slot
-// backs off exponentially with deterministic jitter, so a mass failure
-// neither delays reassignment nor resubmits in lockstep.
+// it, repeat. Once the current shard's submit succeeds, the slot
+// submits its next shard ahead (submitAhead) and only then follows the
+// current one, so the worker's queue already holds the next job when
+// the running one ends; the next iteration follows that job without
+// submitting it again. The loop parks while its member drains or is
+// suspect and exits when the member dies or the sweep ends, in both
+// cases first putting back an ahead shard it has not followed. A failed
+// attempt is classified (classify): a permanent failure fails the
+// sweep; a member fault the member's probe confirms requeues the shard
+// uncharged; any other failure costs the shard an attempt. Failed
+// attempts requeue the shard immediately — any worker may reclaim it —
+// while a charged slot backs off exponentially with deterministic
+// jitter, so a mass failure neither delays reassignment nor resubmits
+// in lockstep.
 func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, w *workerClient) {
 	consecutive := 0
-	for {
-		if !m.waitReady(ctx) {
-			return
+	ahead, aheadID := -1, "" // a submitted shard this slot has not followed yet
+	fresh := true            // counted as waiting since startMemberLocked
+	defer func() {
+		if fresh {
+			run.sched.uncount()
 		}
-		idx, ok, err := run.sched.claim(ctx)
-		if err != nil || !ok {
-			return
+		if ahead >= 0 {
+			c.release(run, m, ahead)
+		}
+	}()
+	for {
+		var idx int
+		var id string
+		var runErr error
+		if ahead >= 0 && m.getState() == StateReady {
+			idx, id, ahead = ahead, aheadID, -1
+		} else {
+			if ahead >= 0 {
+				c.release(run, m, ahead)
+				ahead = -1
+			}
+			if fresh && m.getState() != StateReady {
+				run.sched.uncount() // a parked slot must not hold back others' ahead submits
+				fresh = false
+			}
+			if !m.waitReady(ctx) {
+				return
+			}
+			var ok bool
+			var err error
+			idx, ok, err = run.sched.claimAs(ctx, fresh)
+			fresh = false
+			if err != nil || !ok {
+				return
+			}
+			c.assign(run, m, idx)
+			id, runErr = w.submit(ctx, run.shards[idx].shard)
 		}
 		st := run.shards[idx]
-		st.setPhase(phaseAssigned)
-		c.addInflight(m.base, 1)
-		runErr := w.runShard(ctx, st)
+		if runErr == nil {
+			ahead, aheadID = c.submitAhead(ctx, run, m, w)
+			runErr = w.follow(ctx, id, st)
+		}
 		c.addInflight(m.base, -1)
 
 		if runErr == nil {
@@ -353,6 +390,13 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 			run.sched.markDone()
 			consecutive = 0
 			continue
+		}
+		// The ahead shard never ran here: it goes back uncharged, and
+		// the worker may still run its queued job — a later submit of
+		// the shard lands on the same job id.
+		if ahead >= 0 {
+			c.release(run, m, ahead)
+			ahead = -1
 		}
 		if run.ctx.Err() != nil {
 			return // the whole sweep is stopping
@@ -410,6 +454,43 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 			return
 		}
 	}
+}
+
+// submitAhead claims and submits the slot's next shard while the
+// current one still runs, returning its index and job id, or -1 when
+// there is none: the member is not ready, another slot is waiting for
+// work (tryClaim), or the submit failed. A failed submit puts the shard
+// back uncharged, with no retry counted and no backoff — it never ran.
+func (c *Coordinator) submitAhead(ctx context.Context, run *runState, m *member, w *workerClient) (int, string) {
+	if m.getState() != StateReady {
+		return -1, ""
+	}
+	idx, ok := run.sched.tryClaim()
+	if !ok {
+		return -1, ""
+	}
+	c.assign(run, m, idx)
+	id, err := w.submit(ctx, run.shards[idx].shard)
+	if err != nil {
+		c.logf("dist: shard %s not submitted ahead to %s: %v — requeued", run.shards[idx].shard, w.base, err)
+		c.release(run, m, idx)
+		return -1, ""
+	}
+	return idx, id
+}
+
+// assign marks a claimed shard in flight on m.
+func (c *Coordinator) assign(run *runState, m *member, idx int) {
+	run.shards[idx].setPhase(phaseAssigned)
+	c.addInflight(m.base, 1)
+}
+
+// release undoes assign for a shard that did not run here: back to the
+// pending queue, uncharged.
+func (c *Coordinator) release(run *runState, m *member, idx int) {
+	run.shards[idx].setPhase(phasePending)
+	c.addInflight(m.base, -1)
+	run.sched.requeue(idx)
 }
 
 func (c *Coordinator) addInflight(base string, d int) {

@@ -52,10 +52,12 @@ import (
 
 // Defaults, exported so cmd/rccoordd's flag help states them once.
 const (
-	// DefaultPerWorker is the in-flight shard cap per worker. One
-	// matches the worker service's single-runner default: a second
-	// in-flight shard would only sit in the worker's queue aging the
-	// coordinator's stall clock.
+	// DefaultPerWorker is the number of shards a worker's slots stream
+	// at once. One matches the worker service's single-runner default.
+	// Each slot also keeps one shard submitted ahead in the worker's
+	// queue, so the runner starts the next job the moment the current
+	// one ends; queue time is not charged to the stall clock, which
+	// starts when the slot follows the job.
 	DefaultPerWorker = 1
 	// DefaultMaxAttempts bounds one shard's run attempts before the
 	// sweep fails — generous enough to ride out a worker death plus a
@@ -101,8 +103,12 @@ type Config struct {
 	// sim.Window. Zero picks 4·workers·PerWorker. Peak buffered memory
 	// is WindowShards · ShardSize result lines.
 	WindowShards int
-	// PerWorker caps concurrently in-flight shards per worker
-	// (default DefaultPerWorker).
+	// PerWorker is the number of slots per worker: shards it streams
+	// at once (default DefaultPerWorker). Each slot submits its next
+	// shard ahead while it follows the current one, so up to
+	// 2·PerWorker shards are in flight per worker, at most PerWorker of
+	// them queued. An ahead submit the worker refuses (the per-client
+	// cap, say) just leaves the shard pending.
 	PerWorker int
 	// MaxAttempts bounds one shard's charged run attempts (default
 	// DefaultMaxAttempts). A failure on a member its probe then finds

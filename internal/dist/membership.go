@@ -152,6 +152,7 @@ func (c *Coordinator) startMemberLocked(run *runState, m *member) {
 	mctx, cancel := context.WithCancel(run.ctx)
 	m.setCancel(cancel)
 	run.wg.Add(1 + run.cfg.PerWorker)
+	run.sched.expect(run.cfg.PerWorker)
 	go func() {
 		defer run.wg.Done()
 		c.probeLoop(mctx, run.cfg, m)

@@ -22,6 +22,7 @@ type sched struct {
 	done     int   // shards completed (lines all buffered)
 	total    int
 	window   int
+	waiting  int           // slots wanting a shard: in claim, or started and not claiming yet
 	watch    chan struct{} // closed and replaced on every state change
 }
 
@@ -56,16 +57,29 @@ func (s *sched) notifyLocked() {
 // worker keeps claim waiting: it will either complete (markDone) or
 // requeue, and both notify.
 func (s *sched) claim(ctx context.Context) (idx int, ok bool, err error) {
+	return s.claimAs(ctx, false)
+}
+
+// claimAs is claim for a caller that expect already counted as waiting
+// (counted) or not. Either way the caller counts as waiting for the
+// whole call, so a tryClaim racing its wake-up never takes its shard,
+// and stops counting when the call returns.
+func (s *sched) claimAs(ctx context.Context, counted bool) (idx int, ok bool, err error) {
+	s.mu.Lock()
+	if !counted {
+		s.waiting++
+	}
+	defer func() {
+		s.waiting--
+		s.mu.Unlock()
+	}()
 	for {
-		s.mu.Lock()
 		if s.done == s.total {
-			s.mu.Unlock()
 			return 0, false, nil
 		}
 		if len(s.pending) > 0 && s.pending[0] < s.frontier+s.window {
 			idx = s.pending[0]
 			s.pending = s.pending[1:]
-			s.mu.Unlock()
 			return idx, true, nil
 		}
 		watch := s.watch
@@ -73,9 +87,45 @@ func (s *sched) claim(ctx context.Context) (idx int, ok bool, err error) {
 		select {
 		case <-watch:
 		case <-ctx.Done():
-			return 0, false, ctx.Err()
+		}
+		s.mu.Lock()
+		if err := ctx.Err(); err != nil {
+			return 0, false, err
 		}
 	}
+}
+
+// expect counts n slots that are starting as waiting for a shard, so
+// no tryClaim takes the shards they are about to claim. Each one stops
+// counting at its first claimAs(ctx, true), or at uncount if it never
+// gets there.
+func (s *sched) expect(n int) {
+	s.mu.Lock()
+	s.waiting += n
+	s.mu.Unlock()
+}
+
+// uncount drops one expected slot that leaves before its first claim.
+func (s *sched) uncount() {
+	s.mu.Lock()
+	s.waiting--
+	s.mu.Unlock()
+}
+
+// tryClaim is claim's non-blocking form for submitting a shard ahead:
+// it takes the lowest pending shard inside the window, but never while
+// another slot waits for one — a slot with nothing to run has first
+// call on every shard, so a small sweep spreads across the pool instead
+// of queueing up behind one busy slot.
+func (s *sched) tryClaim() (idx int, ok bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.waiting > 0 || len(s.pending) == 0 || s.pending[0] >= s.frontier+s.window {
+		return 0, false
+	}
+	idx = s.pending[0]
+	s.pending = s.pending[1:]
+	return idx, true
 }
 
 // requeue returns a failed shard to the pending queue so any worker can

@@ -71,19 +71,8 @@ type submitBody struct {
 	Shard    scenario.Shard  `json:"shard"`
 }
 
-// runShard executes one shard attempt end to end: submit (idempotent —
-// a repeat lands on the same worker-side job and journal), then follow
-// the result stream until every one of the shard's lines is buffered.
-// The caller owns st exclusively for the duration of the call.
-func (w *workerClient) runShard(ctx context.Context, st *shardState) error {
-	id, err := w.submit(ctx, st.shard)
-	if err != nil {
-		return err
-	}
-	return w.follow(ctx, id, st)
-}
-
-// submit posts the shard job and returns its id. Failures carry the
+// submit posts the shard job and returns its id. It is idempotent: a
+// repeat lands on the same worker-side job and output. Failures carry the
 // type classify reads: a transport error, an HTTP status, or an
 // unbuildable request.
 func (w *workerClient) submit(ctx context.Context, sh scenario.Shard) (string, error) {

@@ -101,6 +101,16 @@ func TestRefoldRejectsMalformedPrefix(t *testing.T) {
 	}
 }
 
+// runShard is one shard attempt end to end, as a slot with nothing
+// submitted ahead runs it: submit, then follow.
+func (w *workerClient) runShard(ctx context.Context, st *shardState) error {
+	id, err := w.submit(ctx, st.shard)
+	if err != nil {
+		return err
+	}
+	return w.follow(ctx, id, st)
+}
+
 // TestClassifyFaults pins who is blamed for each way a shard attempt
 // fails, from real failures of the worker client against fake workers.
 func TestClassifyFaults(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sync"
@@ -183,9 +184,10 @@ func (m *Manager) logf(format string, args ...any) {
 
 // Submit accepts a sweep: validate, dedupe on the sweep key, pin the
 // sweep fingerprint, enforce the per-client cap and the queue bound,
-// persist, enqueue. accepted reports whether this call scheduled work
-// (a fresh job or the resumption of a failed/canceled one); a dedupe
-// hit on a live or completed job returns accepted = false.
+// persist, enqueue, and create a new job's empty output. accepted
+// reports whether this call scheduled work (a fresh job or the
+// resumption of a failed/canceled one); a dedupe hit on a live or
+// completed job returns accepted = false.
 func (m *Manager) Submit(client string, sc scenario.Scenario, trials int, baseSeed uint64) (j *Job, accepted bool, err error) {
 	return m.SubmitShard(client, sc, trials, baseSeed, scenario.Shard{})
 }
@@ -213,20 +215,32 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 	}
 
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	if existing, ok := m.jobs[id]; ok {
+		defer m.mu.Unlock()
 		return m.resubmitLocked(existing, client)
 	}
-	sweep, err := pinSweep(sc, trials, baseSeed, sh)
+	j, err = m.admitLocked(client, sc, trials, baseSeed, sh, id)
+	m.mu.Unlock()
 	if err != nil {
 		return nil, false, err
+	}
+	m.createOutput(j)
+	return j, true, nil
+}
+
+// admitLocked pins, persists and enqueues a job id no earlier submit
+// made. Callers hold m.mu.
+func (m *Manager) admitLocked(client string, sc scenario.Scenario, trials int, baseSeed uint64, sh scenario.Shard, id string) (*Job, error) {
+	sweep, err := pinSweep(sc, trials, baseSeed, sh)
+	if err != nil {
+		return nil, err
 	}
 
 	if !m.limiter.acquire(client) {
 		m.rejected.Add(1)
-		return nil, false, ErrClientBusy
+		return nil, ErrClientBusy
 	}
-	j = &Job{
+	j := &Job{
 		ID:       id,
 		Client:   client,
 		Scenario: sc,
@@ -245,7 +259,7 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 	if len(m.queue) == cap(m.queue) {
 		m.limiter.release(client)
 		m.rejected.Add(1)
-		return nil, false, ErrQueueFull
+		return nil, ErrQueueFull
 	}
 	if err := m.store.append(j.opening); err != nil {
 		m.logf("%v", err)
@@ -259,7 +273,25 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 	} else {
 		m.logf("service: job %s queued by %s (shard %s of %d trials)", id, client, sh, trials)
 	}
-	return j, true, nil
+	return j, nil
+}
+
+// createOutput creates a newly admitted job's empty output file on the
+// submitting goroutine, outside m.mu. A coordinator submits its next
+// shard while the runner still computes the current one, so the inode
+// creation happens off the runner's path and the run's openResults only
+// opens an existing file. An existing file is never touched (O_EXCL):
+// the runner may have got there first, and a file another sweep left is
+// the runner's to reject. Any other failure is only logged — the run
+// creates the file itself, as it always could.
+func (m *Manager) createOutput(j *Job) {
+	f, err := os.OpenFile(j.out, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err == nil {
+		err = f.Close()
+	}
+	if err != nil && !errors.Is(err, fs.ErrExist) {
+		m.logf("service: job %s: create output: %v", j.ID, err)
+	}
 }
 
 // resubmitLocked handles a submit that hits an existing job id: live and

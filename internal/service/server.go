@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"strings"
+	"sync"
 
 	"rcbcast/internal/scenario"
 )
@@ -164,6 +165,8 @@ func (s *Server) cancel(w http.ResponseWriter, r *http.Request) {
 // until the job reaches a terminal state and the subscriber has read
 // every byte. A resume keeps the file's complete lines and appends
 // after them, so the bytes a subscriber already holds never change.
+// The file is opened only once the feed shows bytes: the empty file a
+// submit creates may still be replaced before the job's run opens it.
 func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.m.Get(r.PathValue("id"))
 	if !ok {
@@ -173,23 +176,32 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 	s.m.StreamStart()
 	defer s.m.StreamEnd()
 
-	f, err := os.Open(j.out)
-	if err != nil && !os.IsNotExist(err) {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
+	var f *os.File
+	defer func() {
+		if f != nil {
+			f.Close()
+		}
+	}()
+	if size, _, _ := j.feed.snapshot(); size > 0 {
+		var err error
+		if f, err = os.Open(j.out); err != nil && !os.IsNotExist(err) {
+			writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 
+	bp := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(bp)
+	buf := *bp
 	var offset int64
-	buf := make([]byte, 32*1024)
 	for {
 		size, watch, terminal := j.feed.snapshot()
 		for offset < size {
 			if f == nil {
-				// The job had produced nothing when we attached; its
-				// first append created the file.
+				var err error
 				if f, err = os.Open(j.out); err != nil {
 					return
 				}
@@ -201,7 +213,6 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 			read, err := f.ReadAt(buf[:n], offset)
 			if read > 0 {
 				if _, werr := w.Write(buf[:read]); werr != nil {
-					closeQuietly(f)
 					return
 				}
 				offset += int64(read)
@@ -212,23 +223,23 @@ func (s *Server) results(w http.ResponseWriter, r *http.Request) {
 		}
 		rc.Flush()
 		if terminal && offset >= size {
-			closeQuietly(f)
 			return
 		}
 		select {
 		case <-watch:
 		case <-r.Context().Done():
-			closeQuietly(f)
 			return
 		}
 	}
 }
 
-func closeQuietly(f *os.File) {
-	if f != nil {
-		f.Close()
-	}
-}
+// copyBufs recycles results' 32 KiB copy buffers: a shard's output is
+// about 10 KB, so a fresh buffer per GET would cost more to allocate
+// and clear than the copy itself.
+var copyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32*1024)
+	return &b
+}}
 
 // health is pure liveness: 200 whenever the process answers at all,
 // draining included. Readiness is the separate /readyz signal.
