@@ -15,8 +15,9 @@ const (
 	// shards.
 	StateReady = "ready"
 	// StateDraining: the worker is alive but reports not-ready (its
-	// /readyz answers 503 — a graceful shutdown in progress). Its
-	// in-flight shards run to completion, but its slots claim nothing
+	// /readyz answers 503 — a graceful shutdown in progress). The
+	// shards its slots are following run to completion, a shard they
+	// submitted ahead goes back to the queue, and they claim nothing
 	// new until it reports ready again.
 	StateDraining = "draining"
 	// StateSuspect: one of the worker's shard attempts failed as a
