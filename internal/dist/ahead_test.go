@@ -167,14 +167,16 @@ func attempts(c *Coordinator) []int {
 // TestRetryAheadSubmitPrecedesFollow: a slot submits shard k+1 before
 // it follows shard k. The fake worker holds each shard's feed until the
 // next shard's submit arrives, so a coordinator that followed first
-// would never see shard k end.
+// would never see shard k end. The last shard is the exception: with
+// one shard left for one slot, nothing runs ahead (tryClaim), so its
+// predecessor's feed is not held.
 func TestRetryAheadSubmitPrecedesFollow(t *testing.T) {
 	sc := testScenario("dist-ahead-order")
 	const trials, size = 24, 4
 	want := referenceNDJSON(t, sc, trials, 1)
 	w := newFakeWorker(t, want)
 	w.results = func(rw http.ResponseWriter, r *http.Request, sh scenario.Shard) bool {
-		if sh.Hi < trials && !w.waitSubmit(sh.Hi, 1) {
+		if sh.Hi+size < trials && !w.waitSubmit(sh.Hi, 1) {
 			t.Errorf("shard %s: feed held %v and the next shard was never submitted", sh, aheadWait)
 		}
 		return false
@@ -442,7 +444,7 @@ func TestSchedulerTryClaimYieldsToWaiters(t *testing.T) {
 	if idx, ok := s.tryClaim(); !ok || idx != 0 {
 		t.Fatalf("tryClaim = %d,%v, want 0", idx, ok)
 	}
-	if idx, ok, _ := s.claim(context.Background()); !ok || idx != 1 {
+	if idx, ok, _ := s.claim(context.Background(), false); !ok || idx != 1 {
 		t.Fatalf("claim = %d,%v, want 1", idx, ok)
 	}
 	if idx, ok := s.tryClaim(); ok {
@@ -451,7 +453,7 @@ func TestSchedulerTryClaimYieldsToWaiters(t *testing.T) {
 
 	got := make(chan int, 1)
 	go func() {
-		idx, _, _ := s.claim(context.Background())
+		idx, _, _ := s.claim(context.Background(), false)
 		got <- idx
 	}()
 	deadline := time.Now().Add(aheadWait)
@@ -477,5 +479,120 @@ func TestSchedulerTryClaimYieldsToWaiters(t *testing.T) {
 	s.requeue(0)
 	if idx, ok := s.tryClaim(); !ok || idx != 0 {
 		t.Fatalf("with no claim waiting, tryClaim = %d,%v, want 0", idx, ok)
+	}
+}
+
+// TestDrainMemberAtStartLeavesAheadOn: a member that is already
+// draining when its slot starts parks that slot, and the parked slot
+// stops counting as waiting for a shard — a ready slot still submits
+// ahead (its feeds are held until it does) and the draining worker gets
+// no submit.
+func TestDrainMemberAtStartLeavesAheadOn(t *testing.T) {
+	sc := testScenario("dist-ahead-drain-start")
+	const trials, size = 40, 4
+	want := referenceNDJSON(t, sc, trials, 1)
+	ready, draining := newFakeWorker(t, want), newFakeWorker(t, want)
+	draining.readyz.Store(http.StatusServiceUnavailable)
+	var c *Coordinator
+	ready.results = func(rw http.ResponseWriter, r *http.Request, sh scenario.Shard) bool {
+		if sh.Lo == 0 {
+			// Shard 1 may not have gone ahead: the draining slot counts
+			// as waiting from its start until it parks. Once it has
+			// parked, nothing waits for a shard.
+			c.mu.Lock()
+			s := c.run.sched
+			c.mu.Unlock()
+			for deadline := time.Now().Add(aheadWait); ; time.Sleep(time.Millisecond) {
+				s.mu.Lock()
+				waiting := s.waiting
+				s.mu.Unlock()
+				if waiting == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Errorf("the parked slot still counts as waiting for a shard")
+					break
+				}
+			}
+			return false
+		}
+		// Two slots: a shard runs ahead only while more than two are
+		// claimable, so the feeds of the last three shards are not held.
+		if sh.Hi+2*size < trials && !ready.waitSubmit(sh.Hi, 1) {
+			t.Errorf("shard %s: feed held %v and the next shard was never submitted ahead", sh, aheadWait)
+		}
+		return false
+	}
+	cfg := fastProbes(Config{Workers: []string{ready.URL, draining.URL}, ShardSize: size, WindowShards: 64, Logf: t.Logf})
+	cfg.LivenessDeadline = time.Hour
+	var err error
+	if c, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	c.members[draining.URL].setState(StateDraining)
+	if got := runSweep(t, c, sc, trials); !bytes.Equal(got, want) {
+		t.Fatalf("merged output differs from scenario.Stream (%d vs %d bytes)", len(got), len(want))
+	}
+	if got := draining.submits(); len(got) != 0 {
+		t.Fatalf("the draining worker got submits %v", got)
+	}
+	if m := c.Metrics(); m.Retries != 0 || m.Members[draining.URL] != StateDraining {
+		t.Fatalf("retries %d, draining worker %q; want 0 and draining", m.Retries, m.Members[draining.URL])
+	}
+}
+
+// TestRetryAheadSweepEndGoesToFreeSlot: two workers, four shards. With
+// no more claimable shards than slots, neither slot submits ahead: the
+// slow worker holds its first feed until the fast one has taken every
+// other shard, so a slot that bound a shard to the slow worker ahead
+// fails the test.
+func TestRetryAheadSweepEndGoesToFreeSlot(t *testing.T) {
+	sc := testScenario("dist-ahead-tail")
+	const trials, size = 16, 4
+	want := referenceNDJSON(t, sc, trials, 1)
+	slow, fast := newFakeWorker(t, want), newFakeWorker(t, want)
+	var held atomic.Bool
+	slow.results = func(rw http.ResponseWriter, r *http.Request, sh scenario.Shard) bool {
+		if held.Swap(true) {
+			return false
+		}
+		if !fast.waitSubmits(func() bool { return len(fast.submits()) == trials/size-1 }) {
+			t.Errorf("slow worker held shard %s; the fast worker got %v, want every other shard", sh, fast.submits())
+		}
+		return false
+	}
+	c, err := New(Config{Workers: []string{slow.URL, fast.URL}, ShardSize: size, WindowShards: 64, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := runSweep(t, c, sc, trials); !bytes.Equal(got, want) {
+		t.Fatalf("merged output differs from scenario.Stream (%d vs %d bytes)", len(got), len(want))
+	}
+	if ns, nf := len(slow.submits()), len(fast.submits()); ns != 1 || nf != trials/size-1 {
+		t.Fatalf("submits slow %d, fast %d; want 1 and %d", ns, nf, trials/size-1)
+	}
+}
+
+// TestSchedulerTryClaimLeavesOnePerSlot: tryClaim takes a shard only
+// while more are claimable than there are slots, and a slot's leave
+// lowers the bar.
+func TestSchedulerTryClaimLeavesOnePerSlot(t *testing.T) {
+	ctx := context.Background()
+	s := newSched(5, 8, 0)
+	s.expect(2)
+	for want := 0; want < 2; want++ {
+		if idx, ok, _ := s.claim(ctx, true); !ok || idx != want {
+			t.Fatalf("claim = %d,%v, want %d", idx, ok, want)
+		}
+	}
+	if idx, ok := s.tryClaim(); !ok || idx != 2 {
+		t.Fatalf("with 3 claimable for 2 slots, tryClaim = %d,%v, want 2", idx, ok)
+	}
+	if idx, ok := s.tryClaim(); ok {
+		t.Fatalf("with 2 claimable for 2 slots, tryClaim took shard %d", idx)
+	}
+	s.leave()
+	if idx, ok := s.tryClaim(); !ok || idx != 3 {
+		t.Fatalf("with 2 claimable for 1 slot, tryClaim = %d,%v, want 3", idx, ok)
 	}
 }

@@ -349,6 +349,7 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 		if ahead >= 0 {
 			c.release(run, m, ahead)
 		}
+		run.sched.leave()
 	}()
 	for {
 		var idx int
@@ -361,16 +362,20 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 				c.release(run, m, ahead)
 				ahead = -1
 			}
-			if fresh && m.getState() != StateReady {
-				run.sched.uncount() // a parked slot must not hold back others' ahead submits
-				fresh = false
-			}
-			if !m.waitReady(ctx) {
-				return
+			// A parked slot must not hold back others' ahead submits:
+			// it stops counting as waiting before it can block.
+			for m.getState() != StateReady {
+				if fresh {
+					run.sched.uncount()
+					fresh = false
+				}
+				if !m.waitReady(ctx) {
+					return
+				}
 			}
 			var ok bool
 			var err error
-			idx, ok, err = run.sched.claimAs(ctx, fresh)
+			idx, ok, err = run.sched.claim(ctx, fresh)
 			fresh = false
 			if err != nil || !ok {
 				return
@@ -459,8 +464,9 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 // submitAhead claims and submits the slot's next shard while the
 // current one still runs, returning its index and job id, or -1 when
 // there is none: the member is not ready, another slot is waiting for
-// work (tryClaim), or the submit failed. A failed submit puts the shard
-// back uncharged, with no retry counted and no backoff — it never ran.
+// work or too few shards are left (tryClaim), or the submit failed. A
+// failed submit puts the shard back uncharged, with no retry counted
+// and no backoff — it never ran.
 func (c *Coordinator) submitAhead(ctx context.Context, run *runState, m *member, w *workerClient) (int, string) {
 	if m.getState() != StateReady {
 		return -1, ""

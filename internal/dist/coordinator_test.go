@@ -236,18 +236,18 @@ func TestSchedulerWindowGate(t *testing.T) {
 	ctx := context.Background()
 	s := newSched(10, 2, 0)
 
-	a, ok, err := s.claim(ctx)
+	a, ok, err := s.claim(ctx, false)
 	if err != nil || !ok || a != 0 {
 		t.Fatalf("first claim = %d,%v,%v", a, ok, err)
 	}
-	b, _, _ := s.claim(ctx)
+	b, _, _ := s.claim(ctx, false)
 	if b != 1 {
 		t.Fatalf("second claim = %d, want 1", b)
 	}
 	// Window of 2 with frontier 0: shard 2 must NOT be claimable yet.
 	blocked := make(chan int, 1)
 	go func() {
-		idx, _, _ := s.claim(ctx)
+		idx, _, _ := s.claim(ctx, false)
 		blocked <- idx
 	}()
 	select {
@@ -267,7 +267,7 @@ func TestSchedulerWindowGate(t *testing.T) {
 	}
 	// A requeued low shard outranks pending higher ones.
 	s.requeue(1)
-	if idx, _, _ := s.claim(ctx); idx != 1 {
+	if idx, _, _ := s.claim(ctx, false); idx != 1 {
 		t.Fatalf("after requeue claim = %d, want 1", idx)
 	}
 
@@ -276,8 +276,8 @@ func TestSchedulerWindowGate(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		s2 := newSched(1, 1, 0)
-		s2.claim(cctx) // takes shard 0
-		_, _, err := s2.claim(cctx)
+		s2.claim(cctx, false) // takes shard 0
+		_, _, err := s2.claim(cctx, false)
 		errc <- err
 	}()
 	cancel()

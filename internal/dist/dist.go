@@ -107,8 +107,9 @@ type Config struct {
 	// at once (default DefaultPerWorker). Each slot submits its next
 	// shard ahead while it follows the current one, so up to
 	// 2·PerWorker shards are in flight per worker, PerWorker of them
-	// submitted ahead. An ahead submit the worker refuses (the
-	// per-client cap, say) just leaves the shard pending.
+	// submitted ahead; near a sweep's end, with no more shards left
+	// than slots, nothing runs ahead. An ahead submit the worker
+	// refuses (the per-client cap, say) just leaves the shard pending.
 	PerWorker int
 	// MaxAttempts bounds one shard's charged run attempts (default
 	// DefaultMaxAttempts). A failure on a member its probe then finds

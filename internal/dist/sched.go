@@ -22,6 +22,7 @@ type sched struct {
 	done     int   // shards completed (lines all buffered)
 	total    int
 	window   int
+	slots    int           // worker slots started and not yet exited
 	waiting  int           // slots wanting a shard: in claim, or started and not claiming yet
 	watch    chan struct{} // closed and replaced on every state change
 }
@@ -55,16 +56,11 @@ func (s *sched) notifyLocked() {
 // and returns it, or returns ok=false when every shard has completed,
 // or ctx's error when canceled. An in-flight shard owned by another
 // worker keeps claim waiting: it will either complete (markDone) or
-// requeue, and both notify.
-func (s *sched) claim(ctx context.Context) (idx int, ok bool, err error) {
-	return s.claimAs(ctx, false)
-}
-
-// claimAs is claim for a caller that expect already counted as waiting
-// (counted) or not. Either way the caller counts as waiting for the
-// whole call, so a tryClaim racing its wake-up never takes its shard,
-// and stops counting when the call returns.
-func (s *sched) claimAs(ctx context.Context, counted bool) (idx int, ok bool, err error) {
+// requeue, and both notify. counted says expect already counts the
+// caller as waiting (a slot's first claim). Either way the caller
+// counts as waiting for the whole call, so a tryClaim racing its
+// wake-up never takes its shard, and stops counting when claim returns.
+func (s *sched) claim(ctx context.Context, counted bool) (idx int, ok bool, err error) {
 	s.mu.Lock()
 	if !counted {
 		s.waiting++
@@ -95,20 +91,29 @@ func (s *sched) claimAs(ctx context.Context, counted bool) (idx int, ok bool, er
 	}
 }
 
-// expect counts n slots that are starting as waiting for a shard, so
-// no tryClaim takes the shards they are about to claim. Each one stops
-// counting at its first claimAs(ctx, true), or at uncount if it never
-// gets there.
+// expect registers n starting slots and counts them as waiting for a
+// shard, so no tryClaim takes the shards they are about to claim. Each
+// one stops counting at its first claim(ctx, true), or at uncount if it
+// parks or exits first.
 func (s *sched) expect(n int) {
 	s.mu.Lock()
+	s.slots += n
 	s.waiting += n
 	s.mu.Unlock()
 }
 
-// uncount drops one expected slot that leaves before its first claim.
+// uncount drops one expected slot that parks or exits before its first
+// claim.
 func (s *sched) uncount() {
 	s.mu.Lock()
 	s.waiting--
+	s.mu.Unlock()
+}
+
+// leave deregisters an exiting slot.
+func (s *sched) leave() {
+	s.mu.Lock()
+	s.slots--
 	s.mu.Unlock()
 }
 
@@ -116,11 +121,16 @@ func (s *sched) uncount() {
 // it takes the lowest pending shard inside the window, but never while
 // another slot waits for one — a slot with nothing to run has first
 // call on every shard, so a small sweep spreads across the pool instead
-// of queueing up behind one busy slot.
+// of queueing up behind one busy slot — and only while more shards are
+// claimable than there are slots. An ahead shard is bound to its slot's
+// worker, so near a sweep's end that rule leaves the last shards to
+// whichever slot frees first, as if nothing ran ahead, instead of
+// queueing them behind a slow worker while a fast one idles.
 func (s *sched) tryClaim() (idx int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.waiting > 0 || len(s.pending) == 0 || s.pending[0] >= s.frontier+s.window {
+	claimable := sort.SearchInts(s.pending, s.frontier+s.window)
+	if s.waiting > 0 || claimable <= s.slots {
 		return 0, false
 	}
 	idx = s.pending[0]
