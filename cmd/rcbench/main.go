@@ -16,7 +16,10 @@
 // Usage:
 //
 //	rcbench [-mode engine|stream] [-passes 5] [-benchtime 20x]
-//	        [-width 8] [-note ...] [-out FILE] [-dry-run]
+//	        [-note ...] [-out FILE] [-dry-run]
+//
+// The batch benchmark reports how many trials one op runs as its
+// trials/op metric; per-trial ratios divide by it.
 //
 // Run it from the repository root; it shells out to the go tool.
 package main
@@ -42,6 +45,7 @@ type metrics struct {
 	NsPerOp     float64
 	BytesPerOp  float64
 	AllocsPerOp float64
+	TrialsPerOp float64 // 0 when the benchmark reports no trials/op
 	hasMem      bool
 }
 
@@ -99,7 +103,6 @@ func main() {
 		modeName  = flag.String("mode", "engine", "which protocol to run: engine or stream")
 		passes    = flag.Int("passes", 5, "independent go test invocations to median over")
 		benchtime = flag.String("benchtime", "20x", "-benchtime handed to go test")
-		width     = flag.Int("width", 8, "batch width for per-trial ratio computation (engine mode)")
 		note      = flag.String("note", "", "free-form note stored on the record")
 		outFlag   = flag.String("out", "", "record file to append to (default per mode)")
 		dryRun    = flag.Bool("dry-run", false, "print the record instead of appending it")
@@ -144,7 +147,7 @@ func main() {
 	commandStr := fmt.Sprintf("%sgo test -run ^$ -bench '%s' -benchmem -benchtime %s -count 1 %s (x%d, medians of per-pass results)",
 		envPrefix(m.env), m.bench, *benchtime, m.pkg, *passes)
 	rec, err := buildRecord(m.bench, commandStr, *note,
-		time.Now().Format("2006-01-02"), env, allPasses, *width)
+		time.Now().Format("2006-01-02"), env, allPasses)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rcbench: %v\n", err)
 		os.Exit(1)
@@ -207,6 +210,7 @@ func parsePass(r io.Reader) (map[string]metrics, envInfo, error) {
 // parseBenchLine parses one result line, e.g.
 //
 //	BenchmarkSteadyState/gilbert-4   50   19548071 ns/op   5782 B/op   9 allocs/op
+//	BenchmarkSteadyStateBatch/grid-4   20   57699392 ns/op   8.000 trials/op
 //
 // returning the trimmed variant name ("SteadyState/gilbert") and its
 // metrics. Lines that are not benchmark results report ok=false.
@@ -238,6 +242,8 @@ func parseBenchLine(line string) (string, metrics, bool) {
 			m.BytesPerOp, m.hasMem = val, true
 		case "allocs/op":
 			m.AllocsPerOp, m.hasMem = val, true
+		case "trials/op":
+			m.TrialsPerOp = val
 		}
 	}
 	if !seenNs {
@@ -260,10 +266,11 @@ func median(xs []float64) float64 {
 
 // buildRecord medians each variant across passes and, for every
 // SteadyState/<topo> with a SteadyStateBatch/<topo> partner, computes
-// the per-trial speedup — scalar ns over batch ns divided by width —
-// per pass first, then medians the ratios, so each ratio compares
-// numbers from the same go test invocation.
-func buildRecord(bench, command, note, date string, env envInfo, passes []map[string]metrics, width int) (record, error) {
+// the per-trial speedup — scalar ns over batch ns divided by the batch
+// line's trials/op — per pass first, then medians the ratios, so each
+// ratio compares numbers from the same go test invocation. A batch
+// partner that reports no trials/op is an error, not a guess.
+func buildRecord(bench, command, note, date string, env envInfo, passes []map[string]metrics) (record, error) {
 	if len(passes) == 0 {
 		return record{}, fmt.Errorf("no passes collected")
 	}
@@ -315,11 +322,14 @@ func buildRecord(bench, command, note, date string, env envInfo, passes []map[st
 			if !ok || batch.NsPerOp == 0 {
 				continue
 			}
-			ratios[topo] = append(ratios[topo], scalar.NsPerOp/(batch.NsPerOp/float64(width)))
+			if batch.TrialsPerOp <= 0 {
+				return record{}, fmt.Errorf("variant SteadyStateBatch/%s reports no trials/op", topo)
+			}
+			ratios[topo] = append(ratios[topo], scalar.NsPerOp/(batch.NsPerOp/batch.TrialsPerOp))
+			rec.BatchWidth = int(batch.TrialsPerOp)
 		}
 	}
 	if len(ratios) > 0 {
-		rec.BatchWidth = width
 		rec.PerTrialRatios = make(map[string]float64)
 		for topo, rs := range ratios {
 			rec.PerTrialRatios[topo] = math3(median(rs))

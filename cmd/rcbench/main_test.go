@@ -10,12 +10,13 @@ import (
 
 func TestParseBenchLine(t *testing.T) {
 	for _, tc := range []struct {
-		line string
-		name string
-		ns   float64
-		bs   float64
-		as   float64
-		ok   bool
+		line   string
+		name   string
+		ns     float64
+		bs     float64
+		as     float64
+		trials float64
+		ok     bool
 	}{
 		{
 			line: "BenchmarkSteadyState/gilbert-4   \t      50\t  19548071 ns/op\t    5782 B/op\t       9 allocs/op",
@@ -24,6 +25,11 @@ func TestParseBenchLine(t *testing.T) {
 		{
 			line: "BenchmarkSteadyStateBatch/grid \t 33 \t 36135110 ns/op",
 			name: "SteadyStateBatch/grid", ns: 36135110, ok: true,
+		},
+		{
+			// A custom metric the batch benchmark reports.
+			line: "BenchmarkSteadyStateBatch/grid-2 \t 20 \t 57699392 ns/op \t 8.000 trials/op \t 75864 B/op \t 49 allocs/op",
+			name: "SteadyStateBatch/grid", ns: 57699392, bs: 75864, as: 49, trials: 8, ok: true,
 		},
 		{
 			// No procs suffix (GOMAXPROCS=1 runs print none).
@@ -47,7 +53,7 @@ func TestParseBenchLine(t *testing.T) {
 		if !ok {
 			continue
 		}
-		if name != tc.name || m.NsPerOp != tc.ns || m.BytesPerOp != tc.bs || m.AllocsPerOp != tc.as {
+		if name != tc.name || m.NsPerOp != tc.ns || m.BytesPerOp != tc.bs || m.AllocsPerOp != tc.as || m.TrialsPerOp != tc.trials {
 			t.Fatalf("parseBenchLine(%q) = %q %+v", tc.line, name, m)
 		}
 	}
@@ -59,8 +65,8 @@ pkg: rcbcast/internal/engine
 cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkSteadyState/clique-2          	      20	   7000000 ns/op	    5376 B/op	       5 allocs/op
 BenchmarkSteadyState/grid-2            	      20	   8000000 ns/op	    6268 B/op	      18 allocs/op
-BenchmarkSteadyStateBatch/clique-2     	      20	  28000000 ns/op	   48072 B/op	     106 allocs/op
-BenchmarkSteadyStateBatch/grid-2       	      20	  36000000 ns/op	   57525 B/op	     281 allocs/op
+BenchmarkSteadyStateBatch/clique-2     	      20	  28000000 ns/op	         8.000 trials/op	   48072 B/op	     106 allocs/op
+BenchmarkSteadyStateBatch/grid-2       	      20	  36000000 ns/op	         8.000 trials/op	   57525 B/op	     281 allocs/op
 PASS
 ok  	rcbcast/internal/engine	12.3s
 `
@@ -78,6 +84,9 @@ func TestParsePass(t *testing.T) {
 	}
 	if got := results["SteadyState/grid"].NsPerOp; got != 8000000 {
 		t.Fatalf("grid ns/op = %v", got)
+	}
+	if got := results["SteadyStateBatch/grid"].TrialsPerOp; got != 8 {
+		t.Fatalf("batch grid trials/op = %v", got)
 	}
 	if _, _, err := parsePass(strings.NewReader("PASS\nok\n")); err == nil {
 		t.Fatal("parsePass accepted a transcript with no results")
@@ -99,12 +108,13 @@ func TestMedian(t *testing.T) {
 // TestBuildRecordPairedRatios: the per-trial ratio must be the median
 // of per-pass ratios (each pass pairing its own batch and scalar
 // numbers), not a ratio of medians — the distinction the whole
-// protocol exists for on steal-prone hosts.
+// protocol exists for on steal-prone hosts. The batch side is divided
+// by the trials/op it reports.
 func TestBuildRecordPairedRatios(t *testing.T) {
 	mk := func(scalar, batch float64) map[string]metrics {
 		return map[string]metrics{
 			"SteadyState/grid":      {NsPerOp: scalar, hasMem: true, BytesPerOp: 100, AllocsPerOp: 10},
-			"SteadyStateBatch/grid": {NsPerOp: batch, hasMem: true, BytesPerOp: 800, AllocsPerOp: 80},
+			"SteadyStateBatch/grid": {NsPerOp: batch, TrialsPerOp: 8, hasMem: true, BytesPerOp: 800, AllocsPerOp: 80},
 		}
 	}
 	// Passes where the host slows both sides together: the paired
@@ -114,7 +124,7 @@ func TestBuildRecordPairedRatios(t *testing.T) {
 		mk(16e6, 64e6),
 		mk(12e6, 48e6),
 	}
-	rec, err := buildRecord("b", "cmd", "", "2026-08-08", envInfo{GOOS: "linux"}, passes, 8)
+	rec, err := buildRecord("b", "cmd", "", "2026-08-08", envInfo{GOOS: "linux"}, passes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +138,7 @@ func TestBuildRecordPairedRatios(t *testing.T) {
 		mk(20e6, 40e6), // ratio 4.0 (scalar hit by steal)
 		mk(12e6, 24e6), // ratio 4.0
 	}
-	rec, err = buildRecord("b", "cmd", "", "2026-08-08", envInfo{}, passes, 8)
+	rec, err = buildRecord("b", "cmd", "", "2026-08-08", envInfo{}, passes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,8 +158,18 @@ func TestBuildRecordRejectsMissingVariant(t *testing.T) {
 		{"SteadyState/grid": {NsPerOp: 1}},
 		{"SteadyState/clique": {NsPerOp: 1}},
 	}
-	if _, err := buildRecord("b", "c", "", "d", envInfo{}, passes, 8); err == nil {
+	if _, err := buildRecord("b", "c", "", "d", envInfo{}, passes); err == nil {
 		t.Fatal("buildRecord accepted passes with mismatched variant sets")
+	}
+
+	// A batch partner that does not say how many trials an op runs has
+	// no per-trial cost to compare.
+	passes = []map[string]metrics{{
+		"SteadyState/grid":      {NsPerOp: 1},
+		"SteadyStateBatch/grid": {NsPerOp: 8},
+	}}
+	if _, err := buildRecord("b", "c", "", "d", envInfo{}, passes); err == nil || !strings.Contains(err.Error(), "trials/op") {
+		t.Fatalf("buildRecord without trials/op = %v, want an error naming trials/op", err)
 	}
 }
 

@@ -27,9 +27,10 @@
 // workers register themselves. Workers are probed for readiness
 // (-probe-interval) and declared dead after -liveness without a
 // successful probe — their shards rebalance onto the live pool
-// immediately. With -journal (requires -out), the merge frontier is
-// journaled as the sweep progresses: rerunning the same command after a
-// crash — SIGKILL included — resumes from the last merged shard and
+// immediately. With -journal (requires -out), the journal file pins
+// the sweep in a one-line header and the output records its progress,
+// flushed shard by shard: rerunning the same command after a crash —
+// SIGKILL included — resumes from the output's last complete shard and
 // still produces byte-identical output.
 package main
 
@@ -82,7 +83,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		backoff   = fs.Duration("backoff", dist.DefaultBackoff, "first retry delay for a failing worker (doubles per consecutive failure, jittered)")
 		probeIvl  = fs.Duration("probe-interval", dist.DefaultProbeInterval, "worker readiness probe interval")
 		liveness  = fs.Duration("liveness", dist.DefaultLivenessDeadline, "declare a worker dead after this long without a successful probe")
-		journal   = fs.String("journal", "", "frontier journal path: resume an interrupted sweep from its last merged shard (requires -out)")
+		journal   = fs.String("journal", "", "frontier journal path, a one-line header pinning the sweep: rerunning resumes an interrupted sweep from the last complete shard in -out (requires -out)")
 		outPath   = fs.String("out", "", "write merged NDJSON here instead of stdout")
 		addr      = fs.String("addr", "", "serve /metrics, /healthz, and /v1/workers on this address while the sweep runs (empty = no server)")
 		showVer   = fs.Bool("version", false, "print the build version and exit")

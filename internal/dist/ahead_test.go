@@ -436,57 +436,53 @@ func TestRetryAheadSmallSweepSpreads(t *testing.T) {
 	}
 }
 
-// TestSchedulerTryClaimYieldsToWaiters: tryClaim takes the lowest
-// pending shard inside the window, but never one a blocked claim is
-// waiting for.
+// TestSchedulerTryClaimYieldsToWaiters: tryClaim takes nothing while a
+// registered slot is fresh, then the lowest pending shard inside the
+// window, but never one a slot blocked in claim is waiting for.
 func TestSchedulerTryClaimYieldsToWaiters(t *testing.T) {
-	s := newSched(3, 2, 0)
-	if idx, ok := s.tryClaim(); !ok || idx != 0 {
-		t.Fatalf("tryClaim = %d,%v, want 0", idx, ok)
+	ctx := context.Background()
+	s := newSched(4, 3, 0)
+	s.expect(1)
+	if idx, ok := s.tryClaim(); ok {
+		t.Fatalf("tryClaim took shard %d before the fresh slot claimed", idx)
 	}
-	if idx, ok, _ := s.claim(context.Background(), false); !ok || idx != 1 {
-		t.Fatalf("claim = %d,%v, want 1", idx, ok)
+	if idx, ok, _ := s.claim(ctx, true); !ok || idx != 0 {
+		t.Fatalf("first claim = %d,%v, want 0", idx, ok)
+	}
+	if idx, ok := s.tryClaim(); !ok || idx != 1 {
+		t.Fatalf("tryClaim = %d,%v, want 1", idx, ok)
 	}
 	if idx, ok := s.tryClaim(); ok {
-		t.Fatalf("tryClaim took shard %d outside the window", idx)
+		t.Fatalf("tryClaim took shard %d, the last one claimable for the slot", idx)
+	}
+	if idx, ok, _ := s.claim(ctx, false); !ok || idx != 2 {
+		t.Fatalf("claim = %d,%v, want 2", idx, ok)
 	}
 
+	// Shard 3 lies outside the window, so this claim blocks.
 	got := make(chan int, 1)
 	go func() {
-		idx, _, _ := s.claim(context.Background(), false)
+		idx, _, _ := s.claim(ctx, false)
 		got <- idx
 	}()
-	deadline := time.Now().Add(aheadWait)
-	for {
-		s.mu.Lock()
-		waiting := s.waiting
-		s.mu.Unlock()
-		if waiting == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("claim never blocked")
-		}
-		time.Sleep(time.Millisecond)
-	}
 	s.requeue(0)
 	if idx, ok := s.tryClaim(); ok {
-		t.Fatalf("tryClaim took shard %d while a claim waited for it", idx)
+		t.Fatalf("tryClaim took shard %d while a slot's claim waited for it", idx)
 	}
 	if idx := <-got; idx != 0 {
 		t.Fatalf("the waiting claim got shard %d, want 0", idx)
 	}
 	s.requeue(0)
+	s.leave()
 	if idx, ok := s.tryClaim(); !ok || idx != 0 {
-		t.Fatalf("with no claim waiting, tryClaim = %d,%v, want 0", idx, ok)
+		t.Fatalf("with no slot left to claim it, tryClaim = %d,%v, want 0", idx, ok)
 	}
 }
 
 // TestDrainMemberAtStartLeavesAheadOn: a member that is already
 // draining when its slot starts parks that slot, and the parked slot
-// stops counting as waiting for a shard — a ready slot still submits
-// ahead (its feeds are held until it does) and the draining worker gets
-// no submit.
+// stops counting as fresh — a ready slot still submits ahead (its feeds
+// are held until it does) and the draining worker gets no submit.
 func TestDrainMemberAtStartLeavesAheadOn(t *testing.T) {
 	sc := testScenario("dist-ahead-drain-start")
 	const trials, size = 40, 4
@@ -497,20 +493,20 @@ func TestDrainMemberAtStartLeavesAheadOn(t *testing.T) {
 	ready.results = func(rw http.ResponseWriter, r *http.Request, sh scenario.Shard) bool {
 		if sh.Lo == 0 {
 			// Shard 1 may not have gone ahead: the draining slot counts
-			// as waiting from its start until it parks. Once it has
-			// parked, nothing waits for a shard.
+			// as fresh from its start until it parks. Once it has
+			// parked, no slot is fresh.
 			c.mu.Lock()
 			s := c.run.sched
 			c.mu.Unlock()
 			for deadline := time.Now().Add(aheadWait); ; time.Sleep(time.Millisecond) {
 				s.mu.Lock()
-				waiting := s.waiting
+				fresh := s.fresh
 				s.mu.Unlock()
-				if waiting == 0 {
+				if fresh == 0 {
 					break
 				}
 				if time.Now().After(deadline) {
-					t.Errorf("the parked slot still counts as waiting for a shard")
+					t.Errorf("the parked slot still counts as fresh")
 					break
 				}
 			}

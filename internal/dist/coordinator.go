@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,7 +85,7 @@ type Coordinator struct {
 	retries     atomic.Int64
 	joins       atomic.Int64
 	leaves      atomic.Int64
-	resumed     atomic.Int64 // shards restored from the frontier journal
+	resumed     atomic.Int64 // shards restored from the merged output on resume
 }
 
 // New validates the initial worker pool and returns a Coordinator. An
@@ -143,11 +144,11 @@ type DurableOutput interface {
 // completes or fails; ctx cancellation aborts it.
 //
 // With Config.Journal set, out must implement DurableOutput (an
-// *os.File does): the merge frontier journals as it advances, and a
-// Run over the same journal and output file after a crash — SIGKILL
-// included — replays nothing that already merged, truncates any torn
-// tail, and finishes the sweep with final bytes identical to an
-// uninterrupted run.
+// *os.File does): the journal pins the sweep, the output records its
+// progress, and a Run over the same journal and output file after a
+// crash — SIGKILL included — replays no shard the output holds whole,
+// truncates any partial shard and torn tail, and finishes the sweep
+// with final bytes identical to an uninterrupted run.
 func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int, baseSeed uint64, out io.Writer) (*Summary, error) {
 	if trials <= 0 {
 		return nil, fmt.Errorf("dist: trials must be positive (got %d)", trials)
@@ -170,20 +171,19 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 
 	// Open the frontier journal first: its header pins the shard size a
 	// previous (possibly differently-sized) pool planned with.
-	var fj *frontierJournal
 	var dout DurableOutput
+	resume := false
 	if cfg.Journal != "" {
 		var ok bool
 		dout, ok = out.(DurableOutput)
 		if !ok {
 			return nil, errors.New("dist: Config.Journal requires the output to support ReadAt/Seek/Truncate (write to a file, not a pipe)")
 		}
-		fj, err = openFrontier(cfg.Journal, frontierFingerprint(enc, baseSeed), trials, baseSeed, cfg.ShardSize)
+		cfg.ShardSize, resume, err = openFrontier(cfg.Journal, frontierFingerprint(enc, baseSeed), trials, baseSeed, cfg.ShardSize,
+			func() error { return dout.Truncate(0) })
 		if err != nil {
 			return nil, err
 		}
-		defer fj.Close()
-		cfg.ShardSize = fj.shardSize
 	}
 
 	plan := Plan(trials, cfg.ShardSize)
@@ -196,32 +196,35 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 		}
 	}
 
-	// Restore the merged prefix recorded by a previous coordinator
-	// process: truncate the output back to the last durable shard
-	// boundary and re-fold the retained lines into per-shard summaries.
-	frontier := 0
-	if fj != nil {
-		frontier = fj.merged
-		if frontier > len(plan) {
-			return nil, fmt.Errorf("dist: frontier journal records %d merged shards but the plan has %d — delete the journal to restart", frontier, len(plan))
+	// Restore the shards a previous coordinator process merged: scan
+	// the output, re-fold its complete shards into per-shard summaries
+	// and truncate it back to their end.
+	frontier, size := 0, int64(0)
+	if resume {
+		p, err := sc.Params()
+		if err != nil {
+			return nil, err
 		}
-		if err := refoldPrefix(dout, fj.bytes, plan, frontier, shards); err != nil {
+		frontier, size, err = restoreOutput(io.NewSectionReader(dout, 0, math.MaxInt64), plan, p.N, shards)
+		if err != nil {
 			return nil, err
 		}
 		for i := 0; i < frontier; i++ {
 			shards[i].phase = phaseDone
 		}
-		if err := dout.Truncate(fj.bytes); err != nil {
-			return nil, fmt.Errorf("dist: truncate merged output to the journaled frontier: %w", err)
-		}
-		if _, err := dout.Seek(fj.bytes, io.SeekStart); err != nil {
-			return nil, fmt.Errorf("dist: seek merged output: %w", err)
+		if err := dout.Truncate(size); err != nil {
+			return nil, fmt.Errorf("dist: truncate merged output to its last complete shard: %w", err)
 		}
 		if frontier > 0 {
 			c.resumed.Store(int64(frontier))
 			c.merged.Store(int64(plan[frontier-1].Hi))
 			c.logf("dist: resuming from frontier journal %s: %d/%d shards (%d trials, %d bytes) already merged",
-				cfg.Journal, frontier, len(plan), plan[frontier-1].Hi, fj.bytes)
+				cfg.Journal, frontier, len(plan), plan[frontier-1].Hi, size)
+		}
+	}
+	if dout != nil {
+		if _, err := dout.Seek(size, io.SeekStart); err != nil {
+			return nil, fmt.Errorf("dist: seek merged output: %w", err)
 		}
 	}
 
@@ -248,13 +251,9 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 	c.logf("dist: %d trials in %d shards of ≤%d across %d workers (window %d shards)",
 		trials, len(plan), cfg.ShardSize, pool, cfg.WindowShards)
 
-	cw := &countingWriter{w: out}
-	if fj != nil {
-		cw.n = fj.bytes
-	}
-	bw := bufio.NewWriterSize(cw, 64<<10)
+	bw := bufio.NewWriterSize(out, 64<<10)
 	sum := &Summary{}
-	mergeErr := c.merge(run, bw, cw, fj, sum, frontier)
+	mergeErr := c.merge(run, bw, sum, frontier)
 	run.cancel()
 	run.wg.Wait()
 
@@ -281,9 +280,9 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 // sweep, the concatenation is exactly the single-machine byte stream.
 // Shards below the restored frontier were already merged by a previous
 // process: only their (re-folded) summaries are consumed. With a
-// journal, each freshly merged shard is flushed to the output and then
-// recorded, so the journal never claims bytes the output lacks.
-func (c *Coordinator) merge(run *runState, out *bufio.Writer, cw *countingWriter, fj *frontierJournal, sum *Summary, frontier int) error {
+// journal, each freshly merged shard is flushed to the output before
+// the frontier advances, so a kill loses at most the shard in flight.
+func (c *Coordinator) merge(run *runState, out *bufio.Writer, sum *Summary, frontier int) error {
 	for i, st := range run.shards {
 		if i < frontier {
 			sum.merge(&st.sum)
@@ -307,13 +306,9 @@ func (c *Coordinator) merge(run *runState, out *bufio.Writer, cw *countingWriter
 			}
 		}
 		sum.merge(&st.sum)
-		if fj != nil {
+		if run.cfg.Journal != "" {
 			if err := out.Flush(); err != nil {
 				err = fmt.Errorf("dist: write merged output: %w", err)
-				c.fail(run.cancel, err)
-				return err
-			}
-			if err := fj.record(i, cw.n); err != nil {
 				c.fail(run.cancel, err)
 				return err
 			}
@@ -341,7 +336,7 @@ func (c *Coordinator) merge(run *runState, out *bufio.Writer, cw *countingWriter
 func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, w *workerClient) {
 	consecutive := 0
 	ahead, aheadID := -1, "" // a submitted shard this slot has not followed yet
-	fresh := true            // counted as waiting since startMemberLocked
+	fresh := true            // counted as fresh since startMemberLocked
 	defer func() {
 		if fresh {
 			run.sched.uncount()
@@ -363,15 +358,13 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 				ahead = -1
 			}
 			// A parked slot must not hold back others' ahead submits:
-			// it stops counting as waiting before it can block.
-			for m.getState() != StateReady {
-				if fresh {
-					run.sched.uncount()
-					fresh = false
-				}
-				if !m.waitReady(ctx) {
-					return
-				}
+			// it stops counting as fresh before it can block.
+			if fresh && m.getState() != StateReady {
+				run.sched.uncount()
+				fresh = false
+			}
+			if !m.waitReady(ctx) {
+				return
 			}
 			var ok bool
 			var err error
@@ -463,10 +456,10 @@ func (c *Coordinator) workerLoop(ctx context.Context, run *runState, m *member, 
 
 // submitAhead claims and submits the slot's next shard while the
 // current one still runs, returning its index and job id, or -1 when
-// there is none: the member is not ready, another slot is waiting for
-// work or too few shards are left (tryClaim), or the submit failed. A
-// failed submit puts the shard back uncharged, with no retry counted
-// and no backoff — it never ran.
+// there is none: the member is not ready, a slot has not claimed its
+// first shard yet or too few are left for the pool's slots (tryClaim),
+// or the submit failed. A failed submit puts the shard back uncharged,
+// with no retry counted and no backoff — it never ran.
 func (c *Coordinator) submitAhead(ctx context.Context, run *runState, m *member, w *workerClient) (int, string) {
 	if m.getState() != StateReady {
 		return -1, ""

@@ -36,10 +36,11 @@
 // detect death without waiting for a stream to stall, a draining worker
 // keeps its in-flight shards but claims no new ones, and a dead
 // member's shards rebalance onto the live pool at once. The coordinator
-// itself is durable when Config.Journal is set (frontier.go): the merge
-// frontier is journaled shard by shard, so a SIGKILLed coordinator
-// restarts, replays only unmerged shards, and still emits byte-identical
-// merged output.
+// itself is durable when Config.Journal is set (frontier.go): the
+// journal pins the sweep and the merged output is the progress record,
+// so a SIGKILLed coordinator restarts, keeps the output's complete
+// shards, replays only the rest, and still emits byte-identical merged
+// output.
 package dist
 
 import (
@@ -138,11 +139,13 @@ type Config struct {
 	// seed; set it explicitly in tests to pin delays).
 	JitterSeed uint64
 	// Journal, when non-empty, is the coordinator's frontier-journal
-	// path: the merged-shard boundary is journaled as the merge
-	// advances, and a restarted Run over the same journal and output
-	// file resumes the sweep instead of starting over. Requires the
-	// output passed to Run to implement DurableOutput (an *os.File
-	// does).
+	// path: a one-line header pinning the sweep (fingerprint, trials,
+	// seed, shard size), written when the file is created. The merged
+	// output itself records progress, flushed once per merged shard, so
+	// a restarted Run over the same journal and output file resumes the
+	// sweep from the output's last complete shard instead of starting
+	// over. Requires the output passed to Run to implement
+	// DurableOutput (an *os.File does).
 	Journal string
 	// Client issues the HTTP requests (default http.DefaultClient).
 	Client *http.Client

@@ -21,7 +21,7 @@ type Metrics struct {
 	Retries           int64          `json:"retries"`
 	MergedTrials      int64          `json:"merged_trials"`
 	TotalTrials       int64          `json:"total_trials"`
-	// ResumedShards counts shards restored from the frontier journal at
+	// ResumedShards counts shards restored from the merged output at
 	// startup rather than recomputed — nonzero only after a crash-resume.
 	ResumedShards int64 `json:"resumed_shards"`
 	// MergeFrontierShard is the next shard index the merge loop will

@@ -23,14 +23,13 @@ type sched struct {
 	total    int
 	window   int
 	slots    int           // worker slots started and not yet exited
-	waiting  int           // slots wanting a shard: in claim, or started and not claiming yet
+	fresh    int           // started slots that have neither claimed nor parked yet
 	watch    chan struct{} // closed and replaced on every state change
 }
 
 // newSched plans shards [0, total); start > 0 marks a restored prefix
-// (shards a previous coordinator process already merged, per the
-// frontier journal) as done-and-merged, so only [start, total) is ever
-// claimable.
+// (the whole shards a previous coordinator process left in the merged
+// output) as done-and-merged, so only [start, total) is ever claimable.
 func newSched(total, window, start int) *sched {
 	s := &sched{
 		pending:  make([]int, 0, total-start),
@@ -56,19 +55,16 @@ func (s *sched) notifyLocked() {
 // and returns it, or returns ok=false when every shard has completed,
 // or ctx's error when canceled. An in-flight shard owned by another
 // worker keeps claim waiting: it will either complete (markDone) or
-// requeue, and both notify. counted says expect already counts the
-// caller as waiting (a slot's first claim). Either way the caller
-// counts as waiting for the whole call, so a tryClaim racing its
-// wake-up never takes its shard, and stops counting when claim returns.
-func (s *sched) claim(ctx context.Context, counted bool) (idx int, ok bool, err error) {
+// requeue, and both notify. first says this is a fresh slot's first
+// claim: the slot stops counting as fresh. A claim that blocks found
+// nothing claimable, and tryClaim's slot rule leaves it a shard among
+// any that turn claimable, so only fresh slots need counting.
+func (s *sched) claim(ctx context.Context, first bool) (idx int, ok bool, err error) {
 	s.mu.Lock()
-	if !counted {
-		s.waiting++
+	defer s.mu.Unlock()
+	if first {
+		s.fresh--
 	}
-	defer func() {
-		s.waiting--
-		s.mu.Unlock()
-	}()
 	for {
 		if s.done == s.total {
 			return 0, false, nil
@@ -91,22 +87,22 @@ func (s *sched) claim(ctx context.Context, counted bool) (idx int, ok bool, err 
 	}
 }
 
-// expect registers n starting slots and counts them as waiting for a
-// shard, so no tryClaim takes the shards they are about to claim. Each
-// one stops counting at its first claim(ctx, true), or at uncount if it
-// parks or exits first.
+// expect registers n starting slots and counts them as fresh, so no
+// tryClaim takes the shards they are about to claim. Each one stops
+// counting at its first claim(ctx, true), or at uncount if it parks or
+// exits first.
 func (s *sched) expect(n int) {
 	s.mu.Lock()
 	s.slots += n
-	s.waiting += n
+	s.fresh += n
 	s.mu.Unlock()
 }
 
-// uncount drops one expected slot that parks or exits before its first
+// uncount drops one fresh slot that parks or exits before its first
 // claim.
 func (s *sched) uncount() {
 	s.mu.Lock()
-	s.waiting--
+	s.fresh--
 	s.mu.Unlock()
 }
 
@@ -119,18 +115,20 @@ func (s *sched) leave() {
 
 // tryClaim is claim's non-blocking form for submitting a shard ahead:
 // it takes the lowest pending shard inside the window, but never while
-// another slot waits for one — a slot with nothing to run has first
-// call on every shard, so a small sweep spreads across the pool instead
-// of queueing up behind one busy slot — and only while more shards are
-// claimable than there are slots. An ahead shard is bound to its slot's
-// worker, so near a sweep's end that rule leaves the last shards to
-// whichever slot frees first, as if nothing ran ahead, instead of
-// queueing them behind a slow worker while a fast one idles.
+// a slot is fresh, and only while more shards are claimable than there
+// are slots. Every other claimer is a registered slot blocked in claim,
+// so that leaves a shard for each: a slot with nothing to run never
+// loses its shard to one running ahead, and a small sweep spreads
+// across the pool instead of queueing behind one busy slot. An ahead
+// shard is bound to its slot's worker, so near a sweep's end the rule
+// also leaves the last shards to whichever slot frees first, as if
+// nothing ran ahead, instead of queueing them behind a slow worker
+// while a fast one idles.
 func (s *sched) tryClaim() (idx int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	claimable := sort.SearchInts(s.pending, s.frontier+s.window)
-	if s.waiting > 0 || claimable <= s.slots {
+	if s.fresh > 0 || claimable <= s.slots {
 		return 0, false
 	}
 	idx = s.pending[0]

@@ -16,7 +16,7 @@ import (
 )
 
 // recordLine renders trial's result line as a worker emits it.
-func recordLine(t *testing.T, trial int) []byte {
+func recordLine(t testing.TB, trial int) []byte {
 	t.Helper()
 	b, err := json.Marshal(sink.Record{Trial: trial, N: 64, Informed: 60, Completed: true,
 		Rounds: 3, Slots: 4096, AliceCost: 17, NodeMaxCost: 9, AdversarySpent: 1024, Strategy: "full-jam"})
@@ -80,8 +80,8 @@ func TestAcceptRejectsMalformedLines(t *testing.T) {
 }
 
 // TestRefoldRejectsMalformedPrefix: a corrupt line anywhere in the
-// retained merged output means the output does not belong to the
-// journal, and the refold says so.
+// merged output a resume scans means the output does not belong to the
+// journal, and the scan says so.
 func TestRefoldRejectsMalformedPrefix(t *testing.T) {
 	plan := Plan(4, 2)
 	for _, tc := range malformedLines(t, 2) {
@@ -94,9 +94,9 @@ func TestRefoldRejectsMalformedPrefix(t *testing.T) {
 			}
 		}
 		shards := []*shardState{{shard: plan[0]}, {shard: plan[1]}}
-		err := refoldPrefix(bytes.NewReader(out.Bytes()), int64(out.Len()), plan, len(plan), shards)
+		_, _, err := restoreOutput(bytes.NewReader(out.Bytes()), plan, 64, shards)
 		if err == nil || !strings.Contains(err.Error(), "wrong output file for this journal?") {
-			t.Errorf("%s: refold error = %v, want a wrong-output-file error", tc.name, err)
+			t.Errorf("%s: resume scan error = %v, want a wrong-output-file error", tc.name, err)
 		}
 	}
 }

@@ -353,13 +353,14 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 }
 
 // BenchmarkSteadyStateBatch is BenchmarkSteadyState on the batch
-// kernel: one RunBatch call of 8 trials per op, scratch warmed before
-// the timer. ns/op covers the 8 trials; compare ns/op/8 against
-// BenchmarkSteadyState.
+// kernel: one RunBatch call of several trials per op, scratch warmed
+// before the timer. ns/op covers every trial of the op, and the
+// trials/op metric says how many there are; compare ns/op over
+// trials/op against BenchmarkSteadyState.
 func BenchmarkSteadyStateBatch(b *testing.B) {
 	for _, tc := range steadyKinds {
 		b.Run(tc.name, func(b *testing.B) {
-			trial, _ := steadyBatch(tc.spec, func(err error) { b.Fatal(err) })
+			trial, width := steadyBatch(tc.spec, func(err error) { b.Fatal(err) })
 			for i := 0; i < 2; i++ {
 				trial()
 			}
@@ -368,6 +369,7 @@ func BenchmarkSteadyStateBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				trial()
 			}
+			b.ReportMetric(float64(width), "trials/op")
 		})
 	}
 }
