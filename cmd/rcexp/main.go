@@ -26,7 +26,7 @@
 //	rcexp -scenario file.json -trials 50000 -out csv > runs.csv
 //	rcexp -scenario gilbert-jam -topology gilbert:r=0.3 -trials 1000 > runs.jsonl
 //	rcexp -scenario full-jam -trials 100000 -progress \
-//	      -checkpoint sweep.ckpt > runs.jsonl
+//	      -checkpoint runs.journal > runs.jsonl
 //
 // -shard i/N runs only the i-th of N contiguous shards with sweep-global
 // seeds and trial numbers, so a shell loop is a poor-man's cluster:
@@ -38,9 +38,9 @@
 //	done; wait; cat part0.jsonl part1.jsonl part2.jsonl > runs.jsonl
 //
 // Ctrl-C stops a sweep (or an experiment) gracefully at the next engine
-// phase boundary; with -checkpoint, rerunning the same command resumes
-// from the completed-trial journal and the final output is
-// byte-identical to an uninterrupted run.
+// phase boundary. -checkpoint journals each trial's NDJSON record behind
+// a one-line sweep pin; rerunning the same command prints the journaled
+// records and runs the rest, byte-identical to an uninterrupted run.
 //
 // Sweep mode is also the profiling harness: -cpuprofile captures the
 // whole sweep (workers included) and -memprofile writes a heap profile
@@ -128,14 +128,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		return nil
 	}
-	if *topo != "" && *scn == "" {
-		return errors.New("-topology needs -scenario (sweep mode)")
-	}
-	if (*cpuprofile != "" || *memprofile != "") && *scn == "" {
-		return errors.New("-cpuprofile/-memprofile need -scenario (sweep mode)")
-	}
-	if *shard != "" && *scn == "" {
-		return errors.New("-shard needs -scenario (sweep mode)")
+	if *scn == "" && (*topo != "" || *shard != "" || *checkpoint != "" || *cpuprofile != "" || *memprofile != "") {
+		return errors.New("-topology, -shard, -checkpoint, -cpuprofile and -memprofile need -scenario (sweep mode)")
 	}
 	if *scn != "" {
 		return runSweep(ctx, out, sweepConfig{
@@ -258,8 +252,9 @@ func profileSweep(cfg sweepConfig) (finish func() error, err error) {
 
 // runSweep streams per-trial records of one scenario through the
 // session API: O(procs) live results, optional progress reporting, and
-// a resumable completed-trial journal.
-func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
+// a resumable record journal. A resume prints the journal's kept
+// records, then streams only the trials after them.
+func runSweep(ctx context.Context, w io.Writer, cfg sweepConfig) (err error) {
 	sc, err := loadScenario(cfg.scenario)
 	if err != nil {
 		return err
@@ -289,10 +284,13 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 	if cfg.trials <= 0 {
 		return errors.New("-trials must be positive in sweep mode")
 	}
-	var sh scenario.Shard
+	var sh scenario.Shard // the i-th of N contiguous shards (scenario.CutShard)
 	if cfg.shard != "" {
-		sh, err = parseShard(cfg.shard, cfg.trials)
-		if err != nil {
+		var i, n int
+		if _, err := fmt.Sscanf(cfg.shard, "%d/%d", &i, &n); err != nil {
+			return fmt.Errorf("-shard must be i/N (e.g. 0/4), got %q", cfg.shard)
+		}
+		if sh, err = scenario.CutShard(cfg.trials, i, n); err != nil {
 			return err
 		}
 	}
@@ -300,46 +298,45 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 	if err != nil {
 		return err
 	}
-	var sinks []sim.Sink
+	var out interface { // the -out sink, which also replays kept records
+		sim.Sink
+		sink.RecordWriter
+	}
 	switch cfg.outFormat {
 	case "jsonl":
-		sinks = append(sinks, sink.NewNDJSON(out))
+		out = sink.NewNDJSON(w)
 	case "csv":
-		sinks = append(sinks, sink.NewCSV(out))
+		out = sink.NewCSV(w)
 	default:
 		return fmt.Errorf("unknown -out %q (have jsonl, csv)", cfg.outFormat)
 	}
-	if cfg.progress {
-		// Time-throttled: one line per second with trials/s and ETA,
-		// however long the trials take — a count-based cadence either
-		// spams short trials or goes silent on expensive ones.
-		sinks = append(sinks, sink.NewProgressEvery(os.Stderr, len(specs), time.Second))
-	}
+	sinks, done := []sim.Sink{out}, 0
 	if cfg.checkpoint != "" {
-		cp, cerr := sink.OpenCheckpoint(cfg.checkpoint)
-		if cerr != nil {
-			return cerr
+		lg, kept, _, err := sink.OpenRecords(cfg.checkpoint, sink.Fingerprint(specs),
+			sink.Sequence{Lo: sh.Lo, Hi: sh.Lo + len(specs), N: specs[0].Params.N})
+		if err != nil {
+			return err
 		}
-		defer cp.Close()
-		if cp.Done() > 0 {
-			fmt.Fprintf(os.Stderr, "rcexp: resuming %d/%d journaled trials from %s\n",
-				cp.Done(), len(specs), cfg.checkpoint)
-		}
-		if sh.IsZero() {
-			err = sink.StreamCheckpointed(ctx, cfg.procs, specs, cp, sinks...)
-		} else {
-			err = sink.StreamCheckpointedShard(ctx, cfg.procs, 0, sh.Lo, specs, cp, sinks...)
-		}
-	} else {
-		if !sh.IsZero() {
-			// Deliver sweep-global trial numbers, so concatenating the N
-			// shard outputs in order reproduces the full run exactly.
-			for i, s := range sinks {
-				sinks[i] = sink.Offset(sh.Lo, s)
+		defer lg.Close()
+		if done = kept; done > 0 {
+			fmt.Fprintf(os.Stderr, "rcexp: resuming %d/%d journaled trials from %s\n", done, len(specs), cfg.checkpoint)
+			if err := sink.ReplayRecords(cfg.checkpoint, done, out); err != nil {
+				return err
 			}
 		}
-		err = sim.Stream(ctx, cfg.procs, specs, sinks...)
+		// Journal first: no trial reaches the output before the journal.
+		sinks = []sim.Sink{sink.NewNDJSON(lg), out}
 	}
+	if cfg.progress {
+		// Time-throttled (a line a second, with trials/s and ETA): a
+		// count-based cadence spams short trials, goes silent on long ones.
+		sinks = append(sinks, sink.NewProgressEvery(os.Stderr, len(specs)-done, time.Second))
+	}
+	// Sweep-global trial numbers: the N shard outputs concatenate to the full run.
+	for i, s := range sinks {
+		sinks[i] = sink.Offset(sh.Lo+done, s)
+	}
+	err = sim.Stream(ctx, cfg.procs, specs[done:], sinks...)
 	var pe *sim.PartialError
 	if errors.As(err, &pe) && errors.Is(pe, context.Canceled) {
 		hint := "rerun with -checkpoint to make sweeps resumable"
@@ -349,20 +346,6 @@ func runSweep(ctx context.Context, out io.Writer, cfg sweepConfig) (err error) {
 		return fmt.Errorf("sweep interrupted (%s): %w", hint, err)
 	}
 	return err
-}
-
-// parseShard resolves "-shard i/N" into the i-th contiguous shard of
-// the sweep (scenario.CutShard's i/N partition, 0-indexed).
-func parseShard(arg string, trials int) (scenario.Shard, error) {
-	var i, n int
-	if _, err := fmt.Sscanf(arg, "%d/%d", &i, &n); err != nil {
-		return scenario.Shard{}, fmt.Errorf("-shard must be i/N (e.g. 0/4), got %q", arg)
-	}
-	sh, err := scenario.CutShard(trials, i, n)
-	if err != nil {
-		return scenario.Shard{}, err
-	}
-	return sh, nil
 }
 
 // loadScenario resolves a registry name or a JSON scenario file.

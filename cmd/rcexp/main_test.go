@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"rcbcast/internal/scenario"
+	"rcbcast/internal/sim/sink"
 )
 
 func TestRcexpList(t *testing.T) {
@@ -130,6 +136,9 @@ func TestRcexpSweepErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-scenario", "full-jam", "-n", "64", "-trials", "2", "-out", "xml"}, &buf); err == nil {
 		t.Fatal("unknown -out must error")
 	}
+	if err := run(context.Background(), []string{"-id", "E9", "-checkpoint", "x.journal"}, &buf); err == nil || !strings.Contains(err.Error(), "-scenario") {
+		t.Fatalf("-checkpoint outside sweep mode: want a usage error, got %v", err)
+	}
 }
 
 // TestRcexpSweepCheckpointResume drives the CLI path of the resume
@@ -167,6 +176,108 @@ func TestRcexpSweepCheckpointResume(t *testing.T) {
 	if first.String()+second.String() != want.String() {
 		t.Fatalf("resumed output differs from uninterrupted run:\n%q\n+\n%q\nwant\n%q",
 			first.String(), second.String(), want.String())
+	}
+}
+
+// TestRcexpCheckpointKillResume is the kill-and-rerun contract: a
+// journal cut mid-line, the way a kill mid-write leaves it, resumes to
+// output byte-identical to an uninterrupted run, in NDJSON and CSV, for
+// the whole sweep and for a shard; an NDJSON journal ends as its pin
+// line followed by the output's bytes.
+func TestRcexpCheckpointKillResume(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-out", "csv"}, {"-shard", "1/3"}} {
+		args := append([]string{"-scenario", "full-jam", "-n", "64", "-trials", "12"}, extra...)
+		sweep := func(more ...string) string {
+			var buf strings.Builder
+			if err := run(context.Background(), append(append([]string(nil), args...), more...), &buf); err != nil {
+				t.Fatalf("%v: %v", extra, err)
+			}
+			return buf.String()
+		}
+		want := sweep()
+		journal := filepath.Join(t.TempDir(), "sweep.journal")
+		if got := sweep("-checkpoint", journal); got != want {
+			t.Fatalf("%v: checkpointed run differs from the plain run", extra)
+		}
+		full, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := bytes.IndexByte(full, '\n') + 1 // the pin line
+		for i := 0; i < 2; i++ {
+			cut += bytes.IndexByte(full[cut:], '\n') + 1
+		}
+		if err := os.Truncate(journal, int64(cut+20)); err != nil { // two records and a torn third
+			t.Fatal(err)
+		}
+		if got := sweep("-checkpoint", journal); got != want {
+			t.Fatalf("%v: resumed output differs from the uninterrupted run:\n%s\nwant\n%s", extra, got, want)
+		}
+		resumed, err := os.ReadFile(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(resumed, full) {
+			t.Fatalf("%v: the resumed journal differs from the uninterrupted one", extra)
+		}
+		if extra == nil && string(full[bytes.IndexByte(full, '\n')+1:]) != want {
+			t.Fatal("the NDJSON journal is not its pin line followed by the output")
+		}
+	}
+}
+
+// TestRcexpCheckpointRefusesForeignJournals: a journal of another
+// sweep (-seed, -n, shard) and a full-Result .ckpt from older versions
+// each fail the run with a typed error naming the cause; the file
+// keeps every byte and nothing reaches the output.
+func TestRcexpCheckpointRefusesForeignJournals(t *testing.T) {
+	base := []string{"-scenario", "full-jam", "-n", "64", "-trials", "6"}
+	journal := filepath.Join(t.TempDir(), "sweep.journal")
+	var buf strings.Builder
+	if err := run(context.Background(), append(base, "-checkpoint", journal), &buf); err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := scenario.Lookup("full-jam")
+	sc.N = 64
+	specs, err := sc.ShardSpecs(1, 0, 6, scenario.Shard{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := filepath.Join(t.TempDir(), "sweep.ckpt")
+	cp, err := sink.OpenCheckpoint(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.StreamCheckpointed(context.Background(), 1, specs[:3], cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Close()
+
+	for _, tc := range []struct {
+		name  string
+		path  string
+		flags []string
+		old   bool
+	}{
+		{"other -seed", journal, []string{"-seed", "2"}, false},
+		{"other -n", journal, []string{"-n", "32"}, false},
+		{"other shard", journal, []string{"-shard", "1/3"}, false},
+		{"full-Result .ckpt", old, nil, true},
+	} {
+		before, err := os.ReadFile(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		args := append(append(append([]string(nil), base...), tc.flags...), "-checkpoint", tc.path)
+		err = run(context.Background(), args, &out)
+		var je *sink.JournalError
+		if !errors.As(err, &je) || errors.Is(err, sink.ErrOldCheckpoint) != tc.old {
+			t.Fatalf("%s: err = %v (%T)", tc.name, err, err)
+		}
+		if after, _ := os.ReadFile(tc.path); !bytes.Equal(after, before) || out.Len() != 0 {
+			t.Fatalf("%s: refused journal changed or output written (%d bytes)", tc.name, out.Len())
+		}
 	}
 }
 
@@ -270,8 +381,9 @@ func TestRcexpShardOracle(t *testing.T) {
 		t.Fatalf("shard 1/3 starts at trial %d, want 2", rec.Trial)
 	}
 
-	// Checkpointed shard: same bytes, and the journal is range-stamped —
-	// a different shard of the same sweep must refuse to resume it.
+	// Checkpointed shard: same bytes, and the journal's sweep pin is the
+	// shard's first trial — a different shard of the same sweep must
+	// refuse to resume it.
 	ckpt := filepath.Join(t.TempDir(), "shard.ckpt")
 	if got := sweep("-shard", "1/3", "-checkpoint", ckpt); got != mid {
 		t.Fatalf("checkpointed shard output differs:\n%s\n---\n%s", got, mid)

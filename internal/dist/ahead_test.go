@@ -541,12 +541,21 @@ func TestDrainMemberAtStartLeavesAheadOn(t *testing.T) {
 // no more claimable shards than slots, neither slot submits ahead: the
 // slow worker holds its first feed until the fast one has taken every
 // other shard, so a slot that bound a shard to the slow worker ahead
-// fails the test.
+// fails the test. Both slots start deterministically: the fast
+// worker's first submit waits for the slow worker's, so goroutine start
+// order cannot hand the fast slot every shard.
 func TestRetryAheadSweepEndGoesToFreeSlot(t *testing.T) {
 	sc := testScenario("dist-ahead-tail")
 	const trials, size = 16, 4
 	want := referenceNDJSON(t, sc, trials, 1)
 	slow, fast := newFakeWorker(t, want), newFakeWorker(t, want)
+	var started atomic.Bool
+	fast.submit = func(http.ResponseWriter, scenario.Shard) bool {
+		if !started.Swap(true) && !slow.waitSubmits(func() bool { return len(slow.submits()) == 1 }) {
+			t.Error("the slow worker's slot never submitted")
+		}
+		return false
+	}
 	var held atomic.Bool
 	slow.results = func(rw http.ResponseWriter, r *http.Request, sh scenario.Shard) bool {
 		if held.Swap(true) {

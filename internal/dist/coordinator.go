@@ -30,6 +30,7 @@ const (
 // live behind the small mutex.
 type shardState struct {
 	shard scenario.Shard
+	n     int // the sweep's node count, which every result line carries
 	// lines buffers the shard's result lines for the merge loop. Its
 	// capacity is the shard's full trial count, so a producing worker
 	// never blocks on it — the merge window (sched) is what bounds
@@ -186,11 +187,16 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 		}
 	}
 
+	p, err := sc.Params()
+	if err != nil {
+		return nil, err
+	}
 	plan := Plan(trials, cfg.ShardSize)
 	shards := make([]*shardState, len(plan))
 	for i, sh := range plan {
 		shards[i] = &shardState{
 			shard: sh,
+			n:     p.N,
 			lines: make(chan []byte, sh.Len()),
 			phase: phasePending,
 		}
@@ -201,10 +207,6 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 	// and truncate it back to their end.
 	frontier, size := 0, int64(0)
 	if resume {
-		p, err := sc.Params()
-		if err != nil {
-			return nil, err
-		}
 		frontier, size, err = restoreOutput(io.NewSectionReader(dout, 0, math.MaxInt64), plan, p.N, shards)
 		if err != nil {
 			return nil, err

@@ -107,11 +107,10 @@ func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int, f
 
 // restoreOutput is the resume scan over a previous run's merged output,
 // read from byte 0. It keeps whole shards: every complete line must
-// parse with sink.ParseRecord and carry the next sweep-global trial
-// index and the sweep's n. Each kept shard's summary is folded per
-// trial, in trial order — exactly the fold tree the original run used,
-// so the resumed sweep's Summary is the same value an uninterrupted run
-// produces. It returns the kept shard count and the byte offset of
+// parse with sink.ParseRecord and follow the sweep's sink.Sequence.
+// Each kept shard's summary is folded per trial, in trial order — the
+// original run's fold tree, so the resumed Summary is the value an
+// uninterrupted run produces. It returns the kept shard count and the byte offset of
 // their end; only a newline-less tail and a trailing partial shard lie
 // past it. A complete line that does not parse, a wrong trial index or
 // n, or bytes past the sweep's last trial mean the output belongs to
@@ -123,6 +122,7 @@ func restoreOutput(r io.Reader, plan []scenario.Shard, n int, shards []*shardSta
 		sum  Summary // the current shard's fold, kept once it completes
 		off  int64
 		next int // the trial the next line must carry
+		seq  = sink.Sequence{Hi: plan[len(plan)-1].Hi, N: n}
 	)
 	foreign := func(format string, args ...any) error {
 		return fmt.Errorf("dist: merged output "+format+" — wrong output file for this journal?", args...)
@@ -141,8 +141,8 @@ func restoreOutput(r io.Reader, plan []scenario.Shard, n int, shards []*shardSta
 		if err := sink.ParseRecord(line, &rec); err != nil {
 			return 0, 0, foreign("line for trial %d is malformed: %v", next, err)
 		}
-		if rec.Trial != next || rec.N != n {
-			return 0, 0, foreign("has trial %d with n=%d where trial %d with n=%d belongs", rec.Trial, rec.N, next, n)
+		if err := seq.Check(&rec, next); err != nil {
+			return 0, 0, foreign("%v", err)
 		}
 		sum.add(&rec)
 		off += int64(len(line))

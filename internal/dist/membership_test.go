@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"rcbcast/internal/dist/chaos"
+	"rcbcast/internal/scenario"
 )
 
 // fastProbes is the in-process test timing: probes every 10ms, a 60ms
@@ -22,6 +24,25 @@ func fastProbes(cfg Config) Config {
 	cfg.Backoff = 5 * time.Millisecond
 	cfg.BackoffCap = 20 * time.Millisecond
 	return cfg
+}
+
+// runDeadline bounds Run in the churn tests. Passing runs take about
+// 5 s under -race on a 2-vCPU VM; a sweep whose whole pool has died has
+// no way out of Run, so without a deadline it would hang until the test
+// binary's timeout and hide every later result.
+const runDeadline = time.Minute
+
+// runBounded runs c.Run under runDeadline in the background and returns
+// the channel its error arrives on.
+func runBounded(c *Coordinator, sc scenario.Scenario, trials int, baseSeed uint64, out io.Writer) <-chan error {
+	ctx, cancel := context.WithTimeout(context.Background(), runDeadline)
+	done := make(chan error, 1)
+	go func() {
+		defer cancel()
+		_, err := c.Run(ctx, sc, trials, baseSeed, out)
+		done <- err
+	}()
+	return done
 }
 
 // TestJoinMidSweepRebalances starts a sweep on one worker and registers
@@ -46,11 +67,7 @@ func TestJoinMidSweepRebalances(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Run(context.Background(), sc, trials, baseSeed, &got)
-		done <- err
-	}()
+	done := runBounded(c, sc, trials, baseSeed, &got)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -68,7 +85,7 @@ func TestJoinMidSweepRebalances(t *testing.T) {
 	}
 
 	if err := <-done; err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Run: %v (members %v)", err, c.Members())
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("merged output differs after mid-sweep join (%d vs %d bytes)", got.Len(), len(want))
@@ -113,11 +130,7 @@ func TestProbeDeathRebalancesInFlight(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Run(context.Background(), sc, trials, baseSeed, &got)
-		done <- err
-	}()
+	done := runBounded(c, sc, trials, baseSeed, &got)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -132,7 +145,7 @@ func TestProbeDeathRebalancesInFlight(t *testing.T) {
 	}
 
 	if err := <-done; err != nil {
-		t.Fatalf("Run after worker death: %v", err)
+		t.Fatalf("Run after worker death: %v (members %v)", err, c.Members())
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("merged output differs after probe-detected death (%d vs %d bytes)", got.Len(), len(want))
@@ -170,11 +183,7 @@ func TestDrainingWorkerClaimsNothingNew(t *testing.T) {
 	}
 
 	var got bytes.Buffer
-	done := make(chan error, 1)
-	go func() {
-		_, err := c.Run(context.Background(), sc, trials, baseSeed, &got)
-		done <- err
-	}()
+	done := runBounded(c, sc, trials, baseSeed, &got)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
@@ -202,10 +211,10 @@ func TestDrainingWorkerClaimsNothingNew(t *testing.T) {
 	select {
 	case <-drainObserved:
 	case <-time.After(30 * time.Second):
-		t.Fatal("prober never observed the draining state")
+		t.Fatalf("prober never observed the draining state (members %v)", c.Members())
 	}
 	if err := <-done; err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Run: %v (members %v)", err, c.Members())
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Fatalf("merged output differs after drain/recover (%d vs %d bytes)", got.Len(), len(want))

@@ -122,11 +122,10 @@ func (w *workerClient) submit(ctx context.Context, sh scenario.Shard) (string, e
 // retry skips the st.sent lines already buffered by earlier attempts —
 // determinism makes the replayed prefix identical, which is what lets a
 // reassigned shard resume mid-stream without re-delivering a trial.
-// Each accepted line is sanity-checked (its trial index must be the
-// next sweep-global index) and folded into the shard's summary before
-// buffering. A watchdog abandons the attempt if the stream goes silent
-// for the stall timeout — the SIGKILLed-worker signature, since a dead
-// TCP peer otherwise blocks the read indefinitely.
+// Each new line is checked and folded into the shard's summary before
+// buffering (accept). A watchdog abandons the attempt if the stream
+// goes silent for the stall timeout — the SIGKILLed-worker signature,
+// since a dead TCP peer otherwise blocks the read indefinitely.
 func (w *workerClient) follow(ctx context.Context, id string, st *shardState) error {
 	reqCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -159,8 +158,6 @@ func (w *workerClient) follow(ctx context.Context, id string, st *shardState) er
 			switch {
 			case skip > 0:
 				skip--
-			case st.sent >= want:
-				return fmt.Errorf("dist: %s job %s emitted more than %d lines for shard %s", w.base, id, want, st.shard)
 			default:
 				if err := st.accept(line, &rec); err != nil {
 					return fmt.Errorf("dist: %s job %s: %w", w.base, id, err)
@@ -200,17 +197,15 @@ func snippet(data []byte) string {
 }
 
 // accept validates, folds, and buffers one result line. The line must
-// parse under the strict record layout (sink.ParseRecord) and carry the
-// shard's next sweep-global trial index — anything else means the
-// worker's journal or feed is corrupt, and nothing is buffered. rec is
-// the caller's parse scratch: reused across a stream, it decodes a
-// repeated strategy name without allocating.
+// parse (sink.ParseRecord) and follow the shard's sink.Sequence, or the
+// worker's journal or feed is corrupt and nothing is buffered. rec is
+// the caller's parse scratch, reused across a stream.
 func (st *shardState) accept(line []byte, rec *sink.Record) error {
 	if err := sink.ParseRecord(line, rec); err != nil {
 		return fmt.Errorf("malformed result line: %w", err)
 	}
-	if wantTrial := st.shard.Lo + st.sent; rec.Trial != wantTrial {
-		return fmt.Errorf("result line has trial %d, want %d (shard %s)", rec.Trial, wantTrial, st.shard)
+	if err := (sink.Sequence{Lo: st.shard.Lo, Hi: st.shard.Hi, N: st.n}).Check(rec, st.sent); err != nil {
+		return fmt.Errorf("result line for shard %s: %w", st.shard, err)
 	}
 	st.sum.add(rec)
 	st.lines <- line // never blocks: cap == shard.Len()

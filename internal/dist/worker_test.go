@@ -44,6 +44,7 @@ func malformedLines(t *testing.T, trial int) []struct {
 		line []byte
 	}{
 		{"wrong trial index", recordLine(t, trial+1)},
+		{"wrong n", edit(`"n":64`, `"n":65`)},
 		{"truncated", append(good[:len(good)/2:len(good)/2], '\n')},
 		{"trailing garbage after }", edit("}\n", "}x\n")},
 		{"reordered fields", edit(fmt.Sprintf(`{"trial":%d,"n":64`, trial), fmt.Sprintf(`{"n":64,"trial":%d`, trial))},
@@ -60,7 +61,7 @@ func malformedLines(t *testing.T, trial int) []struct {
 func TestAcceptRejectsMalformedLines(t *testing.T) {
 	const lo = 10
 	newShard := func() *shardState {
-		return &shardState{shard: scenario.Shard{Lo: lo, Hi: lo + 2}, lines: make(chan []byte, 2)}
+		return &shardState{shard: scenario.Shard{Lo: lo, Hi: lo + 2}, n: 64, lines: make(chan []byte, 2)}
 	}
 	var rec sink.Record
 	for _, tc := range malformedLines(t, lo) {
@@ -181,7 +182,7 @@ func TestClassifyFaults(t *testing.T) {
 			}
 			w := &workerClient{base: base, http: srv.Client(), scenario: json.RawMessage(`{}`),
 				trials: 2, stall: 100 * time.Millisecond, jit: newJitter(0, base, 0)}
-			st := &shardState{shard: sh, lines: make(chan []byte, sh.Len())}
+			st := &shardState{shard: sh, n: 64, lines: make(chan []byte, sh.Len())}
 			err := w.runShard(context.Background(), st)
 			if err == nil {
 				t.Fatal("attempt succeeded")

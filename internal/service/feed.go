@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"rcbcast/internal/journal"
-	"rcbcast/internal/sim/sink"
 )
 
 // feed is one job's live result stream: the <id>.ndjson file plus an
@@ -38,31 +37,6 @@ func newFeed(path string, terminal bool) *feed {
 		fd.size = st.Size()
 	}
 	return fd
-}
-
-// openResults opens the job's output as its record journal for a
-// run over the trials [lo, lo+total) of an n-node sweep. Lines must be
-// the sweep's records in order: a line sink.ParseRecord rejects is a
-// torn or corrupt tail and is truncated, while a parseable line that is
-// not the next trial — another index or node count, or a line past the
-// shard's end — means another sweep wrote the file, and the open fails
-// with the file untouched. done and size are the kept trials and bytes.
-func openResults(path string, lo, n, total int) (lg *journal.Log, done int, size int64, err error) {
-	var rec sink.Record
-	lg, err = journal.Open(path, func(line []byte) (bool, error) {
-		if sink.ParseRecord(line, &rec) != nil {
-			return false, nil
-		}
-		if done == total || rec.Trial != lo+done || rec.N != n {
-			return false, fmt.Errorf(
-				"service: %s was written by a different sweep (line %d is trial %d with n=%d; this job wants trial %d of [%d,%d) with n=%d)",
-				path, done+1, rec.Trial, rec.N, lo+done, lo, lo+total, n)
-		}
-		done++
-		size += int64(len(line))
-		return true, nil
-	})
-	return lg, done, size, err
 }
 
 // openForRun attaches the job's record journal for a run attempt at its

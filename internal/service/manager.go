@@ -279,7 +279,7 @@ func (m *Manager) admitLocked(client string, sc scenario.Scenario, trials int, b
 // createOutput creates a newly admitted job's empty output file on the
 // submitting goroutine, outside m.mu. A coordinator submits its next
 // shard while the runner still computes the current one, so the inode
-// creation happens off the runner's path and the run's openResults only
+// creation happens off the runner's path and the run's OpenRecords only
 // opens an existing file. An existing file is never touched (O_EXCL):
 // the runner may have got there first, and a file another sweep left is
 // the runner's to reject. Any other failure is only logged — the run
@@ -497,7 +497,7 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 		specs = testWrapSpecs(j, specs)
 	}
 	lo, _ := j.shardRange()
-	lg, done, size, err := openResults(j.out, lo, specs[0].Params.N, len(specs))
+	lg, done, size, err := sink.OpenRecords(j.out, "", sink.Sequence{Lo: lo, Hi: lo + len(specs), N: specs[0].Params.N})
 	if err != nil {
 		return err
 	}

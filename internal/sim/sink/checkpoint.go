@@ -16,44 +16,31 @@ import (
 
 // Checkpoint journals every delivered trial — the full engine.Result,
 // one NDJSON line — so an interrupted sweep resumes without re-running
-// the delivered prefix. Because session delivery is in trial order, the
-// journal is always the contiguous prefix [0, Done()) of the sweep;
-// OpenCheckpoint tolerates a torn trailing line (an interrupted write)
-// by truncating it. Results round-trip exactly through the journal
-// (encoding/json preserves every int64 and float64), which is what
-// makes a resumed sweep's downstream sink output byte-identical to an
-// uninterrupted run's — the determinism test pins that.
+// the delivered prefix. In-order delivery keeps the journal the
+// contiguous prefix [0, Done()) of the sweep, and results round-trip
+// exactly through encoding/json, so a resumed sweep's sink output is
+// byte-identical to an uninterrupted run's.
 //
-// The full-fidelity journal is a deliberate size/correctness trade:
-// replay must reproduce whatever any downstream sink reads, including
-// the O(n) NodeCosts vector and recorded phases, so one journal line
-// costs roughly one serialized Result (~kilobytes at n=1024) rather
-// than the ~200-byte summary Record. Budget journal disk as
-// trials × result size. A sweep whose only output is summary Records
-// can journal those instead: service jobs resume from their out.ndjson.
+// A line costs one serialized Result, O(n) with its NodeCosts
+// (~kilobytes at n=1024, against a ~200-byte Record): the price of the
+// rcbcast façade's arbitrary sinks, and of perfbench's ladder. Sweeps
+// that output Records keep a record journal instead (OpenRecords).
 //
 // Each Trial call flushes its line, so a context-canceled process loses
 // at most the trial in flight.
 type Checkpoint struct {
-	path   string
-	log    *journal.Log
-	done   int
-	sweep  string // fingerprint from the journal header ("" when absent)
-	lo, hi int    // shard range from the header (0,0 = whole-sweep journal)
+	path  string
+	log   *journal.Log
+	done  int
+	sweep string // fingerprint from the journal header ("" when absent)
 }
 
-// journalHeader is the journal's first line: a fingerprint of the spec
-// list the sweep was started with, so a resume with different specs
-// fails fast instead of silently splicing two different experiments.
-// Shard journals (StreamCheckpointedShard) additionally record their
-// trial range [lo, hi): the fingerprint alone covers only the leading
-// spec, so two shards with the same lo but different hi — [0, 100) and
-// [0, 200) of one sweep — would otherwise collide and silently resume
-// each other's journals.
+// journalHeader is the journal's first line and a record journal's
+// pin: the Fingerprint of the specs the sweep started with, so a resume
+// with other specs fails instead of splicing two experiments. (Older
+// shard journals also carry a range, lo and hi; it is ignored.)
 type journalHeader struct {
 	Sweep string `json:"sweep"`
-	Lo    int    `json:"lo,omitempty"`
-	Hi    int    `json:"hi,omitempty"`
 }
 
 // journalLine is one journaled trial.
@@ -75,7 +62,7 @@ func OpenCheckpoint(path string) (*Checkpoint, error) {
 			first = false
 			var jh journalHeader
 			if json.Unmarshal(line, &jh) == nil && jh.Sweep != "" {
-				c.sweep, c.lo, c.hi = jh.Sweep, jh.Lo, jh.Hi
+				c.sweep = jh.Sweep
 				return true, nil
 			}
 		}
@@ -142,17 +129,6 @@ func (c *Checkpoint) Trial(_ int, r *engine.Result) error {
 	return nil
 }
 
-// writeHeader stamps a fresh journal with the sweep fingerprint and,
-// for shard journals, the trial range [lo, hi). Whole-sweep journals
-// pass (0, 0) and keep the pre-shard header shape.
-func (c *Checkpoint) writeHeader(fp string, lo, hi int) error {
-	if err := c.log.Append(journalHeader{Sweep: fp, Lo: lo, Hi: hi}); err != nil {
-		return err
-	}
-	c.sweep, c.lo, c.hi = fp, lo, hi
-	return nil
-}
-
 // Flush implements sim.Sink. Every Trial has already flushed its line;
 // Flush reports the first write failure, if any.
 func (c *Checkpoint) Flush() error { return c.log.Err() }
@@ -161,14 +137,12 @@ func (c *Checkpoint) Flush() error { return c.log.Err() }
 func (c *Checkpoint) Close() error { return c.log.Close() }
 
 // Fingerprint hashes the sweep's first spec — its seed, protocol
-// instance, and topology — into the token a checkpoint header (and a
-// service job record) pins a sweep with. Derived sweeps share one
+// instance, and topology — into the token a journal header or pin (and
+// a service job record) pins a sweep with. Derived sweeps share one
 // scenario and base seed across all specs, so the first spec catches
-// the realistic mismatches (a different -n, -seed, -topology, or
-// scenario override) while still allowing a longer -trials resume of
-// the same sweep. Strategy, pool, and Configure are factories and
-// cannot be hashed; two sweeps differing only in those are not
-// distinguished.
+// the realistic mismatches (another -n, -seed, -topology, shard or
+// override) while still allowing a longer -trials resume. Strategy,
+// pool, and Configure are factories and cannot be hashed.
 func Fingerprint(specs []sim.TrialSpec) string {
 	h := fnv.New64a()
 	var b [8]byte
@@ -189,97 +163,56 @@ func Fingerprint(specs []sim.TrialSpec) string {
 // with their delivery re-indexed to sweep coordinates. Interrupt a
 // sweep (ctx cancellation returns the session's *sim.PartialError),
 // reopen the checkpoint, call StreamCheckpointed again with the same
-// specs, and the concatenated sink output is byte-identical to an
-// uninterrupted run.
-//
-// The journal's header records a fingerprint of the spec list; resuming
-// with different specs (another n, base seed, trial count, or protocol
-// override) is rejected instead of silently splicing two different
-// sweeps into one output.
+// specs, and the sink output is byte-identical to an uninterrupted
+// run. A journal of other specs (per its header's fingerprint) or
+// longer than the sweep is rejected. Its caller is the rcbcast façade.
 func StreamCheckpointed(ctx context.Context, procs int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
-	return streamCheckpointed(ctx, procs, 0, false, specs, cp, sinks)
+	return StreamCheckpointedShard(ctx, procs, 0, 0, specs, cp, sinks...)
 }
 
-// StreamCheckpointedShard is StreamCheckpointed for one contiguous
-// shard [lo, lo+len(specs)) of a larger sweep (scenario.ShardSpecs):
-// sink delivery is re-indexed to sweep-global trial coordinates, and
-// the journal header records the shard range alongside the sweep
-// fingerprint. A shard journal therefore can never be resumed by a
-// different shard of the same sweep — the fingerprint alone already
-// separates shards with different lo (their leading seeds differ), and
-// the recorded range separates same-lo shards with different hi —
-// and a whole-sweep run rejects a shard journal (and vice versa)
-// instead of silently splicing ranges. width is ignored (every sweep
-// runs on the batch kernel); it stays for existing callers.
+// StreamCheckpointedShard is StreamCheckpointed for the shard
+// [lo, lo+len(specs)) of a larger sweep (scenario.ShardSpecs), with
+// sink delivery at sweep-global indices. Trial seeds are sweep-global,
+// so the fingerprint separates shards with different lo, and a journal
+// of the same lo replays exactly the trials this run would compute.
+// Its caller is perfbench's ladder, for which the ignored width stays.
 func StreamCheckpointedShard(ctx context.Context, procs, width, lo int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
 	if lo < 0 {
 		return fmt.Errorf("sink: shard lo must be >= 0 (got %d)", lo)
 	}
-	return streamCheckpointed(ctx, procs, lo, true, specs, cp, sinks)
-}
-
-// streamCheckpointed is the one implementation under both entry points.
-// sharded selects the shard contract: delivery offset by lo and a
-// range-stamped, range-checked journal header covering [lo,
-// lo+len(specs)).
-func streamCheckpointed(ctx context.Context, procs, lo int, sharded bool, specs []sim.TrialSpec, cp *Checkpoint, sinks []sim.Sink) error {
 	if cp.Done() > len(specs) {
 		return fmt.Errorf("sink: checkpoint has %d trials but the sweep has %d", cp.Done(), len(specs))
 	}
 	if len(specs) == 0 {
 		return cp.Flush()
 	}
-	wantLo, wantHi := 0, 0
-	if sharded {
-		wantLo, wantHi = lo, lo+len(specs)
-	}
-	fp := Fingerprint(specs)
-	switch {
-	case cp.sweep == "" && cp.done == 0:
-		// Fresh journal: stamp the header before any trial.
-		if err := cp.writeHeader(fp, wantLo, wantHi); err != nil {
+	// A non-empty headerless journal (cp used directly as a Stream sink)
+	// cannot be validated and is accepted as-is.
+	switch fp := Fingerprint(specs); {
+	case cp.sweep == "" && cp.done == 0: // fresh: stamp the header before any trial
+		if err := cp.log.Append(journalHeader{Sweep: fp}); err != nil {
 			return err
 		}
-	case cp.sweep != "" && (cp.lo != wantLo || cp.hi != wantHi):
-		return fmt.Errorf(
-			"sink: checkpoint %s was written by shard %s of the sweep, not %s — delete it or rerun with the original shard",
-			cp.path, rangeLabel(cp.lo, cp.hi), rangeLabel(wantLo, wantHi))
+		cp.sweep = fp
 	case cp.sweep != "" && cp.sweep != fp:
-		return fmt.Errorf(
-			"sink: checkpoint %s was written by a different sweep (fingerprint %s, this sweep %s) — delete it or rerun with the original specs",
+		return fmt.Errorf("sink: checkpoint %s was written by a different sweep (fingerprint %s, this sweep %s) — delete it or rerun with the original specs",
 			cp.path, cp.sweep, fp)
-	default:
-		// A non-empty headerless journal (cp used directly as a Stream
-		// sink) cannot be validated; accept it as-is.
 	}
 	// The journal stores shard-local indices; downstream sinks see
 	// sweep-global ones.
-	outSinks := sinks
-	if lo > 0 {
-		outSinks = make([]sim.Sink, len(sinks))
-		for i, s := range sinks {
-			outSinks[i] = offset{d: lo, s: s}
-		}
+	replay := make([]sim.Sink, len(sinks))
+	for i, s := range sinks {
+		replay[i] = offset{d: lo, s: s}
 	}
-	if err := cp.Replay(outSinks...); err != nil {
+	if err := cp.Replay(replay...); err != nil {
 		return err
 	}
 	base := cp.Done()
-	session := make([]sim.Sink, 0, len(sinks)+1)
-	session = append(session, cp) // journal first: never emit a trial the journal lacks
+	session := []sim.Sink{cp} // journal first: never emit a trial the journal lacks
 	for _, s := range sinks {
 		session = append(session, offset{d: base + lo, s: s})
 	}
 	return sim.Stream(ctx, procs, specs[base:], session...)
-}
-
-// rangeLabel names a header range for error messages; (0,0) is the
-// whole sweep.
-func rangeLabel(lo, hi int) string {
-	if lo == 0 && hi == 0 {
-		return "[whole sweep]"
-	}
-	return fmt.Sprintf("[%d,%d)", lo, hi)
 }
 
 // offset re-indexes a shard- or tail-local delivery back to sweep
@@ -292,7 +225,6 @@ type offset struct {
 func (o offset) Trial(i int, r *engine.Result) error { return o.s.Trial(i+o.d, r) }
 func (o offset) Flush() error                        { return o.s.Flush() }
 
-// Offset re-indexes a sink's trial indices by a fixed delta — the
-// adapter shard runs use to deliver sweep-global trial numbers from a
-// shard-local streaming session (rcexp -shard without a checkpoint).
+// Offset re-indexes a sink's trial indices by a fixed delta, so a shard
+// or resumed run's session delivers sweep-global trial numbers.
 func Offset(delta int, s sim.Sink) sim.Sink { return offset{d: delta, s: s} }

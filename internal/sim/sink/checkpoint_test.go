@@ -494,57 +494,68 @@ type flushCounter struct {
 func (f *flushCounter) Trial(int, *engine.Result) error { f.trials++; return nil }
 func (f *flushCounter) Flush() error                    { f.flushes++; return f.err }
 
-// TestCheckpointShardRangeMismatchRejected: the range-stamped header
-// separates shard journals from each other and from whole-sweep
-// journals — resuming any of them with the wrong range fails fast.
+// TestCheckpointShardRangeMismatchRejected: a shard journal resumes
+// only runs whose leading trial it shares. Another lo is rejected by the
+// fingerprint (the leading seed differs) with the file untouched; a run
+// with the same lo — a longer shard or the whole sweep — replays
+// exactly the trials it would compute, because trial seeds are
+// sweep-global, and matches an uninterrupted run byte for byte.
 func TestCheckpointShardRangeMismatchRejected(t *testing.T) {
 	const trials = 12
 	whole := jamSpecs(64, trials)
+	var want bytes.Buffer
+	mustStream(t, 1, whole, NewNDJSON(&want))
+	wantLines := bytes.SplitAfter(want.Bytes(), []byte("\n"))
+	ctx := context.Background()
 
-	// Write a shard journal for [0, 6).
-	path := filepath.Join(t.TempDir(), "shard.ckpt")
-	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointedShard(context.Background(), 1, 1, 0, whole[0:6], cp); err != nil {
+	// shardJournal writes a fresh journal of shard [0, 6).
+	shardJournal := func() string {
+		path := filepath.Join(t.TempDir(), "shard.ckpt")
+		if err := StreamCheckpointedShard(ctx, 1, 1, 0, whole[0:6], openCheckpoint(t, path)); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+
+	path := shardJournal()
+	before, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cp.Close()
-
-	// Same lo, longer hi: the fingerprint matches (same leading spec),
-	// only the recorded range catches it.
-	err := StreamCheckpointedShard(context.Background(), 1, 1, 0, whole[0:9], openCheckpoint(t, path))
-	if err == nil || !strings.Contains(err.Error(), "shard [0,6)") {
-		t.Fatalf("same-lo different-hi resume: want range rejection, got %v", err)
+	err = StreamCheckpointedShard(ctx, 1, 1, 3, whole[3:9], openCheckpoint(t, path))
+	if err == nil || !strings.Contains(err.Error(), "different sweep") {
+		t.Fatalf("other-lo resume: want a fingerprint rejection, got %v", err)
 	}
-	// A whole-sweep run must not splice a shard journal either (again a
-	// fingerprint collision: trial 0 leads both).
-	err = StreamCheckpointed(context.Background(), 1, whole, openCheckpoint(t, path))
-	if err == nil || !strings.Contains(err.Error(), "shard [0,6)") {
-		t.Fatalf("whole-sweep resume of a shard journal: want range rejection, got %v", err)
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+		t.Fatal("rejected resume modified the journal")
 	}
 
-	// And the converse: a shard run must not splice a whole-sweep journal.
-	wholePath := filepath.Join(t.TempDir(), "whole.ckpt")
-	cpw := openCheckpoint(t, wholePath)
-	if err := StreamCheckpointed(context.Background(), 1, whole[:6], cpw); err != nil {
-		t.Fatal(err)
-	}
-	cpw.Close()
-	err = StreamCheckpointedShard(context.Background(), 1, 1, 0, whole[0:6], openCheckpoint(t, wholePath))
-	if err == nil || !strings.Contains(err.Error(), "whole sweep") {
-		t.Fatalf("shard resume of a whole-sweep journal: want range rejection, got %v", err)
-	}
-
-	// The matching range still resumes cleanly.
-	if err := StreamCheckpointedShard(context.Background(), 1, 1, 0, whole[0:6], openCheckpoint(t, path)); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		hi   int
+		run  func(cp *Checkpoint, out sim.Sink) error
+	}{
+		{"longer shard", 9, func(cp *Checkpoint, out sim.Sink) error {
+			return StreamCheckpointedShard(ctx, 1, 1, 0, whole[0:9], cp, out)
+		}},
+		{"whole sweep", trials, func(cp *Checkpoint, out sim.Sink) error {
+			return StreamCheckpointed(ctx, 1, whole, cp, out)
+		}},
+	} {
+		var got bytes.Buffer
+		if err := tc.run(openCheckpoint(t, shardJournal()), NewNDJSON(&got)); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got.Bytes(), bytes.Join(wantLines[:tc.hi], nil)) {
+			t.Fatalf("%s resumed from a [0,6) journal differs from the uninterrupted run:\n%s", tc.name, got.String())
+		}
 	}
 }
 
 // TestCheckpointShardTornTailTruncated: torn-tail recovery under a
-// range-stamped shard journal — the coordinator-crash building block.
-// A shard journal with a newline-less partial final line (the SIGKILL
-// signature) must recover exactly its valid prefix, keep its [lo, hi)
-// header intact, and resume to output byte-identical to an
+// shard journal. A shard journal with a newline-less partial final line
+// (the SIGKILL signature) must recover exactly its valid prefix, keep
+// its header intact, and resume to output byte-identical to an
 // uninterrupted shard run.
 func TestCheckpointShardTornTailTruncated(t *testing.T) {
 	const trials, lo, hi = 20, 8, 14
@@ -595,15 +606,15 @@ func TestCheckpointShardTornTailTruncated(t *testing.T) {
 	if cp2.Done() != prefix {
 		t.Fatalf("torn shard journal recovered %d trials, want %d", cp2.Done(), prefix)
 	}
-	// The range header survived the truncation: a mismatched range is
-	// still rejected…
-	if err := StreamCheckpointedShard(context.Background(), 1, 1, lo, whole[lo:hi+2], cp2); err == nil ||
-		!strings.Contains(err.Error(), "shard [8,14)") {
-		t.Fatalf("torn journal lost its range stamp: %v", err)
+	// The header survived the truncation: another lo is still
+	// rejected…
+	if err := StreamCheckpointedShard(context.Background(), 1, 1, lo+1, whole[lo+1:hi], cp2); err == nil ||
+		!strings.Contains(err.Error(), "different sweep") {
+		t.Fatalf("torn journal lost its fingerprint: %v", err)
 	}
 	cp2.Close()
 
-	// …and the matching range resumes to byte-identical output.
+	// …and the same shard resumes to byte-identical output.
 	cp3 := openCheckpoint(t, path)
 	var got bytes.Buffer
 	if err := StreamCheckpointedShard(context.Background(), 1, 1, lo, shard, cp3, NewNDJSON(&got)); err != nil {

@@ -51,12 +51,8 @@ func NewRecord(i int, r *engine.Result) Record {
 	}
 }
 
-// csvHeader lists the CSV columns, matching Record's field order.
-var csvHeader = []string{
-	"trial", "n", "informed", "stranded", "dead", "completed", "rounds",
-	"slots", "alice_cost", "node_median_cost", "node_max_cost",
-	"adversary_spent", "strategy",
-}
+// csvHeader is the CSV header line, matching Record's field order.
+const csvHeader = "trial,n,informed,stranded,dead,completed,rounds,slots,alice_cost,node_median_cost,node_max_cost,adversary_spent,strategy\n"
 
 // appendJSON renders the record as one JSON line into buf, byte for
 // byte what encoding/json's Encoder emits for Record (field order, no
@@ -335,12 +331,9 @@ func appendJSONString(buf []byte, s string) []byte {
 	return append(buf, '"')
 }
 
-// NDJSON writes one JSON line (a Record) per trial, encoding into a
-// reused per-sink buffer — one Write per line, exactly the write
-// pattern (and output bytes) of the json.Encoder it replaces, so the
-// first write error still stops the stream at the same trial: Trial
-// keeps returning it, and Flush surfaces it for streams that never
-// deliver another trial.
+// NDJSON writes one JSON line (a Record) per trial, one Write per line
+// from a reused buffer. The first write error sticks: Trial keeps
+// returning it, and Flush surfaces it for a stream with no later trial.
 type NDJSON struct {
 	w   io.Writer
 	buf []byte
@@ -352,10 +345,15 @@ func NewNDJSON(w io.Writer) *NDJSON { return &NDJSON{w: w} }
 
 // Trial implements sim.Sink.
 func (s *NDJSON) Trial(i int, r *engine.Result) error {
+	rec := NewRecord(i, r)
+	return s.WriteRecord(&rec)
+}
+
+// WriteRecord implements RecordWriter.
+func (s *NDJSON) WriteRecord(rec *Record) error {
 	if s.err != nil {
 		return s.err
 	}
-	rec := NewRecord(i, r)
 	s.buf = rec.appendJSON(s.buf[:0])
 	if _, err := s.w.Write(s.buf); err != nil {
 		s.err = err
@@ -366,11 +364,9 @@ func (s *NDJSON) Trial(i int, r *engine.Result) error {
 // Flush implements sim.Sink.
 func (s *NDJSON) Flush() error { return s.err }
 
-// CSV writes a header plus one row (a Record) per trial. A stream with
-// zero trials produces an empty file. Rows are rendered into a reused
-// scratch buffer and buffered through a bufio.Writer, mirroring the
-// encoding/csv writer it replaces (including its quoting rules and its
-// error timing: write errors surface when the buffer flushes).
+// CSV writes a header plus one row (a Record) per trial; zero trials
+// write nothing. Rows go through a bufio.Writer with encoding/csv's
+// quoting rules, so write errors surface when the buffer flushes.
 type CSV struct {
 	w      *bufio.Writer
 	buf    []byte
@@ -382,21 +378,18 @@ func NewCSV(w io.Writer) *CSV { return &CSV{w: bufio.NewWriter(w)} }
 
 // Trial implements sim.Sink.
 func (s *CSV) Trial(i int, r *engine.Result) error {
+	rec := NewRecord(i, r)
+	return s.WriteRecord(&rec)
+}
+
+// WriteRecord implements RecordWriter.
+func (s *CSV) WriteRecord(rec *Record) error {
 	if !s.header {
 		s.header = true
-		s.buf = s.buf[:0]
-		for j, col := range csvHeader {
-			if j > 0 {
-				s.buf = append(s.buf, ',')
-			}
-			s.buf = append(s.buf, col...)
-		}
-		s.buf = append(s.buf, '\n')
-		if _, err := s.w.Write(s.buf); err != nil {
+		if _, err := s.w.WriteString(csvHeader); err != nil {
 			return err
 		}
 	}
-	rec := NewRecord(i, r)
 	b := s.buf[:0]
 	b = strconv.AppendInt(b, int64(rec.Trial), 10)
 	b = append(b, ',')

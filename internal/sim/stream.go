@@ -251,7 +251,8 @@ func Stream(ctx context.Context, procs int, specs []TrialSpec, sinks ...Sink) er
 
 // StreamBatch is Stream; width is ignored.
 //
-// Deprecated: every sweep runs on the batch kernel. Call Stream.
+// Deprecated: every sweep runs on the batch kernel. Call Stream. The
+// one remaining caller is perfbench's ladder.
 func StreamBatch(ctx context.Context, procs, width int, specs []TrialSpec, sinks ...Sink) error {
 	return Stream(ctx, procs, specs, sinks...)
 }
