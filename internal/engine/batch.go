@@ -20,7 +20,7 @@ import (
 // completion, on one reusable lane. The trials are independent — lanes
 // may differ in every Options field — and every Result is
 // byte-identical to Run's for the same Options (pinned by the
-// differential and fuzz tests). Four things make a lane faster than the
+// differential and fuzz tests). Five things make a lane faster than the
 // scalar engine:
 //
 //   - Block geometric draws. Every schedule a lane walks uses
@@ -50,6 +50,10 @@ import (
 //     every trial on a BatchScratch shares a single build and CSR;
 //     Gilbert graphs are keyed by seed, so re-runs of a trial reuse
 //     theirs.
+//   - Unheard phases. A phase that no listener and no reactive strategy
+//     can hear — the benign propagate phase once everyone is informed —
+//     only draws, charges and counts its sends: no send records, channel
+//     bits or reception index. See heard.
 //
 // The scalar engine (Run / RunContext) is the byte-identity oracle.
 
@@ -193,7 +197,9 @@ func (bs *BatchScratch) run(ctx context.Context, o Options) (*Result, error) {
 // phase mirrors run.runPhase on the kernel's reception state:
 // transmissions committed and charged, the adversary's plan fixed, the
 // sparse reception index built, then listens resolved and the phase
-// settled exactly as run.runPhase settles it.
+// settled exactly as run.runPhase settles it. An unheard phase (see
+// heard) still draws and charges every send and plans the adversary,
+// but commits nothing to the channel and builds no index.
 func (l *batchLane) phase(ph core.Phase) {
 	r := l.r
 	l.ensureBuffers(ph.Length)
@@ -202,13 +208,16 @@ func (l *batchLane) phase(ph core.Phase) {
 		r.opts.Tracer.PhaseStart(ph)
 	}
 
-	l.aliceSends(ph, &out)
+	heard := l.heard(ph)
+	l.aliceSends(ph, &out, heard)
 	for i := range r.nodes {
-		l.planNodeSends(&r.nodes[i], ph)
+		l.planNodeSends(&r.nodes[i], ph, &out, heard)
 	}
-	l.mergeNodeSends(&out)
-	plan := l.adversaryPlan(ph, &out)
-	if r.topo != nil {
+	if heard {
+		l.mergeNodeSends(&out)
+	}
+	plan := l.adversaryPlan(ph, &out, heard)
+	if heard && r.topo != nil {
 		slices.Sort(l.txp)
 		l.buildRecvIndex(ph)
 	}
@@ -235,6 +244,33 @@ func (l *batchLane) phase(ph core.Phase) {
 	if plan != nil {
 		plan.Release()
 	}
+}
+
+// heard reports whether anything can read this phase's channel state:
+// an active, uninformed node that may listen, a live Alice who may
+// listen, or a reactive strategy, which plans from the busy set. When
+// nothing can, the phase's transmissions matter only as counts and
+// charges, so the send walkers tally them into the outcome and skip the
+// per-send records, the channel bits and the reception index. The
+// answer is taken before any sends and cannot turn false-to-true during
+// them: sends only ever stop a party (budget death), never inform or
+// revive one, so every listen walk of an unheard phase returns at once,
+// as the scalar engine's does.
+func (l *batchLane) heard(ph core.Phase) bool {
+	r := l.r
+	if _, ok := r.strategy.(adversary.Reactive); ok && r.opts.AllowReactive {
+		return true
+	}
+	if ph.AliceListenP > 0 && r.alice.active() {
+		return true
+	}
+	for i := range r.nodes {
+		nd := &r.nodes[i]
+		if nd.active() && !nd.informed && clamp01(ph.NodeListenP*nd.listenScale) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ensureBuffers sizes the lane's per-slot reception state. Sparse lanes
@@ -450,8 +486,11 @@ func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind,
 // planNodeSends mirrors run.planNodeSends walking the lane's block
 // schedules: same streams, same keyed draws, same merge and charging
 // order, slot sequences pinned identical by the sampling differential
-// tests.
-func (l *batchLane) planNodeSends(n *nodeState, ph core.Phase) {
+// tests. In an unheard phase (!heard) the sends are tallied into out as
+// they are charged instead of recorded for mergeNodeSends, so a node
+// that dies mid-walk has tallied exactly the sends the scalar engine
+// merges.
+func (l *batchLane) planNodeSends(n *nodeState, ph core.Phase, out *adversary.PhaseOutcome, heard bool) {
 	r := l.r
 	n.sendSlots = n.sendSlots[:0]
 	n.sendKinds = n.sendKinds[:0]
@@ -498,6 +537,19 @@ func (l *batchLane) planNodeSends(n *nodeState, ph core.Phase) {
 	// mid-walk death is observable.
 	prepaid := n.meter.CanAfford(2 * int64(ph.Length))
 	sends := int64(0)
+	if !heard && prepaid && !cOK {
+		// Unheard, prepaid and without decoys, the walk's only effect is
+		// the data schedule's length: count it a block at a time.
+		if dOK {
+			sends = 1
+			for blk := l.blkA.Take(); len(blk) > 0; blk = l.blkA.Take() {
+				sends += int64(len(blk))
+			}
+		}
+		_ = n.meter.ChargeN(energy.Send, sends)
+		countSend(out, dataKind, int(sends))
+		return
+	}
 	for dOK || cOK {
 		var slot int
 		var kind msg.Kind
@@ -518,8 +570,12 @@ func (l *batchLane) planNodeSends(n *nodeState, ph core.Phase) {
 			n.dead = true
 			return
 		}
-		n.sendSlots = append(n.sendSlots, int32(slot))
-		n.sendKinds = append(n.sendKinds, kind)
+		if heard {
+			n.sendSlots = append(n.sendSlots, int32(slot))
+			n.sendKinds = append(n.sendKinds, kind)
+		} else {
+			countSend(out, kind, 1)
+		}
 	}
 	if prepaid {
 		_ = n.meter.ChargeN(energy.Send, sends)
@@ -534,20 +590,27 @@ func (l *batchLane) mergeNodeSends(out *adversary.PhaseOutcome) {
 		for j, slot := range n.sendSlots {
 			kind := n.sendKinds[j]
 			l.addTx(int(slot), kind, int32(n.id))
-			switch kind {
-			case msg.KindData:
-				out.NodeDataSends++
-			case msg.KindNack:
-				out.NodeNacks++
-			case msg.KindDecoy:
-				out.NodeDecoys++
-			}
+			countSend(out, kind, 1)
 		}
 	}
 }
 
-// aliceSends mirrors run.aliceSends on a block schedule.
-func (l *batchLane) aliceSends(ph core.Phase, out *adversary.PhaseOutcome) {
+// countSend tallies k node transmissions of one kind into the phase
+// outcome.
+func countSend(out *adversary.PhaseOutcome, kind msg.Kind, k int) {
+	switch kind {
+	case msg.KindData:
+		out.NodeDataSends += k
+	case msg.KindNack:
+		out.NodeNacks += k
+	case msg.KindDecoy:
+		out.NodeDecoys += k
+	}
+}
+
+// aliceSends mirrors run.aliceSends on a block schedule; an unheard
+// phase only counts and charges her sends.
+func (l *batchLane) aliceSends(ph core.Phase, out *adversary.PhaseOutcome, heard bool) {
 	r := l.r
 	if ph.AliceSendP <= 0 || !r.alice.active() {
 		return
@@ -567,7 +630,9 @@ func (l *batchLane) aliceSends(ph core.Phase, out *adversary.PhaseOutcome) {
 			r.alice.dead = true
 			return
 		}
-		l.addTx(slot, msg.KindData, txSrcAlice)
+		if heard {
+			l.addTx(slot, msg.KindData, txSrcAlice)
+		}
 		out.AliceSends++
 	}
 	if prepaid {
@@ -578,8 +643,9 @@ func (l *batchLane) aliceSends(ph core.Phase, out *adversary.PhaseOutcome) {
 // adversaryPlan mirrors run.adversaryPlan; the reactive RSSI view is
 // one word-level union of the busy set instead of a per-dirty-slot
 // loop (every busy slot carries correct-side traffic at plan time, so
-// the sets are equal).
-func (l *batchLane) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome) *adversary.Plan {
+// the sets are equal). An unheard phase plans and charges as usual but
+// puts no injection on the channel.
+func (l *batchLane) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome, heard bool) *adversary.Plan {
 	r := l.r
 	r.advStream.Reseed(r.opts.Seed, actorAdversary, uint64(ph.Round), phaseOrdinal(ph, r.params.K))
 	st := &r.advStream
@@ -615,8 +681,10 @@ func (l *batchLane) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome) *a
 	}
 	out.InjectedFrames = keep
 	r.totalInjects += keep
-	for _, inj := range plan.Injections() {
-		l.addTx(inj.Slot, inj.Frame.Kind, txSrcAdversary)
+	if heard {
+		for _, inj := range plan.Injections() {
+			l.addTx(inj.Slot, inj.Frame.Kind, txSrcAdversary)
+		}
 	}
 	if jams == 0 && keep == 0 {
 		plan.Release()

@@ -64,6 +64,27 @@ func TestBatchMatchesScalar(t *testing.T) {
 	// One call mixing topology kinds, node counts, adversaries, and
 	// MaxPhaseSlots: lanes are independent trials.
 	t.Run("mixed", func(t *testing.T) { batchMatchesScalar(t, 9, mixedLane) })
+	// Phases nobody hears, where the kernel counts sends without putting
+	// them on the channel, and their edges. Every row records phases, so
+	// per-phase tallies are compared too, and must reach the phase shape
+	// it is named for.
+	for _, row := range unheardRows() {
+		t.Run("unheard/"+row.name, func(t *testing.T) {
+			res := batchMatchesScalar(t, 8, func(lane int) Options {
+				o := row.mk()
+				o.Seed += uint64(lane) * 7919
+				return o
+			})
+			for _, r := range res {
+				for _, ph := range r.Phases {
+					if row.witness(r, ph) {
+						return
+					}
+				}
+			}
+			t.Fatalf("no lane reached a phase of the row's shape")
+		})
+	}
 	// Node ids past 0xffff in the packed reception record: one round on
 	// a 70000-node grid, where the request phase's NACKs and spoofs reach
 	// listeners with wide ids.
@@ -113,9 +134,91 @@ func mixedLane(i int) Options {
 	return o
 }
 
-// batchMatchesScalar runs the lanes in one RunBatch call and checks
-// each Result against Run on a fresh construction of the same lane.
-func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) {
+// unheardRow is a differential row for phases that no correct party
+// hears; witness reports whether phase ph of result r has the shape the
+// row exists to cover.
+type unheardRow struct {
+	name    string
+	mk      func() Options
+	witness func(r *Result, ph adversary.PhaseOutcome) bool
+}
+
+// unheard reports a phase in which no correct party listened.
+func unheard(ph adversary.PhaseOutcome) bool { return ph.NodeListens == 0 && ph.AliceListens == 0 }
+
+func unheardRows() []unheardRow {
+	const n = 16
+	// deaf makes every node's listen probability 0: nodes are never
+	// informed and never listen, but still NACK.
+	deaf := func(seed uint64) Options {
+		params := core.PracticalParams(n, 2)
+		params.MaxRound = params.StartRound + 2
+		return Options{
+			Params:       params,
+			Seed:         seed,
+			Perturb:      func(int) (float64, float64) { return 0, 1 },
+			RecordPhases: true,
+		}
+	}
+	return []unheardRow{{
+		// The fine-grained benign sweep's shape: once everyone is
+		// informed, the propagate phase is sends only.
+		name: "benign-n16",
+		mk: func() Options {
+			return Options{Params: core.PracticalParams(n, 2), Seed: 201, RecordPhases: true}
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool { return unheard(ph) && ph.NodeDataSends > 0 },
+	}, {
+		// A reactive jammer reads the busy set, so a phase stays heard
+		// for it even when no correct party listens. A clique jammer
+		// spends its whole pool on the inform phase that first informs
+		// anyone, so the row uses deaf nodes instead: Alice's inform
+		// sends reach no listener, yet draw jams.
+		name: "reactive-deaf",
+		mk: func() Options {
+			o := deaf(202)
+			o.Strategy = adversary.ReactiveJammer{}
+			o.Pool = energy.NewPool(1 << 12)
+			o.AllowReactive = true
+			return o
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool { return unheard(ph) && ph.JammedSlots > 0 },
+	}, {
+		// Alice alone hears the deaf nodes' NACKs: the request phase
+		// stays heard for her.
+		name: "alice-only",
+		mk:   func() Options { return deaf(203) },
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool {
+			return ph.NodeListens == 0 && ph.AliceListens > 0 && ph.NodeNacks > 0
+		},
+	}, {
+		// Decoy cover traffic merged with relays in a phase nobody
+		// hears.
+		name: "decoy",
+		mk: func() Options {
+			params := core.PracticalParams(n, 2)
+			params.Decoy = true
+			params.DecoyProb = 0.75 / n
+			return Options{Params: params, Seed: 204, RecordPhases: true}
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool { return unheard(ph) && ph.NodeDecoys > 0 },
+	}, {
+		// Budgets too small to prepay a phase's sends: the per-send
+		// charge path, with nodes dying mid-walk.
+		name: "budget-death",
+		mk: func() Options {
+			return Options{Params: core.PracticalParams(n, 2), Seed: 205, NodeBudget: 40, RecordPhases: true}
+		},
+		witness: func(r *Result, ph adversary.PhaseOutcome) bool {
+			return unheard(ph) && ph.NodeDataSends > 0 && r.Dead > 0
+		},
+	}}
+}
+
+// batchMatchesScalar runs the lanes in one RunBatch call, checks each
+// Result against Run on a fresh construction of the same lane, and
+// returns the batch's Results.
+func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) []*Result {
 	t.Helper()
 	opts := make([]Options, width)
 	for i := range opts {
@@ -137,6 +240,7 @@ func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) {
 			t.Fatalf("lane %d diverged:\nscalar: %+v\nbatch:  %+v", i, scalar, batch[i])
 		}
 	}
+	return batch
 }
 
 // TestBatchNoGeoBlock8MatchesScalar re-runs a slice of the batch
@@ -282,25 +386,16 @@ func TestBatchContextCancel(t *testing.T) {
 	}
 }
 
-// steadyBatch mirrors steadyTrials for the batch kernel: the
-// BENCH_ENGINE workload, 8 trials per call, with everything a sweep hoists
-// (options slice, pools, scratch) hoisted out of the loop.
-func steadyBatch(spec topology.Spec, fail func(error)) (trial func(), width int) {
+// steadyBatch mirrors steadyTrials for the batch kernel: the kind's
+// workload, 8 trials per call, with everything a sweep hoists (options
+// slice, pools, scratch) hoisted out of the loop.
+func steadyBatch(k steadyKind, fail func(error)) (trial func(), width int) {
 	const w = 8
-	params := core.PracticalParams(256, 2)
-	if !spec.IsClique() {
-		params.MaxRound = params.StartRound + 2
-	}
 	pools := make([]*energy.Pool, w)
 	opts := make([]Options, w)
 	for lane := range opts {
 		pools[lane] = energy.NewPool(1 << 12)
-		opts[lane] = Options{
-			Params:   params,
-			Topology: spec,
-			Strategy: adversary.FullJam{},
-			Pool:     pools[lane],
-		}
+		opts[lane] = k.options(pools[lane])
 	}
 	bs := NewBatchScratch()
 	seed := uint64(0)
@@ -330,23 +425,23 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts; CI gates this test in a separate non-race step")
 	}
 	for _, tc := range []struct {
-		name    string
-		spec    topology.Spec
+		kind    steadyKind
 		ceiling float64 // per lane, matching the scalar gate's anatomy
 	}{
-		{"clique", topology.Spec{}, 16},
-		{"grid", topology.Spec{Kind: "grid", Reach: 2}, 24},
-		{"gilbert", topology.Spec{Kind: "gilbert", Radius: 0.25}, 24},
+		{steadyKinds[0], 16},
+		{steadyKinds[1], 24},
+		{steadyKinds[2], 24},
+		{steadyKinds[3], 16}, // benign clique: the clique anatomy
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			trial, width := steadyBatch(tc.spec, func(err error) { t.Fatal(err) })
+		t.Run(tc.kind.name, func(t *testing.T) {
+			trial, width := steadyBatch(tc.kind, func(err error) { t.Fatal(err) })
 			for i := 0; i < 8; i++ {
 				trial()
 			}
 			ceiling := tc.ceiling * float64(width)
 			if got := testing.AllocsPerRun(10, trial); got > ceiling {
 				t.Fatalf("steady-state %s batch allocates %.1f objects/op at width %d, ceiling %v",
-					tc.name, got, width, ceiling)
+					tc.kind.name, got, width, ceiling)
 			}
 		})
 	}
@@ -360,7 +455,7 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 func BenchmarkSteadyStateBatch(b *testing.B) {
 	for _, tc := range steadyKinds {
 		b.Run(tc.name, func(b *testing.B) {
-			trial, width := steadyBatch(tc.spec, func(err error) { b.Fatal(err) })
+			trial, width := steadyBatch(tc, func(err error) { b.Fatal(err) })
 			for i := 0; i < 2; i++ {
 				trial()
 			}

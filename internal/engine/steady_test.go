@@ -11,29 +11,50 @@ import (
 	"rcbcast/internal/topology"
 )
 
-// steadyTrials returns a closure running the steady-state workload —
-// the BENCH_ENGINE.json configuration (n=256, k=2, full-jam, 4096
-// pool) — with everything a long sweep would hoist out of its trial
-// loop (params, pool, scratch) hoisted, so the per-trial allocation
-// count is the engine's own.
-func steadyTrials(spec topology.Spec, fail func(error)) func() {
+// steadyKind is one steady-state workload: a topology under full jam
+// (the BENCH_ENGINE.json configuration: n=256, k=2, full-jam, 4096
+// pool), or benign — no strategy, no pool.
+type steadyKind struct {
+	name   string
+	spec   topology.Spec
+	benign bool
+}
+
+var steadyKinds = []steadyKind{
+	{name: "clique", spec: topology.Spec{}},
+	{name: "grid", spec: topology.Spec{Kind: "grid", Reach: 2}},
+	{name: "gilbert", spec: topology.Spec{Kind: "gilbert", Radius: 0.25}},
+	{name: "benign-clique", spec: topology.Spec{}, benign: true},
+}
+
+// options returns the kind's Options with pool as its jam budget (unused
+// when benign); the caller sets the seed.
+func (k steadyKind) options(pool *energy.Pool) Options {
 	params := core.PracticalParams(256, 2)
-	if !spec.IsClique() {
+	if !k.spec.IsClique() {
 		params.MaxRound = params.StartRound + 2
 	}
+	o := Options{Params: params, Topology: k.spec}
+	if !k.benign {
+		o.Strategy, o.Pool = adversary.FullJam{}, pool
+	}
+	return o
+}
+
+// steadyTrials returns a closure running one steady-state trial of the
+// kind with everything a long sweep would hoist out of its trial loop
+// (params, pool, scratch) hoisted, so the per-trial allocation count is
+// the engine's own.
+func steadyTrials(k steadyKind, fail func(error)) func() {
 	pool := energy.NewPool(1 << 12)
-	scratch := NewScratch()
+	base := k.options(pool)
+	base.Scratch = NewScratch()
 	seed := uint64(0)
 	return func() {
 		pool.Reset(1 << 12)
-		res, err := Run(Options{
-			Params:   params,
-			Seed:     seed,
-			Topology: spec,
-			Strategy: adversary.FullJam{},
-			Pool:     pool,
-			Scratch:  scratch,
-		})
+		o := base
+		o.Seed = seed
+		res, err := Run(o)
 		seed++
 		if err != nil {
 			fail(err)
@@ -45,15 +66,6 @@ func steadyTrials(spec topology.Spec, fail func(error)) func() {
 }
 
 var errBadResult = fmt.Errorf("engine: bad steady-state result")
-
-var steadyKinds = []struct {
-	name string
-	spec topology.Spec
-}{
-	{"clique", topology.Spec{}},
-	{"grid", topology.Spec{Kind: "grid", Reach: 2}},
-	{"gilbert", topology.Spec{Kind: "gilbert", Radius: 0.25}},
-}
 
 // TestSteadyStateAllocs pins the allocation ceiling of a warmed-up
 // scratch run: the tentpole guarantee that the engine's steady state
@@ -82,23 +94,23 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// whenever -benchtime or the scratch's buffer set changes (see the
 	// 2026-08-08 BENCH_ENGINE.json methodology note).
 	for _, tc := range []struct {
-		name         string
-		spec         topology.Spec
+		kind         steadyKind
 		ceiling      float64
 		bytesCeiling float64
 	}{
-		{"clique", topology.Spec{}, 16, 32 << 10},
-		{"grid", topology.Spec{Kind: "grid", Reach: 2}, 24, 48 << 10},
-		{"gilbert", topology.Spec{Kind: "gilbert", Radius: 0.25}, 24, 48 << 10},
+		{steadyKinds[0], 16, 32 << 10},
+		{steadyKinds[1], 24, 48 << 10},
+		{steadyKinds[2], 24, 48 << 10},
+		{steadyKinds[3], 16, 32 << 10}, // benign clique: the clique anatomy
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			trial := steadyTrials(tc.spec, func(err error) { t.Fatal(err) })
+		t.Run(tc.kind.name, func(t *testing.T) {
+			trial := steadyTrials(tc.kind, func(err error) { t.Fatal(err) })
 			for i := 0; i < 8; i++ { // warm the scratch's high-water marks
 				trial()
 			}
 			if got := testing.AllocsPerRun(10, trial); got > tc.ceiling {
 				t.Fatalf("steady-state %s run allocates %.1f objects/op, ceiling %v",
-					tc.name, got, tc.ceiling)
+					tc.kind.name, got, tc.ceiling)
 			}
 			const runs = 10
 			var before, after runtime.MemStats
@@ -109,7 +121,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > tc.bytesCeiling {
 				t.Fatalf("steady-state %s run allocates %.0f bytes/op, ceiling %v",
-					tc.name, got, tc.bytesCeiling)
+					tc.kind.name, got, tc.bytesCeiling)
 			}
 		})
 	}
@@ -123,7 +135,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 func BenchmarkSteadyState(b *testing.B) {
 	for _, tc := range steadyKinds {
 		b.Run(tc.name, func(b *testing.B) {
-			trial := steadyTrials(tc.spec, func(err error) { b.Fatal(err) })
+			trial := steadyTrials(tc, func(err error) { b.Fatal(err) })
 			for i := 0; i < 8; i++ {
 				trial()
 			}

@@ -6,15 +6,21 @@ import (
 	"rcbcast/internal/rng"
 )
 
-// blockDraws is the prefetch depth of a BlockSchedule refill: enough to
-// keep the eight-draw assembly kernel fed with four full blocks on dense
-// schedules without drawing absurdly past the phase end on sparse ones
-// (the adaptive refill still draws as little as 2 there, and measured
-// stream over-draw stays within a few percent of the scalar engine's).
-// Depth 32 halves the refill-bookkeeping rate of dense listen walks
-// against depth 16 at the cost of at most one extra wasted kernel block
-// per walk, a trade the steady-state benchmarks favor.
+// blockDraws caps the draws of one BlockSchedule refill after the
+// first: enough to keep the eight-draw assembly kernel fed with four
+// full blocks on dense schedules, halving the refill-bookkeeping rate of
+// dense listen walks against depth 16 at the cost of at most one extra
+// wasted kernel block per walk, a trade the steady-state benchmarks
+// favor. Every refill also caps its draws at the schedule's expected
+// remaining actions plus one (never below 2), so sparse schedules do
+// not burn whole blocks to learn they are done.
 const blockDraws = 32
+
+// firstDraws caps the first refill after Reset at one kernel block. A
+// listen walk ends at its first data reception, often within a few
+// events, so prefetching its whole expected count up front mostly draws
+// slots nobody reads; long walks pay one extra refill.
+const firstDraws = 8
 
 // BlockSchedule enumerates exactly the slot sequence of a SlotSchedule
 // over the same stream, probability, and length — but draws its
@@ -126,15 +132,15 @@ func (s *BlockSchedule) nextSlow() (slot int, ok bool) {
 // refill prefetches a block of geometric skips and converts them to
 // action slots, stopping at the first draw that falls past the phase
 // end (the scalar schedule's termination rule). The draw count adapts
-// to the expected remaining actions so sparse schedules do not burn
-// four-lane blocks to learn they are done.
+// to the expected remaining actions, capped at firstDraws on the first
+// refill and blockDraws after it. pos is 0 only before the first
+// refill: every later one starts past a slot an earlier one produced.
 func (s *BlockSchedule) refill() {
-	want := int(s.p*float64(s.length-s.pos)) + 1
-	if want > blockDraws {
-		want = blockDraws
-	} else if want < 2 {
-		want = 2
+	limit := blockDraws
+	if s.pos == 0 {
+		limit = firstDraws
 	}
+	want := min(max(int(s.p*float64(s.length-s.pos))+1, 2), limit)
 	s.st.GeometricBlockLnQ(s.lnQ, s.gs[:want])
 	s.head, s.n = 0, 0
 	pos := s.pos

@@ -64,3 +64,51 @@ func TestBlockScheduleManySeeds(t *testing.T) {
 		}
 	}
 }
+
+// drawsBetween returns how many draws carry stream state from to to,
+// or -1 if more than limit.
+func drawsBetween(from, to rng.Stream, limit int) int {
+	for d := 0; d <= limit; d++ {
+		if from == to {
+			return d
+		}
+		from.Uint64() // one xoshiro step, as each geometric draw takes
+	}
+	return -1
+}
+
+// TestBlockScheduleFirstRefill pins the refill depths: a schedule
+// consumed for one slot has advanced its stream by at most one
+// eight-draw block, however many actions it expects, and once past its
+// first block a dense schedule prefetches blockDraws at a time.
+func TestBlockScheduleFirstRefill(t *testing.T) {
+	for _, p := range []float64{1e-4, 0.01, 0.1, 0.5, 0.97} {
+		for _, length := range []int{9, 64, 1024, 1 << 15} {
+			var st rng.Stream
+			st.Reseed(777, uint64(length))
+			var block BlockSchedule
+			block.Reset(&st, p, length)
+			start := st
+			if _, ok := block.Next(); !ok {
+				continue
+			}
+			if d := drawsBetween(start, st, firstDraws); d < 0 {
+				t.Fatalf("p=%v length=%d: one Next drew more than %d", p, length, firstDraws)
+			}
+		}
+	}
+	var st rng.Stream
+	st.Reseed(778)
+	var block BlockSchedule
+	block.Reset(&st, 0.5, 1<<15)
+	if got := len(block.Take()); got != firstDraws {
+		t.Fatalf("first dense block holds %d slots, want %d", got, firstDraws)
+	}
+	mid := st
+	if got := len(block.Take()); got != blockDraws {
+		t.Fatalf("second dense block holds %d slots, want %d", got, blockDraws)
+	}
+	if d := drawsBetween(mid, st, blockDraws); d != blockDraws {
+		t.Fatalf("second dense refill drew %d, want %d", d, blockDraws)
+	}
+}
