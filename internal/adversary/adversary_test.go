@@ -195,6 +195,60 @@ func TestRandomJamRate(t *testing.T) {
 	}
 }
 
+// TestRandomJamMatchesGeometric pins RandomJam's hoisted-log draws to
+// the per-draw Geometric walk they replace: the same jam mask (read
+// through UntargetedJams too) and the stream left in the same state,
+// with and without a pool cap.
+func TestRandomJamMatchesGeometric(t *testing.T) {
+	ph, _ := phaseFor(t, core.PhaseInform)
+	for _, p := range []float64{0.05, 0.5, 0.97, 1} {
+		for _, budget := range []int64{-1, 40} {
+			var pool *energy.Pool
+			if budget >= 0 {
+				pool = energy.NewPool(budget)
+			}
+			st := rng.New(11)
+			plan := RandomJam{P: p}.PlanPhase(ph, &History{}, pool, st)
+			ref := rng.New(11)
+			want := NewBitmap(ph.Length)
+			limit := affordableJams(pool, int64(ph.Length))
+			for slot, planned := 0, int64(0); planned < limit; planned++ {
+				g := ref.Geometric(p)
+				if g >= ph.Length-slot {
+					break
+				}
+				slot += g
+				want.Set(slot)
+				if slot++; slot >= ph.Length {
+					break
+				}
+			}
+			words, ok := UntargetedJams(plan, ph.Length)
+			if !ok {
+				t.Fatalf("an untargeted plan of the phase's length must report ok")
+			}
+			for slot := 0; slot < ph.Length; slot++ {
+				bit := words[slot/64]>>(slot%64)&1 == 1
+				if plan.Jammed(slot) != want.Get(slot) || bit != want.Get(slot) {
+					t.Fatalf("p=%v budget=%d: slot %d jammed=%v word bit=%v, want %v",
+						p, budget, slot, plan.Jammed(slot), bit, want.Get(slot))
+				}
+			}
+			if st.Uint64() != ref.Uint64() {
+				t.Fatalf("p=%v budget=%d: stream state diverged from the Geometric walk", p, budget)
+			}
+			if _, ok := UntargetedJams(plan, ph.Length+1); ok {
+				t.Fatalf("a plan shorter than the span must not report ok")
+			}
+			plan.SetDisrupt(func(_, listener int) bool { return listener%2 == 0 })
+			if _, ok := UntargetedJams(plan, ph.Length); ok {
+				t.Fatalf("a targeted plan must not report ok")
+			}
+			plan.Release()
+		}
+	}
+}
+
 func TestBurstyPattern(t *testing.T) {
 	ph, _ := phaseFor(t, core.PhaseInform)
 	plan := Bursty{Burst: 8, Gap: 8}.PlanPhase(ph, &History{}, nil, rng.New(3))

@@ -151,6 +151,19 @@ func (p *Plan) Disrupts(slot, listener int) bool {
 	return p.disrupt(slot, listener)
 }
 
+// UntargetedJams returns the words of p's jam mask (slot s is jammed
+// when bit s%64 of word s/64 is set) and reports whether they alone
+// decide every listener's noise over slots [0, length): p installs no
+// targeting predicate and was built for at least length slots. The
+// slice is the plan's own: read-only, and valid until the next change
+// to the plan or Release. The batch kernel counts the jammed slots of a
+// run of listens from it without a branch per slot. It is a function,
+// not a method, so that custom strategies, which see Plan through the
+// rcbcast alias, do not get it.
+func UntargetedJams(p *Plan, length int) (words []uint64, ok bool) {
+	return p.jam.bs.Words(), p.disrupt == nil && p.length >= length
+}
+
 // Inject schedules a spoofed frame. Injections outside [0, length) are
 // dropped.
 func (p *Plan) Inject(slot int, f msg.Frame) {

@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"fmt"
+	"math"
 
 	"rcbcast/internal/core"
 	"rcbcast/internal/energy"
@@ -81,9 +82,16 @@ func (s RandomJam) PlanPhase(ph core.Phase, _ *History, pool *energy.Pool, st *r
 	p := NewPlan(ph.Length)
 	var planned int64
 	budget := affordableJams(pool, int64(ph.Length))
+	// GeometricLnQ draws exactly as Geometric(s.P) with the log hoisted;
+	// for P >= 1 Geometric returns 0 without consuming the stream (a NaN
+	// P draws, as it does there).
+	lnQ := math.Log1p(-s.P)
 	slot := 0
 	for planned < budget {
-		g := st.Geometric(s.P)
+		g := 0
+		if !(s.P >= 1) {
+			g = st.GeometricLnQ(lnQ)
+		}
 		if g >= ph.Length-slot {
 			break
 		}

@@ -44,7 +44,9 @@ import (
 //     against the row with monotone cursors: a listen below the next
 //     event slot (own send, jam, or audible record) is silence by
 //     construction and resolves with one compare, never touching channel
-//     state. See buildRecvIndex and walkNodeListensIdx.
+//     state; a prepaid node walk under an untargeted jam settles a
+//     whole run of them at once. See buildRecvIndex and
+//     walkNodeListensIdx.
 //   - Cross-trial topology caching. Lanes resolve their graphs through
 //     one topology.Cache: clique and grid specs are trial-invariant, so
 //     every trial on a BatchScratch shares a single build and CSR;
@@ -199,13 +201,16 @@ func (bs *BatchScratch) run(ctx context.Context, o Options) (*Result, error) {
 // sparse reception index built, then listens resolved and the phase
 // settled exactly as run.runPhase settles it. An unheard phase (see
 // heard) still draws and charges every send and plans the adversary,
-// but commits nothing to the channel and builds no index.
-func (l *batchLane) phase(ph core.Phase) {
+// but commits nothing to the channel and builds no index. The walkers
+// share this call's copy of the phase by pointer: a core.Phase is about
+// a dozen words, and copying it per node per walk showed in profiles.
+func (l *batchLane) phase(phv core.Phase) {
 	r := l.r
+	ph := &phv
 	l.ensureBuffers(ph.Length)
-	out := adversary.PhaseOutcome{Phase: ph}
+	out := adversary.PhaseOutcome{Phase: phv}
 	if r.opts.Tracer != nil {
-		r.opts.Tracer.PhaseStart(ph)
+		r.opts.Tracer.PhaseStart(phv)
 	}
 
 	heard := l.heard(ph)
@@ -232,8 +237,8 @@ func (l *batchLane) phase(ph core.Phase) {
 
 	aliceWasActive := r.alice.active()
 	terminatedBefore := r.terminatedSet()
-	r.endPhase(ph)
-	r.emitTrace(ph, aliceWasActive, terminatedBefore)
+	r.endPhase(phv)
+	r.emitTrace(phv, aliceWasActive, terminatedBefore)
 	r.recordOutcome(out)
 	if r.opts.Tracer != nil {
 		r.opts.Tracer.PhaseEnd(r.hist.Outcomes[len(r.hist.Outcomes)-1])
@@ -256,7 +261,7 @@ func (l *batchLane) phase(ph core.Phase) {
 // them: sends only ever stop a party (budget death), never inform or
 // revive one, so every listen walk of an unheard phase returns at once,
 // as the scalar engine's does.
-func (l *batchLane) heard(ph core.Phase) bool {
+func (l *batchLane) heard(ph *core.Phase) bool {
 	r := l.r
 	if _, ok := r.strategy.(adversary.Reactive); ok && r.opts.AllowReactive {
 		return true
@@ -363,7 +368,7 @@ func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
 // adversary records, audible to every listener, stay out of the rows
 // (they would turn the index dense) and merge at lookup from the
 // slot-sorted advSlot/advKind side arrays.
-func (l *batchLane) buildRecvIndex(ph core.Phase) {
+func (l *batchLane) buildRecvIndex(ph *core.Phase) {
 	r := l.r
 	n := len(r.nodes)
 	srcCnt := resize(&l.srcCnt, n+1)
@@ -490,7 +495,7 @@ func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind,
 // they are charged instead of recorded for mergeNodeSends, so a node
 // that dies mid-walk has tallied exactly the sends the scalar engine
 // merges.
-func (l *batchLane) planNodeSends(n *nodeState, ph core.Phase, out *adversary.PhaseOutcome, heard bool) {
+func (l *batchLane) planNodeSends(n *nodeState, ph *core.Phase, out *adversary.PhaseOutcome, heard bool) {
 	r := l.r
 	n.sendSlots = n.sendSlots[:0]
 	n.sendKinds = n.sendKinds[:0]
@@ -514,7 +519,7 @@ func (l *batchLane) planNodeSends(n *nodeState, ph core.Phase, out *adversary.Ph
 	}
 	decoyP := ph.DecoyP
 
-	ord := phaseOrdinal(ph, r.params.K)
+	ord := uint64(ph.Ordinal)
 	round := uint64(ph.Round)
 	var dSlot, cSlot int
 	var dOK, cOK bool
@@ -610,12 +615,12 @@ func countSend(out *adversary.PhaseOutcome, kind msg.Kind, k int) {
 
 // aliceSends mirrors run.aliceSends on a block schedule; an unheard
 // phase only counts and charges her sends.
-func (l *batchLane) aliceSends(ph core.Phase, out *adversary.PhaseOutcome, heard bool) {
+func (l *batchLane) aliceSends(ph *core.Phase, out *adversary.PhaseOutcome, heard bool) {
 	r := l.r
 	if ph.AliceSendP <= 0 || !r.alice.active() {
 		return
 	}
-	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpSend)
+	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), uint64(ph.Ordinal), purpSend)
 	l.blkA.Reset(&r.aliceStream, ph.AliceSendP, ph.Length)
 	prepaid := r.alice.meter.CanAfford(int64(ph.Length))
 	sends := int64(0)
@@ -645,17 +650,17 @@ func (l *batchLane) aliceSends(ph core.Phase, out *adversary.PhaseOutcome, heard
 // loop (every busy slot carries correct-side traffic at plan time, so
 // the sets are equal). An unheard phase plans and charges as usual but
 // puts no injection on the channel.
-func (l *batchLane) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome, heard bool) *adversary.Plan {
+func (l *batchLane) adversaryPlan(ph *core.Phase, out *adversary.PhaseOutcome, heard bool) *adversary.Plan {
 	r := l.r
-	r.advStream.Reseed(r.opts.Seed, actorAdversary, uint64(ph.Round), phaseOrdinal(ph, r.params.K))
+	r.advStream.Reseed(r.opts.Seed, actorAdversary, uint64(ph.Round), uint64(ph.Ordinal))
 	st := &r.advStream
 	var plan *adversary.Plan
 	if reactive, ok := r.strategy.(adversary.Reactive); ok && r.opts.AllowReactive {
 		r.activity.Reset(ph.Length)
 		r.activity.OrBits(&l.busy)
-		plan = reactive.PlanReactive(ph, &r.activity, &r.hist, r.pool, st)
+		plan = reactive.PlanReactive(*ph, &r.activity, &r.hist, r.pool, st)
 	} else {
-		plan = r.strategy.PlanPhase(ph, &r.hist, r.pool, st)
+		plan = r.strategy.PlanPhase(*ph, &r.hist, r.pool, st)
 	}
 	if plan == nil {
 		return nil
@@ -696,7 +701,7 @@ func (l *batchLane) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome, he
 // walkNodeListens mirrors run.walkNodeListens on a block schedule and
 // the lane's observe. Sparse lanes dispatch to the event-skip loop over
 // the reception index instead.
-func (l *batchLane) walkNodeListens(n *nodeState, ph core.Phase, plan *adversary.Plan) {
+func (l *batchLane) walkNodeListens(n *nodeState, ph *core.Phase, plan *adversary.Plan) {
 	r := l.r
 	if !n.active() || n.informed {
 		return
@@ -705,7 +710,7 @@ func (l *batchLane) walkNodeListens(n *nodeState, ph core.Phase, plan *adversary
 	if listenP <= 0 {
 		return
 	}
-	n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpListen)
+	n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), uint64(ph.Ordinal), purpListen)
 	l.blkA.Reset(&n.streamA, listenP, ph.Length)
 	if r.topo != nil {
 		l.walkNodeListensIdx(n, ph, plan)
@@ -781,7 +786,17 @@ outer:
 // Only event slots pay for full resolution. Every per-listen effect —
 // charge order, tallies, the informed break — is the scalar walk's, so
 // outcomes stay byte-identical.
-func (l *batchLane) walkNodeListensIdx(n *nodeState, ph core.Phase, plan *adversary.Plan) {
+//
+// A quiet walk settles each run of drawn slots below nextEvent at once
+// (quietRun): prepaid, nothing can fail mid-run, and with every jam
+// disrupting every listener a quiet listen is noise exactly when the
+// jam mask marks its slot, so the run adds its length to the listen
+// tallies and its jam bits to the noise tally — no per-listen Jammed
+// branch, which under a random jam is a coin flip. Event slots, unpaid
+// walks, targeted plans and plans shorter than the phase (a custom
+// strategy may return one; past its end nothing is jammed) keep the
+// per-listen path.
+func (l *batchLane) walkNodeListensIdx(n *nodeState, ph *core.Phase, plan *adversary.Plan) {
 	lo, hi := l.rowOff[n.id], l.rowEnd[n.id]
 	rs := l.rowSlot[lo:hi]
 	ri := l.rowInfo[lo:hi]
@@ -809,13 +824,37 @@ func (l *batchLane) walkNodeListensIdx(n *nodeState, ph core.Phase, plan *advers
 	if len(as) > 0 && int(as[0]) < nextEvent {
 		nextEvent = int(as[0])
 	}
+	quiet := prepaid
+	var jam []uint64 // only request phases tally noise
+	if quiet && plan != nil {
+		words, ok := adversary.UntargetedJams(plan, ph.Length)
+		quiet = ok
+		if isReq {
+			jam = words
+		}
+	}
 outer:
 	for {
 		blk := l.blkA.Take()
 		if len(blk) == 0 {
 			break
 		}
-		for _, s32 := range blk {
+		for i := 0; i < len(blk); i++ {
+			if quiet && int(blk[i]) < nextEvent {
+				j, jammed := quietRun(blk, i, nextEvent, jam)
+				k := j - i
+				listens += int64(k)
+				phaseL += int64(k)
+				if isReq {
+					reqL += k
+					reqNoisy += jammed
+				}
+				if j == len(blk) {
+					break
+				}
+				i = j
+			}
+			s32 := blk[i]
 			slot := int(s32)
 			if plan != nil && plan.Jammed(slot) {
 				// Own sends are skipped before any observation, jammed
@@ -940,14 +979,32 @@ outer:
 	}
 }
 
+// quietRun returns the end j of the run blk[i:j] of slots below
+// nextEvent and how many of them the jam mask jam marks; a nil jam
+// counts none. Slots ascend, so the run is a prefix of blk[i:].
+func quietRun(blk []int32, i, nextEvent int, jam []uint64) (j, jammed int) {
+	j = i
+	if jam == nil {
+		for j < len(blk) && int(blk[j]) < nextEvent {
+			j++
+		}
+		return j, 0
+	}
+	for ; j < len(blk) && int(blk[j]) < nextEvent; j++ {
+		s := uint(blk[j])
+		jammed += int(jam[s>>6] >> (s & 63) & 1)
+	}
+	return j, jammed
+}
+
 // aliceListens mirrors run.aliceListens on a block schedule, with the
 // same event-skip dispatch as the node walks.
-func (l *batchLane) aliceListens(ph core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
+func (l *batchLane) aliceListens(ph *core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
 	r := l.r
 	if ph.AliceListenP <= 0 || !r.alice.active() {
 		return
 	}
-	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpListen)
+	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), uint64(ph.Ordinal), purpListen)
 	l.blkA.Reset(&r.aliceStream, ph.AliceListenP, ph.Length)
 	if r.topo != nil {
 		l.aliceListensIdx(ph, plan, out)
@@ -986,8 +1043,10 @@ outer:
 // reception index. She has no send slots to skip and never acts on the
 // received kind — her tally only distinguishes silence from noise — so
 // event resolution reduces to: disrupted jam, or any audible record at
-// the slot.
-func (l *batchLane) aliceListensIdx(ph core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
+// the slot. She listens only in request phases, O(log n) times each, a
+// small share of the listen work, so her walk keeps the per-listen path
+// and settles no quiet runs.
+func (l *batchLane) aliceListensIdx(ph *core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
 	r := l.r
 	n := len(r.nodes)
 	lo, hi := l.rowOff[n], l.rowEnd[n]

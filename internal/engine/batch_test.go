@@ -65,25 +65,31 @@ func TestBatchMatchesScalar(t *testing.T) {
 	// MaxPhaseSlots: lanes are independent trials.
 	t.Run("mixed", func(t *testing.T) { batchMatchesScalar(t, 9, mixedLane) })
 	// Phases nobody hears, where the kernel counts sends without putting
-	// them on the channel, and their edges. Every row records phases, so
-	// per-phase tallies are compared too, and must reach the phase shape
-	// it is named for.
-	for _, row := range unheardRows() {
-		t.Run("unheard/"+row.name, func(t *testing.T) {
-			res := batchMatchesScalar(t, 8, func(lane int) Options {
-				o := row.mk()
-				o.Seed += uint64(lane) * 7919
-				return o
-			})
-			for _, r := range res {
-				for _, ph := range r.Phases {
-					if row.witness(r, ph) {
-						return
+	// them on the channel, and their edges; then sparse listen walks that
+	// settle quiet runs at once, and the walks that must not. Every row
+	// records phases, so per-phase tallies are compared too, and must
+	// reach the phase shape it is named for.
+	for _, group := range []struct {
+		prefix string
+		rows   []phaseRow
+	}{{"unheard/", unheardRows()}, {"quiet-run/", quietRunRows()}} {
+		for _, row := range group.rows {
+			t.Run(group.prefix+row.name, func(t *testing.T) {
+				res := batchMatchesScalar(t, 8, func(lane int) Options {
+					o := row.mk()
+					o.Seed += uint64(lane) * 7919
+					return o
+				})
+				for _, r := range res {
+					for _, ph := range r.Phases {
+						if row.witness(r, ph) {
+							return
+						}
 					}
 				}
-			}
-			t.Fatalf("no lane reached a phase of the row's shape")
-		})
+				t.Fatalf("no lane reached a phase of the row's shape")
+			})
+		}
 	}
 	// Node ids past 0xffff in the packed reception record: one round on
 	// a 70000-node grid, where the request phase's NACKs and spoofs reach
@@ -134,10 +140,9 @@ func mixedLane(i int) Options {
 	return o
 }
 
-// unheardRow is a differential row for phases that no correct party
-// hears; witness reports whether phase ph of result r has the shape the
-// row exists to cover.
-type unheardRow struct {
+// phaseRow is a differential row for one phase shape; witness reports
+// whether phase ph of result r has the shape the row exists to cover.
+type phaseRow struct {
 	name    string
 	mk      func() Options
 	witness func(r *Result, ph adversary.PhaseOutcome) bool
@@ -146,7 +151,7 @@ type unheardRow struct {
 // unheard reports a phase in which no correct party listened.
 func unheard(ph adversary.PhaseOutcome) bool { return ph.NodeListens == 0 && ph.AliceListens == 0 }
 
-func unheardRows() []unheardRow {
+func unheardRows() []phaseRow {
 	const n = 16
 	// deaf makes every node's listen probability 0: nodes are never
 	// informed and never listen, but still NACK.
@@ -160,7 +165,7 @@ func unheardRows() []unheardRow {
 			RecordPhases: true,
 		}
 	}
-	return []unheardRow{{
+	return []phaseRow{{
 		// The fine-grained benign sweep's shape: once everyone is
 		// informed, the propagate phase is sends only.
 		name: "benign-n16",
@@ -213,6 +218,126 @@ func unheardRows() []unheardRow {
 			return unheard(ph) && ph.NodeDataSends > 0 && r.Dead > 0
 		},
 	}}
+}
+
+// quietRunRows cover the sparse listen walks' quiet runs (listens below
+// the walk's next event, settled a run at once) under a random jam, and
+// the walks that keep the per-listen path: unpaid meters, targeted jams,
+// plans shorter than the phase, and Alice's walk.
+func quietRunRows() []phaseRow {
+	const n = 64
+	jammed := func(seed uint64) Options {
+		params := core.PracticalParams(n, 2)
+		params.MaxRound = params.StartRound + 2
+		return Options{
+			Params:       params,
+			Seed:         seed,
+			Topology:     gilbert,
+			Strategy:     adversary.RandomJam{P: 0.5},
+			Pool:         energy.NewPool(1 << 14),
+			RecordPhases: true,
+		}
+	}
+	// jammedListens reports a phase of the kind in which nodes listened
+	// under jamming.
+	jammedListens := func(ph adversary.PhaseOutcome, kind core.PhaseKind) bool {
+		return ph.Phase.Kind == kind && ph.NodeListens > 0 && ph.JammedSlots > 0
+	}
+	return []phaseRow{{
+		// Jam noise counts in request phases only; propagate phases
+		// inform from the same walks.
+		name: "random-jam-gilbert",
+		mk:   func() Options { return jammed(301) },
+		witness: func(r *Result, _ adversary.PhaseOutcome) bool {
+			var req, prop bool
+			for _, ph := range r.Phases {
+				req = req || jammedListens(ph, core.PhaseRequest)
+				prop = prop || jammedListens(ph, core.PhasePropagate)
+			}
+			return req && prop
+		},
+	}, {
+		// Device budgets below a phase's length: the walks charge per
+		// listen, and nodes die mid-walk under the jam.
+		name: "budget-death",
+		mk: func() Options {
+			o := jammed(302)
+			o.NodeBudget = 60
+			return o
+		},
+		witness: func(r *Result, ph adversary.PhaseOutcome) bool {
+			return r.Dead > 0 && ph.NodeListens > 0 && ph.JammedSlots > 0
+		},
+	}, {
+		// A targeted jam disrupts only some listeners: no quiet runs.
+		name: "partition-gilbert",
+		mk: func() Options {
+			o := jammed(303)
+			o.Strategy = &adversary.PartitionBlocker{Stranded: func(node int) bool { return node%8 == 0 }}
+			return o
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool {
+			return ph.NodeListens > 0 && ph.JammedSlots > 0
+		},
+	}, {
+		// The partition jam never reaches a request phase, where noise
+		// counts; targetedJam does, sparing odd listeners and Alice.
+		name: "targeted-request",
+		mk: func() Options {
+			o := jammed(305)
+			o.Strategy = targetedJam{adversary.RandomJam{P: 0.5}}
+			return o
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool {
+			return jammedListens(ph, core.PhaseRequest)
+		},
+	}, {
+		// A custom strategy may return a plan shorter than the phase;
+		// past its end nothing is jammed, and a walk must not read the
+		// mask there.
+		name: "short-plan",
+		mk: func() Options {
+			o := jammed(306)
+			o.Strategy = shortJam{adversary.RandomJam{P: 0.5}}
+			return o
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool {
+			return jammedListens(ph, core.PhaseRequest)
+		},
+	}, {
+		// Deaf, mute nodes leave Alice the only listener, with nothing to
+		// hear but the jam: her quiet test turns on jam noise alone.
+		name: "alice-only",
+		mk: func() Options {
+			o := jammed(304)
+			o.Perturb = func(int) (float64, float64) { return 0, 0 }
+			return o
+		},
+		witness: func(_ *Result, ph adversary.PhaseOutcome) bool {
+			return ph.NodeListens == 0 && ph.AliceListens > 0 && ph.JammedSlots > 0
+		},
+	}}
+}
+
+// targetedJam is a random jam, in every phase kind, that disrupts only
+// even-numbered listeners.
+type targetedJam struct{ adversary.RandomJam }
+
+func (s targetedJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy.Pool, st *rng.Stream) *adversary.Plan {
+	p := s.RandomJam.PlanPhase(ph, hist, pool, st)
+	if p != nil {
+		p.SetDisrupt(func(_, listener int) bool { return listener%2 == 0 })
+	}
+	return p
+}
+
+// shortJam is a random jam planned for the first half of each phase
+// only, so its plans are shorter than their phases.
+type shortJam struct{ adversary.RandomJam }
+
+func (s shortJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy.Pool, st *rng.Stream) *adversary.Plan {
+	ph.Length /= 2
+	return s.RandomJam.PlanPhase(ph, hist, pool, st)
 }
 
 // batchMatchesScalar runs the lanes in one RunBatch call, checks each
@@ -394,14 +519,14 @@ func steadyBatch(k steadyKind, fail func(error)) (trial func(), width int) {
 	pools := make([]*energy.Pool, w)
 	opts := make([]Options, w)
 	for lane := range opts {
-		pools[lane] = energy.NewPool(1 << 12)
+		pools[lane] = energy.NewPool(k.pool)
 		opts[lane] = k.options(pools[lane])
 	}
 	bs := NewBatchScratch()
 	seed := uint64(0)
 	return func() {
 		for lane := range opts {
-			pools[lane].Reset(1 << 12)
+			pools[lane].Reset(k.pool)
 			opts[lane].Seed = seed
 			seed++
 		}
@@ -432,6 +557,7 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 		{steadyKinds[1], 24},
 		{steadyKinds[2], 24},
 		{steadyKinds[3], 16}, // benign clique: the clique anatomy
+		{steadyKinds[4], 24}, // gilbert-random: the gilbert row
 	} {
 		t.Run(tc.kind.name, func(t *testing.T) {
 			trial, width := steadyBatch(tc.kind, func(err error) { t.Fatal(err) })

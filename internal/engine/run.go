@@ -16,7 +16,7 @@ import (
 )
 
 // Stream-key constants. Every random decision is drawn from the stream
-// keyed (seed, actor, round, phaseOrdinal, purpose); both engines use the
+// keyed (seed, actor, round, phase ordinal, purpose); both engines use the
 // same keys, which is what makes them bit-for-bit equivalent.
 const (
 	actorAlice     uint64 = 1
@@ -29,12 +29,6 @@ const (
 )
 
 func nodeActor(id int) uint64 { return actorNodeBase + uint64(id) }
-
-// phaseOrdinal gives each phase of a round a stable stream sub-key: its
-// position in the round schedule (unique across g-sweep sub-phases too).
-func phaseOrdinal(ph core.Phase, _ int) uint64 {
-	return uint64(ph.Ordinal)
-}
 
 // nodeState is one correct node. Only the owning walker (sequential loop
 // or the node's actor goroutine) mutates it.
@@ -303,7 +297,7 @@ func (r *run) planNodeSends(n *nodeState, ph core.Phase) {
 	}
 	decoyP := ph.DecoyP
 
-	ord := phaseOrdinal(ph, r.params.K)
+	ord := uint64(ph.Ordinal)
 	round := uint64(ph.Round)
 	// The stream/schedule pairs are re-keyed in place on the node's own
 	// state: same keyed sequences as freshly derived streams (pinned by
@@ -384,7 +378,7 @@ func (r *run) aliceSends(ph core.Phase, out *adversary.PhaseOutcome) {
 	if ph.AliceSendP <= 0 || !r.alice.active() {
 		return
 	}
-	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpSend)
+	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), uint64(ph.Ordinal), purpSend)
 	r.aliceSched.Reset(&r.aliceStream, ph.AliceSendP, ph.Length)
 	for {
 		slot, ok := r.aliceSched.Next()
@@ -417,7 +411,7 @@ func (r *run) activityBitmap(length int) *adversary.Bitmap {
 // Jams are charged first, then injections, each truncated in slot order at
 // pool exhaustion.
 func (r *run) adversaryPlan(ph core.Phase, out *adversary.PhaseOutcome) *adversary.Plan {
-	r.advStream.Reseed(r.opts.Seed, actorAdversary, uint64(ph.Round), phaseOrdinal(ph, r.params.K))
+	r.advStream.Reseed(r.opts.Seed, actorAdversary, uint64(ph.Round), uint64(ph.Ordinal))
 	st := &r.advStream
 	var plan *adversary.Plan
 	if reactive, ok := r.strategy.(adversary.Reactive); ok && r.opts.AllowReactive {
@@ -564,7 +558,7 @@ func (r *run) walkNodeListens(n *nodeState, ph core.Phase, plan *adversary.Plan)
 		return
 	}
 	// Pair A is free again: the send pass finished before any listens.
-	n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpListen)
+	n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), uint64(ph.Ordinal), purpListen)
 	n.schedA.Reset(&n.streamA, listenP, ph.Length)
 	si := 0
 	for {
@@ -610,7 +604,7 @@ func (r *run) aliceListens(ph core.Phase, plan *adversary.Plan, out *adversary.P
 	if ph.AliceListenP <= 0 || !r.alice.active() {
 		return
 	}
-	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), phaseOrdinal(ph, r.params.K), purpListen)
+	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), uint64(ph.Ordinal), purpListen)
 	r.aliceSched.Reset(&r.aliceStream, ph.AliceListenP, ph.Length)
 	for {
 		slot, ok := r.aliceSched.Next()

@@ -11,20 +11,31 @@ import (
 	"rcbcast/internal/topology"
 )
 
-// steadyKind is one steady-state workload: a topology under full jam
-// (the BENCH_ENGINE.json configuration: n=256, k=2, full-jam, 4096
-// pool), or benign — no strategy, no pool.
+// steadyKind is one steady-state workload at n=256, k=2: a topology
+// and a strategy whose pool is reset to pool units before every trial
+// (the full-jam kinds use 4096), or benign — no strategy, no pool.
 type steadyKind struct {
-	name   string
-	spec   topology.Spec
-	benign bool
+	name     string
+	spec     topology.Spec
+	strategy adversary.Strategy // nil: benign
+	pool     int64
 }
 
+// gilbert is the sparse steady-state topology. paperPool is the
+// gilbert-jam scenario's budget at n=256, which gilbert-random pairs
+// with that scenario's p = 0.5 random jam: the paper's pooled budget
+// with C = 1 and every device Byzantine.
+var (
+	gilbert   = topology.Spec{Kind: "gilbert", Radius: 0.25}
+	paperPool = energy.DefaultBudgets(1, 2).AdversaryPool(256, 1).Budget()
+)
+
 var steadyKinds = []steadyKind{
-	{name: "clique", spec: topology.Spec{}},
-	{name: "grid", spec: topology.Spec{Kind: "grid", Reach: 2}},
-	{name: "gilbert", spec: topology.Spec{Kind: "gilbert", Radius: 0.25}},
-	{name: "benign-clique", spec: topology.Spec{}, benign: true},
+	{name: "clique", spec: topology.Spec{}, strategy: adversary.FullJam{}, pool: 1 << 12},
+	{name: "grid", spec: topology.Spec{Kind: "grid", Reach: 2}, strategy: adversary.FullJam{}, pool: 1 << 12},
+	{name: "gilbert", spec: gilbert, strategy: adversary.FullJam{}, pool: 1 << 12},
+	{name: "benign-clique", spec: topology.Spec{}},
+	{name: "gilbert-random", spec: gilbert, strategy: adversary.RandomJam{P: 0.5}, pool: paperPool},
 }
 
 // options returns the kind's Options with pool as its jam budget (unused
@@ -35,8 +46,8 @@ func (k steadyKind) options(pool *energy.Pool) Options {
 		params.MaxRound = params.StartRound + 2
 	}
 	o := Options{Params: params, Topology: k.spec}
-	if !k.benign {
-		o.Strategy, o.Pool = adversary.FullJam{}, pool
+	if k.strategy != nil {
+		o.Strategy, o.Pool = k.strategy, pool
 	}
 	return o
 }
@@ -46,12 +57,12 @@ func (k steadyKind) options(pool *energy.Pool) Options {
 // (params, pool, scratch) hoisted, so the per-trial allocation count is
 // the engine's own.
 func steadyTrials(k steadyKind, fail func(error)) func() {
-	pool := energy.NewPool(1 << 12)
+	pool := energy.NewPool(k.pool)
 	base := k.options(pool)
 	base.Scratch = NewScratch()
 	seed := uint64(0)
 	return func() {
-		pool.Reset(1 << 12)
+		pool.Reset(k.pool)
 		o := base
 		o.Seed = seed
 		res, err := Run(o)
@@ -102,6 +113,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{steadyKinds[1], 24, 48 << 10},
 		{steadyKinds[2], 24, 48 << 10},
 		{steadyKinds[3], 16, 32 << 10}, // benign clique: the clique anatomy
+		{steadyKinds[4], 24, 48 << 10}, // gilbert-random: the gilbert row
 	} {
 		t.Run(tc.kind.name, func(t *testing.T) {
 			trial := steadyTrials(tc.kind, func(err error) { t.Fatal(err) })

@@ -34,9 +34,11 @@ const firstDraws = 8
 // BlockSchedule where a later consumer continues drawing from the same
 // stream.
 type BlockSchedule struct {
-	st        *rng.Stream
-	p         float64
-	lnQ       float64
+	st *rng.Stream
+	p  float64
+	// lnQ is Log1p(-lnQp), kept across Resets: the nodes of a phase
+	// usually share one probability, so most Resets skip the log.
+	lnQ, lnQp float64
 	length    int
 	pos       int // origin of the next geometric draw
 	buf       [blockDraws]int32
@@ -51,13 +53,12 @@ type BlockSchedule struct {
 // Unlike the scalar schedule it draws nothing until the first Next.
 func (s *BlockSchedule) Reset(st *rng.Stream, p float64, length int) {
 	s.st, s.p, s.length = st, p, length
-	s.lnQ = 0
 	s.pos = 0
 	s.head, s.n = 0, 0
 	s.everySlot = p >= 1
 	s.exhausted = p <= 0 || length <= 0
-	if !s.exhausted && !s.everySlot {
-		s.lnQ = math.Log1p(-p)
+	if !s.exhausted && !s.everySlot && p != s.lnQp {
+		s.lnQ, s.lnQp = math.Log1p(-p), p
 	}
 }
 

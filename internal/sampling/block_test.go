@@ -9,17 +9,18 @@ import (
 // TestBlockScheduleMatchesSlotSchedule pins the block schedule to the
 // scalar one slot for slot across the probability / length grid the
 // engine exercises: degenerate p, p ≥ 1, sparse and dense regimes, and
-// lengths around the block size.
+// lengths around the block size. One block schedule serves every case,
+// so Reset's kept log is exercised both reused (same p) and replaced.
 func TestBlockScheduleMatchesSlotSchedule(t *testing.T) {
 	ps := []float64{0, -0.5, 1e-9, 1e-4, 0.01, 0.1, 0.5, 0.97, 1, 1.5}
 	lengths := []int{0, 1, 2, 7, 8, 9, 63, 64, 100, 1024, 1 << 15}
+	var block BlockSchedule
 	for _, p := range ps {
 		for _, length := range lengths {
 			var scalarStream, blockStream rng.Stream
 			scalarStream.Reseed(12345, uint64(length))
 			blockStream.Reseed(12345, uint64(length))
 			var scalar SlotSchedule
-			var block BlockSchedule
 			scalar.Reset(&scalarStream, p, length)
 			block.Reset(&blockStream, p, length)
 			for i := 0; ; i++ {

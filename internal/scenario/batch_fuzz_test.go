@@ -25,6 +25,9 @@ func FuzzBatchStreamMatchesScalar(f *testing.F) {
 		`{"n":48,"topology":{"kind":"gilbert","radius":0.3},"adversary":{"kind":"random","p":0.4},"budget":{"pool":512},"seed":11}`,
 		`{"n":64,"k":3,"decoy":true,"adversary":{"kind":"bursty","burst":16,"gap":16},"budget":{"model_c":4,"model_f":0.05},"seed":3}`,
 		`{"n":32,"paper":true,"quiet":"fraction","adversary":{"kind":"sweep","fraction":0.75},"budget":{"pool":256},"reactive":true,"seed":5}`,
+		// The gilbert-jam scenario at n=64: sparse listen walks settling
+		// quiet runs under a random jam.
+		`{"name":"gilbert-jam","n":64,"k":2,"topology":{"kind":"gilbert","radius":0.25},"overrides":{"extra_rounds":3},"adversary":{"kind":"random","p":0.5},"budget":{"model_c":1,"model_f":1},"seed":13}`,
 	} {
 		f.Add([]byte(seed), uint8(3))
 	}
