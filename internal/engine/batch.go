@@ -24,10 +24,10 @@ import (
 // scalar engine:
 //
 //   - Block geometric draws. Every schedule a lane walks uses
-//     sampling.BlockSchedule, which prefetches skips through
-//     rng.Stream.GeometricBlockLnQ's four-lane log kernel — the draw is
-//     the engine's dominant cost and its log/divide tail serializes in
-//     the scalar engine. Over-drawing a stream is safe here because the
+//     sampling.BlockSchedule, which prefetches its slots in blocks
+//     through rng.Stream.GeometricSlots — the draw is the engine's
+//     dominant cost and its log/divide tail serializes in the scalar
+//     engine. Over-drawing a stream is safe here because the
 //     engine re-keys (Reseed) every schedule stream before each use.
 //   - Bitset reception. The per-slot channel state is word-packed
 //     bitsets plus the solo frame kind, replacing the scalar engine's
@@ -780,7 +780,7 @@ outer:
 // A jammed-and-disrupted listen short-circuits to noise on the plan's
 // bit test alone, exactly as observe orders it (under a phase-wide jam
 // every slot would be an "event"; the bitmap test keeps those listens
-// as cheap as before). Below that, a listen before nextEvent is not the
+// as cheap as before), and steps the cursors past any event it covers. Below that, a listen before nextEvent is not the
 // node's own send and has no audible record: it is silence by
 // construction and settles with one compare, no channel state touched.
 // Only event slots pay for full resolution. Every per-listen effect —
@@ -877,6 +877,11 @@ outer:
 						reqL++
 						reqNoisy++
 					}
+					if slot >= nextEvent {
+						// Step past the event it covers, so the listens
+						// after it still settle as quiet runs.
+						si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
+					}
 					continue
 				}
 				// Jammed but not disrupted for this listener: the slot
@@ -922,27 +927,7 @@ outer:
 					kind = msg.Kind(ak[j])
 				}
 			}
-			// Step every cursor past the slot and refresh nextEvent for
-			// the listens that follow.
-			for si < len(ss) && int(ss[si]) <= slot {
-				si++
-			}
-			for rc < len(rs) && rs[rc] == s32 {
-				rc++
-			}
-			for ac < len(as) && as[ac] == s32 {
-				ac++
-			}
-			nextEvent = math.MaxInt
-			if si < len(ss) {
-				nextEvent = int(ss[si])
-			}
-			if rc < len(rs) && int(rs[rc]) < nextEvent {
-				nextEvent = int(rs[rc])
-			}
-			if ac < len(as) && int(as[ac]) < nextEvent {
-				nextEvent = int(as[ac])
-			}
+			si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
 			if isSend {
 				continue
 			}
@@ -977,6 +962,32 @@ outer:
 	if prepaid {
 		_ = n.meter.ChargeN(energy.Listen, listens)
 	}
+}
+
+// stepPast steps the walk's cursors into its send slots ss, reception
+// row rs and adversary records as past slot, and returns them with the
+// refreshed nextEvent: the earliest slot still ahead in any of them.
+func stepPast(ss, rs, as []int32, si, rc, ac int, slot int32) (int, int, int, int) {
+	for si < len(ss) && ss[si] <= slot {
+		si++
+	}
+	for rc < len(rs) && rs[rc] <= slot {
+		rc++
+	}
+	for ac < len(as) && as[ac] <= slot {
+		ac++
+	}
+	nextEvent := math.MaxInt
+	if si < len(ss) {
+		nextEvent = int(ss[si])
+	}
+	if rc < len(rs) && int(rs[rc]) < nextEvent {
+		nextEvent = int(rs[rc])
+	}
+	if ac < len(as) && int(as[ac]) < nextEvent {
+		nextEvent = int(as[ac])
+	}
+	return si, rc, ac, nextEvent
 }
 
 // quietRun returns the end j of the run blk[i:j] of slots below

@@ -39,9 +39,11 @@ type Scratch struct {
 func NewScratch() *Scratch { return &Scratch{} }
 
 // adoptScratch moves the scratch's buffers (if any) into the run,
-// resetting their contents. Node entries keep their meter and the
-// capacity of their committed-send slices; everything else starts
-// zeroed exactly as a fresh allocation would.
+// resetting their contents. Node entries keep their meter, the
+// capacity of their committed-send slices and their stream/schedule
+// pairs (re-keyed in place before every use); every field a trial
+// reads before it writes starts zeroed exactly as a fresh allocation
+// would.
 func (r *run) adoptScratch(n int) {
 	sc := r.opts.Scratch
 	if sc == nil {
@@ -58,12 +60,17 @@ func (r *run) adoptScratch(n int) {
 	if cap(sc.nodes) >= n {
 		r.nodes = sc.nodes[:n]
 		for i := range r.nodes {
+			// Field by field: a whole-struct assignment would copy
+			// both rng streams, which every walk re-keys before use.
+			// newRunTopo sets id, the meter budget and the scales.
 			node := &r.nodes[i]
-			*node = nodeState{
-				meter:     node.meter,
-				sendSlots: node.sendSlots[:0],
-				sendKinds: node.sendKinds[:0],
-			}
+			node.informed, node.mark = false, 0
+			node.terminated, node.dead = false, false
+			node.listens, node.noisy = 0, 0
+			node.reqQuietAll, node.justInformed = false, false
+			node.phaseListens = 0
+			node.sendSlots = node.sendSlots[:0]
+			node.sendKinds = node.sendKinds[:0]
 		}
 	} else {
 		r.nodes = make([]nodeState, n)

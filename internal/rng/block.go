@@ -11,12 +11,14 @@ import "math"
 // before the next is drawn, so the log's ~dozen-cycle dependency chain
 // and the division's latency are paid in full per event. A schedule's
 // stream is private and re-keyed (Reseed) before every use, though, so
-// drawing *ahead* is free: GeometricBlockLnQ prefetches a block of
-// draws and evaluates their logs four lanes at a time, letting the
-// out-of-order core overlap what the scalar loop serializes. Each
-// individual draw performs exactly the float64 operations of
-// GeometricLnQ, so a block is bit-for-bit the sequence of scalar draws
-// (pinned by TestGeometricBlockMatchesScalar).
+// drawing *ahead* is free: GeometricSlots prefetches a block of draws
+// and evaluates their logs several lanes at a time, letting the
+// out-of-order core overlap what the scalar loop serializes. On the Go
+// path each draw performs exactly the float64 operations of
+// GeometricLnQ; the assembly kernel (geoblock_amd64.s) decides a lane
+// only where its own log cannot move the floor. Either way the slots
+// are bit-for-bit those of the scalar draws (pinned by
+// TestGeometricBlockMatchesScalar).
 
 // Coefficients of the fdlibm natural-log kernel, identical to the ones
 // the standard library evaluates (math/log.go and the amd64 assembly
@@ -173,22 +175,71 @@ func geoFromLog(l, lnQ float64) int {
 	return int(q)
 }
 
-// GeometricBlockLnQ fills dst with len(dst) consecutive draws of
-// GeometricLnQ(lnQ): the d-th element equals the value the d-th scalar
-// call would have returned, and the stream is left in the state those
-// scalar calls would leave it. It requires 0 < p < 1 (lnQ < 0), exactly
-// as GeometricLnQ. Blocks of four are evaluated through the interleaved
-// log kernel; the remainder takes the scalar path.
-func (st *Stream) GeometricBlockLnQ(lnQ float64, dst []int) {
+// placeSlots places the skips gs as a SlotSchedule from pos over
+// [0, length): each skip's slot is pos plus the skip, and pos moves one
+// past it. It writes the slots to dst and returns how many fall inside
+// the phase, stopping at the first that does not (a skip that reaches
+// length, or any skip once pos has reached it), and the pos it ends at.
+func placeSlots(gs []int, pos, length int, dst []int32) (n, next int) {
+	for i, g := range gs {
+		if g >= length-pos { // also covers the MaxInt "never" sentinel
+			return i, pos
+		}
+		pos += g
+		dst[i] = int32(pos)
+		pos++
+	}
+	return len(gs), pos
+}
+
+// GeometricSlots draws geometric skips with lnQ = Log1p(-p) and places
+// them as the action slots of a schedule at pos over [0, length),
+// exactly as a SlotSchedule over the same stream would place its next
+// slots. It fills dst until it is full or the schedule ends, and
+// returns the slots written and whether the schedule ended: a skip
+// reached past the phase or a slot landed on its last one. It requires
+// 0 < p < 1 (lnQ < 0), 0 <= pos < length and length <= MaxInt32.
+//
+// Skips are drawn in blocks of eight (the last one may be shorter); the
+// block in which the schedule ends is drawn whole and none after it, so
+// the stream is left ahead of the scalar schedule's. That is safe only
+// where the stream is re-keyed before its next use.
+func (st *Stream) GeometricSlots(lnQ float64, pos, length int, dst []int32) (n int, done bool) {
 	st.ensure()
-	i := 0
-	if useGeoBlock8 && len(dst) >= 8 {
-		invLnQ := 1 / lnQ
-		for ; i+8 <= len(dst); i += 8 {
-			geoBlock8Asm(&st.s, (*[8]int)(dst[i:i+8]), lnQ, invLnQ)
+	var invLnQ float64
+	if useGeoBlock8 {
+		invLnQ = 1 / lnQ
+	}
+	for n < len(dst) {
+		blk := dst[n:min(n+8, len(dst))]
+		got, next := -1, 0
+		if useGeoBlock8 {
+			got, next = geoSlots8Asm(&st.s, &blk[0], len(blk), pos, length, invLnQ)
+		}
+		if got < 0 {
+			got, next = st.slots8Go(lnQ, pos, length, blk)
+		}
+		n += got
+		if got < len(blk) {
+			return n, true
+		}
+		pos = next
+		if pos >= length {
+			return n, true
 		}
 	}
-	for ; i+4 <= len(dst); i += 4 {
+	return n, false
+}
+
+// slots8Go is the pure-Go block of GeometricSlots, and the exact redo
+// of a block the assembly kernel hands back: the skips are drawn four
+// lanes at a time through the interleaved log kernel, the remainder
+// through the scalar draw, and placed by placeSlots.
+func (st *Stream) slots8Go(lnQ float64, pos, length int, dst []int32) (n, next int) {
+	var gs [8]int
+	k := len(dst)
+	i := 0
+	for ; i+4 <= k; i += 4 {
 		// The uniforms are drawn serially (the xoshiro state is a
 		// dependency chain) but cheaply; the expensive log tail is what
 		// the four-lane evaluation overlaps.
@@ -202,12 +253,13 @@ func (st *Stream) GeometricBlockLnQ(lnQ float64, dst []int) {
 		} else {
 			l0, l1, l2, l3 = math.Log(u0), math.Log(u1), math.Log(u2), math.Log(u3)
 		}
-		dst[i] = geoFromLog(l0, lnQ)
-		dst[i+1] = geoFromLog(l1, lnQ)
-		dst[i+2] = geoFromLog(l2, lnQ)
-		dst[i+3] = geoFromLog(l3, lnQ)
+		gs[i] = geoFromLog(l0, lnQ)
+		gs[i+1] = geoFromLog(l1, lnQ)
+		gs[i+2] = geoFromLog(l2, lnQ)
+		gs[i+3] = geoFromLog(l3, lnQ)
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = st.GeometricLnQ(lnQ)
+	for ; i < k; i++ {
+		gs[i] = st.GeometricLnQ(lnQ)
 	}
+	return placeSlots(gs[:k], pos, length, dst)
 }

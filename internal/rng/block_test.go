@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -57,74 +58,155 @@ func TestLog4PortableMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestGeometricBlockMatchesScalar asserts the block draw is the scalar
-// draw sequence: same values element for element, same stream state
-// afterwards, across probabilities from near-0 to near-1 and block
-// lengths that exercise both the four-lane body and the remainder tail.
-func TestGeometricBlockMatchesScalar(t *testing.T) {
-	ps := []float64{1e-9, 1e-4, 0.01, 0.1, 0.3, 0.5, 0.9, 0.999999}
-	sizes := []int{1, 2, 3, 4, 5, 7, 8, 16, 33}
-	for _, p := range ps {
-		lnQ := math.Log1p(-p)
-		for _, size := range sizes {
-			a := New(99, uint64(size))
-			b := New(99, uint64(size))
-			block := make([]int, size)
-			a.GeometricBlockLnQ(lnQ, block)
-			for i := 0; i < size; i++ {
-				want := b.GeometricLnQ(lnQ)
-				if block[i] != want {
-					t.Fatalf("p=%v size=%d draw %d: block %d, scalar %d", p, size, i, block[i], want)
-				}
+// refSlots is GeometricSlots by its definition: scalar GeometricLnQ
+// draws in blocks of eight (the last one shorter), placed by the
+// SlotSchedule stopping rule, drawing no block after the one in which
+// the schedule ends.
+func refSlots(st *Stream, lnQ float64, pos, length, size int) (slots []int32, done bool) {
+	for len(slots) < size && !done {
+		var gs []int
+		for d := min(8, size-len(slots)); d > 0; d-- {
+			gs = append(gs, st.GeometricLnQ(lnQ))
+		}
+		for _, g := range gs {
+			if g >= length-pos {
+				done = true
+				break
 			}
-			if a.s != b.s {
-				t.Fatalf("p=%v size=%d: stream states diverged after block draw", p, size)
+			slots = append(slots, int32(pos+g))
+			pos += g + 1
+			if pos >= length {
+				done = true
+				break
 			}
 		}
 	}
+	return slots, done
+}
+
+// forEachPath runs f with the assembly kernel on (where the machine has
+// it) and off.
+func forEachPath(t *testing.T, f func(t *testing.T)) {
+	t.Helper()
+	for _, asm := range []bool{true, false} {
+		name := "go"
+		if asm {
+			name = "asm"
+		}
+		t.Run(name, func(t *testing.T) {
+			was := SetGeoBlock8(asm)
+			defer SetGeoBlock8(was)
+			if asm && !GeoBlock8Enabled() {
+				t.Skip("assembly draw kernel unavailable on this machine")
+			}
+			f(t)
+		})
+	}
+}
+
+// checkSlots asserts one GeometricSlots call against refSlots: the
+// slots, the done flag and the final stream state.
+func checkSlots(t *testing.T, seed uint64, lnQ float64, pos, length, size int) {
+	t.Helper()
+	a, b := New(seed), New(seed)
+	dst := make([]int32, size)
+	n, done := a.GeometricSlots(lnQ, pos, length, dst)
+	want, wantDone := refSlots(b, lnQ, pos, length, size)
+	if !slices.Equal(dst[:n], want) || done != wantDone {
+		t.Fatalf("seed %d lnQ %v pos %d length %d size %d: got %v done=%v, want %v done=%v",
+			seed, lnQ, pos, length, size, dst[:n], done, want, wantDone)
+	}
+	if a.s != b.s {
+		t.Fatalf("seed %d lnQ %v pos %d length %d size %d: stream states diverged", seed, lnQ, pos, length, size)
+	}
+}
+
+// TestGeometricBlockMatchesScalar asserts the slot API is the scalar
+// draw sequence placed by the SlotSchedule stopping rule — same slots,
+// same end, same stream state afterwards — on both draw paths, for
+// every tail length, probabilities from near-1 down to the MaxInt
+// sentinel regime, and phase windows that end at every lane.
+func TestGeometricBlockMatchesScalar(t *testing.T) {
+	ps := []float64{0.999999, 0.9, 0.5, 0.3, 0.1, 0.01, 1e-4, 1e-9, 1e-18, 1e-300}
+	rows := []struct {
+		name        string
+		pos, length int
+	}{
+		{"wide", 0, 1 << 30},
+		{"mid-phase", 1000, 5000},
+		{"pos=length-1", 99, 100},
+		{"length<8", 0, 5},
+		{"length=1", 0, 1},
+		{"pos=length-8", 32, 40},
+	}
+	forEachPath(t, func(t *testing.T) {
+		for _, row := range rows {
+			for _, p := range ps {
+				lnQ := math.Log1p(-p)
+				for size := 1; size <= 8; size++ {
+					for seed := uint64(0); seed < 16; seed++ {
+						checkSlots(t, seed, lnQ, row.pos, row.length, size)
+					}
+				}
+				for _, size := range []int{9, 16, 23, 32} {
+					checkSlots(t, 7, lnQ, row.pos, row.length, size)
+				}
+			}
+		}
+	})
+}
+
+// TestGeometricSlotsEndLane places the lane that ends the schedule at
+// every position of an 8-draw block, 0 through 7: the phase is cut
+// right at the scalar schedule's (e+1)-th slot, and also one slot past
+// it (the previous slot then lands on the phase's last slot).
+func TestGeometricSlotsEndLane(t *testing.T) {
+	lnQ := math.Log1p(-0.05)
+	forEachPath(t, func(t *testing.T) {
+		for seed := uint64(0); seed < 32; seed++ {
+			full, _ := refSlots(New(seed), lnQ, 0, 1<<30, 8)
+			for e := 0; e < 8; e++ {
+				checkSlots(t, seed, lnQ, 0, int(full[e]), 8)
+				if e > 0 {
+					checkSlots(t, seed, lnQ, 0, int(full[e-1])+1, 8)
+				}
+			}
+		}
+	})
 }
 
 // TestGeometricBlockNeverSentinel exercises the MaxInt "never" sentinel
-// through the block path: a p so small that ln(u)/lnQ overflows the
-// int64 guard must come back as MaxInt from both paths.
+// through the slot API: with a p so small that ln(u)/lnQ overflows the
+// int64 guard, lane 0 already ends the schedule, and the block is still
+// drawn whole.
 func TestGeometricBlockNeverSentinel(t *testing.T) {
 	lnQ := math.Log1p(-5e-324) // smallest positive p: lnQ is -5e-324ish, ratios explode
-	a, b := New(3), New(3)
-	block := make([]int, 8)
-	a.GeometricBlockLnQ(lnQ, block)
-	for i, got := range block {
-		if want := b.GeometricLnQ(lnQ); got != want {
-			t.Fatalf("draw %d: block %d, scalar %d", i, got, want)
+	forEachPath(t, func(t *testing.T) {
+		a, b := New(3), New(3)
+		var dst [8]int32
+		if n, done := a.GeometricSlots(lnQ, 0, 1<<30, dst[:]); n != 0 || !done {
+			t.Fatalf("got %d slots, done=%v; want 0, true", n, done)
 		}
-		if got != math.MaxInt {
-			t.Fatalf("draw %d: expected the MaxInt sentinel, got %d", i, got)
+		for i := 0; i < 8; i++ {
+			if g := b.GeometricLnQ(lnQ); g != math.MaxInt {
+				t.Fatalf("draw %d: expected the MaxInt sentinel, got %d", i, g)
+			}
 		}
-	}
+		if a.s != b.s {
+			t.Fatal("stream states diverged")
+		}
+	})
 }
 
-// TestSetGeoBlock8Differential pins the in-process kernel switch: with
-// the assembly kernel force-disabled, block draws must still match the
-// scalar sequence bit for bit (the pure-Go fallback path), and the
-// switch must restore cleanly. On hosts without the kernel both states
-// are the Go path and the test degenerates to a plain differential.
+// TestSetGeoBlock8Differential pins the in-process kernel switch: it
+// reports the forced-off state and restores the detected one cleanly.
 func TestSetGeoBlock8Differential(t *testing.T) {
 	was := SetGeoBlock8(false)
 	defer SetGeoBlock8(was)
 	if GeoBlock8Enabled() {
 		t.Fatal("kernel reported enabled while force-disabled")
 	}
-	for _, p := range []float64{0.9, 0.3, 0.01, 1e-9} {
-		lnQ := math.Log1p(-p)
-		blk := New(99)
-		ref := New(99)
-		var buf [24]int
-		blk.GeometricBlockLnQ(lnQ, buf[:])
-		for i, got := range buf {
-			if want := ref.GeometricLnQ(lnQ); got != want {
-				t.Fatalf("p=%v draw %d: fallback block %d, scalar %d", p, i, got, want)
-			}
-		}
-	}
+	checkSlots(t, 99, math.Log1p(-0.3), 0, 1000, 24)
 	if SetGeoBlock8(was) != false {
 		t.Fatal("restore returned the wrong previous state")
 	}
@@ -143,14 +225,13 @@ func BenchmarkGeometricScalar(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkGeometricBlock8 times one 8-draw GeometricSlots call (ns/op
+// per block of eight) on a phase too long to end.
 func BenchmarkGeometricBlock8(b *testing.B) {
 	st := New(1)
 	lnQ := math.Log1p(-0.05)
-	var buf [8]int
-	sink := 0
-	for i := 0; i < b.N; i += 8 {
-		st.GeometricBlockLnQ(lnQ, buf[:])
-		sink += buf[0]
+	var buf [8]int32
+	for b.Loop() {
+		st.GeometricSlots(lnQ, 0, math.MaxInt32, buf[:])
 	}
-	_ = sink
 }

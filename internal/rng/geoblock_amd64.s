@@ -1,21 +1,21 @@
-// AVX2 draw kernel: eight geometric skips per call, bit-identical to
-// eight scalar GeometricLnQ draws. The xoshiro steps run on the integer
-// ports while the eight log tails are evaluated four lanes wide on the
-// vector ports. Every vector op is the plain IEEE-754 operation of its
-// scalar counterpart and the multiply/add sequence mirrors logPortable
-// exactly (no FMA), so lane results carry the identical roundings.
+// AVX-512 draw kernel: up to eight geometric skips per call, turned
+// straight into the action slots a SlotSchedule would place. The
+// xoshiro steps run on the integer ports; the eight log tails run as
+// one zmm chain.
 //
-// The only departure from the scalar operation sequence is the final
-// quotient: the kernel computes qm = l * (1/lnQ) instead of l / lnQ to
-// stay off the divider (whose throughput bounds the whole call), which
-// is NOT the same rounding. It is used only when provably safe: the
-// relative error of qm versus the scalar quotient q is < 1e-15, so when
-// qm sits further than (1e-13·qm + 1e-13) from every integer, both lie
-// in the same unit interval and share a floor. Lanes too close to an
-// integer — probability ~1e-13 — and lanes near the MaxInt sentinel
-// band are recomputed with the scalar's exact division in the fixup
-// tail. geoBlock8SelfCheck in geoblock_amd64.go verifies the whole
-// contract bit-for-bit at start-up before this kernel is ever used.
+// The log is fdlibm's formula (logPortable's operation order) with the
+// multiply-adds fused, so a lane may differ from math.Log by a few ulp.
+// The skip it yields is floor(q) for q = l·(1/lnQ), whose relative
+// error against the scalar l/lnQ is then below ~1.4e-15. A lane is
+// decided by the kernel only when q sits further than 1e-13·q + 1e-13
+// from every integer — about 70× that budget — so both quotients share
+// a floor; a lane at or past length+1 lies outside the phase whatever
+// its exact value (the clamp below), which covers the MaxInt sentinel
+// band too. Any other lane makes the kernel return -1 with the stream
+// state untouched, and the Go caller redoes the whole call with the
+// exact log and the scalar's division. geoBlock8SelfCheck verifies the
+// log's error budget and the slots bit-for-bit at start-up, before
+// this kernel is ever used.
 
 #include "textflag.h"
 
@@ -26,6 +26,8 @@ GLOBL kSqrtMant<>(SB), RODATA|NOPTR, $8
 // 0x3FE doubles as the rebuilt-exponent base and the Frexp bias 1022.
 DATA kExp3FE<>+0(SB)/8, $0x00000000000003FE
 GLOBL kExp3FE<>(SB), RODATA|NOPTR, $8
+DATA kInt1<>+0(SB)/8, $1
+GLOBL kInt1<>(SB), RODATA|NOPTR, $8
 DATA kOne<>+0(SB)/8, $0x3FF0000000000000
 GLOBL kOne<>(SB), RODATA|NOPTR, $8
 DATA kTwo<>+0(SB)/8, $0x4000000000000000
@@ -52,31 +54,23 @@ DATA kL6<>+0(SB)/8, $0x3FC39A09D078C69F
 GLOBL kL6<>(SB), RODATA|NOPTR, $8
 DATA kL7<>+0(SB)/8, $0x3FC2F112DF3E5244
 GLOBL kL7<>(SB), RODATA|NOPTR, $8
-// float64(math.MaxInt64/2) == 2^62, the "never fires" sentinel bound.
-DATA kThresh<>+0(SB)/8, $0x43D0000000000000
-GLOBL kThresh<>(SB), RODATA|NOPTR, $8
-// 2^62·(1 - 4.5e-13): quotients above this may straddle the sentinel
-// bound once the multiply's rounding error is accounted for; resolved
-// by exact division in the fixup tail.
-DATA kThreshLo<>+0(SB)/8, $0x43CFFFFFFFFFF000
-GLOBL kThreshLo<>(SB), RODATA|NOPTR, $8
 DATA kAbsMask<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
 GLOBL kAbsMask<>(SB), RODATA|NOPTR, $8
-// 1e-13: ~100× the worst-case relative error between l·(1/lnQ) and the
-// scalar l/lnQ, used as the near-integer uncertainty margin.
+// 1e-13: the near-integer uncertainty margin, ~70× the worst-case
+// relative error between the kernel's quotient and the scalar's.
 DATA kMargin<>+0(SB)/8, $0x3D3C25C268497682
 GLOBL kMargin<>(SB), RODATA|NOPTR, $8
 
-// One xoshiro256** step, storing the 53-bit output to a frame slot.
-// Mirrors Stream.u53: raw uses the pre-update s1; the state update
-// order is s2^=s0, s3^=s1, s1^=s2, s0^=s3, s2^=t, s3=rotl(s3,45).
-#define XOSHIRO_STEP(slot) \
+// One xoshiro256** step on the state in R8-R11, leaving the 53-bit
+// output in AX. Mirrors Stream.u53: raw uses the pre-update s1; the
+// state update order is s2^=s0, s3^=s1, s1^=s2, s0^=s3, s2^=t,
+// s3=rotl(s3,45).
+#define XOSHIRO_STEP \
 	MOVQ R9, AX;         \
 	LEAQ (AX)(AX*4), AX; \
 	ROLQ $7, AX;         \
 	LEAQ (AX)(AX*8), AX; \
 	SHRQ $11, AX;        \
-	MOVQ AX, slot;       \
 	MOVQ R9, DX;         \
 	SHLQ $17, DX;        \
 	XORQ R8, R10;        \
@@ -86,210 +80,182 @@ GLOBL kMargin<>(SB), RODATA|NOPTR, $8
 	XORQ DX, R10;        \
 	ROLQ $45, R11
 
-// Scale four integer draws to uniforms in a ymm: u = raw * 2^-53, with
-// exact-zero lanes nudged to 2^-53 (a bitwise OR, since +0 | x == x).
-// Uses Y1, Y2, Y3.
-#define UNIFORMS(reg) \
-	VBROADCASTSD kInv53<>(SB), Y2; \
-	VMULPD Y2, reg, reg;           \
-	VXORPD Y3, Y3, Y3;             \
-	VCMPPD $0, Y3, reg, Y1;        \
-	VANDPD Y2, Y1, Y1;             \
-	VORPD Y1, reg, reg
+// LOG8 evaluates the fdlibm log of the eight uniforms in Z0 into Z11,
+// clobbering Z1-Z12: reduce() as integer ops on the double bits (the
+// branch-free √2/2 adjustment), then the fdlibm polynomial with FMA.
+#define LOG8 \
+	VPANDQ.BCST kMantMask<>(SB), Z0, Z1;   \
+	VPSUBQ.BCST kSqrtMant<>(SB), Z1, Z3;   \
+	VPSRLQ $63, Z3, Z3;                    \
+	VPADDQ.BCST kExp3FE<>(SB), Z3, Z4;     \
+	VPSLLQ $52, Z4, Z4;                    \
+	VPORQ Z1, Z4, Z4;                      \
+	VSUBPD.BCST kOne<>(SB), Z4, Z4;        \
+	VPSRLQ $52, Z0, Z5;                    \
+	VPADDQ.BCST kExp3FE<>(SB), Z3, Z6;     \
+	VPSUBQ Z6, Z5, Z5;                     \
+	VCVTQQ2PD Z5, Z5;                      \
+	VADDPD.BCST kTwo<>(SB), Z4, Z6;        \
+	VDIVPD Z6, Z4, Z6;                     \
+	VMULPD Z6, Z6, Z7;                     \
+	VMULPD Z7, Z7, Z8;                     \
+	VBROADCASTSD kL7<>(SB), Z9;            \
+	VFMADD213PD.BCST kL5<>(SB), Z8, Z9;    \
+	VFMADD213PD.BCST kL3<>(SB), Z8, Z9;    \
+	VFMADD213PD.BCST kL1<>(SB), Z8, Z9;    \
+	VMULPD Z7, Z9, Z9;                     \
+	VBROADCASTSD kL6<>(SB), Z10;           \
+	VFMADD213PD.BCST kL4<>(SB), Z8, Z10;   \
+	VFMADD213PD.BCST kL2<>(SB), Z8, Z10;   \
+	VFMADD231PD Z10, Z8, Z9;               \
+	VMULPD.BCST kHalf<>(SB), Z4, Z10;      \
+	VMULPD Z4, Z10, Z10;                   \
+	VADDPD Z9, Z10, Z11;                   \
+	VMULPD.BCST kLn2Lo<>(SB), Z5, Z12;     \
+	VFMADD231PD Z11, Z6, Z12;              \
+	VSUBPD Z12, Z10, Z11;                  \
+	VSUBPD Z4, Z11, Z11;                   \
+	VFMSUB231PD.BCST kLn2Hi<>(SB), Z5, Z11
 
-// Four geometric draws: Y0 holds the uniforms, Y13 the broadcast
-// 1/lnQ. Saves the raw logs to the frame slot lslot (for the exact
-// fixup), produces quotient estimates qm in Y11 and the fixup lane
-// mask (near-integer or sentinel-band) in AX. Clobbers Y1-Y12.
-//
-// The log is logPortable line for line: reduce() as integer ops on the
-// double bits (branch-free √2/2 adjustment), then the fdlibm
-// polynomial with the same association and operation order.
-#define GEO4(lslot) \
-	VPBROADCASTQ kMantMask<>(SB), Y2; \
-	VPAND Y0, Y2, Y1;                 \
-	VPBROADCASTQ kSqrtMant<>(SB), Y2; \
-	VPSUBQ Y2, Y1, Y3;                \
-	VPSRLQ $63, Y3, Y3;               \
-	VPBROADCASTQ kExp3FE<>(SB), Y2;   \
-	VPADDQ Y2, Y3, Y4;                \
-	VPSLLQ $52, Y4, Y4;               \
-	VPOR Y1, Y4, Y4;                  \
-	VBROADCASTSD kOne<>(SB), Y2;      \
-	VSUBPD Y2, Y4, Y4;                \
-	VPSRLQ $52, Y0, Y5;               \
-	VPBROADCASTQ kExp3FE<>(SB), Y2;   \
-	VPADDQ Y2, Y3, Y6;                \
-	VPSUBQ Y6, Y5, Y5;                \
-	VPSHUFD $0x88, Y5, Y5;            \
-	VPERMQ $0x08, Y5, Y5;             \
-	VCVTDQ2PD X5, Y5;                 \
-	VBROADCASTSD kTwo<>(SB), Y2;      \
-	VADDPD Y2, Y4, Y6;                \
-	VDIVPD Y6, Y4, Y6;                \
-	VMULPD Y6, Y6, Y7;                \
-	VMULPD Y7, Y7, Y8;                \
-	VBROADCASTSD kL7<>(SB), Y2;       \
-	VMULPD Y8, Y2, Y9;                \
-	VBROADCASTSD kL5<>(SB), Y2;       \
-	VADDPD Y2, Y9, Y9;                \
-	VMULPD Y8, Y9, Y9;                \
-	VBROADCASTSD kL3<>(SB), Y2;       \
-	VADDPD Y2, Y9, Y9;                \
-	VMULPD Y8, Y9, Y9;                \
-	VBROADCASTSD kL1<>(SB), Y2;       \
-	VADDPD Y2, Y9, Y9;                \
-	VMULPD Y7, Y9, Y9;                \
-	VBROADCASTSD kL6<>(SB), Y2;       \
-	VMULPD Y8, Y2, Y10;               \
-	VBROADCASTSD kL4<>(SB), Y2;       \
-	VADDPD Y2, Y10, Y10;              \
-	VMULPD Y8, Y10, Y10;              \
-	VBROADCASTSD kL2<>(SB), Y2;       \
-	VADDPD Y2, Y10, Y10;              \
-	VMULPD Y8, Y10, Y10;              \
-	VADDPD Y10, Y9, Y9;               \
-	VBROADCASTSD kHalf<>(SB), Y2;     \
-	VMULPD Y4, Y2, Y10;               \
-	VMULPD Y4, Y10, Y10;              \
-	VADDPD Y9, Y10, Y11;              \
-	VMULPD Y11, Y6, Y11;              \
-	VBROADCASTSD kLn2Lo<>(SB), Y2;    \
-	VMULPD Y5, Y2, Y12;               \
-	VADDPD Y12, Y11, Y11;             \
-	VSUBPD Y11, Y10, Y11;             \
-	VSUBPD Y4, Y11, Y11;              \
-	VBROADCASTSD kLn2Hi<>(SB), Y2;    \
-	VMULPD Y5, Y2, Y12;               \
-	VSUBPD Y11, Y12, Y11;             \
-	VMOVUPD Y11, lslot;               \
-	VMULPD Y13, Y11, Y11;             \
-	VROUNDPD $0, Y11, Y3;             \
-	VSUBPD Y3, Y11, Y3;               \
-	VBROADCASTSD kAbsMask<>(SB), Y2;  \
-	VANDPD Y2, Y3, Y3;                \
-	VBROADCASTSD kMargin<>(SB), Y2;   \
-	VMULPD Y11, Y2, Y4;               \
-	VADDPD Y2, Y4, Y4;                \
-	VCMPPD $0x12, Y4, Y3, Y5;         \
-	VBROADCASTSD kThreshLo<>(SB), Y2; \
-	VCMPPD $0x15, Y2, Y11, Y6;        \
-	VORPD Y6, Y5, Y5;                 \
-	VMOVMSKPD Y5, AX
-
-// func geoBlock8Asm(s *[4]uint64, dst *[8]int, lnQ, invLnQ float64)
-TEXT ·geoBlock8Asm(SB), NOSPLIT, $128-32
+// func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) (n, next int)
+TEXT ·geoSlots8Asm(SB), NOSPLIT, $0-64
 	MOVQ s+0(FP), SI
+	MOVQ k+16(FP), CX
 	MOVQ 0(SI), R8
 	MOVQ 8(SI), R9
 	MOVQ 16(SI), R10
 	MOVQ 24(SI), R11
 
-	XOSHIRO_STEP(us-128(SP))
-	XOSHIRO_STEP(us-120(SP))
-	XOSHIRO_STEP(us-112(SP))
-	XOSHIRO_STEP(us-104(SP))
-	XOSHIRO_STEP(us-96(SP))
-	XOSHIRO_STEP(us-88(SP))
-	XOSHIRO_STEP(us-80(SP))
-	XOSHIRO_STEP(us-72(SP))
+	// Lanes past k stay zero: their uniform becomes 2^-53, a normal
+	// number the log chain handles at full speed, and the k mask drops
+	// them from every result.
+	VPXOR X1, X1, X1
+	VPXOR X2, X2, X2
+	VPXOR X3, X3, X3
 
-	MOVQ R8, 0(SI)
-	MOVQ R9, 8(SI)
-	MOVQ R10, 16(SI)
-	MOVQ R11, 24(SI)
+	XOSHIRO_STEP
+	VMOVQ AX, X0
+	CMPQ CX, $1
+	JEQ  drawn
+	XOSHIRO_STEP
+	VPINSRQ $1, AX, X0, X0
+	CMPQ CX, $2
+	JEQ  drawn
+	XOSHIRO_STEP
+	VMOVQ AX, X1
+	CMPQ CX, $3
+	JEQ  drawn
+	XOSHIRO_STEP
+	VPINSRQ $1, AX, X1, X1
+	CMPQ CX, $4
+	JEQ  drawn
+	XOSHIRO_STEP
+	VMOVQ AX, X2
+	CMPQ CX, $5
+	JEQ  drawn
+	XOSHIRO_STEP
+	VPINSRQ $1, AX, X2, X2
+	CMPQ CX, $6
+	JEQ  drawn
+	XOSHIRO_STEP
+	VMOVQ AX, X3
+	CMPQ CX, $7
+	JEQ  drawn
+	XOSHIRO_STEP
+	VPINSRQ $1, AX, X3, X3
 
-	// 53-bit draws -> whole-number doubles (exact; raw>>11 < 2^53).
-	// SSE before any VEX instruction, so no transition stalls.
-	XORPS X0, X0
-	CVTSQ2SD us-128(SP), X0
-	XORPS X1, X1
-	CVTSQ2SD us-120(SP), X1
-	UNPCKLPD X1, X0
-	XORPS X2, X2
-	CVTSQ2SD us-112(SP), X2
-	XORPS X3, X3
-	CVTSQ2SD us-104(SP), X3
-	UNPCKLPD X3, X2
-	XORPS X4, X4
-	CVTSQ2SD us-96(SP), X4
-	XORPS X5, X5
-	CVTSQ2SD us-88(SP), X5
-	UNPCKLPD X5, X4
-	XORPS X6, X6
-	CVTSQ2SD us-80(SP), X6
-	XORPS X7, X7
-	CVTSQ2SD us-72(SP), X7
-	UNPCKLPD X7, X6
+drawn:
+	// K1 = the k live lanes.
+	MOVL  $1, BX
+	SHLL  CX, BX
+	DECL  BX
+	KMOVB BX, K1
 
-	VINSERTF128 $1, X2, Y0, Y0  // lanes 0-3
-	VINSERTF128 $1, X6, Y4, Y14 // lanes 4-7
-	VBROADCASTSD invLnQ+24(FP), Y13
+	// 53-bit draws -> uniforms (exact; raw < 2^53), with u == 0 nudged
+	// to 2^-53: every other uniform is at least that.
+	VINSERTI64X2 $1, X1, Z0, Z0
+	VINSERTI64X2 $2, X2, Z0, Z0
+	VINSERTI64X2 $3, X3, Z0, Z0
+	VCVTQQ2PD    Z0, Z0
+	VMULPD.BCST  kInv53<>(SB), Z0, Z0
+	VMAXPD.BCST  kInv53<>(SB), Z0, Z0
 
-	UNIFORMS(Y0)
-	UNIFORMS(Y14)
+	LOG8
 
-	GEO4(ls-64(SP))
-	VMOVUPD Y11, us-128(SP)
-	MOVQ AX, R13
+	VBROADCASTSD invLnQ+40(FP), Z13
+	VMULPD       Z13, Z11, Z11
 
-	VMOVAPD Y14, Y0
-	GEO4(ls-32(SP))
-	VMOVUPD Y11, us-96(SP)
-	SHLQ $4, AX
-	ORQ  AX, R13
+	// K2 = live lanes whose floor the estimate cannot decide: within the
+	// margin of an integer and below length+1.
+	MOVQ          length+32(FP), BX
+	VCVTSI2SDQ    BX, X5, X5
+	VBROADCASTSD  X5, Z5
+	VADDPD.BCST   kOne<>(SB), Z5, Z6
+	VREDUCEPD     $0, Z11, Z3
+	VPANDQ.BCST   kAbsMask<>(SB), Z3, Z3
+	VBROADCASTSD  kMargin<>(SB), Z4
+	VFMADD213PD   Z4, Z11, Z4
+	VCMPPD        $0x12, Z4, Z3, K1, K2
+	VCMPPD        $0x11, Z6, Z11, K2, K2
+	KORTESTB      K2, K2
+	JNZ           exact
 
+	// Gaps clamped to length, plus one, summed from pos: lane j's slot
+	// is pos-1 + Σ_{i<=j} (min(g_i, length) + 1).
+	VMINPD       Z5, Z11, Z11
+	VCVTTPD2QQ   Z11, Z11
+	VPADDQ.BCST  kInt1<>(SB), Z11, Z11
+	VPXORQ       Z2, Z2, Z2
+	VALIGNQ      $7, Z2, Z11, Z3
+	VPADDQ       Z3, Z11, Z11
+	VALIGNQ      $6, Z2, Z11, Z3
+	VPADDQ       Z3, Z11, Z11
+	VALIGNQ      $4, Z2, Z11, Z3
+	VPADDQ       Z3, Z11, Z11
+	MOVQ         pos+24(FP), AX
+	DECQ         AX
+	VPBROADCASTQ AX, Z3
+	VPADDQ       Z3, Z11, Z11
+
+	// Slots ascend, so the live lanes inside the phase are a prefix.
+	VPBROADCASTQ BX, Z3
+	VPCMPQ       $1, Z3, Z11, K1, K3
+	MOVQ         dst+8(FP), DI
+	VPMOVQD      Z11, K3, (DI)
+	KMOVB        K3, AX
+	POPCNTL      AX, AX
+	MOVQ         AX, n+48(FP)
+
+	// next = slot[n-1] + 1, from the register: the caller chains it
+	// into its next call, and a load of the masked store above would
+	// wait for the store to commit.
+	LEAQ         -1(AX), DX
+	VPBROADCASTQ DX, Z3
+	VPERMQ       Z11, Z3, Z3
+	VMOVQ        X3, DX
+	INCQ         DX
+	MOVQ         DX, next+56(FP)
+	MOVQ         R8, 0(SI)
+	MOVQ         R9, 8(SI)
+	MOVQ         R10, 16(SI)
+	MOVQ         R11, 24(SI)
 	VZEROUPPER
+	RET
 
-	// Truncate toward zero: the quotient estimates are non-negative, so
-	// this is the scalar path's Floor wherever the estimate is certain;
-	// flagged lanes are recomputed exactly below.
-	MOVQ dst+8(FP), DI
-	CVTTSD2SQ us-128(SP), CX
-	MOVQ CX, 0(DI)
-	CVTTSD2SQ us-120(SP), CX
-	MOVQ CX, 8(DI)
-	CVTTSD2SQ us-112(SP), CX
-	MOVQ CX, 16(DI)
-	CVTTSD2SQ us-104(SP), CX
-	MOVQ CX, 24(DI)
-	CVTTSD2SQ us-96(SP), CX
-	MOVQ CX, 32(DI)
-	CVTTSD2SQ us-88(SP), CX
-	MOVQ CX, 40(DI)
-	CVTTSD2SQ us-80(SP), CX
-	MOVQ CX, 48(DI)
-	CVTTSD2SQ us-72(SP), CX
-	MOVQ CX, 56(DI)
+exact:
+	MOVQ $-1, n+48(FP)
+	MOVQ $0, next+56(FP)
+	VZEROUPPER
+	RET
 
-	TESTQ R13, R13
-	JZ    done
-	MOVSD lnQ+16(FP), X1
-	MOVSD kThresh<>(SB), X2
-	MOVQ  $0x7FFFFFFFFFFFFFFF, BX
-
-	// Exact scalar path for flagged lanes: q = l/lnQ with the scalar
-	// draw's own division, sentinel compare, and truncation.
-fix:
-	BSFQ  R13, CX
-	MOVSD ls-64(SP)(CX*8), X0
-	DIVSD X1, X0
-	UCOMISD X2, X0
-	JP  fixsentinel
-	JCC fixsentinel
-	CVTTSD2SQ X0, DX
-	MOVQ DX, (DI)(CX*8)
-	JMP  fixnext
-
-fixsentinel:
-	MOVQ BX, (DI)(CX*8)
-
-fixnext:
-	LEAQ -1(R13), AX
-	ANDQ AX, R13
-	JNZ  fix
-
-done:
+// func log8Asm(u, l *[8]float64)
+TEXT ·log8Asm(SB), NOSPLIT, $0-16
+	MOVQ    u+0(FP), SI
+	VMOVUPD (SI), Z0
+	LOG8
+	MOVQ    l+8(FP), DI
+	VMOVUPD Z11, (DI)
+	VZEROUPPER
 	RET
 
 // func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)

@@ -3,7 +3,7 @@
 package rng
 
 // Architectures without the assembly draw kernel take the four-lane Go
-// path in GeometricBlockLnQ unconditionally.
+// path in GeometricSlots unconditionally.
 var useGeoBlock8 = false
 
 // GeoBlock8Enabled reports whether block draws route through the
@@ -14,6 +14,6 @@ func GeoBlock8Enabled() bool { return false }
 // kernel it is inert and reports the kernel permanently disabled.
 func SetGeoBlock8(bool) (prev bool) { return false }
 
-func geoBlock8Asm(s *[4]uint64, dst *[8]int, lnQ, invLnQ float64) {
-	panic("rng: geoBlock8Asm without assembly kernel")
+func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) (n, next int) {
+	panic("rng: geoSlots8Asm without assembly kernel")
 }

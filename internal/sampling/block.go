@@ -24,7 +24,7 @@ const firstDraws = 8
 
 // BlockSchedule enumerates exactly the slot sequence of a SlotSchedule
 // over the same stream, probability, and length — but draws its
-// geometric skips in prefetched blocks (rng.Stream.GeometricBlockLnQ),
+// geometric skips in prefetched blocks (rng.Stream.GeometricSlots),
 // which the batched engine kernel uses to overlap the log/divide tail
 // of consecutive draws. The visible slots are bit-identical to the
 // scalar schedule's (pinned by the differential test); the *stream* is
@@ -42,7 +42,6 @@ type BlockSchedule struct {
 	length    int
 	pos       int // origin of the next geometric draw
 	buf       [blockDraws]int32
-	gs        [blockDraws]int
 	head, n   int
 	exhausted bool
 	everySlot bool
@@ -130,11 +129,10 @@ func (s *BlockSchedule) nextSlow() (slot int, ok bool) {
 	return slot, true
 }
 
-// refill prefetches a block of geometric skips and converts them to
-// action slots, stopping at the first draw that falls past the phase
-// end (the scalar schedule's termination rule). The draw count adapts
-// to the expected remaining actions, capped at firstDraws on the first
-// refill and blockDraws after it. pos is 0 only before the first
+// refill draws the next block of action slots (rng.Stream.GeometricSlots
+// applies the scalar schedule's termination rule). The draw count
+// adapts to the expected remaining actions, capped at firstDraws on the
+// first refill and blockDraws after it. pos is 0 only before the first
 // refill: every later one starts past a slot an earlier one produced.
 func (s *BlockSchedule) refill() {
 	limit := blockDraws
@@ -142,24 +140,10 @@ func (s *BlockSchedule) refill() {
 		limit = firstDraws
 	}
 	want := min(max(int(s.p*float64(s.length-s.pos))+1, 2), limit)
-	s.st.GeometricBlockLnQ(s.lnQ, s.gs[:want])
-	s.head, s.n = 0, 0
-	pos := s.pos
-	for _, g := range s.gs[:want] {
-		if g >= s.length-pos { // also covers the MaxInt "never" sentinel
-			s.exhausted = true
-			break
-		}
-		slot := pos + g
-		s.buf[s.n] = int32(slot)
-		s.n++
-		pos = slot + 1
-		if pos >= s.length {
-			// Exhausted at the phase boundary, exactly as the scalar
-			// schedule (which stops without drawing there).
-			s.exhausted = true
-			break
-		}
+	n, done := s.st.GeometricSlots(s.lnQ, s.pos, s.length, s.buf[:want])
+	s.head, s.n = 0, n
+	s.exhausted = done
+	if n > 0 {
+		s.pos = int(s.buf[n-1]) + 1
 	}
-	s.pos = pos
 }
