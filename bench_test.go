@@ -109,8 +109,9 @@ func BenchmarkE13Topology(b *testing.B) {
 	runExperiment(b, "E13", "ratio_benign_r0.4", "ratio_jam_r0.4", "reachable_frac_r0.1")
 }
 
-// BenchmarkE11Engines compares the two engines head-to-head on identical
-// workloads (the equivalence itself is asserted by the test suite).
+// BenchmarkE11Engines times the batch kernel (Run) against the scalar
+// oracle (RunScalar) on identical workloads (the equivalence itself is
+// asserted by the test suite).
 func BenchmarkE11Engines(b *testing.B) {
 	mk := func(seed uint64) engine.Options {
 		return engine.Options{
@@ -120,16 +121,16 @@ func BenchmarkE11Engines(b *testing.B) {
 			Pool:     energy.NewPool(1 << 14),
 		}
 	}
-	b.Run("sequential", func(b *testing.B) {
+	b.Run("kernel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := engine.Run(mk(uint64(i))); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	b.Run("actors", func(b *testing.B) {
+	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.RunActors(mk(uint64(i))); err != nil {
+			if _, err := engine.RunScalar(context.Background(), mk(uint64(i))); err != nil {
 				b.Fatal(err)
 			}
 		}

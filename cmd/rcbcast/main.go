@@ -24,11 +24,13 @@
 //	-list-topologies        list topology kinds and their knobs
 //	-pool 16384             adversary energy pool (0 = unlimited)
 //	-decoy                  enable the §4.1 decoy defence
-//	-engine fast            fast | actors
+//	-engine fast            ignored: every run executes on the batch
+//	                        kernel (fast | actors still accepted)
 //	-phases                 print the per-phase trace
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -65,7 +67,7 @@ func run(args []string, out io.Writer) error {
 		jamP    = fs.Float64("jam-p", 0.5, "per-slot probability for -adversary random")
 		strand  = fs.Float64("strand", 0.05, "stranded fraction for -adversary partition")
 		decoy   = fs.Bool("decoy", false, "enable the §4.1 decoy defence")
-		eng     = fs.String("engine", "fast", "fast|actors")
+		eng     = fs.String("engine", "fast", "ignored: every run executes on the batch kernel (fast|actors accepted)")
 		phases  = fs.Bool("phases", false, "print the per-phase trace")
 		traceTo = fs.String("trace", "", "write an event trace: 'text' or 'json' to stdout, or a .ndjson file path")
 		paper   = fs.Bool("paper", false, "use PaperParams instead of PracticalParams")
@@ -163,7 +165,7 @@ func run(args []string, out io.Writer) error {
 		}
 	})
 	if sc.Engine == "fast" {
-		sc.Engine = "" // canonical form; Execute treats them identically
+		sc.Engine = "" // canonical form; both names are ignored
 	}
 
 	if *dump {
@@ -194,7 +196,7 @@ func run(args []string, out io.Writer) error {
 		opts.Tracer = trace.NewJSON(f)
 	}
 
-	res, err := scenario.Execute(sc.Engine, opts)
+	res, err := engine.RunContext(context.Background(), opts)
 	if err != nil {
 		return err
 	}

@@ -48,10 +48,15 @@ func TestCLIUnknownEngine(t *testing.T) {
 	}
 }
 
+// TestCLIActorsEngine: -engine is still accepted and ignored, so the
+// legacy actors name prints exactly what fast does.
 func TestCLIActorsEngine(t *testing.T) {
 	out := runCLI(t, "-n", "64", "-engine", "actors", "-adversary", "null", "-pool", "0")
 	if !strings.Contains(out, "informed (100.0%)") {
 		t.Fatalf("actors engine output:\n%s", out)
+	}
+	if fast := runCLI(t, "-n", "64", "-engine", "fast", "-adversary", "null", "-pool", "0"); fast != out {
+		t.Fatalf("-engine actors and -engine fast differ:\n%s\n---\n%s", out, fast)
 	}
 }
 

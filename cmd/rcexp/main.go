@@ -20,7 +20,7 @@
 // Raw sweep mode streams per-trial records instead of aggregated
 // reports — bounded memory however many trials, so it is the mode for
 // Theorem-1-scale runs. Every trial runs on the batch kernel, whose
-// results are byte-identical to the scalar engine's:
+// results are byte-identical to the scalar oracle's:
 //
 //	rcexp -scenario full-jam -n 1024 -trials 100000 > runs.jsonl
 //	rcexp -scenario file.json -trials 50000 -out csv > runs.csv

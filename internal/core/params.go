@@ -19,7 +19,7 @@
 // schedule with every per-slot probability, and the node/Alice state rules
 // as pure functions. The simulation loops that execute the specification
 // live in internal/engine, which keeps the protocol reusable by both the
-// fast event-driven engine and the goroutine actor engine.
+// batch kernel and the scalar reference loop it is tested against.
 package core
 
 import (

@@ -3,8 +3,9 @@ package core
 import "math"
 
 // This file captures the protocol's state-transition rules as pure
-// functions so that both engines (and the tests) share one authoritative
-// encoding of "who sends when, and who terminates when" (§2, §3).
+// functions so that the kernel, its scalar oracle and the tests share
+// one authoritative encoding of "who sends when, and who terminates
+// when" (§2, §3).
 
 // InformMark records *when* a node became informed within a round:
 // MarkInformPhase if during the inform phase, otherwise the propagation

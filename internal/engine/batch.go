@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"slices"
+	"sync"
 
 	"rcbcast/internal/adversary"
 	"rcbcast/internal/bitset"
@@ -11,17 +12,16 @@ import (
 	"rcbcast/internal/energy"
 	"rcbcast/internal/msg"
 	"rcbcast/internal/sampling"
-	"rcbcast/internal/topology"
 )
 
 // The batch kernel.
 //
-// RunBatch executes a slice of trials one after another, each to
-// completion, on one reusable lane. The trials are independent — lanes
-// may differ in every Options field — and every Result is
-// byte-identical to Run's for the same Options (pinned by the
-// differential and fuzz tests). Five things make a lane faster than the
-// scalar engine:
+// Run and RunContext execute one trial, and RunBatch a slice of trials
+// one after another, each to completion on one reusable lane. The
+// trials are independent — lanes may differ in every Options field —
+// and every Result is byte-identical to the scalar oracle's (RunScalar)
+// for the same Options (pinned by the differential, trace and fuzz
+// tests). Five things make a lane faster than the scalar loop:
 //
 //   - Block geometric draws. Every schedule a lane walks uses
 //     sampling.BlockSchedule, which prefetches its slots in blocks
@@ -47,39 +47,27 @@ import (
 //     state; a prepaid node walk under an untargeted jam settles a
 //     whole run of them at once. See buildRecvIndex and
 //     walkNodeListensIdx.
-//   - Cross-trial topology caching. Lanes resolve their graphs through
-//     one topology.Cache: clique and grid specs are trial-invariant, so
-//     every trial on a BatchScratch shares a single build and CSR;
-//     Gilbert graphs are keyed by seed, so re-runs of a trial reuse
-//     theirs.
+//   - Cross-trial topology caching. Clique and grid specs are
+//     trial-invariant, so every trial on a BatchScratch shares a single
+//     build and CSR from one topology.Cache. A Gilbert graph is fresh
+//     for every seed and builds into the lane's one topology scratch.
 //   - Unheard phases. A phase that no listener and no reactive strategy
 //     can hear — the benign propagate phase once everyone is informed —
 //     only draws, charges and counts its sends: no send records, channel
 //     bits or reception index. See heard.
 //
-// The scalar engine (Run / RunContext) is the byte-identity oracle.
+// The scalar loop (RunScalar) is the byte-identity oracle.
 
 // BatchScratch recycles the batch kernel's working state across trials
-// and RunBatch calls: the lane's engine Scratch, reception bitsets,
-// block schedules and reception index, and the cross-trial topology
-// cache. It must never be shared by concurrently executing batches;
-// sim's workers pool them.
-type BatchScratch struct {
-	lane  batchLane
-	sc    *Scratch
-	cache *topology.Cache
-}
-
-// batchCacheGraphs is the topology cache's capacity: enough for a
-// sweep's trial-invariant graph plus a few Gilbert builds that a
-// differential oracle or a re-run looks up again.
-const batchCacheGraphs = 4
+// and RunBatch calls: one engine Scratch, which carries the lane's
+// reception bitsets, block schedules and reception index and the
+// cross-trial topology cache next to the per-run buffers. It must never
+// be shared by concurrently executing batches.
+type BatchScratch struct{ sc *Scratch }
 
 // NewBatchScratch returns an empty batch scratch; buffers grow to the
 // node counts and phase lengths the runs it serves need.
-func NewBatchScratch() *BatchScratch {
-	return &BatchScratch{sc: NewScratch(), cache: topology.NewCache(batchCacheGraphs)}
-}
+func NewBatchScratch() *BatchScratch { return &BatchScratch{sc: NewScratch()} }
 
 // Reception-index packing. A sparse transmission is one uint64 —
 // slot<<33 | (src+txpSrcBias)<<2 | (kind-1) — so the per-phase record
@@ -145,6 +133,28 @@ type batchLane struct {
 	lmask []bool
 }
 
+// scratches recycles the kernel's working state across Run calls that
+// bring no Options.Scratch: sync.Pool's per-P caching makes a Get/Put
+// pair around each trial an effectively per-worker scratch. Results are
+// byte-identical with and without reuse (the scratch tests pin that).
+var scratches = sync.Pool{New: func() any { return NewScratch() }}
+
+// Run executes the protocol on the batch kernel.
+func Run(opts Options) (*Result, error) { return RunContext(nil, opts) }
+
+// RunContext is Run checking ctx at every phase boundary (a nil ctx
+// skips the checks). Cancellation returns a *PartialRunError; a run that
+// completes before the context fires returns its Result exactly as Run
+// would.
+func RunContext(ctx context.Context, opts Options) (*Result, error) {
+	if opts.Scratch == nil {
+		sc := scratches.Get().(*Scratch)
+		defer scratches.Put(sc)
+		opts.Scratch = sc
+	}
+	return runKernel(ctx, opts)
+}
+
 // RunBatch executes the trials on the batch kernel, one after another,
 // and returns their Results indexed like opts. Every Result is
 // byte-identical to Run(opts[i]); the options may differ in every
@@ -166,8 +176,11 @@ func RunBatchContext(ctx context.Context, opts []Options, bs *BatchScratch) ([]*
 		bs = NewBatchScratch()
 	}
 	results := make([]*Result, len(opts))
-	for i := range opts {
-		res, err := bs.run(ctx, opts[i])
+	for i, o := range opts {
+		if o.Scratch == nil {
+			o.Scratch = bs.sc
+		}
+		res, err := runKernel(ctx, o)
 		if err != nil {
 			return nil, err
 		}
@@ -176,17 +189,15 @@ func RunBatchContext(ctx context.Context, opts []Options, bs *BatchScratch) ([]*
 	return results, nil
 }
 
-// run executes one trial on the scratch's lane.
-func (bs *BatchScratch) run(ctx context.Context, o Options) (*Result, error) {
-	if o.Scratch == nil {
-		o.Scratch = bs.sc
-	}
-	r, err := newRunTopo(&o, bs.cache.Get)
+// runKernel executes one trial on the lane of o.Scratch, which must be
+// non-nil.
+func runKernel(ctx context.Context, o Options) (*Result, error) {
+	r, err := newRunTopo(&o, true)
 	if err != nil {
 		return nil, err
 	}
 	defer r.releaseScratch()
-	l := &bs.lane
+	l := &o.Scratch.lane
 	l.r = r
 	err = r.loop(ctx, l.phase)
 	l.r = nil
@@ -295,11 +306,14 @@ func (l *batchLane) ensureBuffers(length int) {
 	l.multi.Resize(length)
 }
 
-// resize sets *s to length n, reallocating (zeroed) only when its
-// capacity is short; otherwise the contents within n are kept.
+// resize sets *s to length n, keeping the backing array's contents
+// within n (zero past its old capacity). A short capacity grows by
+// append's policy rather than to exactly n, so a high-water mark that
+// creeps up trial by trial (the reception index's entry count)
+// reallocates a few times, not at every new peak.
 func resize[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
-		*s = make([]T, n)
+		*s = slices.Grow(*s, n-len(*s))
 	}
 	*s = (*s)[:n]
 	return *s

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"rcbcast/internal/energy"
 	"rcbcast/internal/rng"
 	"rcbcast/internal/topology"
+	"rcbcast/internal/trace"
 )
 
 var batchTopos = []struct {
@@ -41,10 +44,10 @@ func batchLaneOptions(mk func() Options, spec topology.Spec, lane int) Options {
 	return o
 }
 
-// TestBatchMatchesScalar is the tentpole oracle: for every behavioural
-// config, topology kind, and batch width — including width 1 — each
-// lane of RunBatch must produce a Result bit-for-bit identical to the
-// scalar engine's for the same Options.
+// TestBatchMatchesScalar is the kernel's differential oracle: for every
+// behavioural config, topology kind, and batch width — including width
+// 1 — each lane of RunBatch must produce a Result bit-for-bit identical
+// to the scalar oracle's (RunScalar) for the same Options.
 func TestBatchMatchesScalar(t *testing.T) {
 	widths := []int{1, 2, 4, 8}
 	if testing.Short() {
@@ -110,6 +113,41 @@ func TestBatchMatchesScalar(t *testing.T) {
 			}
 		})
 	})
+}
+
+// TestKernelTraceMatchesScalar pins the event trace: for every
+// behavioural config and topology kind, the JSON trace Run writes is
+// byte-identical to the scalar oracle's, so a traced run (rcbcast
+// -trace) reports exactly the events of the reference loop.
+func TestKernelTraceMatchesScalar(t *testing.T) {
+	for name, mk := range equivalenceConfigs() {
+		for _, tp := range batchTopos {
+			t.Run(name+"/"+tp.name, func(t *testing.T) {
+				var kernel, scalar bytes.Buffer
+				o := batchLaneOptions(mk, tp.spec, 0)
+				o.Tracer = trace.NewJSON(&kernel)
+				if _, err := Run(o); err != nil {
+					t.Fatal(err)
+				}
+				o = batchLaneOptions(mk, tp.spec, 0)
+				o.Tracer = trace.NewJSON(&scalar)
+				if _, err := RunScalar(context.Background(), o); err != nil {
+					t.Fatal(err)
+				}
+				if scalar.Len() == 0 {
+					t.Fatal("the scalar oracle wrote no trace")
+				}
+				if !bytes.Equal(kernel.Bytes(), scalar.Bytes()) {
+					k, s := kernel.Bytes(), scalar.Bytes()
+					i := 0
+					for i < len(k) && i < len(s) && k[i] == s[i] {
+						i++
+					}
+					t.Fatalf("traces differ at byte %d of %d/%d (kernel/scalar)", i, len(k), len(s))
+				}
+			})
+		}
+	}
 }
 
 // mixedLane is lane i of the heterogeneous differential batch: the
@@ -341,8 +379,8 @@ func (s shortJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy
 }
 
 // batchMatchesScalar runs the lanes in one RunBatch call, checks each
-// Result against Run on a fresh construction of the same lane, and
-// returns the batch's Results.
+// Result against RunScalar on a fresh construction of the same lane,
+// and returns the batch's Results.
 func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) []*Result {
 	t.Helper()
 	opts := make([]Options, width)
@@ -357,7 +395,7 @@ func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) []*Resu
 		t.Fatalf("got %d results for %d lanes", len(batch), width)
 	}
 	for i := range batch {
-		scalar, err := Run(lane(i))
+		scalar, err := RunScalar(context.Background(), lane(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -370,7 +408,7 @@ func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) []*Resu
 
 // TestBatchNoGeoBlock8MatchesScalar re-runs a slice of the batch
 // differential with the assembly draw kernel force-disabled in process,
-// pinning the pure-Go block-draw path against the scalar engine even on
+// pinning the pure-Go block-draw path against the scalar oracle even on
 // hosts that have the kernel. CI additionally runs the full batch
 // byte-identity suite under RCBCAST_NO_GEOBLOCK8=1; this in-process
 // variant keeps the coupling visible to a plain `go test`.
@@ -395,7 +433,8 @@ func TestBatchNoGeoBlock8MatchesScalar(t *testing.T) {
 // TestBatchScratchReuse pins the scratch discipline: consecutive
 // batches on one BatchScratch — including a width change and a second
 // pass over the same specs — are byte-identical to fresh-scratch runs,
-// and the topology cache actually carries graphs across batches.
+// the topology cache carries the grid across batches, and Gilbert
+// graphs, fresh for every seed, never touch it.
 func TestBatchScratchReuse(t *testing.T) {
 	mkOpts := func(width int, spec topology.Spec) []Options {
 		opts := make([]Options, width)
@@ -436,23 +475,21 @@ func TestBatchScratchReuse(t *testing.T) {
 					}
 				}
 			}
-			hits, misses := bs.cache.Stats()
+			var hits, misses uint64
+			if c := bs.sc.cache; c != nil {
+				hits, misses = c.Stats()
+			}
 			switch {
-			case tp.spec.IsClique():
-				// The clique never consults the cache (global fast path).
+			case tp.spec.IsClique() || !tp.spec.TrialInvariant():
+				// The clique resolves through the global fast path;
+				// Gilbert graphs build into the lane's topology scratch.
 				if hits+misses != 0 {
-					t.Fatalf("clique batches touched the topology cache: %d hits, %d misses", hits, misses)
+					t.Fatalf("%s batches touched the topology cache: %d hits, %d misses", tp.name, hits, misses)
 				}
-			case tp.spec.TrialInvariant():
+			default:
 				// One build serves all ten lane-trials across the passes.
 				if misses != 1 || hits != 9 {
 					t.Fatalf("grid cache stats = (%d hits, %d misses), want (9, 1)", hits, misses)
-				}
-			default:
-				// Gilbert: one build per distinct seed (4), reused on the
-				// later passes (2 + 4 hits).
-				if misses != 4 || hits != 6 {
-					t.Fatalf("gilbert cache stats = (%d hits, %d misses), want (6, 4)", hits, misses)
 				}
 			}
 		})
@@ -473,9 +510,9 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// TestMaxPhaseSlotsBound: both engines store slots as int32, so a
-// MaxPhaseSlots past math.MaxInt32 is rejected up front rather than
-// wrapping.
+// TestMaxPhaseSlotsBound: the kernel and the oracle store slots as
+// int32, so a MaxPhaseSlots past math.MaxInt32 is rejected up front
+// rather than wrapping.
 func TestMaxPhaseSlotsBound(t *testing.T) {
 	if math.MaxInt == math.MaxInt32 {
 		t.Skip("int is 32 bits: no MaxPhaseSlots value exceeds the bound")
@@ -496,7 +533,7 @@ func TestMaxPhaseSlotsBound(t *testing.T) {
 }
 
 // TestBatchContextCancel: a canceled context surfaces as a
-// *PartialRunError, exactly like the scalar context path.
+// *PartialRunError, exactly like RunContext.
 func TestBatchContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -540,24 +577,28 @@ func steadyBatch(k steadyKind, fail func(error)) (trial func(), width int) {
 	}, w
 }
 
-// TestSteadyStateAllocsBatch extends the allocation gate to the batch
-// kernel: a warmed-up batch allocates per lane what a warmed-up scalar
-// run allocates per trial (run struct, escaped Options, Result,
-// NodeCosts, cost-sort copy) plus the shared results slice — block
-// schedules, bitsets, and the topology cache must all recycle.
+// TestSteadyStateAllocsBatch extends the allocation gate to RunBatch
+// calls of several trials: a warmed-up batch allocates per lane what a
+// warmed-up Run allocates per trial (run struct, escaped Options,
+// Result, NodeCosts, cost-sort copy) plus the shared results slice —
+// block schedules, bitsets, topology buffers and the topology cache
+// must all recycle. The bytes ceilings are TestSteadyStateAllocs's per
+// trial; they catch buffer sets that grow one by one, which the object
+// count alone cannot see.
 func TestSteadyStateAllocsBatch(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts; CI gates this test in a separate non-race step")
 	}
 	for _, tc := range []struct {
-		kind    steadyKind
-		ceiling float64 // per lane, matching the scalar gate's anatomy
+		kind         steadyKind
+		ceiling      float64 // per lane, matching the Run gate's anatomy
+		bytesCeiling float64 // per lane
 	}{
-		{steadyKinds[0], 16},
-		{steadyKinds[1], 24},
-		{steadyKinds[2], 24},
-		{steadyKinds[3], 16}, // benign clique: the clique anatomy
-		{steadyKinds[4], 24}, // gilbert-random: the gilbert row
+		{steadyKinds[0], 16, 32 << 10},
+		{steadyKinds[1], 24, 48 << 10},
+		{steadyKinds[2], 24, 48 << 10},
+		{steadyKinds[3], 16, 32 << 10}, // benign clique: the clique anatomy
+		{steadyKinds[4], 24, 48 << 10}, // gilbert-random: the gilbert row
 	} {
 		t.Run(tc.kind.name, func(t *testing.T) {
 			trial, width := steadyBatch(tc.kind, func(err error) { t.Fatal(err) })
@@ -565,16 +606,30 @@ func TestSteadyStateAllocsBatch(t *testing.T) {
 				trial()
 			}
 			ceiling := tc.ceiling * float64(width)
-			if got := testing.AllocsPerRun(10, trial); got > ceiling {
+			allocs := testing.AllocsPerRun(10, trial)
+			if allocs > ceiling {
 				t.Fatalf("steady-state %s batch allocates %.1f objects/op at width %d, ceiling %v",
-					tc.kind.name, got, width, ceiling)
+					tc.kind.name, allocs, width, ceiling)
+			}
+			const runs = 10
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				trial()
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.TotalAlloc-before.TotalAlloc) / (runs * float64(width))
+			t.Logf("%.1f objects/op at width %d, %.0f bytes per trial", allocs, width, got)
+			if got > tc.bytesCeiling {
+				t.Fatalf("steady-state %s batch allocates %.0f bytes per trial at width %d, ceiling %v",
+					tc.kind.name, got, width, tc.bytesCeiling)
 			}
 		})
 	}
 }
 
-// BenchmarkSteadyStateBatch is BenchmarkSteadyState on the batch
-// kernel: one RunBatch call of several trials per op, scratch warmed
+// BenchmarkSteadyStateBatch is BenchmarkSteadyState through RunBatch:
+// one call of several trials per op, scratch warmed
 // before the timer. ns/op covers every trial of the op, and the
 // trials/op metric says how many there are; compare ns/op over
 // trials/op against BenchmarkSteadyState.
@@ -594,3 +649,8 @@ func BenchmarkSteadyStateBatch(b *testing.B) {
 		})
 	}
 }
+
+// TestDrawPath logs which geometric draw path this package's tests ran
+// on. rng.DrawPath reads RCBCAST_NO_GEOBLOCK8 while the tests run, so go
+// test reuses a cached result only under the same setting.
+func TestDrawPath(t *testing.T) { t.Log(rng.DrawPath()) }

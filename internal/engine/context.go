@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"context"
-	"fmt"
-)
+import "fmt"
 
 // PartialRunError reports an execution stopped at a phase boundary by
 // context cancellation. No Result accompanies it: the run's invariants
@@ -25,37 +22,3 @@ func (e *PartialRunError) Error() string {
 }
 
 func (e *PartialRunError) Unwrap() error { return e.Err }
-
-// RunContext executes the protocol on the sequential engine, checking
-// ctx at every phase boundary. Cancellation returns a *PartialRunError;
-// a run that completes before the context fires returns its Result
-// exactly as Run would.
-func RunContext(ctx context.Context, opts Options) (*Result, error) {
-	r, err := newRun(&opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.releaseScratch()
-	if err := r.loop(ctx, r.seqPhase); err != nil {
-		return nil, err
-	}
-	return r.result(), nil
-}
-
-// RunActorsContext is RunContext on the goroutine-per-node actor
-// engine. Results are bit-for-bit identical to RunContext for identical
-// Options; the actor pool is torn down whether the run completes or is
-// canceled.
-func RunActorsContext(ctx context.Context, opts Options) (*Result, error) {
-	r, err := newRun(&opts)
-	if err != nil {
-		return nil, err
-	}
-	defer r.releaseScratch()
-	exec := newActorPool(r)
-	defer exec.shutdown()
-	if err := r.loop(ctx, exec.phase); err != nil {
-		return nil, err
-	}
-	return r.result(), nil
-}

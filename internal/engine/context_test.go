@@ -35,13 +35,6 @@ func TestRunContextMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("RunContext diverges from Run")
 	}
-	act, err := RunActorsContext(context.Background(), ctxOpts(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(act, want) {
-		t.Fatal("RunActorsContext diverges from Run")
-	}
 }
 
 // TestRunContextPreCanceled: a canceled context stops the run before
@@ -50,8 +43,8 @@ func TestRunContextPreCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, run := range map[string]func(context.Context, Options) (*Result, error){
-		"sequential": RunContext,
-		"actors":     RunActorsContext,
+		"kernel": RunContext,
+		"scalar": RunScalar,
 	} {
 		res, err := run(ctx, ctxOpts(5))
 		if res != nil {

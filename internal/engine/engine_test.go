@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"testing"
@@ -593,9 +594,9 @@ func TestTracerDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-func TestActorEngineTracing(t *testing.T) {
+func TestRunScalarTracing(t *testing.T) {
 	counter := &trace.Counter{}
-	res, err := RunActors(Options{
+	res, err := RunScalar(context.Background(), Options{
 		Params: core.PracticalParams(128, 2),
 		Seed:   79,
 		Tracer: counter,
@@ -604,7 +605,7 @@ func TestActorEngineTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if counter.Informed != res.Informed || !counter.DoneCalled {
-		t.Fatalf("actor engine tracing broken: %+v vs informed=%d", counter, res.Informed)
+		t.Fatalf("scalar oracle tracing broken: %+v vs informed=%d", counter, res.Informed)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -105,43 +106,42 @@ func equivalenceConfigs() map[string]func() Options {
 	}
 }
 
-// TestEngineEquivalence asserts that the sequential engine and the actor
-// engine produce bit-for-bit identical results: same informed sets, same
-// per-node costs, same adversary spend, same phase records. This is the
-// core guarantee that lets experiments use the fast engine while the actor
-// engine vouches for the concurrency story (run with -race).
+// TestEngineEquivalence asserts that Run (the batch kernel) and the
+// scalar oracle produce bit-for-bit identical results: same informed
+// sets, same per-node costs, same adversary spend, same phase records.
 func TestEngineEquivalence(t *testing.T) {
 	for name, mk := range equivalenceConfigs() {
 		t.Run(name, func(t *testing.T) {
-			seq, err := Run(mk())
+			kernel, err := Run(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			act, err := RunActors(mk())
+			scalar, err := RunScalar(context.Background(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(seq, act) {
-				t.Fatalf("engines diverged:\nsequential: %+v\nactors:     %+v", seq, act)
+			if !reflect.DeepEqual(kernel, scalar) {
+				t.Fatalf("engines diverged:\nkernel: %+v\nscalar: %+v", kernel, scalar)
 			}
 		})
 	}
 }
 
-func TestActorEngineBasics(t *testing.T) {
-	res, err := RunActors(Options{Params: core.PracticalParams(256, 2), Seed: 1})
+// TestRunScalarBasics: the oracle itself delivers a benign run.
+func TestRunScalarBasics(t *testing.T) {
+	res, err := RunScalar(context.Background(), Options{Params: core.PracticalParams(256, 2), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Informed != 256 || !res.Completed {
-		t.Fatalf("actor engine benign run: %+v", res)
+		t.Fatalf("scalar oracle benign run: %+v", res)
 	}
 }
 
-func TestActorEngineRejectsInvalidOptions(t *testing.T) {
+func TestRunScalarRejectsInvalidOptions(t *testing.T) {
 	opts := Options{Params: core.PracticalParams(128, 2)}
 	opts.Params.N = 0
-	if _, err := RunActors(opts); err == nil {
+	if _, err := RunScalar(context.Background(), opts); err == nil {
 		t.Fatal("invalid options must be rejected")
 	}
 }

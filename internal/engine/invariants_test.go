@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -134,25 +136,23 @@ func TestProtocolInvariants(t *testing.T) {
 }
 
 // TestEngineEquivalenceProperty extends the fixed-configuration
-// equivalence suite with randomized configurations.
+// kernel-vs-scalar equivalence suite with randomized configurations.
 func TestEngineEquivalenceProperty(t *testing.T) {
 	if testing.Short() {
 		t.Skip("slow property test")
 	}
 	f := func(seed uint64, a, b, c, d uint8) bool {
 		// Pools are stateful; build fresh options per engine.
-		seq, err := Run(randomOptions(seed, a, b, c, d))
+		kernel, err := Run(randomOptions(seed, a, b, c, d))
 		if err != nil {
 			return false
 		}
-		act, err := RunActors(randomOptions(seed, a, b, c, d))
+		scalar, err := RunScalar(context.Background(), randomOptions(seed, a, b, c, d))
 		if err != nil {
 			return false
 		}
-		if seq.Informed != act.Informed || seq.Alice != act.Alice ||
-			seq.NodeCost != act.NodeCost || seq.AdversarySpent != act.AdversarySpent ||
-			seq.SlotsSimulated != act.SlotsSimulated {
-			t.Logf("engines diverged:\nseq: %+v\nact: %+v", seq, act)
+		if !reflect.DeepEqual(kernel, scalar) {
+			t.Logf("engines diverged:\nkernel: %+v\nscalar: %+v", kernel, scalar)
 			return false
 		}
 		return true

@@ -1,26 +1,26 @@
 // Package engine executes ε-BROADCAST (internal/core) against an adversary
 // (internal/adversary) on the slot channel model (internal/slotsim).
 //
-// Three engines are provided:
+// One engine runs the protocol, plus one oracle it is tested against:
 //
-//   - Run: a sequential, event-driven engine. Per-slot coin flips are
-//     simulated by geometric skipping (internal/sampling), so the work per
-//     phase is proportional to the number of *actions*, not slots. This is
-//     what makes Theorem-1-scale parameter sweeps feasible.
-//   - RunActors: one goroutine per node (plus Alice and a coordinator),
-//     the natural Go mapping for a sensor network. Node work — schedule
-//     generation, energy charging, and listen resolution — runs in the
-//     actors; the coordinator owns the shared channel state.
-//   - RunBatch: the batch kernel every sweep runs on (sim.Stream). It
-//     runs each trial to completion on one reusable lane, with block
-//     geometric draws, bitset channel state, and a per-phase reception
-//     index on sparse topologies (see batch.go).
+//   - Run / RunContext (and RunBatch for a slice of trials): the batch
+//     kernel every caller runs on — single runs, sweeps (sim.Stream),
+//     the multi-hop pipeline. Per-slot coin flips are simulated by
+//     geometric skipping with block draws (internal/sampling), so the
+//     work per phase is proportional to the number of *actions*, not
+//     slots; channel state is word-packed bitsets, and sparse
+//     topologies resolve reception through a per-phase index (see
+//     batch.go).
+//   - RunScalar: the scalar reference loop — one slot schedule per
+//     walk, byte-per-slot channel arrays, a binary search per sparse
+//     listen. It is the differential tests' independent oracle and has
+//     no production caller.
 //
-// All three draw every random decision from the same keyed streams
+// Both draw every random decision from the same keyed streams
 // (internal/rng), charge energy under the same rules, and therefore
-// produce bit-for-bit identical Results for identical Options. The
-// equivalence and batch differential tests in this package assert
-// exactly that; Run is the oracle, and stays the single-run engine.
+// produce bit-for-bit identical Results — and event traces — for
+// identical Options. The differential, trace and fuzz tests assert
+// exactly that.
 //
 // Energy-enforcement rule (shared): a device's transmissions for a phase
 // are committed and charged at phase start in slot order, truncated when
@@ -86,11 +86,12 @@ type Options struct {
 	Tracer trace.Tracer
 	// MaxPhaseSlots aborts runs whose next phase exceeds this many slots
 	// (guards against accidentally unbounded memory). 0 means 1<<26; at
-	// most math.MaxInt32, since both engines store slots as int32.
+	// most math.MaxInt32, since the kernel and the oracle store slots as
+	// int32.
 	MaxPhaseSlots int
 	// Scratch, if non-nil, recycles the run's working buffers (channel
-	// state, per-node state) across executions — the allocation-rate
-	// lever for tight trial loops. A Scratch must never be shared by
+	// state, per-node state, the kernel's lane) across executions; when
+	// nil, Run takes one from a pool. A Scratch must never be shared by
 	// concurrently executing runs; results are byte-identical with and
 	// without one.
 	Scratch *Scratch

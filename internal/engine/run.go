@@ -16,8 +16,9 @@ import (
 )
 
 // Stream-key constants. Every random decision is drawn from the stream
-// keyed (seed, actor, round, phase ordinal, purpose); both engines use the
-// same keys, which is what makes them bit-for-bit equivalent.
+// keyed (seed, actor, round, phase ordinal, purpose); the kernel and the
+// scalar oracle use the same keys, which is what makes them bit-for-bit
+// equivalent.
 const (
 	actorAlice     uint64 = 1
 	actorAdversary uint64 = 2
@@ -30,8 +31,8 @@ const (
 
 func nodeActor(id int) uint64 { return actorNodeBase + uint64(id) }
 
-// nodeState is one correct node. Only the owning walker (sequential loop
-// or the node's actor goroutine) mutates it.
+// nodeState is one correct node. Only the walker processing it mutates
+// it.
 type nodeState struct {
 	id         int
 	meter      *energy.Meter
@@ -60,8 +61,7 @@ type nodeState struct {
 	// Per-actor stream/schedule pairs, re-keyed in place each phase so
 	// the walkers allocate nothing in steady state. Pair A carries the
 	// data schedule during the send pass and the listen schedule during
-	// the listen pass; pair B carries the decoy schedule. Owned by the
-	// node's walker, so the actor engine shares nothing.
+	// the listen pass; pair B carries the decoy schedule.
 	streamA, streamB rng.Stream
 	schedA, schedB   sampling.SlotSchedule
 }
@@ -94,7 +94,8 @@ const (
 	txSrcAdversary int32 = -2
 )
 
-// run holds all execution state shared by both engines.
+// run holds the execution state shared by the kernel and the scalar
+// oracle.
 type run struct {
 	opts     *Options
 	params   core.Params // copy; run owns it
@@ -137,15 +138,16 @@ type run struct {
 }
 
 func newRun(opts *Options) (*run, error) {
-	return newRunTopo(opts, nil)
+	return newRunTopo(opts, false)
 }
 
-// newRunTopo is newRun with an optional topology source: the batch
-// kernel passes a topology.Cache's Get so the lanes of a batch share
-// trial-invariant graphs and reuse per-seed Gilbert builds, instead of
-// rebuilding per lane. A nil lookup builds fresh into the run's scratch,
-// exactly as before; the graphs are byte-identical either way.
-func newRunTopo(opts *Options, lookup func(topology.Spec, int, uint64) (topology.Topology, *topology.CSR, error)) (*run, error) {
+// newRunTopo is newRun with an optional topology cache: the batch
+// kernel sets cached, so every trial on its scratch shares one build of
+// a trial-invariant (grid) graph from the scratch's cache. Otherwise
+// the graph builds into the run's scratch — what a Gilbert graph, fresh
+// for every seed, always does. The graphs are byte-identical either
+// way.
+func newRunTopo(opts *Options, cached bool) (*run, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -160,8 +162,8 @@ func newRunTopo(opts *Options, lookup func(topology.Spec, int, uint64) (topology
 		var topo topology.Topology
 		var csr *topology.CSR
 		var err error
-		if lookup != nil {
-			topo, csr, err = lookup(opts.Topology, r.params.N, opts.Seed)
+		if cached && opts.Topology.TrialInvariant() {
+			topo, csr, err = r.topoCache().Get(opts.Topology, r.params.N)
 		} else {
 			topo, err = opts.Topology.BuildInto(r.params.N, opts.Seed, r.topoScratch())
 			if err == nil && !topo.Complete() {
@@ -222,6 +224,17 @@ func (r *run) topoScratch() *topology.Scratch {
 	return sc.topo
 }
 
+// topoCache returns the trial-invariant graph cache carried by the
+// run's engine Scratch (created lazily); only the batch kernel, which
+// always runs on a scratch, asks for it.
+func (r *run) topoCache() *topology.Cache {
+	sc := r.opts.Scratch
+	if sc.cache == nil {
+		sc.cache = topology.NewCache(cacheGraphs)
+	}
+	return sc.cache
+}
+
 func (r *run) done() bool {
 	if r.alice.active() {
 		return false
@@ -272,8 +285,7 @@ func (r *run) addTx(slot int, kind msg.Kind, src int32) {
 // planNodeSends computes and charges one node's transmissions for the
 // phase: relays of m in its assigned propagation step, NACKs when
 // uninformed in the request phase, and decoy cover traffic in decoy mode.
-// It touches only the node's own state, so engines may run it for all
-// nodes concurrently.
+// It touches only the node's own state.
 func (r *run) planNodeSends(n *nodeState, ph core.Phase) {
 	n.sendSlots = n.sendSlots[:0]
 	n.sendKinds = n.sendKinds[:0]
@@ -354,7 +366,6 @@ func clamp01(v float64) float64 {
 
 // mergeNodeSends folds every node's committed transmissions into the
 // shared per-slot channel state and tallies the phase outcome counters.
-// Single-threaded in both engines.
 func (r *run) mergeNodeSends(out *adversary.PhaseOutcome) {
 	for i := range r.nodes {
 		n := &r.nodes[i]
@@ -548,7 +559,7 @@ const (
 
 // walkNodeListens resolves one uninformed node's listening for the phase.
 // It reads the shared channel state and plan (both frozen) and mutates
-// only the node, so engines may run it for all nodes concurrently.
+// only the node.
 func (r *run) walkNodeListens(n *nodeState, ph core.Phase, plan *adversary.Plan) {
 	if !n.active() || n.informed {
 		return
@@ -692,16 +703,8 @@ func (r *run) recordOutcome(out adversary.PhaseOutcome) {
 	}
 }
 
-// phaseExecutor abstracts how per-node work is scheduled: sequentially or
-// across actor goroutines. Implementations must preserve the rule that a
-// node's state is mutated only by its own walker.
-type phaseExecutor interface {
-	eachNodeSends(ph core.Phase)
-	eachNodeListens(ph core.Phase, plan *adversary.Plan)
-}
-
-// runPhase executes one phase end to end using the given executor.
-func (r *run) runPhase(ph core.Phase, exec phaseExecutor) {
+// runPhase executes one phase end to end on the scalar channel state.
+func (r *run) runPhase(ph core.Phase) {
 	r.ensureBuffers(ph.Length)
 	out := adversary.PhaseOutcome{Phase: ph}
 	if r.opts.Tracer != nil {
@@ -710,7 +713,9 @@ func (r *run) runPhase(ph core.Phase, exec phaseExecutor) {
 
 	// Pass A: transmissions (committed and charged at phase start).
 	r.aliceSends(ph, &out)
-	exec.eachNodeSends(ph)
+	for i := range r.nodes {
+		r.planNodeSends(&r.nodes[i], ph)
+	}
 	r.mergeNodeSends(&out)
 
 	// Carol plans (reactive strategies see the activity bitmap).
@@ -725,8 +730,8 @@ func (r *run) runPhase(ph core.Phase, exec phaseExecutor) {
 	}
 
 	// Pass B: listens.
-	exec.eachNodeListens(ph, plan)
 	for i := range r.nodes {
+		r.walkNodeListens(&r.nodes[i], ph, plan)
 		out.NodeListens += r.nodes[i].phaseListens
 	}
 	r.aliceListens(ph, plan, &out)
@@ -789,8 +794,8 @@ func (r *run) emitTrace(ph core.Phase, aliceWasActive bool, terminatedBefore []b
 }
 
 // loop drives phases until everyone stops or the round limit is reached;
-// phase executes one phase (runPhase on an executor, or the batch
-// kernel's lane). A nil ctx (the plain Run/RunActors path) skips
+// phase executes one phase (the batch kernel's lane, or the scalar
+// oracle's runPhase). A nil ctx (the plain Run path) skips
 // cancellation checks entirely; otherwise ctx is polled at every phase
 // boundary and cancellation surfaces as a *PartialRunError.
 func (r *run) loop(ctx context.Context, phase func(core.Phase)) error {
@@ -881,32 +886,20 @@ func summarizeCosts(costs []int64) CostSummary {
 	}
 }
 
-// seqExecutor runs node work inline — the fast sequential engine.
-type seqExecutor struct{ r *run }
-
-// seqPhase runs one phase on the sequential executor.
-func (r *run) seqPhase(ph core.Phase) { r.runPhase(ph, seqExecutor{r}) }
-
-func (e seqExecutor) eachNodeSends(ph core.Phase) {
-	for i := range e.r.nodes {
-		e.r.planNodeSends(&e.r.nodes[i], ph)
-	}
-}
-
-func (e seqExecutor) eachNodeListens(ph core.Phase, plan *adversary.Plan) {
-	for i := range e.r.nodes {
-		e.r.walkNodeListens(&e.r.nodes[i], ph, plan)
-	}
-}
-
-// Run executes the protocol with the sequential event-driven engine.
-func Run(opts Options) (*Result, error) {
+// RunScalar executes the protocol on the scalar reference loop: one
+// node at a time through the per-slot channel arrays, with scalar
+// geometric draws. It is the differential tests' independent oracle for
+// the batch kernel that Run executes on, and has no production caller.
+// Results are byte-identical to Run's for identical Options; ctx (nil
+// skips the checks) is polled at every phase boundary, and
+// cancellation returns a *PartialRunError.
+func RunScalar(ctx context.Context, opts Options) (*Result, error) {
 	r, err := newRun(&opts)
 	if err != nil {
 		return nil, err
 	}
 	defer r.releaseScratch()
-	if err := r.loop(nil, r.seqPhase); err != nil {
+	if err := r.loop(ctx, r.runPhase); err != nil {
 		return nil, err
 	}
 	return r.result(), nil

@@ -10,11 +10,13 @@ import (
 // Scratch recycles a run's working buffers — the per-slot channel
 // state, the per-phase transmission records, the per-node states with
 // their committed-send slices, the device meters, the adversary history
-// and RSSI bitmap, the round schedule, and the topology construction /
-// CSR adjacency arrays — across executions. Tight trial loops
-// (internal/sim's workers, benchmarks) hand one Scratch to consecutive
-// runs via Options.Scratch; together with the in-place stream/schedule
-// API (rng.Stream.Reseed, sampling.SlotSchedule.Reset) this drives the
+// and RSSI bitmap, the round schedule, the topology construction /
+// CSR adjacency arrays, and the batch kernel's lane (reception bitsets,
+// block schedules, reception index) with its cache of trial-invariant
+// graphs — across executions. Run takes one from a pool; a tight trial
+// loop may instead hand its own to consecutive runs via
+// Options.Scratch. Together with the in-place stream/schedule API
+// (rng.Stream.Reseed, sampling.SlotSchedule.Reset) this drives the
 // steady-state allocation rate to the handful of Result-sized objects a
 // run must hand out (pinned by TestSteadyStateAllocs).
 //
@@ -32,7 +34,17 @@ type Scratch struct {
 	activity         adversary.Bitmap
 	sched            core.Schedule
 	topo             *topology.Scratch // created on first sparse run
+
+	// The batch kernel's lane state and its cache of trial-invariant
+	// graphs (created on first use), reused across the kernel's trials.
+	lane  batchLane
+	cache *topology.Cache
 }
+
+// cacheGraphs is the topology cache's capacity: the trial-invariant
+// graphs of a few sweep points (grid reaches, node counts) that one
+// pooled scratch serves in turn.
+const cacheGraphs = 4
 
 // NewScratch returns an empty scratch; buffers grow to the sizes the
 // runs it serves need.

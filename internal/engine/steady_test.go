@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -53,10 +54,10 @@ func (k steadyKind) options(pool *energy.Pool) Options {
 }
 
 // steadyTrials returns a closure running one steady-state trial of the
-// kind with everything a long sweep would hoist out of its trial loop
-// (params, pool, scratch) hoisted, so the per-trial allocation count is
-// the engine's own.
-func steadyTrials(k steadyKind, fail func(error)) func() {
+// kind on run (Run, or the scalar oracle) with everything a long sweep
+// would hoist out of its trial loop (params, pool, scratch) hoisted, so
+// the per-trial allocation count is the engine's own.
+func steadyTrials(k steadyKind, run func(Options) (*Result, error), fail func(error)) func() {
 	pool := energy.NewPool(k.pool)
 	base := k.options(pool)
 	base.Scratch = NewScratch()
@@ -65,7 +66,7 @@ func steadyTrials(k steadyKind, fail func(error)) func() {
 		pool.Reset(k.pool)
 		o := base
 		o.Seed = seed
-		res, err := Run(o)
+		res, err := run(o)
 		seed++
 		if err != nil {
 			fail(err)
@@ -79,11 +80,11 @@ func steadyTrials(k steadyKind, fail func(error)) func() {
 var errBadResult = fmt.Errorf("engine: bad steady-state result")
 
 // TestSteadyStateAllocs pins the allocation ceiling of a warmed-up
-// scratch run: the tentpole guarantee that the engine's steady state
-// allocates nothing beyond the Result it hands out (plus the harness's
-// own Options/pool). A regression in any layer — rng streams, slot
-// schedules, plans, topology buffers, the schedule iterator — fails
-// this gate in CI.
+// scratch Run on the batch kernel: the guarantee that the engine's
+// steady state allocates nothing beyond the Result it hands out (plus
+// the harness's own Options/pool). A regression in any layer — rng
+// streams, block schedules, plans, reception index, topology buffers,
+// the schedule iterator — fails this gate in CI.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation perturbs allocation counts; CI gates this test in a separate non-race step")
@@ -96,7 +97,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// allocation, which would blow past any of these numbers by orders
 	// of magnitude.
 	// The bytes ceilings gate total heap bytes per warmed trial (measured
-	// 5.4-5.8 KiB/op), sized with the same kind of margin. They guard
+	// 5.3-11.4 KiB/op), sized with the same kind of margin. They guard
 	// against size regressions the object count cannot see — fewer but
 	// much larger allocations. Note the headline BenchmarkEngineRun
 	// bytes/op is NOT gated here and not comparable: it varies the seed
@@ -116,13 +117,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 		{steadyKinds[4], 24, 48 << 10}, // gilbert-random: the gilbert row
 	} {
 		t.Run(tc.kind.name, func(t *testing.T) {
-			trial := steadyTrials(tc.kind, func(err error) { t.Fatal(err) })
+			trial := steadyTrials(tc.kind, Run, func(err error) { t.Fatal(err) })
 			for i := 0; i < 8; i++ { // warm the scratch's high-water marks
 				trial()
 			}
-			if got := testing.AllocsPerRun(10, trial); got > tc.ceiling {
+			allocs := testing.AllocsPerRun(10, trial)
+			if allocs > tc.ceiling {
 				t.Fatalf("steady-state %s run allocates %.1f objects/op, ceiling %v",
-					tc.kind.name, got, tc.ceiling)
+					tc.kind.name, allocs, tc.ceiling)
 			}
 			const runs = 10
 			var before, after runtime.MemStats
@@ -131,7 +133,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 				trial()
 			}
 			runtime.ReadMemStats(&after)
-			if got := float64(after.TotalAlloc-before.TotalAlloc) / runs; got > tc.bytesCeiling {
+			got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			t.Logf("%.1f objects/op, %.0f bytes/op", allocs, got)
+			if got > tc.bytesCeiling {
 				t.Fatalf("steady-state %s run allocates %.0f bytes/op, ceiling %v",
 					tc.kind.name, got, tc.bytesCeiling)
 			}
@@ -139,15 +143,17 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSteadyState measures the post-warmup regime the allocation
-// test gates: one scratch per kind, warmed before the timer, so ns/op
-// and allocs/op reflect a long sweep's steady state rather than
-// first-trial buffer growth. BENCH_ENGINE.json records one run next to
-// the cold-start BenchmarkEngineRun numbers.
+// BenchmarkSteadyState measures the scalar oracle in the post-warmup
+// regime the allocation test gates: one scratch per kind, warmed before
+// the timer, so ns/op and allocs/op reflect a long sweep's steady state
+// rather than first-trial buffer growth. It is the reference cmd/rcbench
+// divides BenchmarkSteadyStateBatch's per-trial time by (the
+// kernel/scalar ratios in BENCH_ENGINE.json).
 func BenchmarkSteadyState(b *testing.B) {
+	scalar := func(o Options) (*Result, error) { return RunScalar(context.Background(), o) }
 	for _, tc := range steadyKinds {
 		b.Run(tc.name, func(b *testing.B) {
-			trial := steadyTrials(tc, func(err error) { b.Fatal(err) })
+			trial := steadyTrials(tc, scalar, func(err error) { b.Fatal(err) })
 			for i := 0; i < 8; i++ {
 				trial()
 			}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -87,7 +88,7 @@ func TestCoveringGridUsesFastPath(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnSparseTopologies extends the sequential-vs-actors
+// TestEnginesAgreeOnSparseTopologies extends the kernel-vs-scalar
 // bit-for-bit guarantee to the sparse resolution path.
 func TestEnginesAgreeOnSparseTopologies(t *testing.T) {
 	for name, spec := range map[string]topology.Spec{
@@ -107,15 +108,15 @@ func TestEnginesAgreeOnSparseTopologies(t *testing.T) {
 					RecordPhases: true,
 				}
 			}
-			seq, err := Run(mk())
+			kernel, err := Run(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			act, err := RunActors(mk())
+			scalar, err := RunScalar(context.Background(), mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(seq, act) {
+			if !reflect.DeepEqual(kernel, scalar) {
 				t.Fatalf("engines diverged on %s", name)
 			}
 		})
@@ -246,8 +247,8 @@ func TestScratchReuseByteIdentical(t *testing.T) {
 }
 
 // BenchmarkEngineRun measures one full protocol execution per topology
-// kind, with and without scratch reuse — allocs/op is the headline
-// (BENCH_ENGINE.json records one run).
+// kind, on a fresh scratch per run and on one reused scratch — allocs/op
+// is the headline (BENCH_ENGINE.json records one run).
 func BenchmarkEngineRun(b *testing.B) {
 	mk := func(spec topology.Spec, seed uint64) Options {
 		params := core.PracticalParams(256, 2)
@@ -273,7 +274,9 @@ func BenchmarkEngineRun(b *testing.B) {
 		b.Run(tc.name+"/fresh", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Run(mk(tc.spec, uint64(i))); err != nil {
+				opts := mk(tc.spec, uint64(i))
+				opts.Scratch = NewScratch() // not Run's pooled one
+				if _, err := Run(opts); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,8 +22,8 @@ func init() {
 	})
 	register(Experiment{
 		ID:    "E11",
-		Title: "Engine ablation: sequential vs actor",
-		Claim: "the goroutine actor engine is bit-for-bit equivalent to the sequential event-driven engine (DESIGN.md §5)",
+		Title: "Engine ablation: batch kernel vs scalar oracle",
+		Claim: "the batch kernel is bit-for-bit equivalent to the scalar reference loop (DESIGN.md §5)",
 		Run:   runE11,
 	})
 }
@@ -79,8 +79,8 @@ func runE4(cfg Config) (*Report, error) {
 }
 
 func runE11(cfg Config) (*Report, error) {
-	rep := newReport("E11", "Engine ablation: sequential vs actor",
-		"identical seeds yield identical results; the actor engine parallelizes node work")
+	rep := newReport("E11", "Engine ablation: batch kernel vs scalar oracle",
+		"identical seeds yield identical results; the kernel reproduces the scalar reference loop bit for bit")
 	n := cfg.n(1024, 256)
 	// Build fresh options per engine: pools are stateful, and the point
 	// of the ablation is that one scenario value drives both executors.
@@ -90,43 +90,43 @@ func runE11(cfg Config) (*Report, error) {
 		Adversary: scenario.AdversarySpec{Kind: "full"},
 		Budget:    scenario.BudgetSpec{Pool: 1 << 14},
 	}
-	seqOpts, err := sc.Build()
+	kernelOpts, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
-	actOpts, err := sc.Build()
+	scalarOpts, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	seq, err := engine.RunContext(cfg.ctx(), seqOpts)
+	kernel, err := engine.RunContext(cfg.ctx(), kernelOpts)
 	if err != nil {
 		return nil, err
 	}
-	seqD := time.Since(t0)
+	kernelD := time.Since(t0)
 	t1 := time.Now()
-	act, err := engine.RunActorsContext(cfg.ctx(), actOpts)
+	scalar, err := engine.RunScalar(cfg.ctx(), scalarOpts)
 	if err != nil {
 		return nil, err
 	}
-	actD := time.Since(t1)
-	equal := reflect.DeepEqual(seq, act)
-	// Wall times go into Values only (seq_ns/act_ns): the rendered table
-	// and findings must be byte-identical across runs and Procs settings;
-	// BenchmarkE11Engines measures the timing properly.
+	scalarD := time.Since(t1)
+	equal := reflect.DeepEqual(kernel, scalar)
+	// Wall times go into Values only (kernel_ns/scalar_ns): the rendered
+	// table and findings must be byte-identical across runs and Procs
+	// settings; BenchmarkE11Engines measures the timing properly.
 	tbl := stats.NewTable(
 		fmt.Sprintf("E11: engine comparison (n=%d, jammer pool 2^14)", n),
 		"engine", "slots", "informed", "alice cost", "identical results")
-	tbl.AddRowf("sequential", seq.SlotsSimulated, seq.Informed, seq.Alice.Cost, equal)
-	tbl.AddRowf("actors", act.SlotsSimulated, act.Informed, act.Alice.Cost, equal)
+	tbl.AddRowf("kernel", kernel.SlotsSimulated, kernel.Informed, kernel.Alice.Cost, equal)
+	tbl.AddRowf("scalar", scalar.SlotsSimulated, scalar.Informed, scalar.Alice.Cost, equal)
 	rep.Tables = append(rep.Tables, tbl)
 	rep.Values["identical"] = b2f(equal)
-	rep.Values["seq_ns"] = float64(seqD.Nanoseconds())
-	rep.Values["act_ns"] = float64(actD.Nanoseconds())
+	rep.Values["kernel_ns"] = float64(kernelD.Nanoseconds())
+	rep.Values["scalar_ns"] = float64(scalarD.Nanoseconds())
 	if !equal {
 		rep.addFinding("ENGINES DIVERGED — this is a bug")
 	} else {
-		rep.addFinding("engines bit-for-bit equivalent on %d simulated slots (timings: Values seq_ns/act_ns, BenchmarkE11Engines)", seq.SlotsSimulated)
+		rep.addFinding("kernel and scalar oracle bit-for-bit equivalent on %d simulated slots (timings: Values kernel_ns/scalar_ns, BenchmarkE11Engines)", kernel.SlotsSimulated)
 	}
 	return rep, nil
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// TestExperimentsProcsEquivalence mirrors the engine's Run/RunActors
-// equivalence test at the sweep layer: a whole experiment produces
+// TestExperimentsProcsEquivalence checks the sweep layer's determinism
+// contract: a whole experiment produces
 // identical Values (and rendered tables) whether its trials run on one
 // worker or eight. E1 exercises the cumulative + marginal cost sweeps
 // (RecordPhases aggregation); E4 exercises a multi-n latency sweep with

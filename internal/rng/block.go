@@ -1,6 +1,10 @@
 package rng
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"os"
+)
 
 // This file is the draw-throughput side of the batched engine kernel.
 //
@@ -262,4 +266,17 @@ func (st *Stream) slots8Go(lnQ float64, pos, length int, dst []int32) (n, next i
 		gs[i] = st.GeometricLnQ(lnQ)
 	}
 	return placeSlots(gs[:k], pos, length, dst)
+}
+
+// DrawPath names the path block draws take now — the assembly kernel
+// or the Go lanes — with the RCBCAST_NO_GEOBLOCK8 setting. It reads the
+// variable afresh: the read that picks the path runs at package init,
+// which go test's result cache does not see, so a test that logs
+// DrawPath is what keys a package's cached results on the variable.
+func DrawPath() string {
+	path := "Go four-lane"
+	if GeoBlock8Enabled() {
+		path = "AVX-512 assembly"
+	}
+	return fmt.Sprintf("%s draws (RCBCAST_NO_GEOBLOCK8=%q)", path, os.Getenv("RCBCAST_NO_GEOBLOCK8"))
 }

@@ -235,3 +235,8 @@ func BenchmarkGeometricBlock8(b *testing.B) {
 		st.GeometricSlots(lnQ, 0, math.MaxInt32, buf[:])
 	}
 }
+
+// TestDrawPath logs which geometric draw path this package's tests ran
+// on. rng.DrawPath reads RCBCAST_NO_GEOBLOCK8 while the tests run, so go
+// test reuses a cached result only under the same setting.
+func TestDrawPath(t *testing.T) { t.Log(DrawPath()) }

@@ -3,8 +3,8 @@
 // Every random decision in the simulator is drawn from a Stream that is
 // keyed by a path of integers, e.g. (seed, actorID, round, phase, purpose).
 // Two engines that derive the same keyed stream draw exactly the same
-// sequence, which is what makes the sequential event-driven engine and the
-// goroutine-per-device actor engine bit-for-bit equivalent (DESIGN.md §5.1).
+// sequence, which is what makes the batch kernel and the scalar reference
+// loop bit-for-bit equivalent (DESIGN.md §5.1).
 //
 // The generator is xoshiro256** seeded through SplitMix64, following the
 // reference construction by Blackman and Vigna. It is not cryptographically

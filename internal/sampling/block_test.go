@@ -113,3 +113,8 @@ func TestBlockScheduleFirstRefill(t *testing.T) {
 		t.Fatalf("second dense refill drew %d, want %d", d, blockDraws)
 	}
 }
+
+// TestDrawPath logs which geometric draw path this package's tests ran
+// on. rng.DrawPath reads RCBCAST_NO_GEOBLOCK8 while the tests run, so go
+// test reuses a cached result only under the same setting.
+func TestDrawPath(t *testing.T) { t.Log(rng.DrawPath()) }

@@ -6,18 +6,18 @@ import (
 	"testing"
 
 	"rcbcast/internal/engine"
+	"rcbcast/internal/rng"
 	"rcbcast/internal/sim"
 )
 
 // FuzzBatchStreamMatchesScalar feeds arbitrary scenario JSON through
 // the sweep session (sim.Stream, which runs every trial on the batch
 // kernel) and requires each delivered result to equal the scalar
-// engine's run of the same trial (engine.RunContext, the oracle):
-// whatever protocol instance, topology, adversary, and budget the
-// fuzzer assembles, the kernel must reproduce the scalar engine bit for
-// bit. Inputs the scalar engine itself rejects (or fails on) are
-// skipped — the kernel's contract covers exactly the runs the scalar
-// engine completes.
+// oracle's run of the same trial (engine.RunScalar): whatever protocol
+// instance, topology, adversary, and budget the fuzzer assembles, the
+// kernel must reproduce the scalar loop bit for bit. Inputs the oracle
+// itself rejects (or fails on) are skipped — the kernel's contract
+// covers exactly the runs the oracle completes.
 func FuzzBatchStreamMatchesScalar(f *testing.F) {
 	for _, seed := range []string{
 		`{"n":48,"adversary":{"kind":"full"},"budget":{"pool":1024},"seed":7}`,
@@ -57,7 +57,7 @@ func FuzzBatchStreamMatchesScalar(f *testing.F) {
 		for i := range specs {
 			opts := mustBuildWithSeed(t, sc, specs[i].Seed)
 			opts.MaxPhaseSlots = maxPhaseSlots
-			if want[i], err = engine.RunContext(context.Background(), opts); err != nil {
+			if want[i], err = engine.RunScalar(context.Background(), opts); err != nil {
 				return // the scalar oracle itself rejects this input
 			}
 			prev := specs[i].Configure
@@ -74,12 +74,17 @@ func FuzzBatchStreamMatchesScalar(f *testing.F) {
 			return nil
 		}))
 		if err != nil {
-			t.Fatalf("scalar engine succeeded but the stream failed: %v", err)
+			t.Fatalf("scalar oracle succeeded but the stream failed: %v", err)
 		}
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("trial %d diverges from the scalar engine:\nstream: %+v\nscalar: %+v", i, got[i], want[i])
+				t.Fatalf("trial %d diverges from the scalar oracle:\nstream: %+v\nscalar: %+v", i, got[i], want[i])
 			}
 		}
 	})
 }
+
+// TestDrawPath logs which geometric draw path this package's tests ran
+// on. rng.DrawPath reads RCBCAST_NO_GEOBLOCK8 while the tests run, so go
+// test reuses a cached result only under the same setting.
+func TestDrawPath(t *testing.T) { t.Log(rng.DrawPath()) }

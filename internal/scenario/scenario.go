@@ -140,9 +140,11 @@ type Scenario struct {
 
 	// Seed drives every random decision of the run.
 	Seed uint64 `json:"seed,omitempty"`
-	// Engine selects the executor of single runs (Run, RunContext):
-	// "", "fast", "actors". Sweeps (Stream) always run on the batch
-	// kernel and ignore it.
+	// Engine is ignored: every run executes on the batch kernel. It is
+	// kept, and still checked against the old names ("", "fast",
+	// "actors"), so stored scenarios that carry "engine" keep decoding.
+	//
+	// Deprecated: ignored.
 	Engine string `json:"engine,omitempty"`
 	// Batch is ignored: every sweep runs on the batch kernel. It is
 	// kept, and still range-checked, so stored scenarios and job files
@@ -327,39 +329,20 @@ func (s Scenario) Build() (engine.Options, error) {
 	return opts, nil
 }
 
-// Run builds and executes the scenario on its selected engine.
+// Run builds and executes the scenario.
 func (s Scenario) Run() (*engine.Result, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext builds and executes the scenario on its selected engine,
-// checking ctx at every phase boundary; cancellation returns the
-// engine's typed *engine.PartialRunError.
+// RunContext builds and executes the scenario, checking ctx at every
+// phase boundary; cancellation returns the engine's typed
+// *engine.PartialRunError.
 func (s Scenario) RunContext(ctx context.Context) (*engine.Result, error) {
 	opts, err := s.Build()
 	if err != nil {
 		return nil, err
 	}
-	return ExecuteContext(ctx, s.Engine, opts)
-}
-
-// Execute runs assembled options on the named engine ("" and "fast"
-// select the sequential event-driven engine, "actors" the goroutine
-// engine). Both produce bit-for-bit identical results.
-func Execute(engineName string, opts engine.Options) (*engine.Result, error) {
-	return ExecuteContext(context.Background(), engineName, opts)
-}
-
-// ExecuteContext is Execute with phase-boundary cancellation.
-func ExecuteContext(ctx context.Context, engineName string, opts engine.Options) (*engine.Result, error) {
-	switch engineName {
-	case "", "fast":
-		return engine.RunContext(ctx, opts)
-	case "actors":
-		return engine.RunActorsContext(ctx, opts)
-	default:
-		return nil, fmt.Errorf("scenario: unknown engine %q (have fast, actors)", engineName)
-	}
+	return engine.RunContext(ctx, opts)
 }
 
 // Stream runs `trials` Monte-Carlo trials of the scenario — seeded

@@ -174,6 +174,8 @@ func TestTrialSpecsSeeding(t *testing.T) {
 	}
 }
 
+// TestEnginesAgreeOnScenario: Engine is decoded but ignored, so the
+// legacy names run the same trial.
 func TestEnginesAgreeOnScenario(t *testing.T) {
 	sc := quickScenario(Scenario{Seed: 3, Adversary: AdversarySpec{Kind: "bursty", Burst: 32, Gap: 32}, Budget: BudgetSpec{Pool: 1024}})
 	fast, err := sc.Run()
@@ -307,7 +309,7 @@ func TestScenarioStream(t *testing.T) {
 }
 
 // TestScenarioStreamBatch pins that the deprecated batch field is
-// ignored: at every value the scenario streams the scalar engine's
+// ignored: at every value the scenario streams the scalar oracle's
 // results in trial order.
 func TestScenarioStreamBatch(t *testing.T) {
 	sc := Scenario{
@@ -322,7 +324,7 @@ func TestScenarioStreamBatch(t *testing.T) {
 	}
 	want := make([]*engine.Result, trials)
 	for i := range want {
-		if want[i], err = engine.Run(mustBuildWithSeed(t, sc, specs[i].Seed)); err != nil {
+		if want[i], err = engine.RunScalar(context.Background(), mustBuildWithSeed(t, sc, specs[i].Seed)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -341,7 +343,7 @@ func TestScenarioStreamBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("batch=%d stream diverges from the scalar engine", width)
+			t.Fatalf("batch=%d stream diverges from the scalar oracle", width)
 		}
 	}
 }
@@ -363,7 +365,8 @@ func mustBuildWithSeed(t *testing.T, sc Scenario, seed uint64) engine.Options {
 }
 
 // TestScenarioRunContext: background context matches Run; canceled
-// context yields the engine's typed partial error on both engines.
+// context yields the engine's typed partial error under both engine
+// names.
 func TestScenarioRunContext(t *testing.T) {
 	sc := Scenario{
 		N: 64, K: 2, Seed: 5,

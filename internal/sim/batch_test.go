@@ -10,16 +10,17 @@ import (
 
 	"rcbcast/internal/core"
 	"rcbcast/internal/engine"
+	"rcbcast/internal/rng"
 	"rcbcast/internal/topology"
 )
 
-// scalarResults runs every spec on the scalar engine (engine.RunContext)
-// — the oracle the session's kernel results must equal.
+// scalarResults runs every spec on the scalar oracle (engine.RunScalar)
+// — the reference the session's kernel results must equal.
 func scalarResults(t *testing.T, specs []TrialSpec) []*engine.Result {
 	t.Helper()
 	want := make([]*engine.Result, len(specs))
 	for i := range specs {
-		r, err := engine.RunContext(context.Background(), specs[i].options())
+		r, err := engine.RunScalar(context.Background(), specs[i].options())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -30,7 +31,7 @@ func scalarResults(t *testing.T, specs []TrialSpec) []*engine.Result {
 
 // TestStreamBatchMatchesStream is the wiring-level identity contract:
 // for every worker count, the session's delivery sequence is trial
-// order and every delivered result is DeepEqual to the scalar engine's
+// order and every delivered result is DeepEqual to the scalar oracle's
 // run of the same spec; StreamBatch ignores its width. (Per-trial
 // engine identity is pinned in internal/engine; this test pins the
 // delivery above it.)
@@ -45,7 +46,7 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("width=%d procs=%d: results diverge from the scalar engine", width, procs)
+				t.Fatalf("width=%d procs=%d: results diverge from the scalar oracle", width, procs)
 			}
 			for i, idx := range rec.order {
 				if idx != i {
@@ -62,7 +63,7 @@ func TestStreamBatchMatchesStream(t *testing.T) {
 // TestStreamBatchGroupsSplitAtPointBoundaries pins a heterogeneous spec
 // list (stacked sweep points changing Params and Topology every few
 // trials, so consecutive trials on one pooled scratch differ) against
-// the scalar engine.
+// the scalar oracle.
 func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 	topos := []topology.Spec{
 		{},
@@ -91,13 +92,13 @@ func TestStreamBatchGroupsSplitAtPointBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("stacked-point sweep diverges from the scalar engine")
+		t.Fatal("stacked-point sweep diverges from the scalar oracle")
 	}
 }
 
 // TestStreamBatchScalarFallback: Configure hooks that give every trial
 // its own MaxPhaseSlots run on the kernel and must deliver the scalar
-// engine's results.
+// oracle's results.
 func TestStreamBatchScalarFallback(t *testing.T) {
 	specs := jamSpecs(96, 6)
 	for i := range specs {
@@ -110,7 +111,7 @@ func TestStreamBatchScalarFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("per-trial MaxPhaseSlots diverges from the scalar engine")
+		t.Fatal("per-trial MaxPhaseSlots diverges from the scalar oracle")
 	}
 }
 
@@ -210,3 +211,8 @@ type sinkFunc func(i int, r *engine.Result) error
 
 func (f sinkFunc) Trial(i int, r *engine.Result) error { return f(i, r) }
 func (f sinkFunc) Flush() error                        { return nil }
+
+// TestDrawPath logs which geometric draw path this package's tests ran
+// on. rng.DrawPath reads RCBCAST_NO_GEOBLOCK8 while the tests run, so go
+// test reuses a cached result only under the same setting.
+func TestDrawPath(t *testing.T) { t.Log(rng.DrawPath()) }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -70,8 +71,8 @@ func jamSpecs(n, trials int) []TrialSpec {
 }
 
 // TestRunTrialsMatchesEngineRun pins the runner to the engine: a spec
-// produces exactly the Result a direct engine.Run of the same Options
-// would.
+// produces exactly the Result the scalar oracle (engine.RunScalar) gives
+// for the same Options.
 func TestRunTrialsMatchesEngineRun(t *testing.T) {
 	specs := jamSpecs(128, 3)
 	got, err := RunTrials(2, specs)
@@ -79,7 +80,7 @@ func TestRunTrialsMatchesEngineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		want, err := engine.Run(engine.Options{
+		want, err := engine.RunScalar(context.Background(), engine.Options{
 			Params:   spec.Params,
 			Seed:     spec.Seed,
 			Strategy: adversary.FullJam{},
@@ -89,13 +90,12 @@ func TestRunTrialsMatchesEngineRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("trial %d diverges from direct engine.Run", i)
+			t.Fatalf("trial %d diverges from the scalar oracle", i)
 		}
 	}
 }
 
-// TestRunTrialsProcsEquivalence mirrors the engine's Run/RunActors
-// equivalence test one layer up: the batch's results are bit-for-bit
+// TestRunTrialsProcsEquivalence: the batch's results are bit-for-bit
 // identical however many workers execute it.
 func TestRunTrialsProcsEquivalence(t *testing.T) {
 	specs := jamSpecs(128, 8)

@@ -204,35 +204,20 @@ func StreamMap[T any](ctx context.Context, procs, n int, fn func(ctx context.Con
 	return nil
 }
 
-// batchScratches recycles the batch kernel's working state — the lane's
-// engine scratch, reception bitsets and index, block schedules, and the
-// cross-trial topology cache — across the trials a worker executes:
-// sync.Pool's per-P caching makes a Get/Put pair around each trial an
-// effectively per-worker scratch. Results are byte-identical with and
-// without reuse (the engine's scratch tests pin that).
-var batchScratches = sync.Pool{New: func() any { return engine.NewBatchScratch() }}
-
 // Stream is the streaming run session: it executes every spec on a pool
 // of procs workers (procs <= 0 selects GOMAXPROCS) and delivers results
 // to the sinks in trial order with bounded buffering — a million-trial
 // sweep holds O(procs) live engine.Results instead of O(trials).
-// Each trial runs on the batch kernel (engine.RunBatchContext, one trial
-// per call), whose results are byte-identical to the scalar engine's
-// (engine.Run stays the single-run engine and the differential tests'
-// oracle). Delivery is single-goroutine and index-ordered, so sink
-// output is byte-identical for every procs value; ctx cancellation stops
-// workers at the next engine phase boundary and returns a *PartialError
-// whose Delivered prefix has reached every sink. Flush runs on every
-// sink even when the stream stops early.
+// Each trial is one engine.RunContext call on the batch kernel, whose
+// pooled scratch serves the worker's trials in turn. Delivery is
+// single-goroutine and index-ordered, so sink output is byte-identical
+// for every procs value; ctx cancellation stops workers at the next
+// engine phase boundary and returns a *PartialError whose Delivered
+// prefix has reached every sink. Flush runs on every sink even when the
+// stream stops early.
 func Stream(ctx context.Context, procs int, specs []TrialSpec, sinks ...Sink) error {
 	streamErr := StreamMap(ctx, procs, len(specs), func(ctx context.Context, i int) (*engine.Result, error) {
-		bs := batchScratches.Get().(*engine.BatchScratch)
-		defer batchScratches.Put(bs)
-		rs, err := engine.RunBatchContext(ctx, []engine.Options{specs[i].options()}, bs)
-		if err != nil {
-			return nil, err
-		}
-		return rs[0], nil
+		return engine.RunContext(ctx, specs[i].options())
 	}, func(i int, r *engine.Result) error {
 		for _, s := range sinks {
 			if err := s.Trial(i, r); err != nil {

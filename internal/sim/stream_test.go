@@ -72,7 +72,8 @@ func TestStreamSinkOrderProcsEquivalence(t *testing.T) {
 }
 
 // TestStreamMatchesEngineRun pins the session to the engine: streamed
-// results equal a direct engine.Run of the same options.
+// results equal the scalar oracle's (engine.RunScalar) for the same
+// options.
 func TestStreamMatchesEngineRun(t *testing.T) {
 	specs := jamSpecs(128, 3)
 	var got []*engine.Result
@@ -84,7 +85,7 @@ func TestStreamMatchesEngineRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, spec := range specs {
-		want, err := engine.Run(engine.Options{
+		want, err := engine.RunScalar(context.Background(), engine.Options{
 			Params:   spec.Params,
 			Seed:     spec.Seed,
 			Strategy: adversary.FullJam{},
@@ -94,7 +95,7 @@ func TestStreamMatchesEngineRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got[i], want) {
-			t.Fatalf("trial %d diverges from direct engine.Run", i)
+			t.Fatalf("trial %d diverges from the scalar oracle", i)
 		}
 	}
 }

@@ -1,12 +1,14 @@
 package topology
 
-// Cache memoizes built topologies with their CSR adjacency views across
-// the trials one worker executes. Clique and grid graphs are
-// trial-invariant — a pure function of (spec, n) — so a sweep's worker
-// builds each exactly once however many trials it runs; Gilbert graphs
-// are keyed by their derived graph seed, so repeated executions of the
-// same trial (differential oracles, re-runs) reuse the build, while
-// distinct trials get distinct graphs exactly as before.
+import "fmt"
+
+// Cache memoizes trial-invariant topologies with their CSR adjacency
+// views across the trials one worker executes. Clique and grid graphs
+// are a pure function of (spec, n), so a sweep's worker builds each
+// exactly once however many trials it runs. Gilbert graphs are not
+// cached: the model draws a fresh graph for every trial seed, so a
+// sweep would never look one up twice, and callers build them into
+// their own Scratch.
 //
 // Every entry owns its construction scratch, so a cached graph and its
 // CSR stay valid for the entry's whole lifetime — unlike a build into a
@@ -27,7 +29,6 @@ type Cache struct {
 type cacheKey struct {
 	spec Spec
 	n    int
-	seed uint64
 }
 
 type cacheEntry struct {
@@ -54,22 +55,22 @@ func (c *Cache) Capacity() int { return c.capacity }
 func (c *Cache) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
 // TrialInvariant reports whether the spec's graph is a pure function of
-// (spec, n) alone — every kind but the seed-randomized gilbert. The
-// cache folds the seed out of such keys, so one entry serves every
-// trial of a sweep point.
+// (spec, n) alone — every kind but the seed-randomized gilbert — and so
+// may be cached.
 func (s Spec) TrialInvariant() bool { return s.Kind != "gilbert" }
 
-// Get returns the topology for (spec, n, seed) plus its CSR adjacency
-// view, building and caching on miss. The CSR is nil for complete
-// graphs (the engine's global-channel fast path needs none). The
-// returned graph is valid until the entry is evicted: with a capacity
-// of at least the number of graphs simultaneously in use, callers may
-// hold results across subsequent Gets.
-func (c *Cache) Get(spec Spec, n int, seed uint64) (Topology, *CSR, error) {
-	key := cacheKey{spec: spec, n: n, seed: seed}
-	if spec.TrialInvariant() {
-		key.seed = 0
+// Get returns the topology for a trial-invariant (spec, n) plus its CSR
+// adjacency view, building and caching on miss; a seed-randomized spec
+// is an error. The CSR is nil for complete graphs (the engine's
+// global-channel fast path needs none). The returned graph is valid
+// until the entry is evicted: with a capacity of at least the number of
+// graphs simultaneously in use, callers may hold results across
+// subsequent Gets.
+func (c *Cache) Get(spec Spec, n int) (Topology, *CSR, error) {
+	if !spec.TrialInvariant() {
+		return nil, nil, fmt.Errorf("topology: %s graphs differ per trial seed and are not cached", spec.Kind)
 	}
+	key := cacheKey{spec: spec, n: n}
 	for i := range c.entries {
 		e := &c.entries[i]
 		if e.key == key {
@@ -92,7 +93,7 @@ func (c *Cache) Get(spec Spec, n int, seed uint64) (Topology, *CSR, error) {
 			}
 		}
 	}
-	topo, err := spec.BuildInto(n, seed, e.sc)
+	topo, err := spec.BuildInto(n, 0, e.sc)
 	if err != nil {
 		// Leave the victim entry unusable rather than half-built.
 		e.key = cacheKey{}

@@ -70,8 +70,8 @@ func csrEqual(t *testing.T, a, b *CSR) {
 }
 
 // TestCacheTrialInvariantKinds pins the cache's central amortization:
-// clique and grid fold the seed out of the key, so a sweep of distinct
-// trial seeds costs exactly one build each.
+// clique and grid are keyed on (spec, n) alone, so a sweep of any
+// number of trials costs exactly one build each.
 func TestCacheTrialInvariantKinds(t *testing.T) {
 	c := NewCache(4)
 	for _, spec := range []Spec{{}, {Kind: "clique"}, {Kind: "grid", Width: 8, Reach: 2}} {
@@ -83,17 +83,17 @@ func TestCacheTrialInvariantKinds(t *testing.T) {
 		t.Fatal("gilbert must not be trial-invariant")
 	}
 	spec := Spec{Kind: "grid", Width: 8, Reach: 2}
-	first, firstCSR, err := c.Get(spec, 64, 1)
+	first, firstCSR, err := c.Get(spec, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for seed := uint64(2); seed < 40; seed++ {
-		topo, csr, err := c.Get(spec, 64, seed)
+	for i := 0; i < 38; i++ {
+		topo, csr, err := c.Get(spec, 64)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if topo != first || csr != firstCSR {
-			t.Fatalf("seed %d: grid lookup did not return the cached entry", seed)
+			t.Fatalf("lookup %d: grid lookup did not return the cached entry", i)
 		}
 	}
 	hits, misses := c.Stats()
@@ -109,68 +109,40 @@ func TestCacheTrialInvariantKinds(t *testing.T) {
 	csrEqual(t, firstCSR, BuildCSR(fresh, nil))
 }
 
-// TestCacheGilbertKeyedBySeed: gilbert entries are seed-specific —
-// repeats of a seed hit, distinct seeds miss and give distinct graphs.
-func TestCacheGilbertKeyedBySeed(t *testing.T) {
-	spec := Spec{Kind: "gilbert", Radius: 0.25}
-	c := NewCache(8)
-	a1, csr1, err := c.Get(spec, 96, 7)
-	if err != nil {
-		t.Fatal(err)
+// TestCacheRejectsGilbert: a Gilbert graph is fresh for every trial
+// seed, so the cache refuses it rather than serve one seed's graph to
+// every trial; the lookup counts as neither hit nor miss.
+func TestCacheRejectsGilbert(t *testing.T) {
+	c := NewCache(4)
+	if _, _, err := c.Get(Spec{Kind: "gilbert", Radius: 0.25}, 96); err == nil {
+		t.Fatal("a gilbert lookup must fail")
 	}
-	b1, _, err := c.Get(spec, 96, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a2, csr2, err := c.Get(spec, 96, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a1 != a2 || csr1 != csr2 {
-		t.Fatal("same gilbert seed must hit the cached entry")
-	}
-	if a1 == b1 {
-		t.Fatal("distinct gilbert seeds must not share an entry")
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 2 {
-		t.Fatalf("stats = (%d, %d), want (1, 2)", hits, misses)
-	}
-	// Cached graphs and CSRs are byte-identical to fresh builds.
-	for _, seed := range []uint64{7, 8} {
-		cached, csr, err := c.Get(spec, 96, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := spec.Build(96, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		topoEqual(t, cached, fresh)
-		csrEqual(t, csr, BuildCSR(fresh, nil))
+	if hits, misses := c.Stats(); hits+misses != 0 {
+		t.Fatalf("stats = (%d, %d), want (0, 0)", hits, misses)
 	}
 }
 
 // TestCacheEvictionLRU: a full cache evicts the least recently used
 // entry, and the survivors' graphs stay valid and correct.
 func TestCacheEvictionLRU(t *testing.T) {
-	spec := Spec{Kind: "gilbert", Radius: 0.3}
+	spec := Spec{Kind: "grid", Reach: 1}
 	c := NewCache(2)
-	if _, _, err := c.Get(spec, 48, 1); err != nil { // miss: {1}
+	if _, _, err := c.Get(spec, 48); err != nil { // miss: {48}
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(spec, 48, 2); err != nil { // miss: {1,2}
+	if _, _, err := c.Get(spec, 49); err != nil { // miss: {48,49}
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(spec, 48, 1); err != nil { // hit: 1 most recent
+	if _, _, err := c.Get(spec, 48); err != nil { // hit: 48 most recent
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(spec, 48, 3); err != nil { // miss: evicts 2 -> {1,3}
+	if _, _, err := c.Get(spec, 50); err != nil { // miss: evicts 49 -> {48,50}
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(spec, 48, 1); err != nil { // hit
+	if _, _, err := c.Get(spec, 48); err != nil { // hit
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(spec, 48, 2); err != nil { // miss: 2 was evicted
+	if _, _, err := c.Get(spec, 49); err != nil { // miss: 49 was evicted
 		t.Fatal(err)
 	}
 	if hits, misses := c.Stats(); hits != 2 || misses != 4 {
@@ -178,15 +150,16 @@ func TestCacheEvictionLRU(t *testing.T) {
 	}
 	// A rebuilt-after-eviction entry (its Scratch was recycled from the
 	// victim) must equal a fresh build.
-	live, _, err := c.Get(spec, 48, 2)
+	live, csr, err := c.Get(spec, 49)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := spec.Build(48, 2)
+	fresh, err := spec.Build(49, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	topoEqual(t, live, fresh)
+	csrEqual(t, csr, BuildCSR(fresh, nil))
 	if c.Capacity() != 2 {
 		t.Fatalf("capacity changed: %d", c.Capacity())
 	}
@@ -196,14 +169,14 @@ func TestCacheEvictionLRU(t *testing.T) {
 // cache consistent (the victim entry is not served as a stale hit).
 func TestCacheBuildError(t *testing.T) {
 	c := NewCache(1)
-	good := Spec{Kind: "gilbert", Radius: 0.3}
-	if _, _, err := c.Get(good, 32, 1); err != nil {
+	good := Spec{Kind: "grid", Reach: 2}
+	if _, _, err := c.Get(good, 32); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get(Spec{Kind: "grid", Radius: 1}, 32, 1); err == nil {
+	if _, _, err := c.Get(Spec{Kind: "grid", Radius: 1}, 32); err == nil {
 		t.Fatal("expected a validation error")
 	}
-	topo, _, err := c.Get(good, 32, 1)
+	topo, _, err := c.Get(good, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +193,7 @@ func TestCacheConcurrentWorkers(t *testing.T) {
 	specs := []Spec{
 		{},
 		{Kind: "grid", Width: 6, Reach: 1},
-		{Kind: "gilbert", Radius: 0.35},
+		{Kind: "grid", Width: 5, Reach: 2},
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -232,7 +205,7 @@ func TestCacheConcurrentWorkers(t *testing.T) {
 				c := pool.Get().(*Cache)
 				spec := specs[(w+trial)%len(specs)]
 				seed := uint64(trial % 5)
-				topo, csr, err := c.Get(spec, 40, seed)
+				topo, csr, err := c.Get(spec, 40)
 				if err != nil {
 					errs <- err
 					pool.Put(c)
@@ -281,8 +254,7 @@ func (errMismatch) Error() string { return "cached topology disagrees with fresh
 //
 // so E[edges] = C(n,2)·p(r) and E[degree] = (n−1)·p(r). The empirical
 // mean over a deterministic seed sweep must sit within a few standard
-// errors of the analytic value — on both the fresh-build path and the
-// cache path, which must also agree with each other seed for seed.
+// errors of the analytic value.
 func TestGilbertEdgeCountOracle(t *testing.T) {
 	const (
 		n     = 256
@@ -301,21 +273,13 @@ func TestGilbertEdgeCountOracle(t *testing.T) {
 		return float64(total) / 2
 	}
 
-	cache := NewCache(2)
 	var sum, sumSq float64
 	for seed := uint64(0); seed < seeds; seed++ {
 		fresh, err := spec.Build(n, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cached, _, err := cache.Get(spec, n, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fe, ce := edgeCount(fresh), edgeCount(cached)
-		if fe != ce {
-			t.Fatalf("seed %d: fresh %v edges, cached %v", seed, fe, ce)
-		}
+		fe := edgeCount(fresh)
 		sum += fe
 		sumSq += fe * fe
 	}

@@ -105,23 +105,25 @@ type (
 	CostSummary = engine.CostSummary
 )
 
-// Run executes the protocol on the fast sequential engine.
+// Run executes the protocol.
 func Run(opts Options) (*Result, error) { return engine.Run(opts) }
 
-// RunActors executes the protocol with one goroutine per node. Results
-// are bit-for-bit identical to Run for identical Options.
-func RunActors(opts Options) (*Result, error) { return engine.RunActors(opts) }
+// RunActors is Run.
+//
+// Deprecated: the goroutine-per-node engine is gone; call Run.
+func RunActors(opts Options) (*Result, error) { return Run(opts) }
 
-// RunContext executes the protocol on the fast sequential engine with
-// phase-boundary cancellation: once ctx is done the run stops and
-// returns a typed *PartialRunError.
+// RunContext executes the protocol with phase-boundary cancellation:
+// once ctx is done the run stops and returns a typed *PartialRunError.
 func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	return engine.RunContext(ctx, opts)
 }
 
-// RunActorsContext is RunContext on the goroutine-per-node engine.
+// RunActorsContext is RunContext.
+//
+// Deprecated: the goroutine-per-node engine is gone; call RunContext.
 func RunActorsContext(ctx context.Context, opts Options) (*Result, error) {
-	return engine.RunActorsContext(ctx, opts)
+	return RunContext(ctx, opts)
 }
 
 // PartialRunError is the typed error a canceled engine run returns; it
@@ -233,8 +235,8 @@ func SweepSeed(base uint64, point, trial int) uint64 { return sim.SweepSeed(base
 // Declarative scenarios (internal/scenario).
 type (
 	// Scenario is a complete, serializable run description: protocol
-	// choice, adversary, budgets, engine. It round-trips through JSON,
-	// builds Options or TrialSpecs, and runs on either engine.
+	// choice, adversary, budgets. It round-trips through JSON, builds
+	// Options or TrialSpecs, and runs.
 	Scenario = scenario.Scenario
 	// AdversarySpec is the plain-data description of Carol: a Kind from
 	// the registry plus numeric knobs. New mints fresh strategy

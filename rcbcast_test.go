@@ -50,6 +50,8 @@ func TestPublicJammedRun(t *testing.T) {
 	}
 }
 
+// TestPublicEnginesAgree: the deprecated RunActors forwarders return
+// exactly Run's result.
 func TestPublicEnginesAgree(t *testing.T) {
 	mk := func() rcbcast.Options {
 		return rcbcast.Options{
@@ -69,6 +71,13 @@ func TestPublicEnginesAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("public engines must agree")
+	}
+	c, err := rcbcast.RunActorsContext(context.Background(), mk())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, c) {
+		t.Fatal("RunActorsContext must agree with Run")
 	}
 }
 
