@@ -140,6 +140,8 @@ func (p *Plan) JamCount() int { return p.jam.Count() }
 
 // SetDisrupt installs the n-uniform targeting predicate: which listeners
 // perceive a jammed slot as noise. nil (the default) disrupts everyone.
+// f must be a pure function of its arguments: the batch kernel asks it
+// about several listeners' walks interleaved, in no fixed order.
 func (p *Plan) SetDisrupt(f func(slot, listener int) bool) { p.disrupt = f }
 
 // Disrupts reports whether a jam in the slot disrupts the listener. Only

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -11,6 +12,7 @@ import (
 	"rcbcast/internal/core"
 	"rcbcast/internal/energy"
 	"rcbcast/internal/msg"
+	"rcbcast/internal/rng"
 	"rcbcast/internal/sampling"
 )
 
@@ -23,12 +25,17 @@ import (
 // for the same Options (pinned by the differential, trace and fuzz
 // tests). Five things make a lane faster than the scalar loop:
 //
-//   - Block geometric draws. Every schedule a lane walks uses
-//     sampling.BlockSchedule, which prefetches its slots in blocks
-//     through rng.Stream.GeometricSlots — the draw is the engine's
-//     dominant cost and its log/divide tail serializes in the scalar
-//     engine. Over-drawing a stream is safe here because the
-//     engine re-keys (Reseed) every schedule stream before each use.
+//   - Lane-parallel listen draws. The draw is the engine's dominant
+//     cost, and its log/divide tail serializes in the scalar engine.
+//     Node listen walks — every listened slot is a draw, and they are
+//     most of the draws — run eight at a time, one per lane of
+//     rng.Lanes, whose one AVX-512 call advances all eight listen
+//     streams a block (listenPass). Send walks, Alice's walks and the
+//     last stragglers of a listen pass use sampling.BlockSchedule,
+//     which prefetches one stream's slots in blocks through
+//     rng.Stream.GeometricSlots. Over-drawing a stream is safe here
+//     because the engine re-keys (Reseed) every schedule stream before
+//     each use.
 //   - Bitset reception. The per-slot channel state is word-packed
 //     bitsets plus the solo frame kind, replacing the scalar engine's
 //     byte-per-slot counts array; observe checks the jam plan before
@@ -45,8 +52,7 @@ import (
 //     event slot (own send, jam, or audible record) is silence by
 //     construction and resolves with one compare, never touching channel
 //     state; a prepaid node walk under an untargeted jam settles a
-//     whole run of them at once. See buildRecvIndex and
-//     walkNodeListensIdx.
+//     whole run of them at once. See buildRecvIndex and feedIdx.
 //   - Cross-trial topology caching. Clique and grid specs are
 //     trial-invariant, so every trial on a BatchScratch shares a single
 //     build and CSR from one topology.Cache. A Gilbert graph is fresh
@@ -90,13 +96,30 @@ const (
 )
 
 // batchLane is one trial's execution state: its run plus the
-// lane-owned reception bitsets, the block-draw schedules its walkers
-// reuse (one node is walked to completion before the next, so two
-// schedules suffice — data/listen and decoy), and the reception index.
+// lane-owned reception bitsets, the phase's send records, the draw
+// schedules its walkers reuse, and the reception index. Send walks and
+// Alice's walks run one at a time on two block schedules (data and
+// decoy); node listen walks run eight at a time, one per draw lane (see
+// listenPass), and a walk that leaves the lanes finishes on blkA.
 type batchLane struct {
 	r           *run
 	busy, multi bitset.Set
 	blkA, blkB  sampling.BlockSchedule
+	draws       rng.Lanes
+	walks       [8]listenWalk
+
+	// The phase's committed node transmissions (heard phases only), node
+	// by node in id order: node i's occupy sendSlot/sendKind[sendOff[i]:
+	// sendOff[i+1]], slots ascending. One buffer for every node keeps
+	// their high-water mark in one place.
+	sendSlot []int32
+	sendKind []msg.Kind
+	sendOff  []int32
+	// The listen pass's view of the plan: whether a quiet run may settle
+	// in one pass (no targeting predicate, a plan covering the phase) and
+	// the jam words request-phase quiet runs count noise from.
+	quietOK bool
+	jam     []uint64
 
 	// txp holds the phase's packed transmission records (sparse
 	// topologies only), slot-sorted before the index build.
@@ -226,9 +249,13 @@ func (l *batchLane) phase(phv core.Phase) {
 
 	heard := l.heard(ph)
 	l.aliceSends(ph, &out, heard)
+	l.sendSlot, l.sendKind = l.sendSlot[:0], l.sendKind[:0]
+	off := resize(&l.sendOff, len(r.nodes)+1)
 	for i := range r.nodes {
+		off[i] = int32(len(l.sendSlot))
 		l.planNodeSends(&r.nodes[i], ph, &out, heard)
 	}
+	off[len(r.nodes)] = int32(len(l.sendSlot))
 	if heard {
 		l.mergeNodeSends(&out)
 	}
@@ -238,9 +265,7 @@ func (l *batchLane) phase(phv core.Phase) {
 		l.buildRecvIndex(ph)
 	}
 
-	for i := range r.nodes {
-		l.walkNodeListens(&r.nodes[i], ph, plan)
-	}
+	l.listenPass(ph, plan)
 	for i := range r.nodes {
 		out.NodeListens += r.nodes[i].phaseListens
 	}
@@ -487,8 +512,7 @@ func (l *batchLane) scatter(v, slot int32, kind uint8) {
 // resolves without touching the per-slot arrays at all. The outputs are
 // identical for every input: jammed slots are noise in both kernels
 // regardless of traffic. Sparse lanes never observe: their listens
-// resolve through the reception index (walkNodeListensIdx,
-// aliceListensIdx).
+// resolve through the reception index (feedIdx, aliceListensIdx).
 func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
 	if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, listener) {
 		return 0, outcomeNoise
@@ -505,14 +529,13 @@ func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind,
 // planNodeSends mirrors run.planNodeSends walking the lane's block
 // schedules: same streams, same keyed draws, same merge and charging
 // order, slot sequences pinned identical by the sampling differential
-// tests. In an unheard phase (!heard) the sends are tallied into out as
-// they are charged instead of recorded for mergeNodeSends, so a node
-// that dies mid-walk has tallied exactly the sends the scalar engine
-// merges.
+// tests. A heard phase appends the node's sends to the lane's send
+// records (the caller plans nodes in id order and brackets each with
+// sendOff); in an unheard phase (!heard) they are tallied into out as
+// they are charged instead, so a node that dies mid-walk has tallied
+// exactly the sends the scalar engine merges.
 func (l *batchLane) planNodeSends(n *nodeState, ph *core.Phase, out *adversary.PhaseOutcome, heard bool) {
 	r := l.r
-	n.sendSlots = n.sendSlots[:0]
-	n.sendKinds = n.sendKinds[:0]
 	n.phaseListens = 0
 	if !n.active() {
 		return
@@ -590,8 +613,8 @@ func (l *batchLane) planNodeSends(n *nodeState, ph *core.Phase, out *adversary.P
 			return
 		}
 		if heard {
-			n.sendSlots = append(n.sendSlots, int32(slot))
-			n.sendKinds = append(n.sendKinds, kind)
+			l.sendSlot = append(l.sendSlot, int32(slot))
+			l.sendKind = append(l.sendKind, kind)
 		} else {
 			countSend(out, kind, 1)
 		}
@@ -603,12 +626,10 @@ func (l *batchLane) planNodeSends(n *nodeState, ph *core.Phase, out *adversary.P
 
 // mergeNodeSends mirrors run.mergeNodeSends through the lane's addTx.
 func (l *batchLane) mergeNodeSends(out *adversary.PhaseOutcome) {
-	r := l.r
-	for i := range r.nodes {
-		n := &r.nodes[i]
-		for j, slot := range n.sendSlots {
-			kind := n.sendKinds[j]
-			l.addTx(int(slot), kind, int32(n.id))
+	for i := range l.r.nodes {
+		for j := l.sendOff[i]; j < l.sendOff[i+1]; j++ {
+			kind := l.sendKind[j]
+			l.addTx(int(l.sendSlot[j]), kind, int32(i))
 			countSend(out, kind, 1)
 		}
 	}
@@ -712,93 +733,233 @@ func (l *batchLane) adversaryPlan(ph *core.Phase, out *adversary.PhaseOutcome, h
 	return plan
 }
 
-// walkNodeListens mirrors run.walkNodeListens on a block schedule and
-// the lane's observe. Sparse lanes dispatch to the event-skip loop over
-// the reception index instead.
-func (l *batchLane) walkNodeListens(n *nodeState, ph *core.Phase, plan *adversary.Plan) {
+// laneMinLive is the fewest live lanes worth a lane-kernel call once no
+// listener is left to fill the lanes: the call costs the same however
+// many lanes are live, and on an AVX-512 Xeon (BenchmarkLaneDraw
+// against BenchmarkGeometricBlock8, same invocation) a full call costs
+// about as much as drawing the same blocks for three lanes on the
+// single-stream kernel. Below it the stragglers finish one at a time on
+// blkA.
+const laneMinLive = 3
+
+// listenWalk is one node's listen walk, resumable: it is fed its drawn
+// slots a block at a time (feed) and settles its tallies at the end
+// (finishWalk), so its cursors and tallies live here between blocks. The
+// dense walk uses n, p, ss, si, prepaid and listens; the indexed walk
+// all of them.
+type listenWalk struct {
+	n  *nodeState
+	p  float64 // the walk's listen probability
+	ss []int32 // the node's own send slots
+	// rs/ri is the node's reception row; si, rc and ac are the cursors
+	// into ss, rs and the adversary records, and nextEvent the earliest
+	// slot still ahead in any of them.
+	rs             []int32
+	ri             []uint8
+	si, rc, ac     int
+	nextEvent      int
+	prepaid, quiet bool
+	listens        int64 // prepaid listens, charged at the end
+	phaseL         int64
+	reqL, reqNoisy int
+}
+
+// listenPass runs every node's listen walk: mirrors of run.walkNodeListens
+// on the lane's channel state, fed from the draw lanes. Each listener
+// (in id order) takes a free lane, with its listen stream re-keyed in
+// place; one Lanes.Draw then advances every live lane's schedule a block
+// and each walk is fed its block, and a lane whose walk ends (informed,
+// dead or its schedule exhausted) takes the next listener. Walks touch
+// only their own node and meter, and the plan and channel state are
+// read-only here, so interleaving them is unobservable: every Result
+// stays byte-identical to the scalar oracle's, which walks node by node.
+// Once no listener is left and fewer than laneMinLive lanes are live,
+// the rest finish one at a time on the single-stream block schedule. A
+// walk with p >= 1 listens every slot without drawing and never enters
+// a lane.
+func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 	r := l.r
-	if !n.active() || n.informed {
-		return
-	}
-	listenP := clamp01(ph.NodeListenP * n.listenScale)
-	if listenP <= 0 {
-		return
-	}
-	n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), uint64(ph.Ordinal), purpListen)
-	l.blkA.Reset(&n.streamA, listenP, ph.Length)
-	if r.topo != nil {
-		l.walkNodeListensIdx(n, ph, plan)
-		return
-	}
-	// A meter that covers every slot of the phase cannot exhaust
-	// mid-walk, so the per-listen charges fold into one ChargeN —
-	// charges are pure accumulation, so the final meter state is
-	// identical. Otherwise keep the scalar per-listen path, whose
-	// mid-walk death is observable.
-	prepaid := n.meter.CanAfford(int64(ph.Length))
-	listens := int64(0)
-	si := 0
-	// Consume whole draw blocks (Take) instead of a call per event; the
-	// scalar loop's informed/dead checks before each event become
-	// labeled breaks right after the state changes, which is the same
-	// exit point — nothing else mutates them mid-walk.
-outer:
-	for {
-		blk := l.blkA.Take()
-		if len(blk) == 0 {
-			break
+	l.quietOK, l.jam = true, nil
+	if plan != nil {
+		words, ok := adversary.UntargetedJams(plan, ph.Length)
+		l.quietOK = ok
+		if ph.Kind == core.PhaseRequest { // only request phases tally noise
+			l.jam = words
 		}
-		for _, s32 := range blk {
-			slot := int(s32)
-			for si < len(n.sendSlots) && int(n.sendSlots[si]) < slot {
-				si++
-			}
-			if si < len(n.sendSlots) && int(n.sendSlots[si]) == slot {
+	}
+	next := 0
+	for {
+		for free := ^l.draws.Live(); free != 0 && next < len(r.nodes); next++ {
+			n := &r.nodes[next]
+			if !n.active() || n.informed {
 				continue
 			}
-			if prepaid {
-				listens++
-			} else if err := n.meter.Charge(energy.Listen); err != nil {
-				n.dead = true
-				break outer
+			p := clamp01(ph.NodeListenP * n.listenScale)
+			if p <= 0 {
+				continue
 			}
-			n.phaseListens++
-			kind, out := l.observe(slot, n.id, plan)
-			if ph.Kind == core.PhaseRequest {
-				n.listens++
-				if out != outcomeSilence {
-					n.noisy++
-				}
+			n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), uint64(ph.Ordinal), purpListen)
+			j := bits.TrailingZeros8(free)
+			w := &l.walks[j]
+			l.startWalk(w, n, p, ph)
+			if p >= 1 {
+				l.blkA.Reset(&n.streamA, p, ph.Length)
+				l.walkBlock(w, ph, plan)
+				continue
 			}
-			if out == outcomeReceived && kind == msg.KindData {
-				n.informed = true
-				n.justInformed = true
-				if ph.Kind == core.PhasePropagate {
-					n.mark = core.InformMark(ph.Step)
-				} else {
-					n.mark = core.MarkInformPhase
-				}
-				break outer
+			l.draws.Start(j, &n.streamA, p, ph.Length)
+			free &^= 1 << j
+		}
+		live := l.draws.Live()
+		if live == 0 {
+			return
+		}
+		if next == len(r.nodes) && bits.OnesCount8(live) < laneMinLive {
+			for m := live; m != 0; m &= m - 1 {
+				j := bits.TrailingZeros8(m)
+				w := &l.walks[j]
+				l.blkA.Resume(&w.n.streamA, w.p, ph.Length, l.draws.Handoff(j, &w.n.streamA))
+				l.walkBlock(w, ph, plan)
+			}
+			return
+		}
+		ended := l.draws.Draw()
+		for m := live; m != 0; m &= m - 1 {
+			j := bits.TrailingZeros8(m)
+			w := &l.walks[j]
+			if l.feed(w, l.draws.Slots(j), ph, plan) || ended&(1<<j) != 0 {
+				l.finishWalk(w)
+				l.draws.Stop(j)
 			}
 		}
-	}
-	if prepaid {
-		_ = n.meter.ChargeN(energy.Listen, listens)
 	}
 }
 
-// walkNodeListensIdx is the listen walk over a built reception index.
-// The sampled slots ascend, so the walk keeps monotone cursors into the
-// node's own reception row, the adversary records, and its send slots,
-// and maintains nextEvent — the earliest upcoming slot in any of them.
-// A jammed-and-disrupted listen short-circuits to noise on the plan's
-// bit test alone, exactly as observe orders it (under a phase-wide jam
-// every slot would be an "event"; the bitmap test keeps those listens
-// as cheap as before), and steps the cursors past any event it covers. Below that, a listen before nextEvent is not the
+// startWalk sets w up for n's listen walk at probability p: no slot fed
+// yet, the node's send slots, and on sparse lanes its reception row and
+// first event. A meter that covers every slot of the phase cannot
+// exhaust mid-walk, so the per-listen charges fold into one ChargeN at
+// the end — charges are pure accumulation, so the final meter state is
+// identical. Otherwise the walk keeps the scalar per-listen path, whose
+// mid-walk death is observable.
+func (l *batchLane) startWalk(w *listenWalk, n *nodeState, p float64, ph *core.Phase) {
+	*w = listenWalk{
+		n:         n,
+		p:         p,
+		ss:        l.sendSlot[l.sendOff[n.id]:l.sendOff[n.id+1]],
+		prepaid:   n.meter.CanAfford(int64(ph.Length)),
+		nextEvent: math.MaxInt,
+	}
+	if l.r.topo == nil {
+		return
+	}
+	w.quiet = w.prepaid && l.quietOK
+	lo, hi := l.rowOff[n.id], l.rowEnd[n.id]
+	w.rs, w.ri = l.rowSlot[lo:hi], l.rowInfo[lo:hi]
+	if len(w.ss) > 0 {
+		w.nextEvent = int(w.ss[0])
+	}
+	if len(w.rs) > 0 && int(w.rs[0]) < w.nextEvent {
+		w.nextEvent = int(w.rs[0])
+	}
+	if as := l.advSlot; len(as) > 0 && int(as[0]) < w.nextEvent {
+		w.nextEvent = int(as[0])
+	}
+}
+
+// walkBlock runs w to its end on blkA.
+func (l *batchLane) walkBlock(w *listenWalk, ph *core.Phase, plan *adversary.Plan) {
+	for blk := l.blkA.Take(); len(blk) > 0; blk = l.blkA.Take() {
+		if l.feed(w, blk, ph, plan) {
+			break
+		}
+	}
+	l.finishWalk(w)
+}
+
+// feed walks the next drawn slots of w and reports whether the walk is
+// over: its node informed or dead.
+func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) bool {
+	if l.r.topo != nil {
+		return l.feedIdx(w, blk, ph, plan)
+	}
+	return l.feedDense(w, blk, ph, plan)
+}
+
+// finishWalk settles w's tallies into its node and charges its prepaid
+// listens.
+func (l *batchLane) finishWalk(w *listenWalk) {
+	n := w.n
+	n.phaseListens += w.phaseL
+	n.listens += w.reqL
+	n.noisy += w.reqNoisy
+	if w.prepaid {
+		_ = n.meter.ChargeN(energy.Listen, w.listens)
+	}
+}
+
+// inform marks n informed by a data reception in ph.
+func inform(n *nodeState, ph *core.Phase) {
+	n.informed = true
+	n.justInformed = true
+	if ph.Kind == core.PhasePropagate {
+		n.mark = core.InformMark(ph.Step)
+	} else {
+		n.mark = core.MarkInformPhase
+	}
+}
+
+// feedDense is the dense lane's walk over one block: the scalar loop's
+// informed/dead checks before each event become returns right after the
+// state changes, which is the same exit point — nothing else mutates
+// them mid-walk.
+func (l *batchLane) feedDense(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
+	n, ss, si := w.n, w.ss, w.si
+	for _, s32 := range blk {
+		for si < len(ss) && ss[si] < s32 {
+			si++
+		}
+		if si < len(ss) && ss[si] == s32 {
+			continue
+		}
+		if w.prepaid {
+			w.listens++
+		} else if err := n.meter.Charge(energy.Listen); err != nil {
+			n.dead = true
+			stop = true
+			break
+		}
+		n.phaseListens++
+		kind, out := l.observe(int(s32), n.id, plan)
+		if ph.Kind == core.PhaseRequest {
+			n.listens++
+			if out != outcomeSilence {
+				n.noisy++
+			}
+		}
+		if out == outcomeReceived && kind == msg.KindData {
+			inform(n, ph)
+			stop = true
+			break
+		}
+	}
+	w.si = si
+	return stop
+}
+
+// feedIdx is the listen walk over a built reception index, one block at
+// a time. The sampled slots ascend, so the walk keeps monotone cursors
+// into the node's own reception row, the adversary records, and its
+// send slots, and maintains nextEvent — the earliest upcoming slot in
+// any of them. A jammed-and-disrupted listen short-circuits to noise on
+// the plan's bit test alone, exactly as observe orders it (under a
+// phase-wide jam every slot would be an "event"; the bitmap test keeps
+// those listens as cheap as before), and steps the cursors past any
+// event it covers. Below that, a listen before nextEvent is not the
 // node's own send and has no audible record: it is silence by
 // construction and settles with one compare, no channel state touched.
 // Only event slots pay for full resolution. Every per-listen effect —
-// charge order, tallies, the informed break — is the scalar walk's, so
+// charge order, tallies, the informed exit — is the scalar walk's, so
 // outcomes stay byte-identical.
 //
 // A quiet walk settles each run of drawn slots below nextEvent at once
@@ -810,172 +971,135 @@ outer:
 // walks, targeted plans and plans shorter than the phase (a custom
 // strategy may return one; past its end nothing is jammed) keep the
 // per-listen path.
-func (l *batchLane) walkNodeListensIdx(n *nodeState, ph *core.Phase, plan *adversary.Plan) {
-	lo, hi := l.rowOff[n.id], l.rowEnd[n.id]
-	rs := l.rowSlot[lo:hi]
-	ri := l.rowInfo[lo:hi]
-	as := l.advSlot
-	ak := l.advKind
-	ss := n.sendSlots
+//
+// The cursors and tallies load into locals on entry and store back on
+// exit, so the hot loop keeps them in registers.
+func (l *batchLane) feedIdx(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
+	n := w.n
+	rs, ri, ss := w.rs, w.ri, w.ss
+	as, ak := l.advSlot, l.advKind
+	jam := l.jam
 	isReq := ph.Kind == core.PhaseRequest
-
-	prepaid := n.meter.CanAfford(int64(ph.Length))
-	// The walk's per-listen tallies accumulate in locals and flush once
-	// at exit (every break lands past the loop) — the scalar walk's
-	// per-listen field updates are pure accumulation, so the final state
-	// is identical and the hot loop keeps its counters in registers.
-	listens := int64(0)
-	var phaseL int64
-	var reqL, reqNoisy int
-	var si, rc, ac int
-	nextEvent := math.MaxInt
-	if len(ss) > 0 {
-		nextEvent = int(ss[0])
-	}
-	if len(rs) > 0 && int(rs[0]) < nextEvent {
-		nextEvent = int(rs[0])
-	}
-	if len(as) > 0 && int(as[0]) < nextEvent {
-		nextEvent = int(as[0])
-	}
-	quiet := prepaid
-	var jam []uint64 // only request phases tally noise
-	if quiet && plan != nil {
-		words, ok := adversary.UntargetedJams(plan, ph.Length)
-		quiet = ok
-		if isReq {
-			jam = words
-		}
-	}
-outer:
-	for {
-		blk := l.blkA.Take()
-		if len(blk) == 0 {
-			break
-		}
-		for i := 0; i < len(blk); i++ {
-			if quiet && int(blk[i]) < nextEvent {
-				j, jammed := quietRun(blk, i, nextEvent, jam)
-				k := j - i
-				listens += int64(k)
-				phaseL += int64(k)
-				if isReq {
-					reqL += k
-					reqNoisy += jammed
-				}
-				if j == len(blk) {
-					break
-				}
-				i = j
+	prepaid, quiet := w.prepaid, w.quiet
+	listens, phaseL, reqL, reqNoisy := w.listens, w.phaseL, w.reqL, w.reqNoisy
+	si, rc, ac, nextEvent := w.si, w.rc, w.ac, w.nextEvent
+	for i := 0; i < len(blk); i++ {
+		if quiet && int(blk[i]) < nextEvent {
+			j, jammed := quietRun(blk, i, nextEvent, jam)
+			k := j - i
+			listens += int64(k)
+			phaseL += int64(k)
+			if isReq {
+				reqL += k
+				reqNoisy += jammed
 			}
-			s32 := blk[i]
-			slot := int(s32)
-			if plan != nil && plan.Jammed(slot) {
-				// Own sends are skipped before any observation, jammed
-				// or not.
-				for si < len(ss) && int(ss[si]) < slot {
-					si++
-				}
-				if si < len(ss) && int(ss[si]) == slot {
-					continue
-				}
-				if plan.Disrupts(slot, n.id) {
-					if prepaid {
-						listens++
-					} else if err := n.meter.Charge(energy.Listen); err != nil {
-						n.dead = true
-						break outer
-					}
-					phaseL++
-					if isReq {
-						reqL++
-						reqNoisy++
-					}
-					if slot >= nextEvent {
-						// Step past the event it covers, so the listens
-						// after it still settle as quiet runs.
-						si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
-					}
-					continue
-				}
-				// Jammed but not disrupted for this listener: the slot
-				// resolves audibly below, like any other.
+			if j == len(blk) {
+				break
 			}
-			if slot < nextEvent {
-				// Quiet listen: silence, charged and counted only.
+			i = j
+		}
+		s32 := blk[i]
+		slot := int(s32)
+		if plan != nil && plan.Jammed(slot) {
+			// Own sends are skipped before any observation, jammed
+			// or not.
+			for si < len(ss) && int(ss[si]) < slot {
+				si++
+			}
+			if si < len(ss) && int(ss[si]) == slot {
+				continue
+			}
+			if plan.Disrupts(slot, n.id) {
 				if prepaid {
 					listens++
 				} else if err := n.meter.Charge(energy.Listen); err != nil {
 					n.dead = true
-					break outer
+					stop = true
+					break
 				}
 				phaseL++
 				if isReq {
 					reqL++
+					reqNoisy++
+				}
+				if slot >= nextEvent {
+					// Step past the event it covers, so the listens
+					// after it still settle as quiet runs.
+					si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
 				}
 				continue
 			}
-			// Event slot: advance the cursors to it and resolve fully.
-			for si < len(ss) && int(ss[si]) < slot {
-				si++
-			}
-			for rc < len(rs) && rs[rc] < s32 {
-				rc++
-			}
-			for ac < len(as) && as[ac] < s32 {
-				ac++
-			}
-			isSend := si < len(ss) && int(ss[si]) == slot
-			var kind msg.Kind
-			heard := 0
-			if rc < len(rs) && rs[rc] == s32 {
-				if rc+1 < len(rs) && rs[rc+1] == s32 {
-					heard = 2
-				} else {
-					heard = 1
-					kind = msg.Kind(ri[rc])
-				}
-			}
-			for j := ac; heard < 2 && j < len(as) && as[j] == s32; j++ {
-				if heard++; heard == 1 {
-					kind = msg.Kind(ak[j])
-				}
-			}
-			si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
-			if isSend {
-				continue
-			}
+			// Jammed but not disrupted for this listener: the slot
+			// resolves audibly below, like any other.
+		}
+		if slot < nextEvent {
+			// Quiet listen: silence, charged and counted only.
 			if prepaid {
 				listens++
 			} else if err := n.meter.Charge(energy.Listen); err != nil {
 				n.dead = true
-				break outer
+				stop = true
+				break
 			}
 			phaseL++
 			if isReq {
 				reqL++
-				if heard != 0 {
-					reqNoisy++
-				}
 			}
-			if heard == 1 && kind == msg.KindData {
-				n.informed = true
-				n.justInformed = true
-				if ph.Kind == core.PhasePropagate {
-					n.mark = core.InformMark(ph.Step)
-				} else {
-					n.mark = core.MarkInformPhase
-				}
-				break outer
+			continue
+		}
+		// Event slot: advance the cursors to it and resolve fully.
+		for si < len(ss) && int(ss[si]) < slot {
+			si++
+		}
+		for rc < len(rs) && rs[rc] < s32 {
+			rc++
+		}
+		for ac < len(as) && as[ac] < s32 {
+			ac++
+		}
+		isSend := si < len(ss) && int(ss[si]) == slot
+		var kind msg.Kind
+		heard := 0
+		if rc < len(rs) && rs[rc] == s32 {
+			if rc+1 < len(rs) && rs[rc+1] == s32 {
+				heard = 2
+			} else {
+				heard = 1
+				kind = msg.Kind(ri[rc])
 			}
 		}
+		for j := ac; heard < 2 && j < len(as) && as[j] == s32; j++ {
+			if heard++; heard == 1 {
+				kind = msg.Kind(ak[j])
+			}
+		}
+		si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
+		if isSend {
+			continue
+		}
+		if prepaid {
+			listens++
+		} else if err := n.meter.Charge(energy.Listen); err != nil {
+			n.dead = true
+			stop = true
+			break
+		}
+		phaseL++
+		if isReq {
+			reqL++
+			if heard != 0 {
+				reqNoisy++
+			}
+		}
+		if heard == 1 && kind == msg.KindData {
+			inform(n, ph)
+			stop = true
+			break
+		}
 	}
-	n.phaseListens += phaseL
-	n.listens += reqL
-	n.noisy += reqNoisy
-	if prepaid {
-		_ = n.meter.ChargeN(energy.Listen, listens)
-	}
+	w.listens, w.phaseL, w.reqL, w.reqNoisy = listens, phaseL, reqL, reqNoisy
+	w.si, w.rc, w.ac, w.nextEvent = si, rc, ac, nextEvent
+	return stop
 }
 
 // stepPast steps the walk's cursors into its send slots ss, reception

@@ -54,7 +54,8 @@ type nodeState struct {
 	// §4.2 heterogeneous-estimate multipliers
 	listenScale, sendScale float64
 
-	// this phase's committed transmissions, sorted by slot
+	// this phase's committed transmissions, sorted by slot (the scalar
+	// loop's; the kernel keeps them in its lane's flat send records)
 	sendSlots []int32
 	sendKinds []msg.Kind
 

@@ -268,15 +268,20 @@ func (st *Stream) slots8Go(lnQ float64, pos, length int, dst []int32) (n, next i
 	return placeSlots(gs[:k], pos, length, dst)
 }
 
-// DrawPath names the path block draws take now — the assembly kernel
-// or the Go lanes — with the RCBCAST_NO_GEOBLOCK8 setting. It reads the
-// variable afresh: the read that picks the path runs at package init,
-// which go test's result cache does not see, so a test that logs
-// DrawPath is what keys a package's cached results on the variable.
+// DrawPath names the path each draw kernel takes now — block draws
+// (GeometricSlots) and lane draws (Lanes.Draw), each on its assembly
+// kernel or the Go lanes — with the RCBCAST_NO_GEOBLOCK8 setting. It
+// reads the variable afresh: the read that picks the paths runs at
+// package init, which go test's result cache does not see, so a test
+// that logs DrawPath is what keys a package's cached results on the
+// variable.
 func DrawPath() string {
-	path := "Go four-lane"
-	if GeoBlock8Enabled() {
-		path = "AVX-512 assembly"
+	path := func(asm bool) string {
+		if asm {
+			return "AVX-512 assembly"
+		}
+		return "Go four-lane"
 	}
-	return fmt.Sprintf("%s draws (RCBCAST_NO_GEOBLOCK8=%q)", path, os.Getenv("RCBCAST_NO_GEOBLOCK8"))
+	return fmt.Sprintf("block draws: %s; lane draws: %s (RCBCAST_NO_GEOBLOCK8=%q)",
+		path(GeoBlock8Enabled()), path(LaneSlots8Enabled()), os.Getenv("RCBCAST_NO_GEOBLOCK8"))
 }

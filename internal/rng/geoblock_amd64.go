@@ -32,6 +32,22 @@ import (
 //go:noescape
 func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) (n, next int)
 
+// laneSlots8Asm is Lanes.Draw's kernel: one block of k draws for each
+// lane in the live mask, k set by Draw's rule from the live lanes' p,
+// pos and length, every lane placed from its own pos over its own
+// [0, length) exactly as geoSlots8Asm places one stream's. It writes
+// lane j's slots to dst[j] and their count inside the phase to ls.n[j],
+// advances each live lane's stream k steps and its pos past its k-th
+// slot (meaningful only while the lane's slots are all inside), leaves
+// the other lanes' state as it was, and returns the live lanes whose
+// schedule ended by GeometricSlots's rule (their stream state is then
+// of no further use). When some live lane's slot cannot be decided
+// without the exact log it returns ok = false, leaving ls untouched and
+// dst unspecified. Only valid when useLaneSlots8 is true.
+//
+//go:noescape
+func laneSlots8Asm(ls *laneState, dst *[8][laneBlock]int32, live int) (ended uint8, ok bool)
+
 // log8Asm evaluates the kernel's log on eight uniforms.
 //
 //go:noescape
@@ -47,27 +63,42 @@ func xgetbv0() (eax, edx uint32)
 // and VL and the assembly kernel passes its self-check.
 var geoBlock8Supported = geoBlock8CPU() && geoBlock8SelfCheck()
 
-// useGeoBlock8 routes GeometricSlots through the assembly kernel. It
-// starts from the hardware detection, minus the environment kill
-// switch: RCBCAST_NO_GEOBLOCK8 (any non-empty value) forces the
-// pure-Go four-lane path even where the kernel works, so CI can
-// exercise the fallback's byte-identity on kernel hosts instead of
-// only on machines that happen to lack it. Both paths place the same
-// slots, so the switch is always safe.
-var useGeoBlock8 = os.Getenv("RCBCAST_NO_GEOBLOCK8") == "" && geoBlock8Supported
+// laneSlots8Supported is true when the single-stream kernel is and the
+// lane kernel passes its own self-check.
+var laneSlots8Supported = geoBlock8Supported && laneSlots8SelfCheck()
+
+// useGeoBlock8 routes GeometricSlots through the assembly kernel, and
+// useLaneSlots8 routes Lanes.Draw through the lane kernel. Both start
+// from the hardware detection, minus the environment kill switch:
+// RCBCAST_NO_GEOBLOCK8 (any non-empty value) forces the pure-Go paths
+// even where the kernels work, so CI can exercise the fallbacks'
+// byte-identity on kernel hosts instead of only on machines that happen
+// to lack them. Both paths place the same slots, so the switch is
+// always safe.
+var (
+	noGeoBlock8   = os.Getenv("RCBCAST_NO_GEOBLOCK8") != ""
+	useGeoBlock8  = !noGeoBlock8 && geoBlock8Supported
+	useLaneSlots8 = !noGeoBlock8 && laneSlots8Supported
+)
 
 // GeoBlock8Enabled reports whether block draws currently route through
 // the assembly kernel.
 func GeoBlock8Enabled() bool { return useGeoBlock8 }
 
-// SetGeoBlock8 enables or disables the assembly kernel in-process,
-// returning the previous state. Enabling is clamped to hardware
-// support. Draws are bit-identical either way — the switch exists so
-// differential tests can cover the pure-Go path on one host — but it is
-// not synchronized: flip it only while no other goroutine draws.
+// LaneSlots8Enabled reports whether lane draws currently route through
+// the assembly lane kernel.
+func LaneSlots8Enabled() bool { return useLaneSlots8 }
+
+// SetGeoBlock8 enables or disables both assembly kernels in-process,
+// returning the previous state of the single-stream one. Enabling is
+// clamped to hardware support and the self-checks. Draws are
+// bit-identical either way — the switch exists so differential tests
+// can cover the pure-Go paths on one host — but it is not synchronized:
+// flip it only while no other goroutine draws.
 func SetGeoBlock8(enabled bool) (prev bool) {
 	prev = useGeoBlock8
 	useGeoBlock8 = enabled && geoBlock8Supported
+	useLaneSlots8 = enabled && laneSlots8Supported
 	return prev
 }
 
@@ -156,6 +187,77 @@ func geoBlock8SelfCheck() bool {
 						return false
 					}
 				}
+			}
+		}
+	}
+	return true
+}
+
+// laneSlots8SelfCheck verifies the lane kernel against the pure-Go path
+// (itself pinned to per-lane scalar draws by the tests) before it is
+// ever used: over a spread of stream states, per-lane probabilities
+// (dense schedules down to the 1e-300 sentinel regime), phase windows
+// (short phases and origins near their end), live masks and block
+// lengths, a decided call must end the same lanes, place every live
+// lane's slots exactly as the Go path does, leave the stream and pos of
+// every live lane that has not ended exactly the Go path's, and leave
+// every other lane untouched; an undecided call must leave the lanes
+// untouched.
+func laneSlots8SelfCheck() bool {
+	sm := uint64(0x1a4e5eedc0ffee77)
+	ps := []float64{0.999999, 0.9, 0.5, 0.2, 0.01, 1e-6, 1e-12, 1e-300}
+	windows := [][2]int{{0, 1 << 30}, {0, 40}, {17, 18}, {5, 9}, {0, 3}, {1000, 1003}}
+	var asm, ref Lanes
+	var st Stream
+	for trial := 0; trial < 96; trial++ {
+		live := uint8(splitMix64(&sm))
+		if trial < 8 {
+			live = 1 << trial
+		} else if live == 0 {
+			live = 0xff
+		}
+		asm = Lanes{}
+		for j := range 8 {
+			st.reseed(splitMix64(&sm))
+			w := windows[(trial+j)%len(windows)]
+			asm.Start(j, &st, ps[(trial*3+j)%len(ps)], w[1])
+			asm.st.pos[j] = w[0]
+		}
+		asm.live = live
+		ref = asm
+		before := asm.st
+		ended, ok := laneSlots8Asm(&asm.st, &asm.slots, int(live))
+		if !ok {
+			if asm.st != before {
+				return false
+			}
+			continue
+		}
+		if ended != ref.drawGo() {
+			return false
+		}
+		for j := range 8 {
+			if live&(1<<j) == 0 {
+				if asm.st.n[j] != 0 || asm.st.pos[j] != before.pos[j] ||
+					asm.st.s[0][j] != before.s[0][j] || asm.st.s[3][j] != before.s[3][j] {
+					return false
+				}
+				continue
+			}
+			n := ref.st.n[j]
+			if asm.st.n[j] != n || !slices.Equal(asm.slots[j][:n], ref.slots[j][:n]) {
+				return false
+			}
+			if ended&(1<<j) != 0 {
+				continue
+			}
+			for w := range 4 {
+				if asm.st.s[w][j] != ref.st.s[w][j] {
+					return false
+				}
+			}
+			if asm.st.pos[j] != ref.st.pos[j] {
+				return false
 			}
 		}
 	}

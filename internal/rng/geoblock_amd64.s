@@ -248,6 +248,239 @@ exact:
 	VZEROUPPER
 	RET
 
+// The lane kernel: eight schedules side by side, one per lane, each with
+// its own stream, 1/lnQ, pos and length (laneState). Its xoshiro state
+// sits word-major in Z16-Z19, so one step is a dozen zmm ops for all
+// eight streams, and each of the k (up to 16) iterations feeds one draw
+// per lane through LOG8. The quotient, the margin test and the clamp are
+// geoSlots8Asm's, lane by lane; each lane keeps its own pos, so no
+// prefix sum is needed. The iterations run in rounds of eight: iteration
+// i's slot column goes to half i%2 of the accumulator for i/2 (Z29,
+// Z30, Z31, Z15), and at the end of a round one 8×8 dword transpose
+// (two VPERMI2D stages) turns the columns into per-lane rows.
+
+// Transpose indices. Stage one gathers lanes 0-3 (kTrLo) or 4-7 (kTrHi)
+// of four columns, draw-minor; stage two gathers two lanes' eight
+// draws, lanes 0-1 of each half (kTrPairA) or 2-3 (kTrPairB).
+DATA kTrLo<>+0(SB)/8, $0x0000000800000000
+DATA kTrLo<>+8(SB)/8, $0x0000001800000010
+DATA kTrLo<>+16(SB)/8, $0x0000000900000001
+DATA kTrLo<>+24(SB)/8, $0x0000001900000011
+DATA kTrLo<>+32(SB)/8, $0x0000000A00000002
+DATA kTrLo<>+40(SB)/8, $0x0000001A00000012
+DATA kTrLo<>+48(SB)/8, $0x0000000B00000003
+DATA kTrLo<>+56(SB)/8, $0x0000001B00000013
+GLOBL kTrLo<>(SB), RODATA|NOPTR, $64
+DATA kTrHi<>+0(SB)/8, $0x0000000C00000004
+DATA kTrHi<>+8(SB)/8, $0x0000001C00000014
+DATA kTrHi<>+16(SB)/8, $0x0000000D00000005
+DATA kTrHi<>+24(SB)/8, $0x0000001D00000015
+DATA kTrHi<>+32(SB)/8, $0x0000000E00000006
+DATA kTrHi<>+40(SB)/8, $0x0000001E00000016
+DATA kTrHi<>+48(SB)/8, $0x0000000F00000007
+DATA kTrHi<>+56(SB)/8, $0x0000001F00000017
+GLOBL kTrHi<>(SB), RODATA|NOPTR, $64
+DATA kTrPairA<>+0(SB)/8, $0x0000000100000000
+DATA kTrPairA<>+8(SB)/8, $0x0000000300000002
+DATA kTrPairA<>+16(SB)/8, $0x0000001100000010
+DATA kTrPairA<>+24(SB)/8, $0x0000001300000012
+DATA kTrPairA<>+32(SB)/8, $0x0000000500000004
+DATA kTrPairA<>+40(SB)/8, $0x0000000700000006
+DATA kTrPairA<>+48(SB)/8, $0x0000001500000014
+DATA kTrPairA<>+56(SB)/8, $0x0000001700000016
+GLOBL kTrPairA<>(SB), RODATA|NOPTR, $64
+DATA kTrPairB<>+0(SB)/8, $0x0000000900000008
+DATA kTrPairB<>+8(SB)/8, $0x0000000B0000000A
+DATA kTrPairB<>+16(SB)/8, $0x0000001900000018
+DATA kTrPairB<>+24(SB)/8, $0x0000001B0000001A
+DATA kTrPairB<>+32(SB)/8, $0x0000000D0000000C
+DATA kTrPairB<>+40(SB)/8, $0x0000000F0000000E
+DATA kTrPairB<>+48(SB)/8, $0x0000001D0000001C
+DATA kTrPairB<>+56(SB)/8, $0x0000001F0000001E
+GLOBL kTrPairB<>(SB), RODATA|NOPTR, $64
+
+// LANE_DRAW draws one skip per lane and places it: Z5 = pos + min(q,
+// length) truncated, pos = Z5 + 1. K2 collects the live lanes (K1) whose
+// floor the estimate cannot decide; Z25 counts each live lane's slots
+// inside the phase, a prefix because slots ascend.
+#define LANE_DRAW \
+	VPSLLQ      $2, Z17, Z0;                 \
+	VPADDQ      Z17, Z0, Z0;                 \
+	VPROLQ      $7, Z0, Z0;                  \
+	VPSLLQ      $3, Z0, Z1;                  \
+	VPADDQ      Z1, Z0, Z0;                  \
+	VPSRLQ      $11, Z0, Z0;                 \
+	VPSLLQ      $17, Z17, Z1;                \
+	VPXORQ      Z16, Z18, Z18;               \
+	VPXORQ      Z17, Z19, Z19;               \
+	VPXORQ      Z18, Z17, Z17;               \
+	VPXORQ      Z19, Z16, Z16;               \
+	VPXORQ      Z1, Z18, Z18;                \
+	VPROLQ      $45, Z19, Z19;               \
+	VCVTQQ2PD   Z0, Z0;                      \
+	VMULPD      Z28, Z0, Z0;                 \
+	VMAXPD      Z28, Z0, Z0;                 \
+	LOG8;                                    \
+	VMULPD      Z20, Z11, Z11;               \
+	VREDUCEPD   $0, Z11, Z3;                 \
+	VPANDQ.BCST kAbsMask<>(SB), Z3, Z3;      \
+	VMOVAPD     Z26, Z4;                     \
+	VFMADD213PD Z26, Z11, Z4;                \
+	VCMPPD      $0x12, Z4, Z3, K1, K3;       \
+	VCMPPD      $0x11, Z24, Z11, K3, K3;     \
+	KORB        K3, K2, K2;                  \
+	VMINPD      Z23, Z11, Z11;               \
+	VCVTTPD2QQ  Z11, Z11;                    \
+	VPADDQ      Z11, Z21, Z5;                \
+	VPADDQ      Z27, Z5, Z21;                \
+	VPCMPQ      $1, Z22, Z5, K1, K3;         \
+	VPADDQ      Z27, Z25, K3, Z25
+
+// func laneSlots8Asm(ls *laneState, dst *[8][16]int32, live int) (ended uint8, ok bool)
+TEXT ·laneSlots8Asm(SB), NOSPLIT, $0-26
+	MOVQ  ls+0(FP), SI
+	MOVQ  dst+8(FP), DI
+	MOVQ  live+16(FP), BX
+	KMOVB BX, K1
+
+	VMOVDQU64    0(SI), Z16
+	VMOVDQU64    64(SI), Z17
+	VMOVDQU64    128(SI), Z18
+	VMOVDQU64    192(SI), Z19
+	VMOVUPD      256(SI), Z20
+	VMOVDQU64    384(SI), Z21
+	VMOVDQU64    448(SI), Z22
+	VCVTQQ2PD    Z22, Z23
+	VADDPD.BCST  kOne<>(SB), Z23, Z24
+	VBROADCASTSD kMargin<>(SB), Z26
+	VPBROADCASTQ kInt1<>(SB), Z27
+	VBROADCASTSD kInv53<>(SB), Z28
+	VPXORQ       Z25, Z25, Z25
+	KXORB        K2, K2, K2
+
+	// k, the block length: the live lanes' largest expected remaining
+	// actions plus one, int(p·(length-pos))+1, clamped to [2, 16].
+	VPSUBQ         Z21, Z22, Z0
+	VCVTQQ2PD      Z0, Z0
+	VMULPD         320(SI), Z0, Z0
+	VCVTTPD2QQ     Z0, Z0
+	VPADDQ         Z27, Z0, K1, Z25
+	VPERMQ         $0x4E, Z25, Z1
+	VPMAXSQ        Z1, Z25, Z25
+	VPERMQ         $0xB1, Z25, Z1
+	VPMAXSQ        Z1, Z25, Z25
+	VSHUFI64X2     $0x4E, Z25, Z25, Z1
+	VPMAXSQ        Z1, Z25, Z25
+	VMOVQ          X25, CX
+	MOVQ           $2, AX
+	CMPQ           CX, AX
+	CMOVQLT        AX, CX
+	MOVQ           $16, AX
+	CMPQ           CX, AX
+	CMOVQGT        AX, CX
+	MOVQ           CX, DX
+	VPXORQ         Z25, Z25, Z25
+
+	// Rounds of up to eight draws: each ends with its columns turned
+	// into rows, stored at the next eight slots of every lane's row.
+lanesRound:
+	LANE_DRAW
+	VPMOVQD Z5, Y29
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y13
+	VINSERTI64X4 $1, Y13, Z29, Z29
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y30
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y13
+	VINSERTI64X4 $1, Y13, Z30, Z30
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y31
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y13
+	VINSERTI64X4 $1, Y13, Z31, Z31
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y15
+	DECQ    CX
+	JZ      lanesRoundDone
+	LANE_DRAW
+	VPMOVQD Z5, Y13
+	VINSERTI64X4 $1, Y13, Z15, Z15
+	DECQ    CX
+
+lanesRoundDone:
+	// Columns to rows: lane j's draws of this round at dst[j][8r:8r+8].
+	VMOVDQU64     kTrLo<>(SB), Z0
+	VPERMI2D      Z30, Z29, Z0
+	VMOVDQU64     kTrHi<>(SB), Z1
+	VPERMI2D      Z30, Z29, Z1
+	VMOVDQU64     kTrLo<>(SB), Z2
+	VPERMI2D      Z15, Z31, Z2
+	VMOVDQU64     kTrHi<>(SB), Z3
+	VPERMI2D      Z15, Z31, Z3
+	VMOVDQU64     kTrPairA<>(SB), Z4
+	VPERMI2D      Z2, Z0, Z4
+	VMOVDQU64     kTrPairB<>(SB), Z5
+	VPERMI2D      Z2, Z0, Z5
+	VMOVDQU64     kTrPairA<>(SB), Z6
+	VPERMI2D      Z3, Z1, Z6
+	VMOVDQU64     kTrPairB<>(SB), Z7
+	VPERMI2D      Z3, Z1, Z7
+	VMOVDQU       Y4, 0(DI)
+	VEXTRACTI64X4 $1, Z4, 64(DI)
+	VMOVDQU       Y5, 128(DI)
+	VEXTRACTI64X4 $1, Z5, 192(DI)
+	VMOVDQU       Y6, 256(DI)
+	VEXTRACTI64X4 $1, Z6, 320(DI)
+	VMOVDQU       Y7, 384(DI)
+	VEXTRACTI64X4 $1, Z7, 448(DI)
+	TESTQ         CX, CX
+	JZ            lanesDrawn
+	ADDQ          $32, DI
+	JMP           lanesRound
+
+lanesDrawn:
+	KORTESTB K2, K2
+	JNZ      lanesExact
+
+	// ended: live lanes with a slot outside the phase (fewer than k
+	// inside) or whose last slot was the phase's last.
+	VPBROADCASTQ DX, Z0
+	VPCMPQ       $1, Z0, Z25, K1, K3
+	VPCMPQ       $5, Z22, Z21, K1, K4
+	KORB         K4, K3, K3
+	KMOVB        K3, AX
+	MOVB         AX, ended+24(FP)
+
+	// Live lanes keep their stream and pos; every lane gets its count.
+	VMOVDQU64 Z16, K1, 0(SI)
+	VMOVDQU64 Z17, K1, 64(SI)
+	VMOVDQU64 Z18, K1, 128(SI)
+	VMOVDQU64 Z19, K1, 192(SI)
+	VMOVDQU64 Z21, K1, 384(SI)
+	VMOVDQU64 Z25, 512(SI)
+	MOVB      $1, ok+25(FP)
+	VZEROUPPER
+	RET
+
+lanesExact:
+	MOVB $0, ended+24(FP)
+	MOVB $0, ok+25(FP)
+	VZEROUPPER
+	RET
+
 // func log8Asm(u, l *[8]float64)
 TEXT ·log8Asm(SB), NOSPLIT, $0-16
 	MOVQ    u+0(FP), SI

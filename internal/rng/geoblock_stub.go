@@ -2,13 +2,17 @@
 
 package rng
 
-// Architectures without the assembly draw kernel take the four-lane Go
-// path in GeometricSlots unconditionally.
-var useGeoBlock8 = false
+// Architectures without the assembly draw kernels take the four-lane Go
+// path in GeometricSlots and Lanes.Draw unconditionally.
+var useGeoBlock8, useLaneSlots8 = false, false
 
 // GeoBlock8Enabled reports whether block draws route through the
 // assembly kernel — never, on this architecture.
 func GeoBlock8Enabled() bool { return false }
+
+// LaneSlots8Enabled reports whether lane draws route through the
+// assembly lane kernel — never, on this architecture.
+func LaneSlots8Enabled() bool { return false }
 
 // SetGeoBlock8 is the in-process kernel switch; without an assembly
 // kernel it is inert and reports the kernel permanently disabled.
@@ -16,4 +20,8 @@ func SetGeoBlock8(bool) (prev bool) { return false }
 
 func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) (n, next int) {
 	panic("rng: geoSlots8Asm without assembly kernel")
+}
+
+func laneSlots8Asm(ls *laneState, dst *[8][laneBlock]int32, live int) (ended uint8, ok bool) {
+	panic("rng: laneSlots8Asm without assembly kernel")
 }

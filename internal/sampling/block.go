@@ -8,18 +8,22 @@ import (
 
 // blockDraws caps the draws of one BlockSchedule refill after the
 // first: enough to keep the eight-draw assembly kernel fed with four
-// full blocks on dense schedules, halving the refill-bookkeeping rate of
-// dense listen walks against depth 16 at the cost of at most one extra
-// wasted kernel block per walk, a trade the steady-state benchmarks
-// favor. Every refill also caps its draws at the schedule's expected
-// remaining actions plus one (never below 2), so sparse schedules do
-// not burn whole blocks to learn they are done.
+// full blocks on dense schedules — send walks, Alice's walks, and the
+// listen walks the batch kernel finishes off its draw lanes (a lane's
+// last stragglers, resumed mid-phase) — halving the refill-bookkeeping
+// rate against depth 16 at the cost of at most one extra wasted kernel
+// block per walk. Every refill also caps its draws at the schedule's
+// expected remaining actions plus one (never below 2), so sparse
+// schedules do not burn whole blocks to learn they are done.
 const blockDraws = 32
 
-// firstDraws caps the first refill after Reset at one kernel block. A
-// listen walk ends at its first data reception, often within a few
-// events, so prefetching its whole expected count up front mostly draws
-// slots nobody reads; long walks pay one extra refill.
+// firstDraws caps the first refill after Reset at one kernel block. It
+// was set for listen walks, which end at their first data reception,
+// often within a few events; they now draw on rng.Lanes and reach a
+// BlockSchedule only as stragglers, most of them resumed past it. A
+// send walk that stops at a budget death, or one that sends once or
+// twice, still draws no more than one block it may not read; long
+// walks pay one extra refill.
 const firstDraws = 8
 
 // BlockSchedule enumerates exactly the slot sequence of a SlotSchedule
@@ -59,6 +63,16 @@ func (s *BlockSchedule) Reset(st *rng.Stream, p float64, length int) {
 	if !s.exhausted && !s.everySlot && p != s.lnQp {
 		s.lnQ, s.lnQp = math.Log1p(-p), p
 	}
+}
+
+// Resume re-initializes the schedule like Reset, but as if it had
+// already placed the slots before pos: its next slot is pos plus st's
+// next skip. It takes over a schedule drawn elsewhere up to pos from
+// the stream state it left (rng.Lanes.Handoff).
+func (s *BlockSchedule) Resume(st *rng.Stream, p float64, length, pos int) {
+	s.Reset(st, p, length)
+	s.pos = pos
+	s.exhausted = s.exhausted || pos >= length
 }
 
 // Next returns the next action slot, or (0, false) when the phase is

@@ -42,6 +42,50 @@ func TestBlockScheduleMatchesSlotSchedule(t *testing.T) {
 	}
 }
 
+// TestBlockScheduleResumesLane pins the batch kernel's straggler path:
+// a schedule drawn for a few blocks on an rng.Lanes lane, handed off and
+// resumed on a BlockSchedule at the lane's pos, yields exactly the
+// SlotSchedule sequence, whatever the number of lane blocks before it.
+func TestBlockScheduleResumesLane(t *testing.T) {
+	for _, p := range []float64{1e-4, 0.01, 0.1, 0.5, 0.97} {
+		for _, length := range []int{1, 9, 64, 1024, 1 << 15} {
+			for blocks := 0; blocks < 4; blocks++ {
+				var scalarStream, laneStream rng.Stream
+				scalarStream.Reseed(777, uint64(length))
+				laneStream.Reseed(777, uint64(length))
+				var scalar SlotSchedule
+				scalar.Reset(&scalarStream, p, length)
+				var lanes rng.Lanes
+				lanes.Start(3, &laneStream, p, length)
+				var got []int32
+				for b := 0; b < blocks && lanes.Live() != 0; b++ {
+					lanes.Draw()
+					got = append(got, lanes.Slots(3)...)
+				}
+				if lanes.Live() != 0 {
+					var block BlockSchedule
+					block.Resume(&laneStream, p, length, lanes.Handoff(3, &laneStream))
+					for s, ok := block.Next(); ok; s, ok = block.Next() {
+						got = append(got, int32(s))
+					}
+				}
+				for i := 0; ; i++ {
+					ws, wok := scalar.Next()
+					if !wok {
+						if i != len(got) {
+							t.Fatalf("p=%v length=%d blocks=%d: %d slots, scalar schedule has %d", p, length, blocks, len(got), i)
+						}
+						break
+					}
+					if i >= len(got) || int(got[i]) != ws {
+						t.Fatalf("p=%v length=%d blocks=%d event %d: scalar %d, lane+block %v", p, length, blocks, i, ws, got)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestBlockScheduleManySeeds sweeps seeds at one engine-typical
 // configuration so refill boundaries land everywhere in the buffer.
 func TestBlockScheduleManySeeds(t *testing.T) {
