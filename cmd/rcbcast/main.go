@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"rcbcast/internal/engine"
 	"rcbcast/internal/scenario"
@@ -95,7 +94,7 @@ func run(args []string, out io.Writer) error {
 
 	var sc scenario.Scenario
 	if *scn != "" {
-		loaded, err := loadScenario(*scn)
+		loaded, err := scenario.Load(*scn)
 		if err != nil {
 			return err
 		}
@@ -219,27 +218,6 @@ func applyKnob(spec *scenario.AdversarySpec, kind string, f func(*scenario.Adver
 		}
 	}
 	return applied
-}
-
-// loadScenario resolves -scenario: a registry name, or a JSON file path.
-func loadScenario(arg string) (scenario.Scenario, error) {
-	if sc, ok := scenario.Lookup(arg); ok {
-		return sc, nil
-	}
-	if strings.HasSuffix(arg, ".json") || fileExists(arg) {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			return scenario.Scenario{}, err
-		}
-		return scenario.Decode(data)
-	}
-	return scenario.Scenario{}, fmt.Errorf(
-		"unknown scenario %q: not a registry name (-list-scenarios) and not a readable .json file", arg)
-}
-
-func fileExists(path string) bool {
-	info, err := os.Stat(path)
-	return err == nil && !info.IsDir()
 }
 
 func report(out io.Writer, sc scenario.Scenario, opts engine.Options, res *engine.Result) {

@@ -14,9 +14,9 @@
 //	         -journal sweep.frontier -out runs.jsonl
 //	rccoordd -version
 //
-// The sweep spec flags (-scenario, -topology, -n, -trials, -seed)
-// mirror rcexp's sweep mode exactly, because the contract is that both
-// produce the same bytes. -addr serves /metrics, /healthz, and the
+// The sweep spec flags (-scenario, -topology, -n, -trials, -seed) are
+// rcexp's sweep-mode flags, resolved by the same scenario.LoadSweep,
+// because the contract is that both produce the same bytes. -addr serves /metrics, /healthz, and the
 // worker-registration endpoint while the sweep runs (":0" picks a free
 // port; the resolved address is printed to stderr):
 //
@@ -52,7 +52,6 @@ import (
 
 	"rcbcast/internal/dist"
 	"rcbcast/internal/scenario"
-	"rcbcast/internal/topology"
 	"rcbcast/internal/version"
 )
 
@@ -108,21 +107,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return errors.New("-journal requires -out (resume needs a re-readable, truncatable output file)")
 	}
 
-	sc, err := loadScenario(*scn)
+	sw, err := scenario.LoadSweep(*scn, *topo, *n, *trials, *baseSeed)
 	if err != nil {
 		return err
-	}
-	if *topo != "" {
-		spec, terr := topology.ParseSpec(*topo)
-		if terr != nil {
-			return terr
-		}
-		sc.ApplyTopology(spec)
-	}
-	if *n > 0 {
-		sc.N = *n
-	} else if sc.N == 0 {
-		sc.N = 512
 	}
 
 	var seed []string
@@ -207,7 +194,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	start := time.Now()
-	sum, err := c.Run(ctx, sc, *trials, *baseSeed, out)
+	sum, err := c.Run(ctx, sw.Scenario, sw.Trials, sw.BaseSeed, out)
 	if err != nil {
 		return err
 	}
@@ -221,21 +208,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
-}
-
-// loadScenario resolves a registry name or a JSON scenario file,
-// mirroring rcexp.
-func loadScenario(arg string) (scenario.Scenario, error) {
-	if sc, ok := scenario.Lookup(arg); ok {
-		return sc, nil
-	}
-	if strings.HasSuffix(arg, ".json") {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			return scenario.Scenario{}, err
-		}
-		return scenario.Decode(data)
-	}
-	return scenario.Scenario{}, fmt.Errorf(
-		"unknown scenario %q: not a registry name (rcexp -list-scenarios) and not a .json file", arg)
 }

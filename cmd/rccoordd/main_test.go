@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"rcbcast/internal/scenario"
 	"rcbcast/internal/service"
 	"rcbcast/internal/sim/sink"
 )
@@ -73,7 +74,7 @@ func TestCoordinatedSweepMatchesSingleMachine(t *testing.T) {
 		t.Fatalf("run: %v\nstderr:\n%s", err, stderr.String())
 	}
 
-	sc, err := loadScenario("full-jam")
+	sc, err := scenario.Load("full-jam")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestWorkerRegistrationEndpoint(t *testing.T) {
 		t.Fatalf("sweep never completed after registration\nstderr:\n%s", stderr.String())
 	}
 
-	sc, err := loadScenario("full-jam")
+	sc, err := scenario.Load("full-jam")
 	if err != nil {
 		t.Fatal(err)
 	}

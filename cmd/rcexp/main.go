@@ -39,8 +39,9 @@
 //
 // Ctrl-C stops a sweep (or an experiment) gracefully at the next engine
 // phase boundary. -checkpoint journals each trial's NDJSON record behind
-// a one-line sweep pin; rerunning the same command prints the journaled
-// records and runs the rest, byte-identical to an uninterrupted run.
+// a one-line sweep pin (scenario.Sweep.Pin, covering the whole
+// scenario); rerunning the same command prints the journaled records
+// and runs the rest, byte-identical to an uninterrupted run.
 //
 // Sweep mode is also the profiling harness: -cpuprofile captures the
 // whole sweep (workers included) and -memprofile writes a heap profile
@@ -60,7 +61,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
@@ -132,13 +132,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return errors.New("-topology, -shard, -checkpoint, -cpuprofile and -memprofile need -scenario (sweep mode)")
 	}
 	if *scn != "" {
-		return runSweep(ctx, out, sweepConfig{
-			scenario:   *scn,
-			topology:   *topo,
-			n:          *n,
-			trials:     *trials,
+		sw, err := scenario.LoadSweep(*scn, *topo, *n, *trials, *baseSeed)
+		if err != nil {
+			return err
+		}
+		return runSweep(ctx, out, sw, sweepConfig{
 			shard:      *shard,
-			baseSeed:   *baseSeed,
 			procs:      *procs,
 			outFormat:  *outFormat,
 			progress:   *progress,
@@ -197,14 +196,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// sweepConfig gathers the raw-sweep flags.
+// sweepConfig gathers the raw-sweep flags the Sweep does not carry.
 type sweepConfig struct {
-	scenario   string
-	topology   string
-	n          int
-	trials     int
 	shard      string // "i/N", empty = whole sweep
-	baseSeed   uint64
 	procs      int
 	outFormat  string
 	progress   bool
@@ -254,9 +248,8 @@ func profileSweep(cfg sweepConfig) (finish func() error, err error) {
 // session API: O(procs) live results, optional progress reporting, and
 // a resumable record journal. A resume prints the journal's kept
 // records, then streams only the trials after them.
-func runSweep(ctx context.Context, w io.Writer, cfg sweepConfig) (err error) {
-	sc, err := loadScenario(cfg.scenario)
-	if err != nil {
+func runSweep(ctx context.Context, w io.Writer, sw scenario.Sweep, cfg sweepConfig) (err error) {
+	if err := sw.Validate(); err != nil { // before -shard cuts the trials
 		return err
 	}
 	finishProfiles, err := profileSweep(cfg)
@@ -268,33 +261,16 @@ func runSweep(ctx context.Context, w io.Writer, cfg sweepConfig) (err error) {
 			err = perr
 		}
 	}()
-	if cfg.topology != "" {
-		spec, terr := topology.ParseSpec(cfg.topology)
-		if terr != nil {
-			return terr
-		}
-		// ApplyTopology also bounds sparse runs (ExtraRounds default).
-		sc.ApplyTopology(spec)
-	}
-	if cfg.n > 0 {
-		sc.N = cfg.n
-	} else if sc.N == 0 {
-		sc.N = 512
-	}
-	if cfg.trials <= 0 {
-		return errors.New("-trials must be positive in sweep mode")
-	}
-	var sh scenario.Shard // the i-th of N contiguous shards (scenario.CutShard)
-	if cfg.shard != "" {
+	if cfg.shard != "" { // the i-th of N contiguous shards (scenario.CutShard)
 		var i, n int
 		if _, err := fmt.Sscanf(cfg.shard, "%d/%d", &i, &n); err != nil {
 			return fmt.Errorf("-shard must be i/N (e.g. 0/4), got %q", cfg.shard)
 		}
-		if sh, err = scenario.CutShard(cfg.trials, i, n); err != nil {
+		if sw.Shard, err = scenario.CutShard(sw.Trials, i, n); err != nil {
 			return err
 		}
 	}
-	specs, err := sc.ShardSpecs(cfg.baseSeed, 0, cfg.trials, sh)
+	specs, err := sw.Specs()
 	if err != nil {
 		return err
 	}
@@ -312,8 +288,11 @@ func runSweep(ctx context.Context, w io.Writer, cfg sweepConfig) (err error) {
 	}
 	sinks, done := []sim.Sink{out}, 0
 	if cfg.checkpoint != "" {
-		lg, kept, _, err := sink.OpenRecords(cfg.checkpoint, sink.Fingerprint(specs),
-			sink.Sequence{Lo: sh.Lo, Hi: sh.Lo + len(specs), N: specs[0].Params.N})
+		pin, err := sw.Pin()
+		if err != nil {
+			return err
+		}
+		lg, kept, _, err := sink.OpenRecords(cfg.checkpoint, pin, sw.Sequence())
 		if err != nil {
 			return err
 		}
@@ -333,10 +312,7 @@ func runSweep(ctx context.Context, w io.Writer, cfg sweepConfig) (err error) {
 		sinks = append(sinks, sink.NewProgressEvery(os.Stderr, len(specs)-done, time.Second))
 	}
 	// Sweep-global trial numbers: the N shard outputs concatenate to the full run.
-	for i, s := range sinks {
-		sinks[i] = sink.Offset(sh.Lo+done, s)
-	}
-	err = sim.Stream(ctx, cfg.procs, specs[done:], sinks...)
+	err = sw.Stream(ctx, cfg.procs, specs, done, sinks...)
 	var pe *sim.PartialError
 	if errors.As(err, &pe) && errors.Is(pe, context.Canceled) {
 		hint := "rerun with -checkpoint to make sweeps resumable"
@@ -346,20 +322,4 @@ func runSweep(ctx context.Context, w io.Writer, cfg sweepConfig) (err error) {
 		return fmt.Errorf("sweep interrupted (%s): %w", hint, err)
 	}
 	return err
-}
-
-// loadScenario resolves a registry name or a JSON scenario file.
-func loadScenario(arg string) (scenario.Scenario, error) {
-	if sc, ok := scenario.Lookup(arg); ok {
-		return sc, nil
-	}
-	if strings.HasSuffix(arg, ".json") {
-		data, err := os.ReadFile(arg)
-		if err != nil {
-			return scenario.Scenario{}, err
-		}
-		return scenario.Decode(data)
-	}
-	return scenario.Scenario{}, fmt.Errorf(
-		"unknown scenario %q: not a registry name (-list-scenarios) and not a .json file", arg)
 }

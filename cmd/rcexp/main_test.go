@@ -227,9 +227,11 @@ func TestRcexpCheckpointKillResume(t *testing.T) {
 }
 
 // TestRcexpCheckpointRefusesForeignJournals: a journal of another
-// sweep (-seed, -n, shard) and a full-Result .ckpt from older versions
-// each fail the run with a typed error naming the cause; the file
-// keeps every byte and nothing reaches the output.
+// sweep (-seed, -n, shard, or another scenario at the same n, seed and
+// topology: the pin covers the adversary and the budget) and a
+// full-Result .ckpt from older versions each fail the run with a typed
+// error naming the cause; the file keeps every byte and nothing
+// reaches the output.
 func TestRcexpCheckpointRefusesForeignJournals(t *testing.T) {
 	base := []string{"-scenario", "full-jam", "-n", "64", "-trials", "6"}
 	journal := filepath.Join(t.TempDir(), "sweep.journal")
@@ -248,7 +250,7 @@ func TestRcexpCheckpointRefusesForeignJournals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sink.StreamCheckpointed(context.Background(), 1, specs[:3], cp); err != nil {
+	if err := sink.StreamCheckpointedShard(context.Background(), 1, 0, 0, specs[:3], cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -262,6 +264,8 @@ func TestRcexpCheckpointRefusesForeignJournals(t *testing.T) {
 		{"other -seed", journal, []string{"-seed", "2"}, false},
 		{"other -n", journal, []string{"-n", "32"}, false},
 		{"other shard", journal, []string{"-shard", "1/3"}, false},
+		{"other adversary", journal, []string{"-scenario", "benign"}, false},
+		{"other budget", journal, []string{"-scenario", "budgeted-full"}, false},
 		{"full-Result .ckpt", old, nil, true},
 	} {
 		before, err := os.ReadFile(tc.path)
@@ -272,7 +276,7 @@ func TestRcexpCheckpointRefusesForeignJournals(t *testing.T) {
 		args := append(append(append([]string(nil), base...), tc.flags...), "-checkpoint", tc.path)
 		err = run(context.Background(), args, &out)
 		var je *sink.JournalError
-		if !errors.As(err, &je) || errors.Is(err, sink.ErrOldCheckpoint) != tc.old {
+		if !errors.As(err, &je) || errors.Is(err, sink.ErrOldCheckpoint) != tc.old || errors.Is(err, sink.ErrForeignSweep) == tc.old {
 			t.Fatalf("%s: err = %v (%T)", tc.name, err, err)
 		}
 		if after, _ := os.ReadFile(tc.path); !bytes.Equal(after, before) || out.Len() != 0 {

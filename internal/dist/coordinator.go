@@ -3,7 +3,6 @@ package dist
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -55,15 +54,13 @@ func (st *shardState) setPhase(p string) {
 // with every member loop spawned before or during it. Members joining
 // mid-sweep attach to the same scheduler and wait group.
 type runState struct {
-	ctx      context.Context
-	cancel   context.CancelFunc
-	cfg      Config
-	enc      json.RawMessage
-	trials   int
-	baseSeed uint64
-	sched    *sched
-	shards   []*shardState
-	wg       sync.WaitGroup
+	ctx    context.Context
+	cancel context.CancelFunc
+	cfg    Config
+	sub    submitBody // every shard's submission but its range
+	sched  *sched
+	shards []*shardState
+	wg     sync.WaitGroup
 }
 
 // Coordinator distributes one sweep over an elastic worker pool and
@@ -151,10 +148,8 @@ type DurableOutput interface {
 // truncates any partial shard and torn tail, and finishes the sweep
 // with final bytes identical to an uninterrupted run.
 func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int, baseSeed uint64, out io.Writer) (*Summary, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("dist: trials must be positive (got %d)", trials)
-	}
-	if err := sc.Validate(); err != nil {
+	sw := scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: baseSeed}
+	if err := sw.Validate(); err != nil {
 		return nil, err
 	}
 	enc, err := scenario.Encode(sc)
@@ -180,23 +175,24 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 		if !ok {
 			return nil, errors.New("dist: Config.Journal requires the output to support ReadAt/Seek/Truncate (write to a file, not a pipe)")
 		}
-		cfg.ShardSize, resume, err = openFrontier(cfg.Journal, frontierFingerprint(enc, baseSeed), trials, baseSeed, cfg.ShardSize,
+		pin, err := sw.Pin()
+		if err != nil {
+			return nil, err
+		}
+		cfg.ShardSize, resume, err = openFrontier(cfg.Journal, pin, trials, baseSeed, cfg.ShardSize,
 			func() error { return dout.Truncate(0) })
 		if err != nil {
 			return nil, err
 		}
 	}
 
-	p, err := sc.Params()
-	if err != nil {
-		return nil, err
-	}
+	seq := sw.Sequence()
 	plan := Plan(trials, cfg.ShardSize)
 	shards := make([]*shardState, len(plan))
 	for i, sh := range plan {
 		shards[i] = &shardState{
 			shard: sh,
-			n:     p.N,
+			n:     seq.N,
 			lines: make(chan []byte, sh.Len()),
 			phase: phasePending,
 		}
@@ -207,7 +203,11 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 	// and truncate it back to their end.
 	frontier, size := 0, int64(0)
 	if resume {
-		frontier, size, err = restoreOutput(io.NewSectionReader(dout, 0, math.MaxInt64), plan, p.N, shards)
+		name := "merged output"
+		if f, ok := out.(interface{ Name() string }); ok {
+			name = f.Name()
+		}
+		frontier, size, err = restoreOutput(io.NewSectionReader(dout, 0, math.MaxInt64), name, plan, seq, shards)
 		if err != nil {
 			return nil, err
 		}
@@ -231,12 +231,10 @@ func (c *Coordinator) Run(ctx context.Context, sc scenario.Scenario, trials int,
 	}
 
 	run := &runState{
-		cfg:      cfg,
-		enc:      enc,
-		trials:   trials,
-		baseSeed: baseSeed,
-		sched:    newSched(len(plan), cfg.WindowShards, frontier),
-		shards:   shards,
+		cfg:    cfg,
+		sub:    submitBody{Scenario: enc, Trials: trials, BaseSeed: baseSeed},
+		sched:  newSched(len(plan), cfg.WindowShards, frontier),
+		shards: shards,
 	}
 	run.ctx, run.cancel = context.WithCancel(ctx)
 	defer run.cancel()

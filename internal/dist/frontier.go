@@ -2,10 +2,8 @@ package dist
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"io"
 
 	"rcbcast/internal/journal"
@@ -38,30 +36,21 @@ type frontierHeader struct {
 	ShardSize int    `json:"shard_size"`
 }
 
-// frontierFingerprint hashes the canonical scenario encoding and base
-// seed into the journal-header token, so a journal can never resume a
-// different sweep's output file.
-func frontierFingerprint(enc []byte, baseSeed uint64) string {
-	h := fnv.New64a()
-	h.Write(enc)
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], baseSeed)
-	h.Write(b[:])
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 // openFrontier opens (or creates) the journal and validates it against
 // the sweep at hand, returning the shard size to plan with and whether
 // the header already existed — the output then holds a previous run's
-// progress to resume. An existing header must match fingerprint,
-// trials, and seed exactly; its recorded shard size then *overrides*
+// progress to resume. An existing header must match the pin
+// (scenario.Sweep.Pin), trials, and seed exactly, or the open fails
+// with a *sink.JournalError wrapping sink.ErrForeignSweep; a journal
+// an older coordinator pinned with a hash of its own fails the same
+// way. A matching header's recorded shard size then *overrides*
 // the caller's, so the restarted plan tiles identically. Lines after a
 // valid header (the per-shard lines older coordinators appended) are
 // kept and ignored. A journal with no complete header line is stamped
 // with one carrying shardSize, after fresh runs: the caller empties the
 // output there, so a kill between the two steps never leaves an old
 // output beside a new header.
-func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int, fresh func() error) (size int, resume bool, err error) {
+func openFrontier(path, pin string, trials int, baseSeed uint64, shardSize int, fresh func() error) (size int, resume bool, err error) {
 	var reject error // a header this run must not overwrite, returned verbatim
 	lg, err := journal.Open(path, func(line []byte) (bool, error) {
 		if resume {
@@ -73,10 +62,9 @@ func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int, f
 				"dist: frontier journal %s has an unreadable header — delete it (and the merged output) to restart the sweep", path)
 			return false, reject
 		}
-		if h.Sweep != fp || h.Trials != trials || h.BaseSeed != baseSeed {
-			reject = fmt.Errorf(
-				"dist: frontier journal %s was written by a different sweep (sweep %s/%d trials/seed %d, this run %s/%d/%d) — delete it or rerun with the original flags",
-				path, h.Sweep, h.Trials, h.BaseSeed, fp, trials, baseSeed)
+		if h.Sweep != pin || h.Trials != trials || h.BaseSeed != baseSeed {
+			reject = sink.Foreign(path, 1, "pin %s, %d trials, seed %d; this sweep %s, %d, %d",
+				h.Sweep, h.Trials, h.BaseSeed, pin, trials, baseSeed)
 			return false, reject
 		}
 		if h.ShardSize > 0 {
@@ -93,7 +81,7 @@ func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int, f
 	}
 	if !resume {
 		if err = fresh(); err == nil {
-			err = lg.Append(frontierHeader{Sweep: fp, Trials: trials, BaseSeed: baseSeed, ShardSize: shardSize})
+			err = lg.Append(frontierHeader{Sweep: pin, Trials: trials, BaseSeed: baseSeed, ShardSize: shardSize})
 		}
 	}
 	if cerr := lg.Close(); err == nil {
@@ -105,27 +93,28 @@ func openFrontier(path, fp string, trials int, baseSeed uint64, shardSize int, f
 	return shardSize, resume, nil
 }
 
-// restoreOutput is the resume scan over a previous run's merged output,
-// read from byte 0. It keeps whole shards: every complete line must
-// parse with sink.ParseRecord and follow the sweep's sink.Sequence.
-// Each kept shard's summary is folded per trial, in trial order — the
-// original run's fold tree, so the resumed Summary is the value an
-// uninterrupted run produces. It returns the kept shard count and the byte offset of
-// their end; only a newline-less tail and a trailing partial shard lie
-// past it. A complete line that does not parse, a wrong trial index or
-// n, or bytes past the sweep's last trial mean the output belongs to
-// another sweep: the scan fails, and the caller leaves the file alone.
-func restoreOutput(r io.Reader, plan []scenario.Shard, n int, shards []*shardState) (kept int, size int64, err error) {
+// restoreOutput is the resume scan over a previous run's merged output
+// (name is its file), read from byte 0. It keeps whole shards: every
+// complete line must parse with sink.ParseRecord and follow the sweep's
+// sink.Sequence, seq. Each kept shard's summary is folded per trial, in
+// trial order — the original run's fold tree, so the resumed Summary is
+// the value an uninterrupted run produces. It returns the kept shard
+// count and the byte offset of their end; only a newline-less tail and
+// a trailing partial shard lie past it. A complete line that does not
+// parse, a wrong trial index or n, or bytes past the sweep's last trial
+// mean the output belongs to another sweep: the scan fails with a
+// *sink.JournalError wrapping sink.ErrForeignSweep, and the caller
+// leaves the file alone.
+func restoreOutput(r io.Reader, name string, plan []scenario.Shard, seq sink.Sequence, shards []*shardState) (kept int, size int64, err error) {
 	br := bufio.NewReader(r)
 	var (
 		rec  sink.Record
 		sum  Summary // the current shard's fold, kept once it completes
 		off  int64
 		next int // the trial the next line must carry
-		seq  = sink.Sequence{Hi: plan[len(plan)-1].Hi, N: n}
 	)
 	foreign := func(format string, args ...any) error {
-		return fmt.Errorf("dist: merged output "+format+" — wrong output file for this journal?", args...)
+		return sink.Foreign(name, next+1, format+"; wrong output file for this journal?", args...)
 	}
 	for {
 		line, err := br.ReadBytes('\n')

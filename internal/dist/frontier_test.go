@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,8 +127,9 @@ func TestFrontierJournalRejectsDifferentSweep(t *testing.T) {
 		{"abcd", 200, 7}, // different trial count
 		{"abcd", 100, 8}, // different seed
 	} {
-		if _, _, err := openFrontier(path, tc.fp, tc.trials, tc.seed, 10, refuse); err == nil ||
-			!strings.Contains(err.Error(), "different sweep") {
+		var je *sink.JournalError
+		if _, _, err := openFrontier(path, tc.fp, tc.trials, tc.seed, 10, refuse); !errors.As(err, &je) ||
+			!errors.Is(err, sink.ErrForeignSweep) || je.Path != path || !strings.Contains(err.Error(), "different sweep") {
 			t.Fatalf("openFrontier(%+v) = %v, want different-sweep rejection", tc, err)
 		}
 	}
@@ -265,15 +267,18 @@ func TestResumeFromOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := scenario.Encode(sc)
+	pin, err := scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: baseSeed}.Pin()
 	if err != nil {
 		t.Fatal(err)
 	}
-	header, err := json.Marshal(frontierHeader{Sweep: frontierFingerprint(enc, baseSeed), Trials: trials, BaseSeed: baseSeed, ShardSize: size})
+	header, err := json.Marshal(frontierHeader{Sweep: pin, Trials: trials, BaseSeed: baseSeed, ShardSize: size})
 	if err != nil {
 		t.Fatal(err)
 	}
 	header = append(header, '\n')
+	// The header a coordinator before the whole-scenario pin wrote for
+	// this sweep: its pin hashed only the scenario encoding and the seed.
+	parentHeader := bytes.Replace(header, []byte(pin), []byte("8661a3996de5137c"), 1)
 	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
 	line := func(trial int) []byte { return want[lineEnd(want, trial):lineEnd(want, trial+1)] }
 	upTo := func(trial int) []byte { return want[:lineEnd(want, trial)] }
@@ -297,6 +302,7 @@ func TestResumeFromOutput(t *testing.T) {
 		{name: "wrong n", journal: header, output: cat(upTo(7), bytes.Replace(line(7), []byte(`"n":64`), []byte(`"n":65`), 1), line(8)), reject: "wrong output file"},
 		{name: "wrong trial", journal: header, output: cat(upTo(7), line(8), line(9)), reject: "wrong output file"},
 		{name: "malformed complete line", journal: header, output: cat(upTo(7), []byte("{\"trial\":7}\n"), line(8)), reject: "wrong output file"},
+		{name: "journal an older coordinator pinned", journal: parentHeader, output: upTo(15), reject: "different sweep"},
 		{name: "line past the end", journal: header, output: cat(want, line(29)), reject: "past the sweep's last trial"},
 		{name: "torn bytes past the end", journal: header, output: cat(want, line(29)[:10]), reject: "past the sweep's last trial"},
 	} {
@@ -326,11 +332,13 @@ func TestResumeFromOutput(t *testing.T) {
 				t.Fatal(err)
 			}
 			if tc.reject != "" {
-				if runErr == nil || !strings.Contains(runErr.Error(), tc.reject) {
+				var je *sink.JournalError
+				if !errors.As(runErr, &je) || !errors.Is(runErr, sink.ErrForeignSweep) || je.Path != outPath && je.Path != journal ||
+					!strings.Contains(runErr.Error(), tc.reject) {
 					t.Fatalf("Run error = %v, want %q", runErr, tc.reject)
 				}
-				if !bytes.Equal(kept, tc.output) {
-					t.Fatalf("rejected output changed from %d to %d bytes", len(tc.output), len(kept))
+				if j, _ := os.ReadFile(journal); !bytes.Equal(kept, tc.output) || !bytes.Equal(j, tc.journal) {
+					t.Fatalf("rejected output changed from %d to %d bytes, or its journal changed", len(tc.output), len(kept))
 				}
 				return
 			}
@@ -393,7 +401,7 @@ func FuzzRestoreOutput(f *testing.F) {
 		for i, sh := range plan {
 			shards[i] = &shardState{shard: sh}
 		}
-		kept, size, err := restoreOutput(bytes.NewReader(data), plan, 64, shards)
+		kept, size, err := restoreOutput(bytes.NewReader(data), "merged", plan, sink.Sequence{Hi: fuzzTrials, N: 64}, shards)
 
 		// What the scan must conclude: the complete lines' verdict and how
 		// many of them there are.

@@ -160,13 +160,11 @@ func (c *Coordinator) startMemberLocked(run *runState, m *member) {
 	}()
 	for i := 0; i < run.cfg.PerWorker; i++ {
 		w := &workerClient{
-			base:     m.base,
-			http:     run.cfg.Client,
-			scenario: run.enc,
-			trials:   run.trials,
-			baseSeed: run.baseSeed,
-			stall:    run.cfg.StallTimeout,
-			jit:      newJitter(run.cfg.JitterSeed, m.base, i),
+			base:  m.base,
+			http:  run.cfg.Client,
+			sub:   run.sub,
+			stall: run.cfg.StallTimeout,
+			jit:   newJitter(run.cfg.JitterSeed, m.base, i),
 		}
 		go func() {
 			defer run.wg.Done()

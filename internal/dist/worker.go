@@ -22,13 +22,11 @@ const clientIDHeader = "rccoord"
 
 // workerClient runs shards on one worker service over its HTTP API.
 type workerClient struct {
-	base     string // normalized base URL, no trailing slash
-	http     *http.Client
-	scenario json.RawMessage // canonical scenario encoding, shared across shards
-	trials   int
-	baseSeed uint64
-	stall    time.Duration
-	jit      *jitterSource // per-slot deterministic backoff jitter
+	base  string // normalized base URL, no trailing slash
+	http  *http.Client
+	sub   submitBody // the sweep's submission; submit fills in the shard
+	stall time.Duration
+	jit   *jitterSource // per-slot deterministic backoff jitter
 }
 
 // jitterSource decorrelates retry backoff across worker slots. When a
@@ -76,12 +74,9 @@ type submitBody struct {
 // type classify reads: a transport error, an HTTP status, or an
 // unbuildable request.
 func (w *workerClient) submit(ctx context.Context, sh scenario.Shard) (string, error) {
-	body, err := json.Marshal(submitBody{
-		Scenario: w.scenario,
-		Trials:   w.trials,
-		BaseSeed: w.baseSeed,
-		Shard:    sh,
-	})
+	sub := w.sub
+	sub.Shard = sh
+	body, err := json.Marshal(sub)
 	if err != nil {
 		return "", &permanentError{fmt.Errorf("dist: encode submission: %w", err)}
 	}

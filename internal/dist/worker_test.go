@@ -95,7 +95,7 @@ func TestRefoldRejectsMalformedPrefix(t *testing.T) {
 			}
 		}
 		shards := []*shardState{{shard: plan[0]}, {shard: plan[1]}}
-		_, _, err := restoreOutput(bytes.NewReader(out.Bytes()), plan, 64, shards)
+		_, _, err := restoreOutput(bytes.NewReader(out.Bytes()), "merged", plan, sink.Sequence{Hi: 4, N: 64}, shards)
 		if err == nil || !strings.Contains(err.Error(), "wrong output file for this journal?") {
 			t.Errorf("%s: resume scan error = %v, want a wrong-output-file error", tc.name, err)
 		}
@@ -180,8 +180,8 @@ func TestClassifyFaults(t *testing.T) {
 			if tc.base != "" {
 				base = tc.base
 			}
-			w := &workerClient{base: base, http: srv.Client(), scenario: json.RawMessage(`{}`),
-				trials: 2, stall: 100 * time.Millisecond, jit: newJitter(0, base, 0)}
+			w := &workerClient{base: base, http: srv.Client(), sub: submitBody{Scenario: json.RawMessage(`{}`), Trials: 2},
+				stall: 100 * time.Millisecond, jit: newJitter(0, base, 0)}
 			st := &shardState{shard: sh, n: 64, lines: make(chan []byte, sh.Len())}
 			err := w.runShard(context.Background(), st)
 			if err == nil {

@@ -49,7 +49,7 @@ func FuzzBatchStreamMatchesScalar(f *testing.F) {
 			return
 		}
 		const maxPhaseSlots = 1 << 22
-		specs, err := sc.TrialSpecs(42, 0, 1+int(trialsByte%8))
+		specs, err := sc.ShardSpecs(42, 0, 1+int(trialsByte%8), Shard{})
 		if err != nil {
 			return
 		}

@@ -3,6 +3,7 @@ package scenario
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"rcbcast/internal/topology"
 )
@@ -120,6 +121,19 @@ func Lookup(name string) (Scenario, bool) {
 		}
 	}
 	return Scenario{}, false
+}
+
+// Load resolves a CLI -scenario argument: a registry name, or the path
+// of a JSON scenario file (Decode).
+func Load(arg string) (Scenario, error) {
+	if sc, ok := Lookup(arg); ok {
+		return sc, nil
+	}
+	data, err := os.ReadFile(arg)
+	if err != nil {
+		return Scenario{}, fmt.Errorf("unknown scenario %q: not a registry name (-list-scenarios) and not a readable JSON file: %w", arg, err)
+	}
+	return Decode(data)
 }
 
 // WriteList renders the named-scenario registry and the adversary-kind

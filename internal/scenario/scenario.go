@@ -346,13 +346,14 @@ func (s Scenario) RunContext(ctx context.Context) (*engine.Result, error) {
 }
 
 // Stream runs `trials` Monte-Carlo trials of the scenario — seeded
-// sim.SweepSeed(base, point, t) exactly like TrialSpecs — through the
+// sim.SweepSeed(base, point, t) exactly like ShardSpecs — through the
 // streaming run session: results are delivered to the sinks in trial
 // order with bounded buffering, so the sweep holds O(procs) live
 // results however large trials gets. Cancellation of ctx surfaces as a
-// *sim.PartialError whose Delivered prefix has reached every sink.
+// *sim.PartialError whose Delivered prefix has reached every sink. A
+// resumable sweep runs through Sweep instead.
 func (s Scenario) Stream(ctx context.Context, procs int, base uint64, point, trials int, sinks ...sim.Sink) error {
-	specs, err := s.TrialSpecs(base, point, trials)
+	specs, err := s.ShardSpecs(base, point, trials, Shard{})
 	if err != nil {
 		return err
 	}
@@ -394,15 +395,6 @@ func (s Scenario) TrialSpec(seed uint64) (sim.TrialSpec, error) {
 		}
 	}
 	return ts, nil
-}
-
-// TrialSpecs returns `trials` specs for a Monte-Carlo sweep point,
-// seeded with sim.SweepSeed(base, point, t) for t = 0..trials-1. The
-// scenario is resolved once; the specs differ only in their seeds (the
-// shared factories mint fresh per-trial state regardless). Contiguous
-// sub-ranges of the same sweep come from ShardSpecs.
-func (s Scenario) TrialSpecs(base uint64, point, trials int) ([]sim.TrialSpec, error) {
-	return s.ShardSpecs(base, point, trials, Shard{})
 }
 
 // Decode parses a JSON scenario, rejecting unknown fields so typos in

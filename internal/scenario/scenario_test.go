@@ -160,7 +160,7 @@ func TestTrialSpecMatchesBuild(t *testing.T) {
 
 func TestTrialSpecsSeeding(t *testing.T) {
 	sc := quickScenario(Scenario{Adversary: AdversarySpec{Kind: "full"}, Budget: BudgetSpec{Pool: 1024}})
-	specs, err := sc.TrialSpecs(9, 3, 4)
+	specs, err := sc.ShardSpecs(9, 3, 4, Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestEnableDecoyConstants(t *testing.T) {
 }
 
 // TestScenarioStream drives the streaming façade: trials delivered in
-// order with the TrialSpecs seed derivation, identical across procs.
+// order with the ShardSpecs seed derivation, identical across procs.
 func TestScenarioStream(t *testing.T) {
 	sc := Scenario{
 		N: 64, K: 2,
@@ -294,8 +294,8 @@ func TestScenarioStream(t *testing.T) {
 	if !reflect.DeepEqual(render(8), seq) {
 		t.Fatal("Scenario.Stream diverges across procs")
 	}
-	// Seeds must match TrialSpecs: trial t of point 0 under base 1.
-	specs, err := sc.TrialSpecs(1, 0, 6)
+	// Seeds must match ShardSpecs: trial t of point 0 under base 1.
+	specs, err := sc.ShardSpecs(1, 0, 6, Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestScenarioStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want.AdversarySpent != seq[3] {
-		t.Fatal("Scenario.Stream seeds diverge from TrialSpecs")
+		t.Fatal("Scenario.Stream seeds diverge from ShardSpecs")
 	}
 }
 
@@ -318,7 +318,7 @@ func TestScenarioStreamBatch(t *testing.T) {
 		Budget:    BudgetSpec{Pool: 1 << 10},
 	}
 	const trials = 10
-	specs, err := sc.TrialSpecs(1, 0, trials)
+	specs, err := sc.ShardSpecs(1, 0, trials, Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}

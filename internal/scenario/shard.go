@@ -72,9 +72,11 @@ func CutShard(trials, i, n int) (Shard, error) {
 
 // ShardSpecs returns the trial specs for one shard of a Monte-Carlo
 // sweep point: trials [sh.Lo, sh.Hi) of the `trials`-trial sweep,
-// seeded with the sweep-global sim.SweepSeed(base, point, t) — the
-// exact specs TrialSpecs(base, point, trials)[sh.Lo:sh.Hi] would
-// produce. The zero shard selects the whole sweep.
+// seeded with the sweep-global sim.SweepSeed(base, point, t), so they
+// are the [sh.Lo, sh.Hi) slice of the whole sweep's specs. The zero
+// shard selects the whole sweep. The scenario is resolved once; the
+// specs differ only in their seeds (the shared factories mint fresh
+// per-trial state regardless).
 func (s Scenario) ShardSpecs(base uint64, point, trials int, sh Shard) ([]sim.TrialSpec, error) {
 	if err := sh.Validate(trials); err != nil {
 		return nil, err

@@ -74,12 +74,12 @@ func TestCutShard(t *testing.T) {
 }
 
 // TestShardSpecsSliceOfWhole pins the identity everything distributed
-// rests on: ShardSpecs is exactly TrialSpecs[lo:hi] — same seeds, same
-// protocol instance — for every shard of the sweep.
+// rests on: ShardSpecs is exactly the whole sweep's specs[lo:hi] — same
+// seeds, same protocol instance — for every shard of the sweep.
 func TestShardSpecsSliceOfWhole(t *testing.T) {
 	sc := shardTestScenario()
 	const base, trials = 99, 11
-	whole, err := sc.TrialSpecs(base, 0, trials)
+	whole, err := sc.ShardSpecs(base, 0, trials, Shard{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,10 +1,7 @@
 package service
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"fmt"
-	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,31 +43,21 @@ func (s State) terminal() bool {
 // valid reports whether s is one of the lifecycle states.
 func (s State) valid() bool { return s == StateQueued || s == StateRunning || s.terminal() }
 
-// Job is one submitted sweep: an immutable spec (scenario, trial count,
-// base seed) plus scheduling state. The spec fields are never mutated
-// after submit; the state fields are guarded by mu, and the progress
-// counters are atomics so status queries never contend with delivery.
+// Job is one submitted sweep: an immutable spec plus scheduling state.
+// The spec fields are never mutated after submit; the state fields are
+// guarded by mu, and the progress counters are atomics so status
+// queries never contend with delivery.
 type Job struct {
-	// ID is the sweep key: a hash of the canonical scenario encoding,
-	// the trial count, and the base seed. Resubmitting the same sweep
-	// yields the same id — and therefore the same journal — which is
-	// what makes submit idempotent and resume automatic.
+	// ID is the sweep's store key (scenario.Sweep.Key). Resubmitting
+	// the same sweep yields the same id — and therefore the same output
+	// — which is what makes submit idempotent and resume automatic.
 	ID string
 	// Client is the submitting client's identity (limiter key).
 	Client string
-	// Scenario is the validated sweep scenario.
-	Scenario scenario.Scenario
-	// Trials and BaseSeed complete the sweep spec: trial t runs with
-	// seed sim.SweepSeed(BaseSeed, 0, t), exactly like rcexp sweeps.
-	Trials   int
-	BaseSeed uint64
-	// Shard, when non-zero, restricts the job to the contiguous sweep
-	// trials [Shard.Lo, Shard.Hi) — the worker half of the distributed
-	// coordinator/worker split (internal/dist). Trials stays the *whole
-	// sweep's* trial count; the shard's seeds and NDJSON trial numbers
-	// are sweep-global, so a shard job's output is byte-for-byte the
-	// [Lo, Hi) slice of the full sweep's.
-	Shard scenario.Shard
+	// Sweep is the validated spec. A shard job (the worker half of
+	// internal/dist's split) keeps sweep-global seeds and trial numbers,
+	// so its output is byte-for-byte the shard's slice of the sweep's.
+	scenario.Sweep
 	// Version stamps the build that accepted the job (internal/version).
 	Version string
 
@@ -78,7 +65,7 @@ type Job struct {
 	feed *feed
 
 	mu        sync.Mutex
-	sweep     string // sink.Fingerprint of the specs, pinned at submit
+	sweep     string // the Sweep's Pin, pinned at submit
 	state     State
 	errMsg    string
 	partials  int // run attempts that ended in a *sim.PartialError
@@ -88,46 +75,6 @@ type Job struct {
 	done      atomic.Int64 // trials delivered to sinks (sweep coordinates)
 	execBase  atomic.Int64 // trials already in the output when this run started
 	execStart atomic.Int64 // unixnano of the first executed delivery this run
-}
-
-// jobID derives the sweep key. The canonical scenario encoding is
-// byte-stable (scenario.Encode round-trips deterministically), so equal
-// sweeps collide on purpose and distinct ones practically never do.
-// Shard jobs extend the hash with their trial range, so distinct shards
-// of one sweep are distinct jobs with distinct journals, while a
-// whole-sweep submit keeps its pre-shard id.
-func jobID(sc scenario.Scenario, trials int, baseSeed uint64, sh scenario.Shard) (string, error) {
-	enc, err := scenario.Encode(sc)
-	if err != nil {
-		return "", fmt.Errorf("service: encode scenario: %w", err)
-	}
-	h := fnv.New64a()
-	h.Write(enc)
-	var b [16]byte
-	binary.LittleEndian.PutUint64(b[:8], uint64(trials))
-	binary.LittleEndian.PutUint64(b[8:], baseSeed)
-	h.Write(b[:])
-	if !sh.IsZero() {
-		binary.LittleEndian.PutUint64(b[:8], uint64(sh.Lo))
-		binary.LittleEndian.PutUint64(b[8:], uint64(sh.Hi))
-		h.Write(b[:])
-	}
-	return fmt.Sprintf("j%016x", h.Sum64()), nil
-}
-
-// shardRange resolves the job's effective trial range: the shard's when
-// set, the whole sweep otherwise.
-func (j *Job) shardRange() (lo, hi int) {
-	if j.Shard.IsZero() {
-		return 0, j.Trials
-	}
-	return j.Shard.Lo, j.Shard.Hi
-}
-
-// shardLen is the number of trials this job executes.
-func (j *Job) shardLen() int {
-	lo, hi := j.shardRange()
-	return hi - lo
 }
 
 // Status is the wire form of a job's state — the status endpoint's
@@ -176,7 +123,7 @@ func (j *Job) Status() Status {
 			rate := sink.Rate(executed, time.Unix(0, startNs), time.Now())
 			if rate > 0 {
 				st.TrialsPerSec = rate
-				st.ETASeconds = sink.ETA(st.Done, j.shardLen(), rate).Seconds()
+				st.ETASeconds = sink.ETA(st.Done, j.Len(), rate).Seconds()
 			}
 		}
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"rcbcast/internal/engine"
+	"rcbcast/internal/scenario"
 	"rcbcast/internal/sim"
 )
 
@@ -153,7 +154,7 @@ func TestLiveResultBoundHolds(t *testing.T) {
 			m := newTestManager(t, Config{Procs: procs})
 			sc := testScenario("live-bound")
 			sc.Batch = batch
-			j, _, err := m.Submit("alice", sc, trials, 1)
+			j, _, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

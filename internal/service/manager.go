@@ -149,10 +149,7 @@ func (m *Manager) jobFromRecord(rec jobRecord) (*Job, error) {
 	j := &Job{
 		ID:       rec.ID,
 		Client:   rec.Client,
-		Scenario: sc,
-		Trials:   rec.Trials,
-		BaseSeed: rec.BaseSeed,
-		Shard:    rec.Shard,
+		Sweep:    scenario.Sweep{Scenario: sc, Trials: rec.Trials, BaseSeed: rec.BaseSeed, Shard: rec.Shard},
 		Version:  rec.Version,
 		out:      outputPath(m.cfg.Dir, rec.ID),
 		sweep:    rec.Sweep,
@@ -182,34 +179,19 @@ func (m *Manager) logf(format string, args ...any) {
 	}
 }
 
-// Submit accepts a sweep: validate, dedupe on the sweep key, pin the
-// sweep fingerprint, enforce the per-client cap and the queue bound,
-// persist, enqueue, and create a new job's empty output. accepted
-// reports whether this call scheduled work (a fresh job or the
-// resumption of a failed/canceled one); a dedupe hit on a live or
-// completed job returns accepted = false.
-func (m *Manager) Submit(client string, sc scenario.Scenario, trials int, baseSeed uint64) (j *Job, accepted bool, err error) {
-	return m.SubmitShard(client, sc, trials, baseSeed, scenario.Shard{})
-}
-
-// SubmitShard is Submit restricted to one contiguous shard [sh.Lo,
-// sh.Hi) of the sweep — the worker half of the distributed split.
-// trials remains the whole sweep's trial count (it anchors the shard's
-// sweep-global seeds and indices); the zero shard means the whole
-// sweep, making this a strict generalization of Submit. Each shard is
-// its own job with its own journal, keyed by scenario + trials + seed +
-// range.
-func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, baseSeed uint64, sh scenario.Shard) (j *Job, accepted bool, err error) {
-	if trials <= 0 {
-		return nil, false, fmt.Errorf("service: trials must be positive (got %d)", trials)
-	}
-	if err := sc.Validate(); err != nil {
+// Submit accepts a sweep — the whole of it, or with sw.Shard set one
+// contiguous shard, the worker half of the distributed split: validate,
+// dedupe on the sweep's key, pin its fingerprint, enforce the
+// per-client cap and the queue bound, persist, enqueue, and create a
+// new job's empty output. Each shard is its own job with its own
+// output. accepted reports whether this call scheduled work (a fresh
+// job or the resumption of a failed/canceled one); a dedupe hit on a
+// live or completed job returns accepted = false.
+func (m *Manager) Submit(client string, sw scenario.Sweep) (j *Job, accepted bool, err error) {
+	if err := sw.Validate(); err != nil {
 		return nil, false, err
 	}
-	if err := sh.Validate(trials); err != nil {
-		return nil, false, err
-	}
-	id, err := jobID(sc, trials, baseSeed, sh)
+	id, err := sw.Key()
 	if err != nil {
 		return nil, false, err
 	}
@@ -219,7 +201,7 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 		defer m.mu.Unlock()
 		return m.resubmitLocked(existing, client)
 	}
-	j, err = m.admitLocked(client, sc, trials, baseSeed, sh, id)
+	j, err = m.admitLocked(client, sw, id)
 	m.mu.Unlock()
 	if err != nil {
 		return nil, false, err
@@ -230,8 +212,8 @@ func (m *Manager) SubmitShard(client string, sc scenario.Scenario, trials int, b
 
 // admitLocked pins, persists and enqueues a job id no earlier submit
 // made. Callers hold m.mu.
-func (m *Manager) admitLocked(client string, sc scenario.Scenario, trials int, baseSeed uint64, sh scenario.Shard, id string) (*Job, error) {
-	sweep, err := pinSweep(sc, trials, baseSeed, sh)
+func (m *Manager) admitLocked(client string, sw scenario.Sweep, id string) (*Job, error) {
+	pin, err := sw.Pin()
 	if err != nil {
 		return nil, err
 	}
@@ -241,16 +223,13 @@ func (m *Manager) admitLocked(client string, sc scenario.Scenario, trials int, b
 		return nil, ErrClientBusy
 	}
 	j := &Job{
-		ID:       id,
-		Client:   client,
-		Scenario: sc,
-		Trials:   trials,
-		BaseSeed: baseSeed,
-		Shard:    sh,
-		Version:  m.version,
-		out:      outputPath(m.cfg.Dir, id),
-		sweep:    sweep,
-		state:    StateQueued,
+		ID:      id,
+		Client:  client,
+		Sweep:   sw,
+		Version: m.version,
+		out:     outputPath(m.cfg.Dir, id),
+		sweep:   pin,
+		state:   StateQueued,
 	}
 	j.feed = newFeed(j.out, false)
 	// Every send to the queue holds m.mu, so room now is room at the
@@ -268,10 +247,10 @@ func (m *Manager) admitLocked(client string, sc scenario.Scenario, trials int, b
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.submitted.Add(1)
-	if sh.IsZero() {
-		m.logf("service: job %s queued by %s (%d trials)", id, client, trials)
+	if sw.Shard.IsZero() {
+		m.logf("service: job %s queued by %s (%d trials)", id, client, sw.Trials)
 	} else {
-		m.logf("service: job %s queued by %s (shard %s of %d trials)", id, client, sh, trials)
+		m.logf("service: job %s queued by %s (shard %s of %d trials)", id, client, sw.Shard, sw.Trials)
 	}
 	return j, nil
 }
@@ -481,23 +460,22 @@ func (m *Manager) runJob(j *Job) {
 }
 
 // runSweep is the one place a job touches the execution stack. It
-// refuses a run whose specs no longer match the fingerprint pinned at
-// submit, reopens the job's output as its record journal, and streams
-// only the trials the file lacks, appending their lines after its kept
-// prefix. Every sink sees sweep-global trial indices.
+// refuses a run whose sweep no longer matches the pin taken at submit,
+// reopens the job's output as its record journal, and streams only the
+// trials the file lacks, appending their lines after its kept prefix.
+// Every sink sees sweep-global trial indices.
 func (m *Manager) runSweep(ctx context.Context, j *Job) error {
-	specs, err := j.Scenario.ShardSpecs(j.BaseSeed, 0, j.Trials, j.Shard)
+	specs, err := j.Specs()
 	if err != nil {
 		return err
 	}
-	if err := m.checkPin(j, sink.Fingerprint(specs)); err != nil {
+	if err := m.checkPin(j); err != nil {
 		return err
 	}
 	if testWrapSpecs != nil {
 		specs = testWrapSpecs(j, specs)
 	}
-	lo, _ := j.shardRange()
-	lg, done, size, err := sink.OpenRecords(j.out, "", sink.Sequence{Lo: lo, Hi: lo + len(specs), N: specs[0].Params.N})
+	lg, done, size, err := sink.OpenRecords(j.out, "", j.Sequence())
 	if err != nil {
 		return err
 	}
@@ -508,22 +486,24 @@ func (m *Manager) runSweep(ctx context.Context, j *Job) error {
 	j.execBase.Store(int64(done))
 	j.execStart.Store(0)
 	j.feed.openForRun(lg, size)
+	lo, _ := j.Range()
 	sinks := []sim.Sink{sink.NewNDJSON(j.feed), meterSink{j: j, lo: lo}}
 	if testExtraSinks != nil {
 		sinks = append(sinks, testExtraSinks(j)...)
 	}
-	for i, s := range sinks {
-		sinks[i] = sink.Offset(lo+done, s)
-	}
-	return sim.Stream(ctx, m.cfg.Procs, specs[done:], sinks...)
+	return j.Stream(ctx, m.cfg.Procs, specs, done, sinks...)
 }
 
-// checkPin compares a run's fingerprint with the job's pin. A mismatch
-// fails the run while the output holds any bytes, since they may be
-// another sweep's. With no output there is nothing to splice onto, so
-// the job is re-pinned instead: that is how an operator resets a job,
-// by deleting its output file.
-func (m *Manager) checkPin(j *Job, fp string) error {
+// checkPin compares the job's sweep pin with the one taken at submit.
+// A mismatch fails the run with a *sink.JournalError while the output
+// holds any bytes, since they may be another sweep's. With no output
+// there is nothing to splice onto, so the job is re-pinned instead:
+// that is how an operator resets a job, by deleting its output file.
+func (m *Manager) checkPin(j *Job) error {
+	fp, err := j.Pin()
+	if err != nil {
+		return err
+	}
 	j.mu.Lock()
 	pinned := j.sweep
 	j.mu.Unlock()
@@ -533,9 +513,7 @@ func (m *Manager) checkPin(j *Job, fp string) error {
 	if pinned != "" {
 		st, err := os.Stat(j.out)
 		if err == nil && st.Size() > 0 || err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf(
-				"service: job %s was started by a different sweep (fingerprint %s, this sweep %s) — delete %s to rerun it",
-				j.ID, pinned, fp, filepath.Base(j.out))
+			return sink.Foreign(j.out, 0, "pin %s, this sweep %s; delete %s to rerun the job", pinned, fp, filepath.Base(j.out))
 		}
 	}
 	j.mu.Lock()

@@ -20,7 +20,7 @@ func busyRunner(t *testing.T, m *Manager) (release func()) {
 	gate := newTrialGate(0)
 	t.Cleanup(setWrapSpecs(gate.wrap))
 	t.Cleanup(gate.release)
-	if _, _, err := m.Submit("blocker", testScenario("output-blocker"), 4, 7); err != nil {
+	if _, _, err := m.Submit("blocker", scenario.Sweep{Scenario: testScenario("output-blocker"), Trials: 4, BaseSeed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	gate.waitParked(t)
@@ -35,7 +35,7 @@ func TestSubmitCreatesEmptyOutput(t *testing.T) {
 	sc := testScenario("output-create")
 	const trials = 12
 	sh := scenario.Shard{Lo: 4, Hi: 8}
-	j, accepted, err := m.SubmitShard("coord", sc, trials, 1, sh)
+	j, accepted, err := m.Submit("coord", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1, Shard: sh})
 	if err != nil || !accepted {
 		t.Fatalf("submit: accepted=%v err=%v", accepted, err)
 	}
@@ -62,7 +62,7 @@ func TestStoreHitLeavesOutputUntouched(t *testing.T) {
 	const trials = 12
 	sh := scenario.Shard{Lo: 0, Hi: 6}
 	m := newTestManager(t, Config{Dir: dir, Procs: 1})
-	j, _, err := m.SubmitShard("coord", sc, trials, 1, sh)
+	j, _, err := m.Submit("coord", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1, Shard: sh})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStoreHitLeavesOutputUntouched(t *testing.T) {
 		}
 	}
 
-	if _, accepted, err := m.SubmitShard("coord", sc, trials, 1, sh); err != nil || accepted {
+	if _, accepted, err := m.Submit("coord", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1, Shard: sh}); err != nil || accepted {
 		t.Fatalf("resubmit of a done job: accepted=%v err=%v", accepted, err)
 	}
 	unchanged("a resubmit of the done job")
@@ -98,7 +98,7 @@ func TestStoreHitLeavesOutputUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	m2 := newTestManager(t, Config{Dir: dir, Procs: 1})
-	j2, accepted, err := m2.SubmitShard("coord2", sc, trials, 1, sh)
+	j2, accepted, err := m2.Submit("coord2", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1, Shard: sh})
 	if err != nil || accepted || j2.Status().State != StateDone {
 		t.Fatalf("store hit after restart: accepted=%v err=%v state=%s", accepted, err, j2.Status().State)
 	}
@@ -117,7 +117,7 @@ func TestDeletedPrecreatedOutputStillCompletes(t *testing.T) {
 	sc := testScenario("output-deleted")
 	const trials = 12
 	sh := scenario.Shard{Lo: 6, Hi: 12}
-	j, _, err := m.SubmitShard("coord", sc, trials, 1, sh)
+	j, _, err := m.Submit("coord", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1, Shard: sh})
 	if err != nil {
 		t.Fatal(err)
 	}

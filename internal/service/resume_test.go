@@ -31,7 +31,7 @@ func TestRestartResumesInterruptedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Logf = t.Logf
-	j, accepted, err := m1.Submit("alice", sc, trials, 1)
+	j, accepted, err := m1.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil || !accepted {
 		t.Fatalf("submit: accepted=%v err=%v", accepted, err)
 	}
@@ -121,7 +121,7 @@ func TestRestartLoadsTerminalJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Logf = t.Logf
-	j, _, err := m1.Submit("alice", sc, trials, 1)
+	j, _, err := m1.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestRestartLoadsTerminalJobs(t *testing.T) {
 	if got := readResults(t, j2); !bytes.Equal(got, want) {
 		t.Fatal("results changed across restart")
 	}
-	j3, accepted, err := m2.Submit("bob", sc, trials, 1)
+	j3, accepted, err := m2.Submit("bob", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil || accepted || j3 != j2 {
 		t.Fatalf("submit of a done sweep should dedupe: accepted=%v err=%v", accepted, err)
 	}
@@ -158,7 +158,7 @@ func TestForeignJournalFailsTheJob(t *testing.T) {
 	m := newTestManager(t, Config{Dir: dir, Procs: 2})
 
 	scA := testScenario("journal-owner")
-	jA, _, err := m.Submit("alice", scA, 8, 1)
+	jA, _, err := m.Submit("alice", scenario.Sweep{Scenario: scA, Trials: 8, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestForeignJournalFailsTheJob(t *testing.T) {
 	// interchange.
 	scB := testScenario("journal-thief")
 	scB.N = 32
-	idB, err := jobID(scB, 8, 1, scenario.Shard{})
+	idB, err := scenario.Sweep{Scenario: scB, Trials: 8, BaseSeed: 1}.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestForeignJournalFailsTheJob(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	jB, _, err := m.Submit("alice", scB, 8, 1)
+	jB, _, err := m.Submit("alice", scenario.Sweep{Scenario: scB, Trials: 8, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestStoreSkipsCorruptRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := newTestManager(t, Config{Dir: dir, Procs: 2})
-	j, _, err := m.Submit("alice", testScenario("survives-corruption"), 6, 1)
+	j, _, err := m.Submit("alice", scenario.Sweep{Scenario: testScenario("survives-corruption"), Trials: 6, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	m1.Logf = t.Logf
-	j, _, err := m1.Submit("alice", sc, trials, 1)
+	j, _, err := m1.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
 	}
 
 	m2 := newTestManager(t, Config{Dir: dir, Procs: 2})
-	j2, accepted, err := m2.Submit("alice", sc, trials, 1)
+	j2, accepted, err := m2.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil || !accepted {
 		t.Fatalf("resubmit: accepted=%v err=%v", accepted, err)
 	}
@@ -287,7 +287,7 @@ func TestStaleSweepFingerprintFailsTheJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	m3 := newTestManager(t, Config{Dir: dir, Procs: 2})
-	j3, accepted, err := m3.Submit("alice", sc, trials, 1)
+	j3, accepted, err := m3.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil || !accepted {
 		t.Fatalf("resubmit after reset: accepted=%v err=%v", accepted, err)
 	}

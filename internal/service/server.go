@@ -108,15 +108,14 @@ func (s *Server) submit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	base := DefaultBaseSeed
+	sw := scenario.Sweep{Scenario: sc, Trials: req.Trials, BaseSeed: DefaultBaseSeed}
 	if req.BaseSeed != nil {
-		base = *req.BaseSeed
+		sw.BaseSeed = *req.BaseSeed
 	}
-	var sh scenario.Shard
 	if req.Shard != nil {
-		sh = *req.Shard
+		sw.Shard = *req.Shard
 	}
-	j, accepted, err := s.m.SubmitShard(clientID(r), sc, req.Trials, base, sh)
+	j, accepted, err := s.m.Submit(clientID(r), sw)
 	switch {
 	case errors.Is(err, ErrClientBusy), errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

@@ -50,11 +50,13 @@ func newTestManager(t *testing.T, cfg Config) *Manager {
 	if cfg.Procs == 0 {
 		cfg.Procs = 2
 	}
+	// Through Config, not m.Logf: re-admitted jobs log from the runners
+	// as soon as NewManager starts them.
+	cfg.Logf = t.Logf
 	m, err := NewManager(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Logf = t.Logf
 	t.Cleanup(func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
@@ -310,7 +312,7 @@ func TestCancelRunningThenResubmitResumes(t *testing.T) {
 	defer setWrapSpecs(gate.wrap)()
 
 	m := newTestManager(t, Config{})
-	j, accepted, err := m.Submit("alice", sc, trials, 1)
+	j, accepted, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil || !accepted {
 		t.Fatalf("submit: accepted=%v err=%v", accepted, err)
 	}
@@ -333,7 +335,7 @@ func TestCancelRunningThenResubmitResumes(t *testing.T) {
 
 	// Resubmit: same spec, same id — resumes from the journal and the
 	// final bytes match an uninterrupted run exactly.
-	j2, accepted, err := m.Submit("alice", sc, trials, 1)
+	j2, accepted, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
 	if err != nil || !accepted {
 		t.Fatalf("resubmit: accepted=%v err=%v", accepted, err)
 	}

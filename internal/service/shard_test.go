@@ -72,15 +72,15 @@ func TestShardJobIDsDistinct(t *testing.T) {
 	m := newTestManager(t, Config{})
 
 	sc := testScenario("shard-ids")
-	whole, _, err := m.Submit("alice", sc, 20, 1)
+	whole, _, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: 20, BaseSeed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _, err := m.SubmitShard("alice", sc, 20, 1, scenario.Shard{Lo: 0, Hi: 10})
+	a, _, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: 20, BaseSeed: 1, Shard: scenario.Shard{Lo: 0, Hi: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := m.SubmitShard("alice", sc, 20, 1, scenario.Shard{Lo: 10, Hi: 20})
+	b, _, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: 20, BaseSeed: 1, Shard: scenario.Shard{Lo: 10, Hi: 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestShardJobIDsDistinct(t *testing.T) {
 	}
 
 	// Resubmitting the same shard is idempotent, like whole-sweep jobs.
-	a2, _, err := m.SubmitShard("alice", sc, 20, 1, scenario.Shard{Lo: 0, Hi: 10})
+	a2, _, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: 20, BaseSeed: 1, Shard: scenario.Shard{Lo: 0, Hi: 10}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,5 +135,51 @@ func TestShardSubmitValidation(t *testing.T) {
 	}
 	if n := m.Metrics().Submitted; n != 0 {
 		t.Fatalf("rejected shards counted as submissions: %d", n)
+	}
+}
+
+// TestSubmitRejectsEachInvalidField: one POST /v1/jobs per invalid
+// sweep field — the rows of scenario's TestSweepValidate — answers 400
+// with exactly scenario.Sweep.Validate's message as the error body, and
+// admits nothing.
+func TestSubmitRejectsEachInvalidField(t *testing.T) {
+	m := newTestManager(t, Config{})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+
+	valid := scenario.Sweep{Scenario: testScenario("invalid-field"), Trials: 100, BaseSeed: 1, Shard: scenario.Shard{Lo: 10, Hi: 50}}
+	for _, tc := range []struct {
+		name   string
+		change func(*scenario.Sweep)
+	}{
+		{"zero trials", func(sw *scenario.Sweep) { sw.Trials, sw.Shard = 0, scenario.Shard{} }},
+		{"negative trials", func(sw *scenario.Sweep) { sw.Trials = -3 }},
+		{"shard lo below 0", func(sw *scenario.Sweep) { sw.Shard.Lo = -1 }},
+		{"empty shard", func(sw *scenario.Sweep) { sw.Shard.Hi = sw.Shard.Lo }},
+		{"shard past trials", func(sw *scenario.Sweep) { sw.Shard.Hi = sw.Trials + 1 }},
+		{"invalid scenario", func(sw *scenario.Sweep) { sw.Scenario.N = 0 }},
+	} {
+		sw := valid
+		tc.change(&sw)
+		want := sw.Validate()
+		if want == nil {
+			t.Fatalf("%s: the sweep is valid", tc.name)
+		}
+		resp, err := ts.Client().Post(ts.URL+"/v1/jobs", "application/json",
+			bytes.NewReader(submitShardBody(t, sw.Scenario, sw.Trials, sw.Shard)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body struct {
+			Error string `json:"error"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || err != nil || body.Error != want.Error() {
+			t.Errorf("%s: %d %q (%v), want 400 %q", tc.name, resp.StatusCode, body.Error, err, want)
+		}
+	}
+	if n := m.Metrics().Submitted; n != 0 {
+		t.Fatalf("rejected sweeps counted as submissions: %d", n)
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"rcbcast/internal/journal"
 	"rcbcast/internal/scenario"
-	"rcbcast/internal/sim/sink"
 )
 
 // storeFile is the store journal's name inside Config.Dir. Each job's
@@ -24,9 +23,9 @@ const storeFile = "jobs.ndjson"
 // partial_errors, canceled, error) and replaces them wholesale. An
 // update carries sweep only to re-pin a job whose output was deleted.
 //
-// Sweep is sink.Fingerprint of the job's specs, pinned at submit; a run
-// whose specs hash differently (a build that derives them otherwise)
-// fails instead of appending to another sweep's output. A record
+// Sweep is the job's scenario.Sweep.Pin, taken at submit; a run whose
+// sweep pins differently (a build that derives it otherwise) fails
+// instead of appending to another sweep's output. A record
 // claiming "running" simply resumes as queued. The same fields decode
 // the per-job job.json of the older directory layout.
 type jobRecord struct {
@@ -72,9 +71,9 @@ func (e *StoreError) Error() string {
 	return fmt.Sprintf("service: store journal %s line %d: %s", e.Path, e.Line, e.Reason)
 }
 
-// validID reports whether id has the form jobID produces: "j" and 16
-// lower-case hex digits. Ids name output files, so nothing else may
-// reach a path.
+// validID reports whether id has the form scenario.Sweep.Key produces:
+// "j" and 16 lower-case hex digits. Ids name output files, so nothing
+// else may reach a path.
 func validID(id string) bool {
 	if len(id) != 17 || id[0] != 'j' {
 		return false
@@ -179,16 +178,6 @@ func (s *store) close() error {
 	return s.log.Close()
 }
 
-// pinSweep computes the fingerprint a job's run must match. Fingerprint
-// hashes only the first spec, so this builds just the shard's first.
-func pinSweep(sc scenario.Scenario, trials int, baseSeed uint64, sh scenario.Shard) (string, error) {
-	specs, err := sc.ShardSpecs(baseSeed, 0, trials, scenario.Shard{Lo: sh.Lo, Hi: sh.Lo + 1})
-	if err != nil {
-		return "", err
-	}
-	return sink.Fingerprint(specs), nil
-}
-
 // importLegacy moves jobs of the older per-job directory layout,
 // <id>/job.json beside <id>/out.ndjson, into the store journal and flat
 // <id>.ndjson outputs. For each job, in order: append its opening line
@@ -268,7 +257,7 @@ func pinLegacy(rec *jobRecord) error {
 	if err := json.Unmarshal(rec.Scenario, &sc); err != nil {
 		return fmt.Errorf("decode scenario: %w", err)
 	}
-	fp, err := pinSweep(sc, rec.Trials, rec.BaseSeed, rec.Shard)
+	fp, err := scenario.Sweep{Scenario: sc, Trials: rec.Trials, BaseSeed: rec.BaseSeed, Shard: rec.Shard}.Pin()
 	if err != nil {
 		return err
 	}

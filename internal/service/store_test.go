@@ -39,7 +39,7 @@ func TestStoreJournalConcurrentAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			j, _, err := m.Submit("alice", sc, 4, uint64(i+1))
+			j, _, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: 4, BaseSeed: uint64(i + 1)})
 			if err != nil {
 				t.Error(err)
 				return
@@ -98,7 +98,7 @@ func TestStoreLayout(t *testing.T) {
 	const shards, size = 5, 3
 	want := []string{storeFile}
 	for i := range shards {
-		j, _, err := m.SubmitShard("coord", sc, shards*size, 1, scenario.Shard{Lo: i * size, Hi: (i + 1) * size})
+		j, _, err := m.Submit("coord", scenario.Sweep{Scenario: sc, Trials: shards * size, BaseSeed: 1, Shard: scenario.Shard{Lo: i * size, Hi: (i + 1) * size}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,14 +118,14 @@ func TestStoreLayout(t *testing.T) {
 func legacyStore(t *testing.T, dir string, sc scenario.Scenario, trials int) (done, running, queued string) {
 	t.Helper()
 	write := func(base uint64, state State, out []byte, pin bool) string {
-		id, err := jobID(sc, trials, base, scenario.Shard{})
+		id, err := scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: base}.Key()
 		if err != nil {
 			t.Fatal(err)
 		}
 		raw, _ := json.Marshal(sc)
 		rec := jobRecord{ID: id, Client: "alice", Scenario: raw, Trials: trials, BaseSeed: base, State: state, Version: "old"}
 		if pin {
-			if rec.Sweep, err = pinSweep(sc, trials, base, scenario.Shard{}); err != nil {
+			if rec.Sweep, err = (scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: base}).Pin(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -383,4 +383,64 @@ func keys(m map[string]string) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestParentStoreJobs: a store whose jobs were pinned before the pin
+// covered the whole scenario. Its done job is still a store hit and
+// serves its bytes; its partial job fails with the typed mismatch and
+// its output keeps every byte. The ids and pins are the literal values
+// that build wrote.
+func TestParentStoreJobs(t *testing.T) {
+	dir := t.TempDir()
+	sc := testScenario("parent-store")
+	const trials = 12
+	raw, err := json.Marshal(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := referenceNDJSON(t, sc, trials, 2)
+	partial := ref[:bytes.IndexByte(ref, '\n')+1]
+	var journal bytes.Buffer
+	for _, j := range []struct {
+		id, pin string
+		base    uint64
+		state   State
+		out     []byte
+	}{
+		{"j545b6149883487fe", "e73e7b0018a021d5", 1, StateDone, referenceNDJSON(t, sc, trials, 1)},
+		{"j35609a407d453ddd", "298e2ff7218e2879", 2, StateRunning, partial},
+	} {
+		rec := jobRecord{ID: j.id, Client: "alice", Scenario: raw, Trials: trials, BaseSeed: j.base, Sweep: j.pin, State: j.state, Version: "parent"}
+		if err := json.NewEncoder(&journal).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(outputPath(dir, j.id), j.out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, storeFile), journal.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	m := newTestManager(t, Config{Dir: dir, Procs: 2})
+	ts := httptest.NewServer(NewServer(m))
+	defer ts.Close()
+	done, accepted, err := m.Submit("alice", scenario.Sweep{Scenario: sc, Trials: trials, BaseSeed: 1})
+	if err != nil || accepted || done.ID != "j545b6149883487fe" {
+		t.Fatalf("resubmit of the done job: id %s, accepted %v, err %v; want a store hit", done.ID, accepted, err)
+	}
+	if code, body := getBody(t, ts, "/v1/jobs/"+done.ID+"/results"); code != 200 || !bytes.Equal(body, referenceNDJSON(t, sc, trials, 1)) {
+		t.Fatalf("done job served %d and %d bytes", code, len(body))
+	}
+	j, ok := m.Get("j35609a407d453ddd")
+	if !ok {
+		t.Fatal("the partial job is gone")
+	}
+	st := waitStatus(t, j, "failed", stateIs(StateFailed))
+	if !strings.Contains(st.Error, "different sweep") || !strings.Contains(st.Error, "pin 298e2ff7218e2879") {
+		t.Fatalf("partial job failed with %q, want the pin mismatch", st.Error)
+	}
+	if got := readResults(t, j); !bytes.Equal(got, partial) {
+		t.Fatalf("the refused output changed to %d bytes", len(got))
+	}
 }

@@ -136,46 +136,36 @@ func (c *Checkpoint) Flush() error { return c.log.Err() }
 // Close closes the journal file.
 func (c *Checkpoint) Close() error { return c.log.Close() }
 
-// Fingerprint hashes the sweep's first spec — its seed, protocol
-// instance, and topology — into the token a journal header or pin (and
-// a service job record) pins a sweep with. Derived sweeps share one
-// scenario and base seed across all specs, so the first spec catches
-// the realistic mismatches (another -n, -seed, -topology, shard or
-// override) while still allowing a longer -trials resume. Strategy,
-// pool, and Configure are factories and cannot be hashed.
-func Fingerprint(specs []sim.TrialSpec) string {
+// Fingerprint hashes a sweep's first spec — its seed, protocol
+// instance, and topology — then enc, the canonical scenario encoding,
+// into a sweep pin (scenario.Sweep.Pin). Strategy, pool and Configure
+// are factories and cannot be hashed, so enc is what covers the
+// adversary, the budget and the run flags; the façade's checkpoints
+// pass none, which hashes the bytes it always did.
+func Fingerprint(first sim.TrialSpec, enc []byte) string {
 	h := fnv.New64a()
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], specs[0].Seed)
+	binary.LittleEndian.PutUint64(b[:], first.Seed)
 	h.Write(b[:])
-	if params, err := json.Marshal(specs[0].Params); err == nil {
+	if params, err := json.Marshal(first.Params); err == nil {
 		h.Write(params)
 	}
-	if topo, err := json.Marshal(specs[0].Topology); err == nil {
+	if topo, err := json.Marshal(first.Topology); err == nil {
 		h.Write(topo)
 	}
+	h.Write(enc)
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// StreamCheckpointed runs a sweep through sim.Stream with cp journaling
-// every delivered trial. Trials already journaled are replayed to the
-// sinks from the journal instead of re-run; the rest execute normally
-// with their delivery re-indexed to sweep coordinates. Interrupt a
-// sweep (ctx cancellation returns the session's *sim.PartialError),
-// reopen the checkpoint, call StreamCheckpointed again with the same
-// specs, and the sink output is byte-identical to an uninterrupted
-// run. A journal of other specs (per its header's fingerprint) or
-// longer than the sweep is rejected. Its caller is the rcbcast façade.
-func StreamCheckpointed(ctx context.Context, procs int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
-	return StreamCheckpointedShard(ctx, procs, 0, 0, specs, cp, sinks...)
-}
-
-// StreamCheckpointedShard is StreamCheckpointed for the shard
-// [lo, lo+len(specs)) of a larger sweep (scenario.ShardSpecs), with
-// sink delivery at sweep-global indices. Trial seeds are sweep-global,
-// so the fingerprint separates shards with different lo, and a journal
-// of the same lo replays exactly the trials this run would compute.
-// Its caller is perfbench's ladder, for which the ignored width stays.
+// StreamCheckpointedShard runs the shard [lo, lo+len(specs)) of a
+// sweep (lo 0 for a whole one) through sim.Stream with cp journaling
+// every delivered trial; sinks see sweep-global indices. Journaled
+// trials replay from cp instead of re-running, so a sweep interrupted
+// (ctx cancellation returns a *sim.PartialError) and rerun with the
+// same specs prints exactly an uninterrupted run's output. A journal
+// another sweep or shard pinned (Fingerprint, no encoding) fails with
+// Foreign's error, one longer than the sweep fails too. Its callers
+// are the rcbcast façade and perfbench's ladder (the width is ignored).
 func StreamCheckpointedShard(ctx context.Context, procs, width, lo int, specs []sim.TrialSpec, cp *Checkpoint, sinks ...sim.Sink) error {
 	if lo < 0 {
 		return fmt.Errorf("sink: shard lo must be >= 0 (got %d)", lo)
@@ -188,15 +178,14 @@ func StreamCheckpointedShard(ctx context.Context, procs, width, lo int, specs []
 	}
 	// A non-empty headerless journal (cp used directly as a Stream sink)
 	// cannot be validated and is accepted as-is.
-	switch fp := Fingerprint(specs); {
+	switch fp := Fingerprint(specs[0], nil); {
 	case cp.sweep == "" && cp.done == 0: // fresh: stamp the header before any trial
 		if err := cp.log.Append(journalHeader{Sweep: fp}); err != nil {
 			return err
 		}
 		cp.sweep = fp
 	case cp.sweep != "" && cp.sweep != fp:
-		return fmt.Errorf("sink: checkpoint %s was written by a different sweep (fingerprint %s, this sweep %s) — delete it or rerun with the original specs",
-			cp.path, cp.sweep, fp)
+		return Foreign(cp.path, 1, "pin %s, this sweep %s", cp.sweep, fp)
 	}
 	// The journal stores shard-local indices; downstream sinks see
 	// sweep-global ones.

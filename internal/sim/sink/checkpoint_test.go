@@ -31,7 +31,7 @@ func TestCheckpointJournalRoundTrip(t *testing.T) {
 
 	cp := openCheckpoint(t, path)
 	var first bytes.Buffer
-	if err := StreamCheckpointed(context.Background(), 2, specs, cp, NewNDJSON(&first)); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 2, 0, 0, specs, cp, NewNDJSON(&first)); err != nil {
 		t.Fatal(err)
 	}
 	if cp.Done() != 4 {
@@ -48,7 +48,7 @@ func TestCheckpointJournalRoundTrip(t *testing.T) {
 		t.Fatalf("reopened journal has %d trials, want 4", cp2.Done())
 	}
 	var replayed bytes.Buffer
-	if err := StreamCheckpointed(context.Background(), 2, specs, cp2, NewNDJSON(&replayed)); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 2, 0, 0, specs, cp2, NewNDJSON(&replayed)); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(replayed.Bytes(), first.Bytes()) {
@@ -60,7 +60,7 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	specs := jamSpecs(64, 3)
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp); err != nil {
 		t.Fatal(err)
 	}
 	if err := cp.Close(); err != nil {
@@ -83,7 +83,7 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 	// And the file itself was truncated back to the valid prefix, so a
 	// resumed run appends cleanly after trial 2.
 	var out bytes.Buffer
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 5), cp2, NewNDJSON(&out)); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 5), cp2, NewNDJSON(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if cp2.Done() != 5 {
@@ -94,12 +94,12 @@ func TestCheckpointTornTailTruncated(t *testing.T) {
 func TestCheckpointLongerThanSweep(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 4), cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 4), cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
 	cp2 := openCheckpoint(t, path)
-	err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 2), cp2)
+	err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 2), cp2)
 	if err == nil {
 		t.Fatal("a journal longer than the sweep must be rejected")
 	}
@@ -123,7 +123,7 @@ func TestCheckpointCancelResumeByteIdentical(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var first bytes.Buffer
-	err := StreamCheckpointed(ctx, 4, specs(), cp,
+	err := StreamCheckpointedShard(ctx, 4, 0, 0, specs(), cp,
 		NewNDJSON(&first),
 		Func(func(i int, _ *engine.Result) error {
 			if i == 7 {
@@ -145,7 +145,7 @@ func TestCheckpointCancelResumeByteIdentical(t *testing.T) {
 	// Resume with the same specs: journaled trials replay, the rest run.
 	cp2 := openCheckpoint(t, path)
 	var full bytes.Buffer
-	if err := StreamCheckpointed(context.Background(), 4, specs(), cp2, NewNDJSON(&full)); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 4, 0, 0, specs(), cp2, NewNDJSON(&full)); err != nil {
 		t.Fatal(err)
 	}
 	if cp2.Done() != trials {
@@ -175,7 +175,7 @@ func TestCheckpointMidJournalCorruptionDropsSuffix(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -200,7 +200,7 @@ func TestCheckpointMidJournalCorruptionDropsSuffix(t *testing.T) {
 		t.Fatalf("corrupted journal recovered %d trials, want 1 (the prefix before the damage)", cp2.Done())
 	}
 	var out bytes.Buffer
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 4), cp2, NewNDJSON(&out)); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 4), cp2, NewNDJSON(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if cp2.Done() != 4 {
@@ -219,7 +219,7 @@ func TestCheckpointOutOfOrderTrialsTruncated(t *testing.T) {
 	specs := jamSpecs(64, 3)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -255,7 +255,7 @@ func TestCheckpointNullResultTruncated(t *testing.T) {
 	}
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 2), cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 2), cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -284,7 +284,7 @@ func TestCheckpointNullResultTruncated(t *testing.T) {
 				t.Fatal(err)
 			}
 			var out bytes.Buffer
-			if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 3), cp, NewNDJSON(&out)); err != nil {
+			if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 3), cp, NewNDJSON(&out)); err != nil {
 				t.Fatal(err)
 			}
 			if done != len(tc.kept)-1 {
@@ -313,7 +313,7 @@ func TestCheckpointCorruptHeaderRestartsJournal(t *testing.T) {
 
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -332,7 +332,7 @@ func TestCheckpointCorruptHeaderRestartsJournal(t *testing.T) {
 		t.Fatalf("journal with a corrupt header recovered %d trials, want 0", cp2.Done())
 	}
 	var out bytes.Buffer
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 3), cp2, NewNDJSON(&out)); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 3), cp2, NewNDJSON(&out)); err != nil {
 		t.Fatal(err)
 	}
 	if cp2.Done() != 3 {
@@ -350,7 +350,7 @@ func TestCheckpointCorruptHeaderRestartsJournal(t *testing.T) {
 func TestCheckpointSpecMismatchRejected(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 3), cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 3), cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
@@ -367,7 +367,7 @@ func TestCheckpointSpecMismatchRejected(t *testing.T) {
 		}(),
 	} {
 		cp2 := openCheckpoint(t, path)
-		err := StreamCheckpointed(context.Background(), 1, specs, cp2)
+		err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp2)
 		if err == nil || !strings.Contains(err.Error(), "different sweep") {
 			t.Fatalf("%s: want fingerprint rejection, got %v", name, err)
 		}
@@ -375,7 +375,7 @@ func TestCheckpointSpecMismatchRejected(t *testing.T) {
 
 	// Identical specs still resume.
 	cp3 := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, jamSpecs(64, 3), cp3); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(64, 3), cp3); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -469,14 +469,14 @@ func TestCheckpointFullyJournaledResumeFlushesEverySink(t *testing.T) {
 	specs := jamSpecs(64, 4)
 	path := filepath.Join(t.TempDir(), "full.ckpt")
 	cp := openCheckpoint(t, path)
-	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
 
 	first := &flushCounter{err: errors.New("disk full")}
 	second := &flushCounter{}
-	err := StreamCheckpointed(context.Background(), 1, specs, openCheckpoint(t, path), first, second)
+	err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, openCheckpoint(t, path), first, second)
 	if !errors.Is(err, first.err) {
 		t.Fatalf("want the first sink's flush error, got %v", err)
 	}
@@ -539,7 +539,7 @@ func TestCheckpointShardRangeMismatchRejected(t *testing.T) {
 			return StreamCheckpointedShard(ctx, 1, 1, 0, whole[0:9], cp, out)
 		}},
 		{"whole sweep", trials, func(cp *Checkpoint, out sim.Sink) error {
-			return StreamCheckpointed(ctx, 1, whole, cp, out)
+			return StreamCheckpointedShard(ctx, 1, 0, 0, whole, cp, out)
 		}},
 	} {
 		var got bytes.Buffer
@@ -652,7 +652,7 @@ func FuzzOpenCheckpoint(f *testing.F) {
 		return data
 	}
 	whole := journalOf("whole", func(cp *Checkpoint) error {
-		return StreamCheckpointed(context.Background(), 1, jamSpecs(16, 3), cp)
+		return StreamCheckpointedShard(context.Background(), 1, 0, 0, jamSpecs(16, 3), cp)
 	})
 	shard := journalOf("shard", func(cp *Checkpoint) error {
 		return StreamCheckpointedShard(context.Background(), 1, 1, 2, jamSpecs(16, 4)[2:], cp)

@@ -30,17 +30,35 @@ func (s Sequence) Check(rec *Record, done int) error {
 // Checkpoint journal, what rcexp -checkpoint kept before record journals.
 var ErrOldCheckpoint = errors.New("a full-Result checkpoint journal, the format before record journals: delete it to restart the sweep")
 
-// JournalError reports a file OpenRecords refused and left untouched.
-// Err is ErrOldCheckpoint or shows that another sweep or shard wrote it.
+// ErrForeignSweep is the JournalError cause for a file pinned to, or
+// holding the records of, another sweep or shard (Foreign).
+var ErrForeignSweep = errors.New("written by a different sweep or shard")
+
+// JournalError reports a durable file an opener refused and left
+// untouched. Err is ErrOldCheckpoint or wraps ErrForeignSweep; Line is
+// 1-based, or 0 when the whole file is refused.
 type JournalError struct {
 	Path string
 	Line int
 	Err  error
 }
 
-func (e *JournalError) Error() string { return fmt.Sprintf("sink: %s:%d: %v", e.Path, e.Line, e.Err) }
+func (e *JournalError) Error() string {
+	if e.Line == 0 {
+		return fmt.Sprintf("sink: %s: %v", e.Path, e.Err)
+	}
+	return fmt.Sprintf("sink: %s:%d: %v", e.Path, e.Line, e.Err)
+}
 
 func (e *JournalError) Unwrap() error { return e.Err }
+
+// Foreign is the one error for a file that belongs to another sweep or
+// shard: a *JournalError wrapping ErrForeignSweep, with the detail
+// (for a pin mismatch, both pins) formatted in.
+func Foreign(path string, line int, format string, args ...any) error {
+	err := fmt.Errorf("%w ("+format+"): delete it or rerun with the original flags", append([]any{ErrForeignSweep}, args...)...)
+	return &JournalError{path, line, err}
+}
 
 // OpenRecords opens (or creates) the record journal at path, a sweep's
 // NDJSON records for the trials seq covers, positioned for append. With
@@ -53,30 +71,30 @@ func (e *JournalError) Unwrap() error { return e.Err }
 func OpenRecords(path, pin string, seq Sequence) (lg *journal.Log, done int, size int64, err error) {
 	var rec Record
 	line, pinned := 0, pin == ""
-	foreign := func(format string, args ...any) (bool, error) {
-		err := fmt.Errorf("written by a different sweep or shard ("+format+"): delete it or rerun with the original flags", args...)
-		return false, &JournalError{path, line, err}
-	}
 	lg, err = journal.Open(path, func(b []byte) (bool, error) {
 		line++
 		var h journalHeader
 		switch {
 		case !pinned && json.Unmarshal(b, &h) == nil && h.Sweep != "":
 			if pinned = h.Sweep == pin; !pinned {
-				return foreign("pin %s, this sweep %s", h.Sweep, pin)
+				// An older rcexp's checkpoint of this very sweep has another
+				// pin too: name its format, the more useful cause.
+				if checkpointAt(path, int64(len(b))) {
+					return false, &JournalError{path, line + 1, ErrOldCheckpoint}
+				}
+				return false, Foreign(path, line, "pin %s, this sweep %s", h.Sweep, pin)
 			}
 			return true, nil
 		case ParseRecord(b, &rec) != nil:
-			d := lineDecoder{b: b}
-			if d.int(`{"trial":`, 64); d.lit(`,"result":`) {
+			if checkpointLine(b) {
 				return false, &JournalError{path, line, ErrOldCheckpoint}
 			}
 			return false, nil
 		case !pinned:
-			return foreign("a record where the pin belongs")
+			return false, Foreign(path, line, "a record where the pin belongs")
 		}
 		if err := seq.Check(&rec, done); err != nil {
-			return foreign("%w", err)
+			return false, Foreign(path, line, "%w", err)
 		}
 		done++
 		size += int64(len(b))
@@ -88,6 +106,27 @@ func OpenRecords(path, pin string, seq Sequence) (lg *journal.Log, done int, siz
 		}
 	}
 	return lg, done, size, err
+}
+
+// checkpointLine reports whether b starts like a full-Result
+// Checkpoint journal line.
+func checkpointLine(b []byte) bool {
+	d := lineDecoder{b: b}
+	d.int(`{"trial":`, 64)
+	return d.lit(`,"result":`)
+}
+
+// checkpointAt reports whether the line at byte off of the file at
+// path starts like a full-Result Checkpoint journal line.
+func checkpointAt(path string, off int64) bool {
+	f, err := os.Open(path)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	var b [48]byte // the longest trial number fits
+	n, _ := f.ReadAt(b[:], off)
+	return checkpointLine(b[:n])
 }
 
 // RecordWriter renders a Record directly, as the NDJSON and CSV sinks

@@ -34,14 +34,14 @@ func oldCheckpoint(tb testing.TB, trials int) (data []byte, pin string) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := StreamCheckpointed(context.Background(), 1, specs, cp); err != nil {
+	if err := StreamCheckpointedShard(context.Background(), 1, 0, 0, specs, cp); err != nil {
 		tb.Fatal(err)
 	}
 	cp.Close()
 	if data, err = os.ReadFile(path); err != nil {
 		tb.Fatal(err)
 	}
-	return data, Fingerprint(specs)
+	return data, Fingerprint(specs[0], nil)
 }
 
 // FuzzOpenRecords pins OpenRecords' contract on arbitrary file bytes,
@@ -157,6 +157,7 @@ func TestOpenRecordsRefusesForeignFiles(t *testing.T) {
 	}{
 		{"old checkpoint", pin, old, true, "full-Result"},
 		{"old checkpoint, unpinned open", "", old[bytes.IndexByte(old, '\n')+1:], true, "full-Result"},
+		{"old checkpoint under another pin", "0123456789abcdef", old, true, "full-Result"},
 		{"other pin", "0123456789abcdef", pinned(recordLines(16, 0)), false, "pin " + pin},
 		{"records without a pin", pin, recordLines(16, 0), false, "where the pin belongs"},
 		{"other n", pin, pinned(recordLines(32, 0)), false, "with n=32"},
@@ -169,7 +170,7 @@ func TestOpenRecordsRefusesForeignFiles(t *testing.T) {
 		}
 		_, _, _, err := OpenRecords(path, tc.pin, seq)
 		var je *JournalError
-		if !errors.As(err, &je) || errors.Is(err, ErrOldCheckpoint) != tc.old {
+		if !errors.As(err, &je) || errors.Is(err, ErrOldCheckpoint) != tc.old || errors.Is(err, ErrForeignSweep) == tc.old {
 			t.Fatalf("%s: err = %v (%T)", tc.name, err, err)
 		}
 		if !strings.Contains(err.Error(), tc.cause) {
@@ -188,7 +189,7 @@ func TestReplayRecordsRendersKeptRecords(t *testing.T) {
 	specs := jamSpecs(16, 3)
 	seq := Sequence{Lo: 0, Hi: 3, N: 16}
 	path := filepath.Join(t.TempDir(), "journal")
-	lg, done, _, err := OpenRecords(path, Fingerprint(specs), seq)
+	lg, done, _, err := OpenRecords(path, Fingerprint(specs[0], nil), seq)
 	if err != nil || done != 0 {
 		t.Fatalf("fresh open: done %d, err %v", done, err)
 	}
@@ -196,7 +197,7 @@ func TestReplayRecordsRendersKeptRecords(t *testing.T) {
 	mustStream(t, 1, specs, NewNDJSON(lg), NewNDJSON(&wantJSON), NewCSV(&wantCSV))
 	lg.Close()
 
-	lg, done, size, err := OpenRecords(path, Fingerprint(specs), seq)
+	lg, done, size, err := OpenRecords(path, Fingerprint(specs[0], nil), seq)
 	if err != nil || done != 3 || size != int64(wantJSON.Len()) {
 		t.Fatalf("reopen: done %d, size %d, err %v; want 3 and %d", done, size, err, wantJSON.Len())
 	}

@@ -39,6 +39,10 @@
 //
 // Cancel ctx and Stream returns a typed *PartialError; add a
 // Checkpoint (StreamCheckpointed) and the sweep resumes byte-identically.
+// A checkpoint pins the first spec's seed, protocol instance and
+// topology. Specs carry the adversary and budget as factories, which
+// the pin cannot see, so resume a checkpoint only with the specs that
+// wrote it.
 //
 // The lower-level Options API remains for callers wiring custom
 // strategies or tracers.
@@ -218,9 +222,10 @@ func OpenCheckpoint(path string) (*Checkpoint, error) { return sink.OpenCheckpoi
 
 // StreamCheckpointed is Stream with a resumable journal: trials already
 // in cp replay to the sinks instead of re-running, so an interrupted
-// sweep resumed with the same specs produces byte-identical output.
+// sweep resumed with the same specs produces byte-identical output. A
+// journal another sweep wrote fails and is left untouched.
 func StreamCheckpointed(ctx context.Context, procs int, specs []TrialSpec, cp *Checkpoint, sinks ...Sink) error {
-	return sink.StreamCheckpointed(ctx, procs, specs, cp, sinks...)
+	return sink.StreamCheckpointedShard(ctx, procs, 0, 0, specs, cp, sinks...)
 }
 
 // TrialSeed derives the engine seed for one trial of a sweep by mixing
