@@ -42,17 +42,16 @@ import (
 //     touching channel state at all. Under heavy jamming the scalar
 //     engine misses cache on a counts load per listen just to discard
 //     it; the kernel's hot listen path reads only packed bits.
-//   - Indexed sparse reception. A phase runs sends, then (on sparse
-//     topologies) reception-index construction, then listens. The index
-//     pass walks the phase's transmissions through the CSR neighborhood
-//     rows exactly once — scattering them into per-listener slot-sorted
-//     rows, built only for listeners that actually listen this phase —
-//     and the listen walks then merge their ascending sampled slots
-//     against the row with monotone cursors: a listen below the next
-//     event slot (own send, jam, or audible record) is silence by
-//     construction and resolves with one compare, never touching channel
-//     state; a prepaid node walk under an untargeted jam settles a
-//     whole run of them at once. See buildRecvIndex and feedIdx.
+//   - Pull sparse reception. A phase runs sends, then (on sparse
+//     topologies) buckets its transmissions by slot, then listens. The
+//     bucket pass (bucketTx) counting-sorts the phase's records by the
+//     rank of their slot among the busy slots, and a listen resolves by
+//     asking what its listener hears: its own send is skipped, a
+//     disrupting jam is noise, a slot with no traffic is silence, and
+//     only a busy slot walks its bucket of records under the audibility
+//     rules (observeSparse). A prepaid node walk under an untargeted jam
+//     settles each run of listens short of a hot (busy, unjammed) slot or
+//     an own send at once.
 //   - Cross-trial topology caching. Clique and grid specs are
 //     trial-invariant, so every trial on a BatchScratch shares a single
 //     build and CSR from one topology.Cache. A Gilbert graph is fresh
@@ -60,13 +59,13 @@ import (
 //   - Unheard phases. A phase that no listener and no reactive strategy
 //     can hear — the benign propagate phase once everyone is informed —
 //     only draws, charges and counts its sends: no send records, channel
-//     bits or reception index. See heard.
+//     bits or buckets. See heard.
 //
 // The scalar loop (RunScalar) is the byte-identity oracle.
 
 // BatchScratch recycles the batch kernel's working state across trials
 // and RunBatch calls: one engine Scratch, which carries the lane's
-// reception bitsets, block schedules and reception index and the
+// reception bitsets, block schedules and transmission buckets and the
 // cross-trial topology cache next to the per-run buffers. It must never
 // be shared by concurrently executing batches.
 type BatchScratch struct{ sc *Scratch }
@@ -75,29 +74,9 @@ type BatchScratch struct{ sc *Scratch }
 // node counts and phase lengths the runs it serves need.
 func NewBatchScratch() *BatchScratch { return &BatchScratch{sc: NewScratch()} }
 
-// Reception-index packing. A sparse transmission is one uint64 —
-// slot<<33 | (src+txpSrcBias)<<2 | (kind-1) — so the per-phase record
-// set sorts slot-major with plain slices.Sort (no comparator, no
-// stability machinery: records that could swap under an unstable sort
-// are either bit-identical or same-slot, and same-slot reception is
-// order-blind — a solo record has nothing to swap with and two-plus
-// records are noise for every listener however they are ordered).
-// Slots are below 2^31 (Options.validate caps MaxPhaseSlots), node ids
-// are int32, and msg defines exactly four frame kinds (1–4), so every
-// record fits.
-const (
-	txpSlotShift = 33
-	txpSrcShift  = 2
-	txpSrcMask   = 1<<31 - 1
-	txpKindMask  = 3
-	// txpSrcBias shifts txSrcAdversary (-2) to zero so sources pack
-	// unsigned.
-	txpSrcBias = 2
-)
-
 // batchLane is one trial's execution state: its run plus the
 // lane-owned reception bitsets, the phase's send records, the draw
-// schedules its walkers reuse, and the reception index. Send walks and
+// schedules its walkers reuse, and the transmission buckets. Send walks and
 // Alice's walks run one at a time on two block schedules (data and
 // decoy); node listen walks run eight at a time, one per draw lane (see
 // listenPass), and a walk that leaves the lanes finishes on blkA.
@@ -116,44 +95,20 @@ type batchLane struct {
 	sendKind []msg.Kind
 	sendOff  []int32
 	// The listen pass's view of the plan: whether a quiet run may settle
-	// in one pass (no targeting predicate, a plan covering the phase) and
-	// the jam words request-phase quiet runs count noise from.
+	// in one pass (no targeting predicate, a plan covering the phase), the
+	// hot slots that end a quiet run (busy and unjammed) and the jam words
+	// request-phase quiet runs count noise from.
 	quietOK bool
+	hot     []uint64
 	jam     []uint64
 
-	// txp holds the phase's packed transmission records (sparse
-	// topologies only), slot-sorted before the index build.
-	txp []uint64
-	// The reception index: listener v's audible transmissions for the
-	// current phase occupy rowSlot/rowInfo[rowOff[v]:rowEnd[v]], slots
-	// ascending; a collision is two-plus entries with the same slot
-	// (adjacent by construction), resolved at lookup. Row n (one past
-	// the node ids) is Alice's. Rows are built only for listeners whose
-	// lmask bit is set — everyone else's row is empty, and nothing reads
-	// it. Adversary injections are audible to every listener and stay
-	// out of the rows; they merge at lookup from the slot-sorted
-	// advSlot/advKind pair.
-	rowOff  []int32
-	rowEnd  []int32
-	rowSlot []int32
-	rowInfo []uint8
-	advSlot []int32
-	advKind []uint8
-	// srcCnt is the index build's per-source transmission tally (index n
-	// is Alice's), which lets the count pass walk each active source's
-	// CSR row once instead of once per record.
-	srcCnt []int32
-	// aliceRow lists the scatter targets of Alice's transmissions (the
-	// nodes mutually audible with her), rebuilt lazily in each index
-	// build that sees an Alice record — cache entries rebuild in place
-	// on eviction, so the CSR pointer alone cannot witness staleness.
-	aliceRow []int32
-	// lmask marks which listeners (index n is Alice) listen in the
-	// current phase; the index build skips everyone else's row. The
-	// listener set is fixed once sends settle: a walk only mutates its
-	// own listener's state, so the mask computed between the send and
-	// listen passes is exact.
-	lmask []bool
+	// The phase's transmissions on a sparse topology: txs as committed,
+	// then bucketed by slot (see bucketTx) — the records of the busy slot
+	// of rank k occupy txb[txStart[k]:txStart[k+1]], and rank[w] counts
+	// the busy slots in the busy words before word w.
+	txs, txb []txRec
+	txStart  []int32
+	rank     []int32
 }
 
 // scratches recycles the kernel's working state across Run calls that
@@ -232,10 +187,10 @@ func runKernel(ctx context.Context, o Options) (*Result, error) {
 
 // phase mirrors run.runPhase on the kernel's reception state:
 // transmissions committed and charged, the adversary's plan fixed, the
-// sparse reception index built, then listens resolved and the phase
-// settled exactly as run.runPhase settles it. An unheard phase (see
-// heard) still draws and charges every send and plans the adversary,
-// but commits nothing to the channel and builds no index. The walkers
+// sparse transmissions bucketed by slot, then listens resolved and the
+// phase settled exactly as run.runPhase settles it. An unheard phase
+// (see heard) still draws and charges every send and plans the
+// adversary, but commits nothing to the channel and buckets nothing. The walkers
 // share this call's copy of the phase by pointer: a core.Phase is about
 // a dozen words, and copying it per node per walk showed in profiles.
 func (l *batchLane) phase(phv core.Phase) {
@@ -261,8 +216,7 @@ func (l *batchLane) phase(phv core.Phase) {
 	}
 	plan := l.adversaryPlan(ph, &out, heard)
 	if heard && r.topo != nil {
-		slices.Sort(l.txp)
-		l.buildRecvIndex(ph)
+		l.bucketTx()
 	}
 
 	l.listenPass(ph, plan)
@@ -292,7 +246,7 @@ func (l *batchLane) phase(phv core.Phase) {
 // listen, or a reactive strategy, which plans from the busy set. When
 // nothing can, the phase's transmissions matter only as counts and
 // charges, so the send walkers tally them into the outcome and skip the
-// per-send records, the channel bits and the reception index. The
+// per-send records, the channel bits and the buckets. The
 // answer is taken before any sends and cannot turn false-to-true during
 // them: sends only ever stop a party (budget death), never inform or
 // revive one, so every listen walk of an unheard phase returns at once,
@@ -315,8 +269,8 @@ func (l *batchLane) heard(ph *core.Phase) bool {
 }
 
 // ensureBuffers sizes the lane's per-slot reception state. Sparse lanes
-// need only the busy prescreen bitset (their listener-resolved state
-// lives in the reception index); dense lanes add the multi bitset and
+// need only the busy bitset (who sent lives in the bucketed
+// transmissions); dense lanes add the multi bitset and
 // the solo-kind bytes, read only on an actual solo reception. Resize
 // keeps contents, which are all-zero between phases by the
 // dirty-clearing discipline. The scalar counts array is never touched
@@ -334,7 +288,7 @@ func (l *batchLane) ensureBuffers(length int) {
 // resize sets *s to length n, keeping the backing array's contents
 // within n (zero past its old capacity). A short capacity grows by
 // append's policy rather than to exactly n, so a high-water mark that
-// creeps up trial by trial (the reception index's entry count)
+// creeps up trial by trial (a phase's transmission count)
 // reallocates a few times, not at every new peak.
 func resize[T any](s *[]T, n int) []T {
 	if cap(*s) < n {
@@ -345,8 +299,8 @@ func resize[T any](s *[]T, n int) []T {
 }
 
 // clearDirty restores the all-zero between-phases channel state. Sparse
-// lanes write only the busy bits (their listener-resolved state lives in
-// the reception index), so one word-parallel reset suffices; the dense
+// lanes write only the busy bits (who sent lives in the transmission
+// records), so one word-parallel reset suffices; the dense
 // path clears multi against busy in one AndNot pass — collisions are a
 // subset of traffic — and picks whole-array or per-dirty-slot soloKind
 // clearing by how much of the phase was touched.
@@ -354,7 +308,7 @@ func (l *batchLane) clearDirty() {
 	r := l.r
 	if r.topo != nil {
 		l.busy.Reset(l.busy.Len())
-		l.txp = l.txp[:0]
+		l.txs = l.txs[:0]
 		return
 	}
 	l.multi.AndNot(&l.busy)
@@ -371,9 +325,9 @@ func (l *batchLane) clearDirty() {
 
 // addTx mirrors run.addTx on the batch kernel's reception state. Dense
 // lanes keep the busy/multi/soloKind encoding (reception distinguishes
-// only zero, one, and many). Sparse lanes set just the busy prescreen
-// bit — their reception is listener-relative — and record the
-// transmission packed for the index build.
+// only zero, one, and many). Sparse lanes set the busy bit and record
+// the transmission with its source — their reception is
+// listener-relative — for bucketTx.
 func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
 	r := l.r
 	if r.topo == nil {
@@ -387,123 +341,84 @@ func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
 		return
 	}
 	l.busy.Set(slot)
-	l.txp = append(l.txp,
-		uint64(slot)<<txpSlotShift|
-			uint64(src+txpSrcBias)<<txpSrcShift|
-			uint64(kind-1))
+	l.txs = append(l.txs, txRec{slot: int32(slot), src: src, kind: uint8(kind)})
 }
 
-// buildRecvIndex scatters the phase's slot-sorted transmission records
-// through the CSR neighborhood rows into per-listener reception rows —
-// the phase's one CSR traversal. Counting-sort construction: a
-// per-source tally sizes each listener's row with one walk of each
-// active source's row (not one per record), a prefix sum lays the rows
-// out back-to-back in one entry array, and a fill pass in record order
-// — so rows come out slot-ascending — writes the entries. Collisions
-// stay as adjacent same-slot entries; the lookup resolves them with one
-// extra compare, which keeps the fill pass cheap. Rows are built only
-// for listeners the phase's lmask marks as listening — informed nodes
-// never listen, so late-trial phases scatter to a shrinking set — and
-// adversary records, audible to every listener, stay out of the rows
-// (they would turn the index dense) and merge at lookup from the
-// slot-sorted advSlot/advKind side arrays.
-func (l *batchLane) buildRecvIndex(ph *core.Phase) {
-	r := l.r
-	n := len(r.nodes)
-	srcCnt := resize(&l.srcCnt, n+1)
-	clear(srcCnt)
-	lm := resize(&l.lmask, n+1)
-	for i := range r.nodes {
-		nd := &r.nodes[i]
-		lm[nd.id] = nd.active() && !nd.informed &&
-			clamp01(ph.NodeListenP*nd.listenScale) > 0
+// bucketTx counting-sorts the phase's transmissions into txb by the
+// rank of their slot among the busy slots: the rank of slot s is the
+// popcount of the busy words before its word (rank) plus that of the
+// busy bits below it in its own word. This costs O(records +
+// length/64), and a listen finds its slot's bucket with two popcounts
+// (slotRank). Order within a bucket is immaterial: a solo record
+// has nothing to swap with, and two-plus audible records are noise
+// however they are ordered.
+func (l *batchLane) bucketTx() {
+	busy := l.busy.Words()
+	rank := resize(&l.rank, len(busy))
+	busySlots := int32(0)
+	for w, word := range busy {
+		rank[w] = busySlots
+		busySlots += int32(bits.OnesCount64(word))
 	}
-	lm[n] = ph.AliceListenP > 0 && r.alice.active()
-	l.advSlot = l.advSlot[:0]
-	l.advKind = l.advKind[:0]
-	for _, p := range l.txp {
-		src := int32(p>>txpSrcShift&txpSrcMask) - txpSrcBias
-		switch {
-		case src >= 0:
-			srcCnt[src]++
-		case src == txSrcAlice:
-			srcCnt[n]++
-		}
+	// Count each bucket into its end, then fill it downwards: the end
+	// cursors finish as the bucket starts, and txStart[busySlots] as
+	// the total.
+	start := resize(&l.txStart, int(busySlots)+1)
+	clear(start)
+	for _, tx := range l.txs {
+		start[l.slotRank(int(tx.slot))]++
 	}
-	cnt := resize(&l.rowEnd, n+1) // counts now, fill cursors after the prefix sum
-	clear(cnt)
-	for u := 0; u < n; u++ {
-		c := srcCnt[u]
-		if c == 0 {
+	for k := 1; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	txb := resize(&l.txb, len(l.txs))
+	for _, tx := range l.txs {
+		k := l.slotRank(int(tx.slot))
+		start[k]--
+		txb[start[k]] = tx
+	}
+}
+
+// slotRank returns the rank of busy slot s among the phase's busy slots.
+func (l *batchLane) slotRank(s int) int32 {
+	w := s >> 6
+	return l.rank[w] + int32(bits.OnesCount64(l.busy.Words()[w]&(1<<(s&63)-1)))
+}
+
+// observeSparse mirrors run.observe on a sparse lane, with the same
+// load order as observe: the jam plan first, then the busy bit, and
+// only a busy slot is heard out.
+func (l *batchLane) observeSparse(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
+	if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, listener) {
+		return 0, outcomeNoise
+	}
+	if !l.busy.Get(slot) {
+		return 0, outcomeSilence
+	}
+	return l.hear(slot, listener)
+}
+
+// hear resolves the listener's perception of an undisrupted busy slot:
+// it walks the slot's bucket of records as run.observeSparse walks the
+// slot's records, under run.audible's rules, and stops at the second
+// audible one.
+func (l *batchLane) hear(slot, listener int) (msg.Kind, outcome) {
+	k := l.slotRank(slot)
+	heard := 0
+	var kind msg.Kind
+	for _, tx := range l.txb[l.txStart[k]:l.txStart[k+1]] {
+		if !l.r.audible(tx.src, listener) {
 			continue
 		}
-		for _, v := range r.csr.Row(u) {
-			if lm[v] {
-				cnt[v] += c
-			}
+		if heard++; heard > 1 {
+			return 0, outcomeNoise
 		}
-		if lm[n] && r.csr.AliceHears(u) {
-			cnt[n] += c
-		}
+		kind = msg.Kind(tx.kind)
 	}
-	if ac := srcCnt[n]; ac > 0 {
-		l.aliceRow = r.csr.AppendAliceAudible(l.aliceRow[:0])
-		for _, v := range l.aliceRow {
-			if lm[v] {
-				cnt[v] += ac
-			}
-		}
-		if lm[n] {
-			cnt[n] += ac // Alice hears her own transmissions
-		}
+	if heard == 0 {
+		return 0, outcomeSilence
 	}
-	off := resize(&l.rowOff, n+2)
-	off[0] = 0
-	for v := 0; v <= n; v++ {
-		off[v+1] = off[v] + cnt[v]
-	}
-	total := int(off[n+1])
-	resize(&l.rowSlot, total)
-	resize(&l.rowInfo, total)
-	copy(l.rowEnd, off[:n+1])
-	for _, p := range l.txp {
-		slot := int32(p >> txpSlotShift)
-		src := int32(p>>txpSrcShift&txpSrcMask) - txpSrcBias
-		kind := uint8(p&txpKindMask) + 1
-		switch {
-		case src >= 0:
-			for _, v := range r.csr.Row(int(src)) {
-				if lm[v] {
-					l.scatter(v, slot, kind)
-				}
-			}
-			if lm[n] && r.csr.AliceHears(int(src)) {
-				l.scatter(int32(n), slot, kind)
-			}
-		case src == txSrcAlice:
-			if lm[n] {
-				l.scatter(int32(n), slot, kind)
-			}
-			for _, v := range l.aliceRow {
-				if lm[v] {
-					l.scatter(v, slot, kind)
-				}
-			}
-		default:
-			l.advSlot = append(l.advSlot, slot)
-			l.advKind = append(l.advKind, kind)
-		}
-	}
-}
-
-// scatter appends one audible transmission to listener row v — three
-// stores, no branches; rows inherit slot order from the sorted record
-// walk driving the fill pass.
-func (l *batchLane) scatter(v, slot int32, kind uint8) {
-	e := l.rowEnd[v]
-	l.rowSlot[e] = slot
-	l.rowInfo[e] = kind
-	l.rowEnd[v] = e + 1
+	return kind, outcomeReceived
 }
 
 // observe mirrors run.observe on a dense lane with the load order
@@ -511,8 +426,7 @@ func (l *batchLane) scatter(v, slot int32, kind uint8) {
 // jammed listen — the common case under the strategies that matter —
 // resolves without touching the per-slot arrays at all. The outputs are
 // identical for every input: jammed slots are noise in both kernels
-// regardless of traffic. Sparse lanes never observe: their listens
-// resolve through the reception index (feedIdx, aliceListensIdx).
+// regardless of traffic. Sparse lanes resolve through observeSparse.
 func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
 	if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, listener) {
 		return 0, outcomeNoise
@@ -744,20 +658,14 @@ const laneMinLive = 3
 
 // listenWalk is one node's listen walk, resumable: it is fed its drawn
 // slots a block at a time (feed) and settles its tallies at the end
-// (finishWalk), so its cursors and tallies live here between blocks. The
-// dense walk uses n, p, ss, si, prepaid and listens; the indexed walk
+// (finishWalk), so its cursor and tallies live here between blocks. The
+// dense walk uses n, p, ss, si, prepaid and listens; the sparse walk
 // all of them.
 type listenWalk struct {
-	n  *nodeState
-	p  float64 // the walk's listen probability
-	ss []int32 // the node's own send slots
-	// rs/ri is the node's reception row; si, rc and ac are the cursors
-	// into ss, rs and the adversary records, and nextEvent the earliest
-	// slot still ahead in any of them.
-	rs             []int32
-	ri             []uint8
-	si, rc, ac     int
-	nextEvent      int
+	n              *nodeState
+	p              float64 // the walk's listen probability
+	ss             []int32 // the node's own send slots
+	si             int     // the cursor into ss
 	prepaid, quiet bool
 	listens        int64 // prepaid listens, charged at the end
 	phaseL         int64
@@ -779,14 +687,7 @@ type listenWalk struct {
 // a lane.
 func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 	r := l.r
-	l.quietOK, l.jam = true, nil
-	if plan != nil {
-		words, ok := adversary.UntargetedJams(plan, ph.Length)
-		l.quietOK = ok
-		if ph.Kind == core.PhaseRequest { // only request phases tally noise
-			l.jam = words
-		}
-	}
+	l.viewPlan(ph, plan)
 	next := 0
 	for {
 		for free := ^l.draws.Live(); free != 0 && next < len(r.nodes); next++ {
@@ -835,35 +736,47 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 	}
 }
 
-// startWalk sets w up for n's listen walk at probability p: no slot fed
-// yet, the node's send slots, and on sparse lanes its reception row and
-// first event. A meter that covers every slot of the phase cannot
-// exhaust mid-walk, so the per-listen charges fold into one ChargeN at
-// the end — charges are pure accumulation, so the final meter state is
-// identical. Otherwise the walk keeps the scalar per-listen path, whose
-// mid-walk death is observable.
-func (l *batchLane) startWalk(w *listenWalk, n *nodeState, p float64, ph *core.Phase) {
-	*w = listenWalk{
-		n:         n,
-		p:         p,
-		ss:        l.sendSlot[l.sendOff[n.id]:l.sendOff[n.id+1]],
-		prepaid:   n.meter.CanAfford(int64(ph.Length)),
-		nextEvent: math.MaxInt,
+// viewPlan sets the listen pass's view of the plan: quietOK, the
+// request-phase jam words and, on a sparse lane whose quiet runs may
+// settle, the hot mask. Such a plan's jams disrupt every listener, so a
+// busy jammed slot is noise like an idle jammed one, and only busy
+// unjammed slots are hot.
+func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
+	l.quietOK, l.jam = true, nil
+	var jam []uint64
+	if plan != nil {
+		jam, l.quietOK = adversary.UntargetedJams(plan, ph.Length)
+		if ph.Kind == core.PhaseRequest { // only request phases tally noise
+			l.jam = jam
+		}
 	}
-	if l.r.topo == nil {
+	if l.r.topo == nil || !l.quietOK {
 		return
 	}
-	w.quiet = w.prepaid && l.quietOK
-	lo, hi := l.rowOff[n.id], l.rowEnd[n.id]
-	w.rs, w.ri = l.rowSlot[lo:hi], l.rowInfo[lo:hi]
-	if len(w.ss) > 0 {
-		w.nextEvent = int(w.ss[0])
+	busy := l.busy.Words()
+	hot := resize(&l.hot, len(busy))
+	copy(hot, busy)
+	if jam != nil {
+		for w := range hot {
+			hot[w] &^= jam[w]
+		}
 	}
-	if len(w.rs) > 0 && int(w.rs[0]) < w.nextEvent {
-		w.nextEvent = int(w.rs[0])
-	}
-	if as := l.advSlot; len(as) > 0 && int(as[0]) < w.nextEvent {
-		w.nextEvent = int(as[0])
+}
+
+// startWalk sets w up for n's listen walk at probability p: no slot fed
+// yet, and the node's send slots. A meter that covers every slot of the
+// phase cannot exhaust mid-walk, so the per-listen charges fold into one
+// ChargeN at the end — charges are pure accumulation, so the final meter
+// state is identical. Otherwise the walk keeps the scalar per-listen
+// path, whose mid-walk death is observable.
+func (l *batchLane) startWalk(w *listenWalk, n *nodeState, p float64, ph *core.Phase) {
+	prepaid := n.meter.CanAfford(int64(ph.Length))
+	*w = listenWalk{
+		n:       n,
+		p:       p,
+		ss:      l.sendSlot[l.sendOff[n.id]:l.sendOff[n.id+1]],
+		prepaid: prepaid,
+		quiet:   prepaid && l.quietOK && l.r.topo != nil,
 	}
 }
 
@@ -881,7 +794,7 @@ func (l *batchLane) walkBlock(w *listenWalk, ph *core.Phase, plan *adversary.Pla
 // over: its node informed or dead.
 func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) bool {
 	if l.r.topo != nil {
-		return l.feedIdx(w, blk, ph, plan)
+		return l.feedSparse(w, blk, ph, plan)
 	}
 	return l.feedDense(w, blk, ph, plan)
 }
@@ -947,45 +860,42 @@ func (l *batchLane) feedDense(w *listenWalk, blk []int32, ph *core.Phase, plan *
 	return stop
 }
 
-// feedIdx is the listen walk over a built reception index, one block at
-// a time. The sampled slots ascend, so the walk keeps monotone cursors
-// into the node's own reception row, the adversary records, and its
-// send slots, and maintains nextEvent — the earliest upcoming slot in
-// any of them. A jammed-and-disrupted listen short-circuits to noise on
-// the plan's bit test alone, exactly as observe orders it (under a
-// phase-wide jam every slot would be an "event"; the bitmap test keeps
-// those listens as cheap as before), and steps the cursors past any
-// event it covers. Below that, a listen before nextEvent is not the
-// node's own send and has no audible record: it is silence by
-// construction and settles with one compare, no channel state touched.
-// Only event slots pay for full resolution. Every per-listen effect —
-// charge order, tallies, the informed exit — is the scalar walk's, so
-// outcomes stay byte-identical.
+// feedSparse is the sparse lane's walk over one block: feedDense's
+// per-listen steps — own send skipped before any observation, jammed or
+// not; charge; observe; tallies; the informed exit — with observeSparse
+// resolving each listen.
 //
-// A quiet walk settles each run of drawn slots below nextEvent at once
-// (quietRun): prepaid, nothing can fail mid-run, and with every jam
-// disrupting every listener a quiet listen is noise exactly when the
-// jam mask marks its slot, so the run adds its length to the listen
-// tallies and its jam bits to the noise tally — no per-listen Jammed
-// branch, which under a random jam is a coin flip. Event slots, unpaid
-// walks, targeted plans and plans shorter than the phase (a custom
-// strategy may return one; past its end nothing is jammed) keep the
-// per-listen path.
+// A quiet walk settles each run of drawn slots short of its next own
+// send and of the phase's next hot slot at once (quietRun): prepaid,
+// nothing can fail mid-run, and with every jam disrupting every
+// listener a listen that is neither hot nor an own send is noise
+// exactly when the jam mask marks its slot, so the run adds its length
+// to the listen tallies and its jam bits to the noise tally — no
+// per-listen Jammed branch, which under a random jam is a coin flip. A
+// hot slot that ends a run is unjammed by construction and is heard out
+// directly. Own sends, unpaid walks, targeted plans and plans shorter
+// than the phase (a custom strategy may return one; past its end
+// nothing is jammed) keep the per-listen path.
 //
-// The cursors and tallies load into locals on entry and store back on
+// The cursor and tallies load into locals on entry and store back on
 // exit, so the hot loop keeps them in registers.
-func (l *batchLane) feedIdx(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
-	n := w.n
-	rs, ri, ss := w.rs, w.ri, w.ss
-	as, ak := l.advSlot, l.advKind
-	jam := l.jam
+func (l *batchLane) feedSparse(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
+	n, ss := w.n, w.ss
+	hot, jam := l.hot, l.jam
 	isReq := ph.Kind == core.PhaseRequest
 	prepaid, quiet := w.prepaid, w.quiet
 	listens, phaseL, reqL, reqNoisy := w.listens, w.phaseL, w.reqL, w.reqNoisy
-	si, rc, ac, nextEvent := w.si, w.rc, w.ac, w.nextEvent
+	si := w.si
 	for i := 0; i < len(blk); i++ {
-		if quiet && int(blk[i]) < nextEvent {
-			j, jammed := quietRun(blk, i, nextEvent, jam)
+		if quiet {
+			for si < len(ss) && ss[si] < blk[i] {
+				si++
+			}
+			nextSend := math.MaxInt
+			if si < len(ss) {
+				nextSend = int(ss[si])
+			}
+			j, jammed := quietRun(blk, i, nextSend, hot, jam)
 			k := j - i
 			listens += int64(k)
 			phaseL += int64(k)
@@ -998,83 +908,11 @@ func (l *batchLane) feedIdx(w *listenWalk, blk []int32, ph *core.Phase, plan *ad
 			}
 			i = j
 		}
-		s32 := blk[i]
-		slot := int(s32)
-		if plan != nil && plan.Jammed(slot) {
-			// Own sends are skipped before any observation, jammed
-			// or not.
-			for si < len(ss) && int(ss[si]) < slot {
-				si++
-			}
-			if si < len(ss) && int(ss[si]) == slot {
-				continue
-			}
-			if plan.Disrupts(slot, n.id) {
-				if prepaid {
-					listens++
-				} else if err := n.meter.Charge(energy.Listen); err != nil {
-					n.dead = true
-					stop = true
-					break
-				}
-				phaseL++
-				if isReq {
-					reqL++
-					reqNoisy++
-				}
-				if slot >= nextEvent {
-					// Step past the event it covers, so the listens
-					// after it still settle as quiet runs.
-					si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
-				}
-				continue
-			}
-			// Jammed but not disrupted for this listener: the slot
-			// resolves audibly below, like any other.
-		}
-		if slot < nextEvent {
-			// Quiet listen: silence, charged and counted only.
-			if prepaid {
-				listens++
-			} else if err := n.meter.Charge(energy.Listen); err != nil {
-				n.dead = true
-				stop = true
-				break
-			}
-			phaseL++
-			if isReq {
-				reqL++
-			}
-			continue
-		}
-		// Event slot: advance the cursors to it and resolve fully.
+		slot := int(blk[i])
 		for si < len(ss) && int(ss[si]) < slot {
 			si++
 		}
-		for rc < len(rs) && rs[rc] < s32 {
-			rc++
-		}
-		for ac < len(as) && as[ac] < s32 {
-			ac++
-		}
-		isSend := si < len(ss) && int(ss[si]) == slot
-		var kind msg.Kind
-		heard := 0
-		if rc < len(rs) && rs[rc] == s32 {
-			if rc+1 < len(rs) && rs[rc+1] == s32 {
-				heard = 2
-			} else {
-				heard = 1
-				kind = msg.Kind(ri[rc])
-			}
-		}
-		for j := ac; heard < 2 && j < len(as) && as[j] == s32; j++ {
-			if heard++; heard == 1 {
-				kind = msg.Kind(ak[j])
-			}
-		}
-		si, rc, ac, nextEvent = stepPast(ss, rs, as, si, rc, ac, s32)
-		if isSend {
+		if si < len(ss) && int(ss[si]) == slot {
 			continue
 		}
 		if prepaid {
@@ -1085,69 +923,59 @@ func (l *batchLane) feedIdx(w *listenWalk, blk []int32, ph *core.Phase, plan *ad
 			break
 		}
 		phaseL++
+		var kind msg.Kind
+		var out outcome
+		if quiet && hot[slot>>6]>>(slot&63)&1 != 0 {
+			kind, out = l.hear(slot, n.id)
+		} else {
+			kind, out = l.observeSparse(slot, n.id, plan)
+		}
 		if isReq {
 			reqL++
-			if heard != 0 {
+			if out != outcomeSilence {
 				reqNoisy++
 			}
 		}
-		if heard == 1 && kind == msg.KindData {
+		if out == outcomeReceived && kind == msg.KindData {
 			inform(n, ph)
 			stop = true
 			break
 		}
 	}
 	w.listens, w.phaseL, w.reqL, w.reqNoisy = listens, phaseL, reqL, reqNoisy
-	w.si, w.rc, w.ac, w.nextEvent = si, rc, ac, nextEvent
+	w.si = si
 	return stop
 }
 
-// stepPast steps the walk's cursors into its send slots ss, reception
-// row rs and adversary records as past slot, and returns them with the
-// refreshed nextEvent: the earliest slot still ahead in any of them.
-func stepPast(ss, rs, as []int32, si, rc, ac int, slot int32) (int, int, int, int) {
-	for si < len(ss) && ss[si] <= slot {
-		si++
-	}
-	for rc < len(rs) && rs[rc] <= slot {
-		rc++
-	}
-	for ac < len(as) && as[ac] <= slot {
-		ac++
-	}
-	nextEvent := math.MaxInt
-	if si < len(ss) {
-		nextEvent = int(ss[si])
-	}
-	if rc < len(rs) && int(rs[rc]) < nextEvent {
-		nextEvent = int(rs[rc])
-	}
-	if ac < len(as) && int(as[ac]) < nextEvent {
-		nextEvent = int(as[ac])
-	}
-	return si, rc, ac, nextEvent
-}
-
 // quietRun returns the end j of the run blk[i:j] of slots below
-// nextEvent and how many of them the jam mask jam marks; a nil jam
-// counts none. Slots ascend, so the run is a prefix of blk[i:].
-func quietRun(blk []int32, i, nextEvent int, jam []uint64) (j, jammed int) {
+// nextSend and off the hot mask, and how many of them the jam mask jam
+// marks; a nil jam counts none. Slots ascend, so the run is a prefix of
+// blk[i:].
+func quietRun(blk []int32, i, nextSend int, hot, jam []uint64) (j, jammed int) {
 	j = i
 	if jam == nil {
-		for j < len(blk) && int(blk[j]) < nextEvent {
-			j++
+		for ; j < len(blk) && int(blk[j]) < nextSend; j++ {
+			s := uint(blk[j])
+			if hot[s>>6]>>(s&63)&1 != 0 {
+				break
+			}
 		}
 		return j, 0
 	}
-	for ; j < len(blk) && int(blk[j]) < nextEvent; j++ {
+	for ; j < len(blk) && int(blk[j]) < nextSend; j++ {
 		s := uint(blk[j])
+		if hot[s>>6]>>(s&63)&1 != 0 {
+			break
+		}
 		jammed += int(jam[s>>6] >> (s & 63) & 1)
 	}
 	return j, jammed
 }
 
-// aliceListens mirrors run.aliceListens on a block schedule, with the
-// same event-skip dispatch as the node walks.
+// aliceListens mirrors run.aliceListens on a block schedule, resolving
+// each listen through observe or, on a sparse lane, observeSparse. She
+// listens only in request phases, O(log n) times each, a small share of
+// the listen work, so her walk keeps the per-listen path.
 func (l *batchLane) aliceListens(ph *core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
 	r := l.r
 	if ph.AliceListenP <= 0 || !r.alice.active() {
@@ -1155,10 +983,6 @@ func (l *batchLane) aliceListens(ph *core.Phase, plan *adversary.Plan, out *adve
 	}
 	r.aliceStream.Reseed(r.opts.Seed, actorAlice, uint64(ph.Round), uint64(ph.Ordinal), purpListen)
 	l.blkA.Reset(&r.aliceStream, ph.AliceListenP, ph.Length)
-	if r.topo != nil {
-		l.aliceListensIdx(ph, plan, out)
-		return
-	}
 	prepaid := r.alice.meter.CanAfford(int64(ph.Length))
 	listens := int64(0)
 outer:
@@ -1175,7 +999,12 @@ outer:
 				r.alice.dead = true
 				break outer
 			}
-			_, o := l.observe(slot, msg.SenderAlice, plan)
+			var o outcome
+			if r.topo != nil {
+				_, o = l.observeSparse(slot, msg.SenderAlice, plan)
+			} else {
+				_, o = l.observe(slot, msg.SenderAlice, plan)
+			}
 			out.AliceListens++
 			r.alice.listens++
 			if o != outcomeSilence {
@@ -1183,87 +1012,6 @@ outer:
 			}
 		}
 	}
-	if prepaid {
-		_ = r.alice.meter.ChargeN(energy.Listen, listens)
-	}
-}
-
-// aliceListensIdx is Alice's event-skip listen walk over row n of the
-// reception index. She has no send slots to skip and never acts on the
-// received kind — her tally only distinguishes silence from noise — so
-// event resolution reduces to: disrupted jam, or any audible record at
-// the slot. She listens only in request phases, O(log n) times each, a
-// small share of the listen work, so her walk keeps the per-listen path
-// and settles no quiet runs.
-func (l *batchLane) aliceListensIdx(ph *core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
-	r := l.r
-	n := len(r.nodes)
-	lo, hi := l.rowOff[n], l.rowEnd[n]
-	rs := l.rowSlot[lo:hi]
-	as := l.advSlot
-
-	prepaid := r.alice.meter.CanAfford(int64(ph.Length))
-	// Tallies accumulate in locals and flush at exit, as in the node
-	// walk.
-	listens := int64(0)
-	var heardL, noisyL int
-	var rc, ac int
-	nextEvent := math.MaxInt
-	if len(rs) > 0 {
-		nextEvent = int(rs[0])
-	}
-	if len(as) > 0 && int(as[0]) < nextEvent {
-		nextEvent = int(as[0])
-	}
-outer:
-	for {
-		blk := l.blkA.Take()
-		if len(blk) == 0 {
-			break
-		}
-		for _, s32 := range blk {
-			slot := int(s32)
-			noisy := false
-			if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, msg.SenderAlice) {
-				noisy = true
-			} else if slot >= nextEvent {
-				for rc < len(rs) && rs[rc] < s32 {
-					rc++
-				}
-				for ac < len(as) && as[ac] < s32 {
-					ac++
-				}
-				noisy = (rc < len(rs) && rs[rc] == s32) ||
-					(ac < len(as) && as[ac] == s32)
-				for rc < len(rs) && rs[rc] == s32 {
-					rc++
-				}
-				for ac < len(as) && as[ac] == s32 {
-					ac++
-				}
-				nextEvent = math.MaxInt
-				if rc < len(rs) {
-					nextEvent = int(rs[rc])
-				}
-				if ac < len(as) && int(as[ac]) < nextEvent {
-					nextEvent = int(as[ac])
-				}
-			}
-			if prepaid {
-				listens++
-			} else if err := r.alice.meter.Charge(energy.Listen); err != nil {
-				r.alice.dead = true
-				break outer
-			}
-			heardL++
-			if noisy {
-				noisyL++
-			}
-		}
-	}
-	out.AliceListens += int64(heardL)
-	r.alice.listens += heardL
-	r.alice.noisy += noisyL
 	if prepaid {
 		_ = r.alice.meter.ChargeN(energy.Listen, listens)
 	}

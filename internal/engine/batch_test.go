@@ -94,9 +94,9 @@ func TestBatchMatchesScalar(t *testing.T) {
 			})
 		}
 	}
-	// Node ids past 0xffff in the packed reception record: one round on
-	// a 70000-node grid, where the request phase's NACKs and spoofs reach
-	// listeners with wide ids.
+	// Node ids past 0xffff: one round on a 70000-node grid, where the
+	// request phase's NACKs and spoofs reach listeners with wide ids, and
+	// where any per-phase structure quadratic in n would not fit.
 	t.Run("grid-70000", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("70000-node grid: slow")
@@ -258,8 +258,9 @@ func unheardRows() []phaseRow {
 	}}
 }
 
-// quietRunRows cover the sparse listen walks' quiet runs (listens below
-// the walk's next event, settled a run at once) under a random jam, and
+// quietRunRows cover the sparse listen walks' quiet runs (listens short
+// of the walk's next own send and the phase's next hot slot, settled a
+// run at once) under a random jam, and
 // the walks that keep the per-listen path: unpaid meters, targeted jams,
 // plans shorter than the phase, and Alice's walk.
 func quietRunRows() []phaseRow {

@@ -12,7 +12,7 @@ import (
 // their committed-send slices, the device meters, the adversary history
 // and RSSI bitmap, the round schedule, the topology construction /
 // CSR adjacency arrays, and the batch kernel's lane (reception bitsets,
-// block schedules, reception index) with its cache of trial-invariant
+// block schedules, transmission buckets) with its cache of trial-invariant
 // graphs — across executions. Run takes one from a pool; a tight trial
 // loop may instead hand its own to consecutive runs via
 // Options.Scratch. Together with the in-place stream/schedule API

@@ -83,7 +83,7 @@ var errBadResult = fmt.Errorf("engine: bad steady-state result")
 // scratch Run on the batch kernel: the guarantee that the engine's
 // steady state allocates nothing beyond the Result it hands out (plus
 // the harness's own Options/pool). A regression in any layer — rng
-// streams, block schedules, plans, reception index, topology buffers,
+// streams, block schedules, plans, transmission buckets, topology buffers,
 // the schedule iterator — fails this gate in CI.
 func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {

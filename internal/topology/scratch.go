@@ -43,16 +43,23 @@ func grow[T any](buf []T, n int) []T {
 // reception against these arrays replaces an interface dispatch per
 // transmission record with a bounded binary search over one cache-line
 // sized row, and is what fixed the sparse-path scratch regression (see
-// BENCH_ENGINE.json).
+// BENCH_ENGINE.json). A Gilbert graph's view also carries the graph's
+// adjacency bitmatrix, aliased rather than copied, so its Adjacent is
+// one bit test.
 type CSR struct {
 	Off   []int32
 	Nbr   []int32
 	Alice []bool
+	adj   bitmatrix // row v marks the nodes v hears; empty unless Gilbert
 }
 
-// Adjacent reports whether listener hears transmissions from src,
-// mirroring Topology.Adjacent on the flattened rows.
+// Adjacent reports whether listener hears transmissions from src —
+// whether src is in Row(listener) — mirroring Topology.Adjacent on the
+// flattened rows.
 func (c *CSR) Adjacent(src, listener int) bool {
+	if c.adj.words != nil {
+		return c.adj.get(listener, src)
+	}
 	lo, hi := c.Off[listener], c.Off[listener+1]
 	s := int32(src)
 	for lo < hi {
@@ -73,27 +80,9 @@ func (c *CSR) Adjacent(src, listener int) bool {
 func (c *CSR) AliceHears(node int) bool { return c.Alice[node] }
 
 // Row returns listener's neighborhood row — the ascending node ids it
-// hears — as a direct view of the CSR arrays. Every current topology
-// kind is symmetric (clique, Chebyshev grid, Euclidean Gilbert), so the
-// row doubles as the set of listeners that hear transmissions *from*
-// the node; the batched engine's reception index scatters transmissions
-// through rows under exactly that reading (pinned per kind by
-// TestCSRSymmetric). An asymmetric future kind must grow a reverse-row
-// view before it can ride the index path.
+// hears — as a direct view of the CSR arrays.
 func (c *CSR) Row(listener int) []int32 {
 	return c.Nbr[c.Off[listener]:c.Off[listener+1]]
-}
-
-// AppendAliceAudible appends, ascending, every node mutually audible
-// with Alice — the scatter targets of Alice's own transmissions — and
-// returns the extended slice.
-func (c *CSR) AppendAliceAudible(dst []int32) []int32 {
-	for v, ok := range c.Alice {
-		if ok {
-			dst = append(dst, int32(v))
-		}
-	}
-	return dst
 }
 
 // neighborAppender is the fast-fill hook: topology kinds that can
@@ -115,6 +104,10 @@ func BuildCSR(t Topology, sc *Scratch) *CSR {
 	c.Off = grow(c.Off, n+1)
 	c.Alice = grow(c.Alice, n)
 	c.Nbr = c.Nbr[:0]
+	c.adj = bitmatrix{}
+	if g, ok := t.(*Gilbert); ok {
+		c.adj = g.adj
+	}
 	na, fast := t.(neighborAppender)
 	for v := 0; v < n; v++ {
 		c.Off[v] = int32(len(c.Nbr))

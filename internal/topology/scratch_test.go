@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -78,6 +79,9 @@ func TestCSRMatchesTopology(t *testing.T) {
 				if csr.Adjacent(u, v) != topo.Adjacent(u, v) {
 					t.Fatalf("%s: Adjacent(%d,%d) diverged", tc.name, u, v)
 				}
+				if csr.Adjacent(u, v) != slices.Contains(csr.Row(v), int32(u)) {
+					t.Fatalf("%s: Adjacent(%d,%d) disagrees with row %d", tc.name, u, v, v)
+				}
 			}
 		}
 		// Rows must be ascending for the binary search.
@@ -113,12 +117,11 @@ func TestBuildIntoSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestCSRSymmetric pins the symmetry assumption CSR.Row documents:
-// for every current topology kind, u hears v exactly when v hears u
-// (and Alice audibility is mutual by construction). The batched
-// engine's reception index reads Row(src) as "the listeners that hear
-// src", which is only the neighborhood row under this symmetry; a kind
-// that breaks it must not ship without a reverse-row view.
+// TestCSRSymmetric pins a property of every current topology kind:
+// u hears v exactly when v hears u (and Alice audibility is mutual by
+// construction). The engine does not rely on it — it asks
+// Adjacent(src, listener) in the listener's direction — but the
+// models (clique, Chebyshev grid, Euclidean Gilbert) all promise it.
 func TestCSRSymmetric(t *testing.T) {
 	sc := NewScratch()
 	for _, tc := range []struct {
