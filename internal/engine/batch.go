@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -23,7 +22,7 @@ import (
 // trials are independent — lanes may differ in every Options field —
 // and every Result is byte-identical to the scalar oracle's (RunScalar)
 // for the same Options (pinned by the differential, trace and fuzz
-// tests). Five things make a lane faster than the scalar loop:
+// tests). Six things make a lane faster than the scalar loop:
 //
 //   - Lane-parallel listen draws. The draw is the engine's dominant
 //     cost, and its log/divide tail serializes in the scalar engine.
@@ -49,9 +48,13 @@ import (
 //     asking what its listener hears: its own send is skipped, a
 //     disrupting jam is noise, a slot with no traffic is silence, and
 //     only a busy slot walks its bucket of records under the audibility
-//     rules (observeSparse). A prepaid node walk under an untargeted jam
-//     settles each run of listens short of a hot (busy, unjammed) slot or
-//     an own send at once.
+//     rules (observeSparse).
+//   - Quiet listens by mask. On a sparse lane under an untargeted plan
+//     covering the phase, a prepaid node walk settles a drawn block with
+//     popcounts: one rng.Lanes.Bits call per Draw (an AVX-512 gather)
+//     reads the phase's hot (busy, unjammed) mask, and in request phases
+//     its jam mask, at every lane's slots, and only hot slots are heard
+//     out one at a time (feedQuiet).
 //   - Cross-trial topology caching. Clique and grid specs are
 //     trial-invariant, so every trial on a BatchScratch shares a single
 //     build and CSR from one topology.Cache. A Gilbert graph is fresh
@@ -94,13 +97,14 @@ type batchLane struct {
 	sendSlot []int32
 	sendKind []msg.Kind
 	sendOff  []int32
-	// The listen pass's view of the plan: whether a quiet run may settle
-	// in one pass (no targeting predicate, a plan covering the phase), the
-	// hot slots that end a quiet run (busy and unjammed) and the jam words
-	// request-phase quiet runs count noise from.
+	// The listen pass's view of the plan: whether quiet walks may settle
+	// by mask (no targeting predicate, a plan covering the phase), the hot
+	// slots a quiet walk must hear out (busy and unjammed) and the jam
+	// words request-phase walks count noise from.
 	quietOK bool
 	hot     []uint64
 	jam     []uint64
+	seen    quietSeen
 
 	// The phase's transmissions on a sparse topology: txs as committed,
 	// then bucketed by slot (see bucketTx) — the records of the busy slot
@@ -110,6 +114,13 @@ type batchLane struct {
 	txStart  []int32
 	rank     []int32
 }
+
+// quietSeen counts the quiet walks' rarer cases, so the differential
+// tests can prove their rows reach them: a drawn own send on a hot slot,
+// a request-phase walk informed at a hot slot past jammed listens of its
+// block, and a block masked in Go (a straggler's or a p >= 1 walk's,
+// off the draw lanes).
+type quietSeen struct{ hotSends, informAfterJam, goMasks int }
 
 // scratches recycles the kernel's working state across Run calls that
 // bring no Options.Scratch: sync.Pool's per-P caching makes a Get/Put
@@ -675,10 +686,12 @@ type listenWalk struct {
 // listenPass runs every node's listen walk: mirrors of run.walkNodeListens
 // on the lane's channel state, fed from the draw lanes. Each listener
 // (in id order) takes a free lane, with its listen stream re-keyed in
-// place; one Lanes.Draw then advances every live lane's schedule a block
-// and each walk is fed its block, and a lane whose walk ends (informed,
-// dead or its schedule exhausted) takes the next listener. Walks touch
-// only their own node and meter, and the plan and channel state are
+// place; one Lanes.Draw then advances every live lane's schedule a block,
+// one Lanes.Bits (two in a request phase) reads the hot (and jam) mask at
+// every lane's new slots when quiet walks may settle, and each walk is
+// fed its block, and a lane whose walk ends (informed, dead or its
+// schedule exhausted) takes the next listener. Walks touch only their
+// own node and meter, and the plan and channel state are
 // read-only here, so interleaving them is unobservable: every Result
 // stays byte-identical to the scalar oracle's, which walks node by node.
 // Once no listener is left and fewer than laneMinLive lanes are live,
@@ -725,10 +738,23 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 			return
 		}
 		ended := l.draws.Draw()
+		var hot, jam [8]uint16
+		if l.quietOK && r.topo != nil {
+			l.draws.Bits(l.hot, &hot)
+			if l.jam != nil {
+				l.draws.Bits(l.jam, &jam)
+			}
+		}
 		for m := live; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros8(m)
 			w := &l.walks[j]
-			if l.feed(w, l.draws.Slots(j), ph, plan) || ended&(1<<j) != 0 {
+			var stop bool
+			if w.quiet {
+				stop = l.feedQuiet(w, l.draws.Slots(j), uint32(hot[j]), uint32(jam[j]), ph)
+			} else {
+				stop = l.feed(w, l.draws.Slots(j), ph, plan)
+			}
+			if stop || ended&(1<<j) != 0 {
 				l.finishWalk(w)
 				l.draws.Stop(j)
 			}
@@ -737,10 +763,10 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 }
 
 // viewPlan sets the listen pass's view of the plan: quietOK, the
-// request-phase jam words and, on a sparse lane whose quiet runs may
-// settle, the hot mask. Such a plan's jams disrupt every listener, so a
-// busy jammed slot is noise like an idle jammed one, and only busy
-// unjammed slots are hot.
+// request-phase jam words and, on a sparse lane whose quiet walks may
+// settle by mask, the hot mask. Such a plan's jams disrupt every
+// listener, so a busy jammed slot is noise like an idle jammed one, and
+// only busy unjammed slots are hot.
 func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
 	l.quietOK, l.jam = true, nil
 	var jam []uint64
@@ -791,12 +817,23 @@ func (l *batchLane) walkBlock(w *listenWalk, ph *core.Phase, plan *adversary.Pla
 }
 
 // feed walks the next drawn slots of w and reports whether the walk is
-// over: its node informed or dead.
+// over: its node informed or dead. A quiet walk's block here is a
+// BlockSchedule refill (at most 32 slots), so its hot and jam masks are
+// built here, one bit test per slot; listenPass gathers the masks of
+// the draw lanes' blocks itself.
 func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) bool {
-	if l.r.topo != nil {
-		return l.feedSparse(w, blk, ph, plan)
+	switch {
+	case l.r.topo == nil:
+		return l.feedDense(w, blk, ph, plan)
+	case w.quiet:
+		l.seen.goMasks++
+		var jam uint32
+		if l.jam != nil {
+			jam = rng.SlotBits(l.jam, blk)
+		}
+		return l.feedQuiet(w, blk, rng.SlotBits(l.hot, blk), jam, ph)
 	}
-	return l.feedDense(w, blk, ph, plan)
+	return l.feedSparse(w, blk, ph, plan)
 }
 
 // finishWalk settles w's tallies into its node and charges its prepaid
@@ -860,55 +897,24 @@ func (l *batchLane) feedDense(w *listenWalk, blk []int32, ph *core.Phase, plan *
 	return stop
 }
 
-// feedSparse is the sparse lane's walk over one block: feedDense's
-// per-listen steps — own send skipped before any observation, jammed or
+// feedSparse is the sparse lane's per-listen walk over one block:
+// feedDense's steps — own send skipped before any observation, jammed or
 // not; charge; observe; tallies; the informed exit — with observeSparse
-// resolving each listen.
-//
-// A quiet walk settles each run of drawn slots short of its next own
-// send and of the phase's next hot slot at once (quietRun): prepaid,
-// nothing can fail mid-run, and with every jam disrupting every
-// listener a listen that is neither hot nor an own send is noise
-// exactly when the jam mask marks its slot, so the run adds its length
-// to the listen tallies and its jam bits to the noise tally — no
-// per-listen Jammed branch, which under a random jam is a coin flip. A
-// hot slot that ends a run is unjammed by construction and is heard out
-// directly. Own sends, unpaid walks, targeted plans and plans shorter
-// than the phase (a custom strategy may return one; past its end
-// nothing is jammed) keep the per-listen path.
+// resolving each listen. Quiet walks settle by mask instead (feedQuiet);
+// this path serves the rest: unpaid walks (a charge can fail
+// mid-block), targeted plans and plans shorter than the phase (a custom
+// strategy may return one; past its end nothing is jammed).
 //
 // The cursor and tallies load into locals on entry and store back on
 // exit, so the hot loop keeps them in registers.
 func (l *batchLane) feedSparse(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
 	n, ss := w.n, w.ss
-	hot, jam := l.hot, l.jam
 	isReq := ph.Kind == core.PhaseRequest
-	prepaid, quiet := w.prepaid, w.quiet
+	prepaid := w.prepaid
 	listens, phaseL, reqL, reqNoisy := w.listens, w.phaseL, w.reqL, w.reqNoisy
 	si := w.si
-	for i := 0; i < len(blk); i++ {
-		if quiet {
-			for si < len(ss) && ss[si] < blk[i] {
-				si++
-			}
-			nextSend := math.MaxInt
-			if si < len(ss) {
-				nextSend = int(ss[si])
-			}
-			j, jammed := quietRun(blk, i, nextSend, hot, jam)
-			k := j - i
-			listens += int64(k)
-			phaseL += int64(k)
-			if isReq {
-				reqL += k
-				reqNoisy += jammed
-			}
-			if j == len(blk) {
-				break
-			}
-			i = j
-		}
-		slot := int(blk[i])
+	for _, s32 := range blk {
+		slot := int(s32)
 		for si < len(ss) && int(ss[si]) < slot {
 			si++
 		}
@@ -923,13 +929,7 @@ func (l *batchLane) feedSparse(w *listenWalk, blk []int32, ph *core.Phase, plan 
 			break
 		}
 		phaseL++
-		var kind msg.Kind
-		var out outcome
-		if quiet && hot[slot>>6]>>(slot&63)&1 != 0 {
-			kind, out = l.hear(slot, n.id)
-		} else {
-			kind, out = l.observeSparse(slot, n.id, plan)
-		}
+		kind, out := l.observeSparse(slot, n.id, plan)
 		if isReq {
 			reqL++
 			if out != outcomeSilence {
@@ -947,29 +947,70 @@ func (l *batchLane) feedSparse(w *listenWalk, blk []int32, ph *core.Phase, plan 
 	return stop
 }
 
-// quietRun returns the end j of the run blk[i:j] of slots below
-// nextSend and off the hot mask, and how many of them the jam mask jam
-// marks; a nil jam counts none. Slots ascend, so the run is a prefix of
-// blk[i:].
-func quietRun(blk []int32, i, nextSend int, hot, jam []uint64) (j, jammed int) {
-	j = i
-	if jam == nil {
-		for ; j < len(blk) && int(blk[j]) < nextSend; j++ {
-			s := uint(blk[j])
-			if hot[s>>6]>>(s&63)&1 != 0 {
-				break
+// feedQuiet is a quiet walk over one block of at most 32 slots, given
+// the block's hot and jam masks (bit i for blk[i]; jam is zero outside
+// request phases, the only ones that count noise). The walk is prepaid, so nothing can fail
+// mid-block, and every jam disrupts every listener, so a listen that is
+// neither hot nor an own send is noise exactly when its jam bit is set.
+// The own sends the block hits come off the listen mask first (one
+// radio: skipped before any observation, jammed or not, and not
+// charged); then each stretch of listens up to and including the next
+// hot one settles with two popcounts, and only the hot slot — unjammed
+// by construction — is heard out. The informed exit follows the hot
+// slot that informs, with the stretch before it counted, exactly where
+// the per-listen walk stops.
+func (l *batchLane) feedQuiet(w *listenWalk, blk []int32, hot, jam uint32, ph *core.Phase) (stop bool) {
+	if len(blk) == 0 {
+		return false
+	}
+	listen := uint32(1)<<len(blk) - 1
+	ss, si := w.ss, w.si
+	for i, last := 0, blk[len(blk)-1]; si < len(ss) && ss[si] <= last; si++ {
+		for blk[i] < ss[si] {
+			i++
+		}
+		if blk[i] == ss[si] {
+			listen &^= 1 << i
+		}
+	}
+	w.si = si
+	if hot&^listen != 0 {
+		l.seen.hotSends++
+	}
+	hot &= listen
+	isReq := ph.Kind == core.PhaseRequest
+	for hot != 0 {
+		i := bits.TrailingZeros32(hot)
+		upto := uint32(2)<<i - 1 // blk[0..i]
+		w.settle(listen&upto, jam, isReq)
+		kind, out := l.hear(int(blk[i]), w.n.id)
+		if isReq && out != outcomeSilence {
+			w.reqNoisy++
+		}
+		if out == outcomeReceived && kind == msg.KindData {
+			if isReq && listen&upto&jam != 0 {
+				l.seen.informAfterJam++
 			}
+			inform(w.n, ph)
+			return true
 		}
-		return j, 0
+		listen &^= upto
+		hot &^= upto
 	}
-	for ; j < len(blk) && int(blk[j]) < nextSend; j++ {
-		s := uint(blk[j])
-		if hot[s>>6]>>(s&63)&1 != 0 {
-			break
-		}
-		jammed += int(jam[s>>6] >> (s & 63) & 1)
+	w.settle(listen, jam, isReq)
+	return false
+}
+
+// settle tallies the prepaid listens of mask m, of which the jam mask's
+// are noise in a request phase.
+func (w *listenWalk) settle(m, jam uint32, isReq bool) {
+	k := bits.OnesCount32(m)
+	w.listens += int64(k)
+	w.phaseL += int64(k)
+	if isReq {
+		w.reqL += k
+		w.reqNoisy += bits.OnesCount32(m & jam)
 	}
-	return j, jammed
 }
 
 // aliceListens mirrors run.aliceListens on a block schedule, resolving

@@ -14,6 +14,7 @@ import (
 	"rcbcast/internal/adversary"
 	"rcbcast/internal/core"
 	"rcbcast/internal/energy"
+	"rcbcast/internal/msg"
 	"rcbcast/internal/rng"
 	"rcbcast/internal/topology"
 	"rcbcast/internal/trace"
@@ -78,11 +79,20 @@ func TestBatchMatchesScalar(t *testing.T) {
 	}{{"unheard/", unheardRows()}, {"quiet-run/", quietRunRows()}} {
 		for _, row := range group.rows {
 			t.Run(group.prefix+row.name, func(t *testing.T) {
-				res := batchMatchesScalar(t, 8, func(lane int) Options {
+				bs := NewBatchScratch()
+				res := batchMatchesScalarOn(t, bs, 8, func(lane int) Options {
 					o := row.mk()
 					o.Seed += uint64(lane) * 7919
 					return o
 				})
+				if row.seen != nil {
+					seen := bs.sc.lane.seen
+					t.Logf("quiet walks: %+v", seen)
+					if !row.seen(seen) {
+						t.Fatalf("no walk reached the row's case: %+v", seen)
+					}
+					return
+				}
 				for _, r := range res {
 					for _, ph := range r.Phases {
 						if row.witness(r, ph) {
@@ -184,6 +194,10 @@ type phaseRow struct {
 	name    string
 	mk      func() Options
 	witness func(r *Result, ph adversary.PhaseOutcome) bool
+	// seen, when set, replaces witness for a case the Results cannot
+	// show: it must hold of the kernel's quiet-walk counts after the
+	// row's batch.
+	seen func(quietSeen) bool
 }
 
 // unheard reports a phase in which no correct party listened.
@@ -355,7 +369,56 @@ func quietRunRows() []phaseRow {
 		witness: func(_ *Result, ph adversary.PhaseOutcome) bool {
 			return ph.NodeListens == 0 && ph.AliceListens > 0 && ph.JammedSlots > 0
 		},
+	}, {
+		// A listen drawn on the node's own send, which leaves the slot
+		// busy and, unjammed, hot: skipped, not heard. Heavy decoys put
+		// uninformed listeners' own sends next to their neighbours'
+		// data, which a walk that heard the slot would be informed by.
+		name: "own-send-hot",
+		mk: func() Options {
+			o := jammed(307)
+			o.Params.Decoy = true
+			o.Params.DecoyProb = 0.05
+			return o
+		},
+		seen: func(s quietSeen) bool { return s.hotSends > 0 },
+	}, {
+		// Replayed data in request phases informs a walk at a hot slot
+		// whose block already counted jam noise before it.
+		name: "request-inform-after-jam",
+		mk: func() Options {
+			o := jammed(308)
+			o.Strategy = replayJam{adversary.RandomJam{P: 0.5}}
+			return o
+		},
+		seen: func(s quietSeen) bool { return s.informAfterJam > 0 },
+	}, {
+		// The last walks of a pass leave the draw lanes and finish on
+		// BlockSchedule refills, masked in Go. A lighter jam leaves them
+		// hot slots to be informed at.
+		name: "straggler-go-mask",
+		mk: func() Options {
+			o := jammed(309)
+			o.Strategy = adversary.RandomJam{P: 0.25}
+			return o
+		},
+		seen: func(s quietSeen) bool { return s.goMasks > 0 },
 	}}
+}
+
+// replayJam is a random jam that, in request phases, also replays the
+// data message every 61 slots from slot 5, so listeners can be informed
+// where nodes only NACK.
+type replayJam struct{ adversary.RandomJam }
+
+func (s replayJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy.Pool, st *rng.Stream) *adversary.Plan {
+	p := s.RandomJam.PlanPhase(ph, hist, pool, st)
+	if p != nil && ph.Kind == core.PhaseRequest {
+		for slot := 5; slot < ph.Length; slot += 61 {
+			p.Inject(slot, msg.Frame{Kind: msg.KindData, From: msg.SenderAlice})
+		}
+	}
+	return p
 }
 
 // targetedJam is a random jam, in every phase kind, that disrupts only
@@ -384,11 +447,17 @@ func (s shortJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy
 // and returns the batch's Results.
 func batchMatchesScalar(t *testing.T, width int, lane func(int) Options) []*Result {
 	t.Helper()
+	return batchMatchesScalarOn(t, nil, width, lane)
+}
+
+// batchMatchesScalarOn is batchMatchesScalar on the batch scratch bs.
+func batchMatchesScalarOn(t *testing.T, bs *BatchScratch, width int, lane func(int) Options) []*Result {
+	t.Helper()
 	opts := make([]Options, width)
 	for i := range opts {
 		opts[i] = lane(i)
 	}
-	batch, err := RunBatch(opts, nil)
+	batch, err := RunBatch(opts, bs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"rcbcast/internal/adversary"
 	"rcbcast/internal/core"
 	"rcbcast/internal/energy"
+	"rcbcast/internal/rng"
 	"rcbcast/internal/trace"
 )
 
@@ -461,12 +463,56 @@ func TestInformedFracAndSummary(t *testing.T) {
 	if empty.InformedFrac() != 0 {
 		t.Fatal("empty result InformedFrac must be 0")
 	}
-	s := summarizeCosts([]int64{5, 1, 3})
+	var buf []int64
+	s := summarizeCosts([]int64{5, 1, 3}, &buf)
 	if s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
 		t.Fatalf("summary = %+v", s)
 	}
-	if summarizeCosts(nil) != (CostSummary{}) {
+	if summarizeCosts(nil, &buf) != (CostSummary{}) {
 		t.Fatal("empty summary must be zero")
+	}
+}
+
+// TestSummarizeCostsScratch pins the node-cost summary on a recycled
+// buffer: the costs stay unsorted, a buffer holding a longer earlier
+// summary leaks nothing into a shorter one, the median of an even count
+// is the upper one, and a warm buffer allocates nothing.
+func TestSummarizeCostsScratch(t *testing.T) {
+	buf := []int64{-7, -7, -7, -7, -7}
+	costs := []int64{9, 2, 4}
+	if s := summarizeCosts(costs, &buf); s != (CostSummary{Min: 2, Max: 9, Median: 4, Mean: 5}) {
+		t.Fatalf("summary = %+v", s)
+	}
+	if costs[0] != 9 || costs[1] != 2 || costs[2] != 4 {
+		t.Fatalf("summarizeCosts reordered its input: %v", costs)
+	}
+	if s := summarizeCosts([]int64{4, 1, 3, 2}, &buf); s.Median != 3 {
+		t.Fatalf("even-count median = %d, want the upper one, 3", s.Median)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { summarizeCosts(costs, &buf) }); allocs != 0 {
+		t.Fatalf("summarizeCosts on a warm buffer allocates %.0f objects", allocs)
+	}
+}
+
+// TestSelectKthMatchesSort pins the median selection to a sorted copy
+// for every rank of random slices of every length up to 40, over value
+// ranges from all-equal to all-distinct.
+func TestSelectKthMatchesSort(t *testing.T) {
+	st := rng.New(11)
+	for n := 1; n <= 40; n++ {
+		for _, span := range []int{1, 3, n, 1 << 20} {
+			a := make([]int64, n)
+			for i := range a {
+				a[i] = int64(st.Intn(span))
+			}
+			sorted := slices.Sorted(slices.Values(a))
+			for k := range n {
+				b := slices.Clone(a)
+				if got := selectKth(b, k); got != sorted[k] {
+					t.Fatalf("n=%d span=%d k=%d: got %d, want %d (%v)", n, span, k, got, sorted[k], a)
+				}
+			}
+		}
 	}
 }
 

@@ -121,6 +121,8 @@ type run struct {
 	// txs records the phase's transmissions with their sources (sparse
 	// topologies only), sorted by slot before the listen pass.
 	txs []txRec
+	// costSort is summarizeCosts's sort buffer, recycled with the scratch.
+	costSort []int64
 
 	// Reusable per-phase state for the single-threaded walkers (Alice,
 	// the adversary, the round schedule, the reactive RSSI bitmap) —
@@ -865,26 +867,59 @@ func (r *run) result() *Result {
 		Dead:       r.alice.dead,
 		Round:      r.alice.round,
 	}
-	res.NodeCost = summarizeCosts(res.NodeCosts)
+	res.NodeCost = summarizeCosts(res.NodeCosts, &r.costSort)
 	return res
 }
 
-func summarizeCosts(costs []int64) CostSummary {
+// summarizeCosts summarizes costs, leaving them as they are: min, max
+// and mean in one pass, and the upper median, sorted[len/2], selected
+// from a copy in *buf, which it grows as needed, so a recycled buffer
+// makes it allocation-free.
+func summarizeCosts(costs []int64, buf *[]int64) CostSummary {
 	if len(costs) == 0 {
 		return CostSummary{}
 	}
-	sorted := append([]int64(nil), costs...)
-	slices.Sort(sorted)
+	s := CostSummary{Min: costs[0], Max: costs[0]}
 	var sum int64
-	for _, c := range sorted {
+	for _, c := range costs {
+		s.Min, s.Max = min(s.Min, c), max(s.Max, c)
 		sum += c
 	}
-	return CostSummary{
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: sorted[len(sorted)/2],
-		Mean:   float64(sum) / float64(len(sorted)),
+	s.Mean = float64(sum) / float64(len(costs))
+	*buf = append((*buf)[:0], costs...)
+	s.Median = selectKth(*buf, len(costs)/2)
+	return s
+}
+
+// selectKth returns the k-th smallest element of a (0-based), the value
+// a sorted copy holds at k, reordering a in place: Hoare's FIND, which
+// partitions around the current a[k] and keeps the side that holds k.
+func selectKth(a []int64, k int) int64 {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		x := a[k]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < x {
+				i++
+			}
+			for x < a[j] {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		if j < k {
+			lo = i
+		}
+		if k < i {
+			hi = j
+		}
 	}
+	return a[k]
 }
 
 // RunScalar executes the protocol on the scalar reference loop: one

@@ -8,7 +8,8 @@ import (
 )
 
 // Scratch recycles a run's working buffers — the per-slot channel
-// state, the per-phase transmission records, the per-node states with
+// state, the per-phase transmission records, the node-cost sort buffer,
+// the per-node states with
 // their committed-send slices, the device meters, the adversary history
 // and RSSI bitmap, the round schedule, the topology construction /
 // CSR adjacency arrays, and the batch kernel's lane (reception bitsets,
@@ -28,6 +29,7 @@ type Scratch struct {
 	counts, soloKind []uint8
 	dirty            []int32
 	txs              []txRec
+	costSort         []int64
 	nodes            []nodeState
 	aliceMeter       *energy.Meter
 	outcomes         []adversary.PhaseOutcome
@@ -66,6 +68,7 @@ func (r *run) adoptScratch(n int) {
 	r.soloKind = sc.soloKind[:0]
 	r.dirty = sc.dirty[:0]
 	r.txs = sc.txs[:0]
+	r.costSort = sc.costSort
 	r.hist.Outcomes = sc.outcomes[:0]
 	r.activity = sc.activity
 	r.sched = sc.sched
@@ -100,6 +103,7 @@ func (r *run) releaseScratch() {
 	}
 	sc.counts, sc.soloKind = r.counts, r.soloKind
 	sc.dirty, sc.txs = r.dirty, r.txs
+	sc.costSort = r.costSort
 	sc.nodes = r.nodes
 	sc.aliceMeter = r.alice.meter
 	sc.outcomes = r.hist.Outcomes

@@ -90,14 +90,15 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Skip("race instrumentation perturbs allocation counts; CI gates this test in a separate non-race step")
 	}
 	// Ceiling anatomy (clique): run struct + escaped Options + Result +
-	// NodeCosts + cost-sort copy ≈ 5; sparse kinds add the boxed
+	// NodeCosts ≈ 4 (the cost summary sorts in a scratch buffer); sparse
+	// kinds add the boxed
 	// topology value (and gilbert the *Gilbert). The margin on top
 	// absorbs occasional committed-send high-water growth on unseen
 	// seeds and plan-pool misses after an ill-timed GC — not a per-phase
 	// allocation, which would blow past any of these numbers by orders
 	// of magnitude.
 	// The bytes ceilings gate total heap bytes per warmed trial (measured
-	// 5.3-11.4 KiB/op), sized with the same kind of margin. They guard
+	// 3.3-3.5 KiB/op), sized with the same kind of margin. They guard
 	// against size regressions the object count cannot see — fewer but
 	// much larger allocations. Note the headline BenchmarkEngineRun
 	// bytes/op is NOT gated here and not comparable: it varies the seed

@@ -268,20 +268,22 @@ func (st *Stream) slots8Go(lnQ float64, pos, length int, dst []int32) (n, next i
 	return placeSlots(gs[:k], pos, length, dst)
 }
 
-// DrawPath names the path each draw kernel takes now — block draws
-// (GeometricSlots) and lane draws (Lanes.Draw), each on its assembly
-// kernel or the Go lanes — with the RCBCAST_NO_GEOBLOCK8 setting. It
+// DrawPath names the path each kernel takes now — block draws
+// (GeometricSlots), lane draws (Lanes.Draw) and lane bit-gathers
+// (Lanes.Bits), each on its assembly kernel or in Go — with the
+// RCBCAST_NO_GEOBLOCK8 setting. It
 // reads the variable afresh: the read that picks the paths runs at
 // package init, which go test's result cache does not see, so a test
 // that logs DrawPath is what keys a package's cached results on the
 // variable.
 func DrawPath() string {
-	path := func(asm bool) string {
+	path := func(asm bool, goPath string) string {
 		if asm {
 			return "AVX-512 assembly"
 		}
-		return "Go four-lane"
+		return goPath
 	}
-	return fmt.Sprintf("block draws: %s; lane draws: %s (RCBCAST_NO_GEOBLOCK8=%q)",
-		path(GeoBlock8Enabled()), path(LaneSlots8Enabled()), os.Getenv("RCBCAST_NO_GEOBLOCK8"))
+	return fmt.Sprintf("block draws: %s; lane draws: %s; lane bits: %s (RCBCAST_NO_GEOBLOCK8=%q)",
+		path(GeoBlock8Enabled(), "Go four-lane"), path(LaneSlots8Enabled(), "Go four-lane"),
+		path(LaneBits8Enabled(), "Go bit loop"), os.Getenv("RCBCAST_NO_GEOBLOCK8"))
 }

@@ -48,6 +48,17 @@ func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) 
 //go:noescape
 func laneSlots8Asm(ls *laneState, dst *[8][laneBlock]int32, live int) (ended uint8, ok bool)
 
+// laneBits8Asm is Lanes.Bits's kernel: for each lane j, bit i of out[j]
+// is bit slots[j][i] of the bit string at words (bit s in word s>>6 at
+// position s&63), for i below the lane's count ls.n[j]; higher bits are
+// zero. Slots past a lane's count are never read as indices, so they
+// may point anywhere. It returns ok = false, writing nothing, when some
+// lane with a nonzero count has a phase longer than limit, the bits the
+// words hold. Only valid when useLaneBits8 is true.
+//
+//go:noescape
+func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, out *[8]uint16) (ok bool)
+
 // log8Asm evaluates the kernel's log on eight uniforms.
 //
 //go:noescape
@@ -67,18 +78,24 @@ var geoBlock8Supported = geoBlock8CPU() && geoBlock8SelfCheck()
 // lane kernel passes its own self-check.
 var laneSlots8Supported = geoBlock8Supported && laneSlots8SelfCheck()
 
-// useGeoBlock8 routes GeometricSlots through the assembly kernel, and
-// useLaneSlots8 routes Lanes.Draw through the lane kernel. Both start
+// laneBits8Supported is true when the CPU and OS support AVX-512 F, DQ
+// and VL and the bit-gather passes its self-check.
+var laneBits8Supported = geoBlock8CPU() && laneBits8SelfCheck()
+
+// useGeoBlock8 routes GeometricSlots through the assembly kernel,
+// useLaneSlots8 routes Lanes.Draw through the lane kernel and
+// useLaneBits8 routes Lanes.Bits through the bit-gather. All three start
 // from the hardware detection, minus the environment kill switch:
 // RCBCAST_NO_GEOBLOCK8 (any non-empty value) forces the pure-Go paths
 // even where the kernels work, so CI can exercise the fallbacks'
 // byte-identity on kernel hosts instead of only on machines that happen
-// to lack them. Both paths place the same slots, so the switch is
-// always safe.
+// to lack them. Every path returns the same slots and bits, so the
+// switch is always safe.
 var (
 	noGeoBlock8   = os.Getenv("RCBCAST_NO_GEOBLOCK8") != ""
 	useGeoBlock8  = !noGeoBlock8 && geoBlock8Supported
 	useLaneSlots8 = !noGeoBlock8 && laneSlots8Supported
+	useLaneBits8  = !noGeoBlock8 && laneBits8Supported
 )
 
 // GeoBlock8Enabled reports whether block draws currently route through
@@ -89,7 +106,11 @@ func GeoBlock8Enabled() bool { return useGeoBlock8 }
 // the assembly lane kernel.
 func LaneSlots8Enabled() bool { return useLaneSlots8 }
 
-// SetGeoBlock8 enables or disables both assembly kernels in-process,
+// LaneBits8Enabled reports whether lane bit-gathers currently route
+// through the assembly kernel.
+func LaneBits8Enabled() bool { return useLaneBits8 }
+
+// SetGeoBlock8 enables or disables the assembly kernels in-process,
 // returning the previous state of the single-stream one. Enabling is
 // clamped to hardware support and the self-checks. Draws are
 // bit-identical either way — the switch exists so differential tests
@@ -99,6 +120,7 @@ func SetGeoBlock8(enabled bool) (prev bool) {
 	prev = useGeoBlock8
 	useGeoBlock8 = enabled && geoBlock8Supported
 	useLaneSlots8 = enabled && laneSlots8Supported
+	useLaneBits8 = enabled && laneBits8Supported
 	return prev
 }
 
@@ -259,6 +281,54 @@ func laneSlots8SelfCheck() bool {
 			if asm.st.pos[j] != ref.st.pos[j] {
 				return false
 			}
+		}
+	}
+	return true
+}
+
+// laneBits8SelfCheck verifies the bit-gather against the Go path before
+// it is ever used: over random words (including all-ones and all-zero
+// ones), every lane count 0-16 and slots spread over the whole phase
+// and its last word, the masks must be bit-identical. Slots past a
+// lane's count point at set bits inside the words, so a gather that
+// read them would set bits the Go path does not (an out-of-range stale
+// slot would fault here instead; the tests cover those).
+func laneBits8SelfCheck() bool {
+	sm := uint64(0xb175eedfeed5a11d)
+	var words [9]uint64
+	var ls Lanes
+	for trial := 0; trial < 64; trial++ {
+		for w := range words {
+			switch trial % 8 {
+			case 0:
+				words[w] = ^uint64(0)
+			case 1:
+				words[w] = 0
+			default:
+				words[w] = splitMix64(&sm)
+			}
+		}
+		length := len(words)*64 - int(splitMix64(&sm)%64)
+		for j := range 8 {
+			n := (trial + 3*j) % (laneBlock + 1)
+			ls.st.n[j], ls.st.length[j] = n, length
+			for i := range ls.slots[j] {
+				ls.slots[j][i] = int32(splitMix64(&sm) % uint64(length))
+			}
+			if j == trial%8 {
+				ls.slots[j][0] = int32(length - 1)
+			}
+			for i := n; i < laneBlock; i++ {
+				ls.slots[j][i] = int32(trial % 64) // bit set in words[0] of all-ones trials
+			}
+		}
+		var got, want [8]uint16
+		if !laneBits8Asm(&ls.st, &ls.slots, &words[0], len(words)*64, &got) {
+			return false
+		}
+		ls.bitsGo(words[:], &want)
+		if got != want {
+			return false
 		}
 	}
 	return true

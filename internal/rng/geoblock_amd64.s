@@ -481,6 +481,80 @@ lanesExact:
 	VZEROUPPER
 	RET
 
+// The lane bit-gather: for each lane, the bits of a word array at the
+// slots the lane kernel (or the Go path) placed in the last Draw. Each
+// lane's row of 16 dword slots becomes 16 dword indices (slot>>5, words
+// read as little-endian dwords) and shifts (slot&31); one VPGATHERDD,
+// masked by the lane's count, loads the dwords, and VPSRLVD + VPTESTMD
+// turn them into the lane's 16-bit mask. Slots past a lane's count are
+// stale and may index anywhere: the count mask keeps them from being
+// loaded at all.
+
+DATA kIota16<>+0(SB)/8, $0x0000000100000000
+DATA kIota16<>+8(SB)/8, $0x0000000300000002
+DATA kIota16<>+16(SB)/8, $0x0000000500000004
+DATA kIota16<>+24(SB)/8, $0x0000000700000006
+DATA kIota16<>+32(SB)/8, $0x0000000900000008
+DATA kIota16<>+40(SB)/8, $0x0000000B0000000A
+DATA kIota16<>+48(SB)/8, $0x0000000D0000000C
+DATA kIota16<>+56(SB)/8, $0x0000000F0000000E
+GLOBL kIota16<>(SB), RODATA|NOPTR, $64
+DATA kDword31<>+0(SB)/4, $31
+GLOBL kDword31<>(SB), RODATA|NOPTR, $4
+DATA kDword1<>+0(SB)/4, $1
+GLOBL kDword1<>(SB), RODATA|NOPTR, $4
+
+// func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, out *[8]uint16) (ok bool)
+TEXT ·laneBits8Asm(SB), NOSPLIT, $0-41
+	MOVQ ls+0(FP), SI
+	MOVQ slots+8(FP), DI
+	MOVQ words+16(FP), R8
+	MOVQ out+32(FP), R9
+
+	// Every lane with a count must have its phase inside the words:
+	// its counted slots lie below its length.
+	VMOVDQU64    512(SI), Z0
+	VPTESTMQ     Z0, Z0, K1
+	VMOVDQU64    448(SI), Z1
+	VPBROADCASTQ limit+24(FP), Z2
+	VPCMPQ       $6, Z2, Z1, K1, K2
+	KORTESTB     K2, K2
+	JNZ          bitsShort
+
+	VMOVDQU32      kIota16<>(SB), Z3
+	VPBROADCASTD   kDword31<>(SB), Z4
+	VPBROADCASTD   kDword1<>(SB), Z5
+	LEAQ           512(SI), R10
+	MOVQ           $8, CX
+
+bitsLane:
+	VPBROADCASTD (R10), Z6
+	VPCMPUD      $1, Z6, Z3, K1
+	KMOVW        K1, K2
+	VMOVDQU32    (DI), Z7
+	VPSRLD       $5, Z7, Z8
+	VPANDD       Z4, Z7, Z7
+	VPXORD       Z9, Z9, Z9
+	VPGATHERDD   (R8)(Z8*4), K1, Z9
+	VPSRLVD      Z7, Z9, Z9
+	VPTESTMD     Z5, Z9, K2, K3
+	KMOVW        K3, AX
+	MOVW         AX, (R9)
+	ADDQ         $64, DI
+	ADDQ         $8, R10
+	ADDQ         $2, R9
+	DECQ         CX
+	JNZ          bitsLane
+
+	MOVB $1, ok+40(FP)
+	VZEROUPPER
+	RET
+
+bitsShort:
+	MOVB $0, ok+40(FP)
+	VZEROUPPER
+	RET
+
 // func log8Asm(u, l *[8]float64)
 TEXT ·log8Asm(SB), NOSPLIT, $0-16
 	MOVQ    u+0(FP), SI

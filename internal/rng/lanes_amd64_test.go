@@ -77,3 +77,49 @@ func TestLaneSlots8Asm(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneBits8Asm pins the bit-gather against per-slot bit tests: random
+// words, every lane count 0-16, a slot in the phase's last word, and
+// stale slots past each count that point outside the words (a gather
+// that loaded them would fault). A lane whose phase overruns the words
+// is refused.
+func TestLaneBits8Asm(t *testing.T) {
+	if !geoBlock8CPU() {
+		t.Skip("no AVX-512 F/DQ/VL on this machine; lane bit-gathers take the Go path")
+	}
+	t.Log("AVX-512 F/DQ/VL present: testing the assembly bit-gather")
+	if !laneBits8Supported {
+		t.Fatal("the bit-gather failed its start-up self-check; lane bit-gathers fell back to the Go path")
+	}
+	sm := uint64(0x5eed)
+	for trial := range 512 {
+		words := make([]uint64, trial%37+1)
+		for w := range words {
+			words[w] = splitMix64(&sm)
+		}
+		var counts [8]uint8
+		for j := range counts {
+			counts[j] = uint8(trial + 5*j)
+		}
+		var ls Lanes
+		bitsLanes(&ls, uint64(trial), counts, 64*len(words)-trial%64)
+		var got [8]uint16
+		if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 64*len(words), &got) {
+			t.Fatalf("trial %d: the gather refused slots inside the words", trial)
+		}
+		if want := wantBits(&ls, words); got != want {
+			t.Fatalf("trial %d counts %v: got %04x, want %04x", trial, ls.st.n, got, want)
+		}
+	}
+	var ls Lanes
+	words := make([]uint64, 2)
+	bitsLanes(&ls, 1, [8]uint8{0, 0, 0, 1}, 129)
+	var got [8]uint16
+	if laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, &got) {
+		t.Fatal("the gather accepted a lane whose phase overruns the words")
+	}
+	ls.st.n[3] = 0
+	if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, &got) || got != ([8]uint16{}) {
+		t.Fatalf("lanes without slots: got ok=false or bits %04x", got)
+	}
+}

@@ -239,3 +239,90 @@ func BenchmarkLaneDraw(b *testing.B) {
 		ls.Draw()
 	}
 }
+
+// bitsLanes sets up ls as a Draw would leave it, for the bit-gather
+// tests: lane j counts counts[j]%(laneBlock+1) slots spread over a
+// phase of length bits of words (the last of them in lane 0, when it
+// counts any), and its slots past the count are stale, pointing past
+// the words or below zero.
+func bitsLanes(ls *Lanes, seed uint64, counts [8]uint8, length int) {
+	sm := seed
+	for j := range 8 {
+		n := int(counts[j]) % (laneBlock + 1)
+		ls.st.n[j], ls.st.length[j] = n, length
+		for i := range ls.slots[j] {
+			x := splitMix64(&sm)
+			if i < n {
+				ls.slots[j][i] = int32(x % uint64(length))
+			} else {
+				ls.slots[j][i] = int32(x) | 1<<30
+				if x&1 != 0 {
+					ls.slots[j][i] = -ls.slots[j][i]
+				}
+			}
+		}
+	}
+	if ls.st.n[0] > 0 {
+		ls.slots[0][ls.st.n[0]-1] = int32(length - 1)
+	}
+}
+
+// wantBits is the bit-gather by definition: one bit test per counted
+// slot.
+func wantBits(ls *Lanes, words []uint64) (out [8]uint16) {
+	for j := range out {
+		for i, s := range ls.slots[j][:ls.st.n[j]] {
+			if words[s/64]&(1<<(s%64)) != 0 {
+				out[j] |= 1 << i
+			}
+		}
+	}
+	return out
+}
+
+// FuzzLaneBitsMatchGo checks Lanes.Bits, on the AVX-512 gather where the
+// machine has it, against per-slot bit tests for fuzzed words, lane
+// counts 0-16 and phase lengths, with stale slots past every lane's
+// count pointing outside the words: they must not fault or set bits.
+func FuzzLaneBitsMatchGo(f *testing.F) {
+	f.Add(uint64(1), uint64(0x0102030405060708), uint8(3), uint8(0))
+	f.Add(uint64(7), uint64(0x1010101010101010), uint8(1), uint8(63))
+	f.Add(uint64(9), uint64(0), uint8(40), uint8(1))
+	f.Fuzz(func(t *testing.T, seed, counts uint64, nwords, short uint8) {
+		was := SetGeoBlock8(true)
+		defer SetGeoBlock8(was)
+		words := make([]uint64, int(nwords)%48+1)
+		sm := seed
+		for w := range words {
+			words[w] = splitMix64(&sm)
+		}
+		var cs [8]uint8
+		for j := range cs {
+			cs[j] = uint8(counts >> (8 * j))
+		}
+		var ls Lanes
+		bitsLanes(&ls, seed, cs, 64*len(words)-int(short)%64)
+		want := wantBits(&ls, words)
+		var got, gotGo [8]uint16
+		ls.Bits(words, &got)
+		ls.bitsGo(words, &gotGo)
+		if got != want || gotGo != want {
+			t.Fatalf("counts %v: got %04x (Go path %04x), want %04x", ls.st.n, got, gotGo, want)
+		}
+	})
+}
+
+// BenchmarkLaneBits times one Bits call after a full Draw (eight lanes,
+// laneBlock slots each): ns/op per 128 bit tests.
+func BenchmarkLaneBits(b *testing.B) {
+	var ls Lanes
+	for j := range 8 {
+		ls.Start(j, New(uint64(j)), 0.05, 1<<16)
+	}
+	ls.Draw()
+	words := make([]uint64, 1<<10)
+	var out [8]uint16
+	for b.Loop() {
+		ls.Bits(words, &out)
+	}
+}
