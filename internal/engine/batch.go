@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/bits"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -123,10 +124,45 @@ type batchLane struct {
 type quietSeen struct{ hotSends, informAfterJam, goMasks int }
 
 // scratches recycles the kernel's working state across Run calls that
-// bring no Options.Scratch: sync.Pool's per-P caching makes a Get/Put
-// pair around each trial an effectively per-worker scratch. Results are
-// byte-identical with and without reuse (the scratch tests pin that).
-var scratches = sync.Pool{New: func() any { return NewScratch() }}
+// bring no Options.Scratch. Results are byte-identical with and without
+// reuse (the scratch tests pin that).
+var scratches scratchList
+
+// scratchList is a free list of idle scratches, most recently returned
+// first, holding at most GOMAXPROCS of them. It is not a sync.Pool: a
+// pool keeps one scratch per P and drops idle ones at every GC, so a
+// worker that moved to another P, or sat across two collections, got a
+// cold scratch and regrew its buffers (about 330 KB for a Gilbert graph
+// at n=256), and how many scratches a process held followed GC timing
+// and scheduling. Here k concurrent runs (k <= GOMAXPROCS) build k
+// scratches once and keep them; a caller that wants the memory back
+// passes its own Options.Scratch.
+type scratchList struct {
+	mu   sync.Mutex
+	idle []*Scratch
+}
+
+func (l *scratchList) get() *Scratch {
+	l.mu.Lock()
+	n := len(l.idle)
+	if n == 0 {
+		l.mu.Unlock()
+		return NewScratch()
+	}
+	sc := l.idle[n-1]
+	l.idle[n-1] = nil
+	l.idle = l.idle[:n-1]
+	l.mu.Unlock()
+	return sc
+}
+
+func (l *scratchList) put(sc *Scratch) {
+	l.mu.Lock()
+	if len(l.idle) < runtime.GOMAXPROCS(0) {
+		l.idle = append(l.idle, sc)
+	}
+	l.mu.Unlock()
+}
 
 // Run executes the protocol on the batch kernel.
 func Run(opts Options) (*Result, error) { return RunContext(nil, opts) }
@@ -137,8 +173,8 @@ func Run(opts Options) (*Result, error) { return RunContext(nil, opts) }
 // would.
 func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	if opts.Scratch == nil {
-		sc := scratches.Get().(*Scratch)
-		defer scratches.Put(sc)
+		sc := scratches.get()
+		defer scratches.put(sc)
 		opts.Scratch = sc
 	}
 	return runKernel(ctx, opts)

@@ -566,6 +566,35 @@ func TestBatchScratchReuse(t *testing.T) {
 	}
 }
 
+// TestScratchListKeepsIdle pins the free list Run draws its scratch
+// from: an idle scratch survives garbage collections (a sync.Pool drops
+// it after two), the warmest one comes back first, and the list keeps
+// at most GOMAXPROCS idle scratches.
+func TestScratchListKeepsIdle(t *testing.T) {
+	var l scratchList
+	a, b := l.get(), l.get()
+	if a == b {
+		t.Fatal("an empty list handed out one scratch twice")
+	}
+	l.put(a)
+	l.put(b)
+	runtime.GC()
+	runtime.GC()
+	if got := l.get(); got != b {
+		t.Fatal("the last scratch returned did not come back first after two GCs")
+	}
+	if got := l.get(); got != a {
+		t.Fatal("an idle scratch did not survive two GCs")
+	}
+	limit := runtime.GOMAXPROCS(0)
+	for i := 0; i <= limit; i++ {
+		l.put(NewScratch())
+	}
+	if len(l.idle) != limit {
+		t.Fatalf("list holds %d idle scratches, want GOMAXPROCS = %d", len(l.idle), limit)
+	}
+}
+
 // TestBatchValidation covers the batch API's edges: empty input and
 // per-lane option errors.
 func TestBatchValidation(t *testing.T) {

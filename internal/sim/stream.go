@@ -209,7 +209,7 @@ func StreamMap[T any](ctx context.Context, procs, n int, fn func(ctx context.Con
 // to the sinks in trial order with bounded buffering — a million-trial
 // sweep holds O(procs) live engine.Results instead of O(trials).
 // Each trial is one engine.RunContext call on the batch kernel, whose
-// pooled scratch serves the worker's trials in turn. Delivery is
+// recycled scratch serves the worker's trials in turn. Delivery is
 // single-goroutine and index-ordered, so sink output is byte-identical
 // for every procs value; ctx cancellation stops workers at the next
 // engine phase boundary and returns a *PartialError whose Delivered
