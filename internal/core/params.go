@@ -192,9 +192,11 @@ func PracticalParams(n, k int) Params {
 	// Start at the first round where no *node* probability is clamped at
 	// 1 (the paper's own observation that any agreed-upon start works;
 	// starting inside the clamp region only wastes energy). Alice's
-	// Figure-2 send probability 2c·ln^k n/2^i can stay clamped much
-	// longer at small n; that is a finite-size effect the experiments
-	// document, not a reason to delay every node.
+	// Figure-2 send probability 2c·ln^k n/2^i can stay clamped for
+	// rounds past the start, and for more of them the larger n is:
+	// ln^k n grows with n, while the start round, set by the node
+	// probabilities, barely moves. That is a finite-size effect the
+	// experiments document, not a reason to delay every node.
 	p.StartRound = 1
 	for i := 1; i < 62; i++ {
 		clamped := false

@@ -23,7 +23,7 @@ import (
 // trials are independent — lanes may differ in every Options field —
 // and every Result is byte-identical to the scalar oracle's (RunScalar)
 // for the same Options (pinned by the differential, trace and fuzz
-// tests). Six things make a lane faster than the scalar loop:
+// tests). Five things make a lane faster than the scalar loop:
 //
 //   - Lane-parallel listen draws. The draw is the engine's dominant
 //     cost, and its log/divide tail serializes in the scalar engine.
@@ -36,30 +36,28 @@ import (
 //     rng.Stream.GeometricSlots. Over-drawing a stream is safe here
 //     because the engine re-keys (Reseed) every schedule stream before
 //     each use.
-//   - Bitset reception. The per-slot channel state is word-packed
-//     bitsets plus the solo frame kind, replacing the scalar engine's
-//     byte-per-slot counts array; observe checks the jam plan before
-//     touching channel state at all. Under heavy jamming the scalar
-//     engine misses cache on a counts load per listen just to discard
-//     it; the kernel's hot listen path reads only packed bits.
-//   - Pull sparse reception. A phase runs sends, then (on sparse
-//     topologies) buckets its transmissions by slot, then listens. The
-//     bucket pass (bucketTx) counting-sorts the phase's records by the
-//     rank of their slot among the busy slots, and a listen resolves by
-//     asking what its listener hears: its own send is skipped, a
-//     disrupting jam is noise, a slot with no traffic is silence, and
-//     only a busy slot walks its bucket of records under the audibility
-//     rules (observeSparse).
-//   - Quiet listens by mask. On a sparse lane under an untargeted plan
-//     covering the phase, a prepaid node walk settles a drawn block with
-//     popcounts: one rng.Lanes.Bits call per Draw (an AVX-512 gather)
-//     reads the phase's hot (busy, unjammed) mask, and in request phases
-//     its jam mask, at every lane's slots, and only hot slots are heard
-//     out one at a time (feedQuiet).
-//   - Cross-trial topology caching. Clique and grid specs are
-//     trial-invariant, so every trial on a BatchScratch shares a single
-//     build and CSR from one topology.Cache. A Gilbert graph is fresh
-//     for every seed and builds into the lane's one topology scratch.
+//   - Pull reception, one path for every topology. A phase runs sends,
+//     then buckets its transmissions by slot, then listens. The only
+//     per-slot channel state is a busy bitset, in place of the scalar
+//     engine's byte-per-slot counts. The bucket pass (bucketTx)
+//     counting-sorts the phase's records by the rank of their slot among
+//     the busy slots, and a listen resolves by asking what its listener
+//     hears (observe): its own send is skipped, a disrupting jam is
+//     noise before any channel state is read, a slot with no traffic is
+//     silence, and only a busy slot is heard out from its bucket (hear).
+//     The clique is the complete topology, on which every record is
+//     audible and a bucket's length decides.
+//   - Quiet listens by mask. Under an untargeted plan covering the
+//     phase, a prepaid node walk settles a drawn block with popcounts:
+//     one rng.Lanes.Bits call per Draw (an AVX-512 gather) reads the
+//     phase's hot (busy, unjammed) mask, and in request phases its jam
+//     mask, at every lane's slots, and only hot slots are heard out one
+//     at a time (feedQuiet).
+//   - Cross-trial topology caching. Grid specs are trial-invariant, so
+//     every trial on a BatchScratch shares a single build and CSR from
+//     one topology.Cache; the clique needs no graph at all. A Gilbert
+//     graph is fresh for every seed and builds into the lane's one
+//     topology scratch.
 //   - Unheard phases. A phase that no listener and no reactive strategy
 //     can hear — the benign propagate phase once everyone is informed —
 //     only draws, charges and counts its sends: no send records, channel
@@ -69,7 +67,7 @@ import (
 
 // BatchScratch recycles the batch kernel's working state across trials
 // and RunBatch calls: one engine Scratch, which carries the lane's
-// reception bitsets, block schedules and transmission buckets and the
+// busy bitset, block schedules and transmission buckets and the
 // cross-trial topology cache next to the per-run buffers. It must never
 // be shared by concurrently executing batches.
 type BatchScratch struct{ sc *Scratch }
@@ -79,17 +77,17 @@ type BatchScratch struct{ sc *Scratch }
 func NewBatchScratch() *BatchScratch { return &BatchScratch{sc: NewScratch()} }
 
 // batchLane is one trial's execution state: its run plus the
-// lane-owned reception bitsets, the phase's send records, the draw
+// lane-owned busy bitset, the phase's send records, the draw
 // schedules its walkers reuse, and the transmission buckets. Send walks and
 // Alice's walks run one at a time on two block schedules (data and
 // decoy); node listen walks run eight at a time, one per draw lane (see
 // listenPass), and a walk that leaves the lanes finishes on blkA.
 type batchLane struct {
-	r           *run
-	busy, multi bitset.Set
-	blkA, blkB  sampling.BlockSchedule
-	draws       rng.Lanes
-	walks       [8]listenWalk
+	r          *run
+	busy       bitset.Set
+	blkA, blkB sampling.BlockSchedule
+	draws      rng.Lanes
+	walks      [8]listenWalk
 
 	// The phase's committed node transmissions (heard phases only), node
 	// by node in id order: node i's occupy sendSlot/sendKind[sendOff[i]:
@@ -107,7 +105,7 @@ type batchLane struct {
 	jam     []uint64
 	seen    quietSeen
 
-	// The phase's transmissions on a sparse topology: txs as committed,
+	// The phase's transmissions (heard phases only): txs as committed,
 	// then bucketed by slot (see bucketTx) — the records of the busy slot
 	// of rank k occupy txb[txStart[k]:txStart[k+1]], and rank[w] counts
 	// the busy slots in the busy words before word w.
@@ -234,7 +232,7 @@ func runKernel(ctx context.Context, o Options) (*Result, error) {
 
 // phase mirrors run.runPhase on the kernel's reception state:
 // transmissions committed and charged, the adversary's plan fixed, the
-// sparse transmissions bucketed by slot, then listens resolved and the
+// transmissions bucketed by slot, then listens resolved and the
 // phase settled exactly as run.runPhase settles it. An unheard phase
 // (see heard) still draws and charges every send and plans the
 // adversary, but commits nothing to the channel and buckets nothing. The walkers
@@ -262,7 +260,7 @@ func (l *batchLane) phase(phv core.Phase) {
 		l.mergeNodeSends(&out)
 	}
 	plan := l.adversaryPlan(ph, &out, heard)
-	if heard && r.topo != nil {
+	if heard {
 		l.bucketTx()
 	}
 
@@ -315,22 +313,11 @@ func (l *batchLane) heard(ph *core.Phase) bool {
 	return false
 }
 
-// ensureBuffers sizes the lane's per-slot reception state. Sparse lanes
-// need only the busy bitset (who sent lives in the bucketed
-// transmissions); dense lanes add the multi bitset and
-// the solo-kind bytes, read only on an actual solo reception. Resize
-// keeps contents, which are all-zero between phases by the
-// dirty-clearing discipline. The scalar counts array is never touched
-// by the batch kernel.
-func (l *batchLane) ensureBuffers(length int) {
-	r := l.r
-	l.busy.Resize(length)
-	if r.topo != nil {
-		return
-	}
-	resize(&r.soloKind, length)
-	l.multi.Resize(length)
-}
+// ensureBuffers sizes the lane's per-slot reception state: the busy
+// bitset alone, since who sent lives in the bucketed transmissions.
+// Resize keeps contents, which are all-zero between phases (clearDirty).
+// The scalar oracle's counts array is never touched by the batch kernel.
+func (l *batchLane) ensureBuffers(length int) { l.busy.Resize(length) }
 
 // resize sets *s to length n, keeping the backing array's contents
 // within n (zero past its old capacity). A short capacity grows by
@@ -345,48 +332,19 @@ func resize[T any](s *[]T, n int) []T {
 	return *s
 }
 
-// clearDirty restores the all-zero between-phases channel state. Sparse
-// lanes write only the busy bits (who sent lives in the transmission
-// records), so one word-parallel reset suffices; the dense
-// path clears multi against busy in one AndNot pass — collisions are a
-// subset of traffic — and picks whole-array or per-dirty-slot soloKind
-// clearing by how much of the phase was touched.
+// clearDirty restores the all-zero between-phases channel state: the
+// busy bits are the only per-slot state (who sent lives in the
+// transmission records), so one word-parallel reset suffices.
 func (l *batchLane) clearDirty() {
-	r := l.r
-	if r.topo != nil {
-		l.busy.Reset(l.busy.Len())
-		l.txs = l.txs[:0]
-		return
-	}
-	l.multi.AndNot(&l.busy)
 	l.busy.Reset(l.busy.Len())
-	if len(r.dirty)*8 >= len(r.soloKind) {
-		clear(r.soloKind)
-	} else {
-		for _, s := range r.dirty {
-			r.soloKind[s] = 0
-		}
-	}
-	r.dirty = r.dirty[:0]
+	l.txs = l.txs[:0]
 }
 
-// addTx mirrors run.addTx on the batch kernel's reception state. Dense
-// lanes keep the busy/multi/soloKind encoding (reception distinguishes
-// only zero, one, and many). Sparse lanes set the busy bit and record
-// the transmission with its source — their reception is
-// listener-relative — for bucketTx.
+// addTx mirrors run.addTx on the batch kernel's reception state: it sets
+// the busy bit and records the transmission with its source, for
+// bucketTx. Reception is listener-relative on every topology but the
+// complete one, so the records keep who sent.
 func (l *batchLane) addTx(slot int, kind msg.Kind, src int32) {
-	r := l.r
-	if r.topo == nil {
-		if !l.busy.Get(slot) {
-			l.busy.Set(slot)
-			r.soloKind[slot] = uint8(kind)
-			r.dirty = append(r.dirty, int32(slot))
-		} else {
-			l.multi.Set(slot)
-		}
-		return
-	}
 	l.busy.Set(slot)
 	l.txs = append(l.txs, txRec{slot: int32(slot), src: src, kind: uint8(kind)})
 }
@@ -432,10 +390,13 @@ func (l *batchLane) slotRank(s int) int32 {
 	return l.rank[w] + int32(bits.OnesCount64(l.busy.Words()[w]&(1<<(s&63)-1)))
 }
 
-// observeSparse mirrors run.observe on a sparse lane, with the same
-// load order as observe: the jam plan first, then the busy bit, and
-// only a busy slot is heard out.
-func (l *batchLane) observeSparse(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
+// observe mirrors run.observe with the jam plan consulted before any
+// channel state, so a jammed listen — the common case under the
+// strategies that matter — resolves without touching the busy bits or
+// the buckets; then an idle slot is silence, and only a busy slot is
+// heard out. The outputs equal the scalar oracle's for every input:
+// jammed slots are noise in both regardless of traffic.
+func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
 	if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, listener) {
 		return 0, outcomeNoise
 	}
@@ -445,15 +406,24 @@ func (l *batchLane) observeSparse(slot, listener int, plan *adversary.Plan) (msg
 	return l.hear(slot, listener)
 }
 
-// hear resolves the listener's perception of an undisrupted busy slot:
-// it walks the slot's bucket of records as run.observeSparse walks the
-// slot's records, under run.audible's rules, and stops at the second
-// audible one.
+// hear resolves the listener's perception of an undisrupted busy slot.
+// On a complete topology every record is audible, so the bucket's
+// length decides: one record delivers, two or more collide, as in the
+// scalar oracle's counts. Otherwise it walks the slot's bucket as
+// run.observeSparse walks the slot's records, under run.audible's
+// rules, and stops at the second audible one.
 func (l *batchLane) hear(slot, listener int) (msg.Kind, outcome) {
 	k := l.slotRank(slot)
+	recs := l.txb[l.txStart[k]:l.txStart[k+1]]
+	if l.r.topo == nil {
+		if len(recs) > 1 {
+			return 0, outcomeNoise
+		}
+		return msg.Kind(recs[0].kind), outcomeReceived
+	}
 	heard := 0
 	var kind msg.Kind
-	for _, tx := range l.txb[l.txStart[k]:l.txStart[k+1]] {
+	for _, tx := range recs {
 		if !l.r.audible(tx.src, listener) {
 			continue
 		}
@@ -466,25 +436,6 @@ func (l *batchLane) hear(slot, listener int) (msg.Kind, outcome) {
 		return 0, outcomeSilence
 	}
 	return kind, outcomeReceived
-}
-
-// observe mirrors run.observe on a dense lane with the load order
-// inverted: the jam plan is consulted before any channel state, so a
-// jammed listen — the common case under the strategies that matter —
-// resolves without touching the per-slot arrays at all. The outputs are
-// identical for every input: jammed slots are noise in both kernels
-// regardless of traffic. Sparse lanes resolve through observeSparse.
-func (l *batchLane) observe(slot, listener int, plan *adversary.Plan) (msg.Kind, outcome) {
-	if plan != nil && plan.Jammed(slot) && plan.Disrupts(slot, listener) {
-		return 0, outcomeNoise
-	}
-	if !l.busy.Get(slot) {
-		return 0, outcomeSilence
-	}
-	if l.multi.Get(slot) {
-		return 0, outcomeNoise
-	}
-	return msg.Kind(l.r.soloKind[slot]), outcomeReceived
 }
 
 // planNodeSends mirrors run.planNodeSends walking the lane's block
@@ -705,9 +656,7 @@ const laneMinLive = 3
 
 // listenWalk is one node's listen walk, resumable: it is fed its drawn
 // slots a block at a time (feed) and settles its tallies at the end
-// (finishWalk), so its cursor and tallies live here between blocks. The
-// dense walk uses n, p, ss, si, prepaid and listens; the sparse walk
-// all of them.
+// (finishWalk), so its cursor and tallies live here between blocks.
 type listenWalk struct {
 	n              *nodeState
 	p              float64 // the walk's listen probability
@@ -775,7 +724,7 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 		}
 		ended := l.draws.Draw()
 		var hot, jam [8]uint16
-		if l.quietOK && r.topo != nil {
+		if l.quietOK {
 			l.draws.Bits(l.hot, &hot)
 			if l.jam != nil {
 				l.draws.Bits(l.jam, &jam)
@@ -799,10 +748,10 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 }
 
 // viewPlan sets the listen pass's view of the plan: quietOK, the
-// request-phase jam words and, on a sparse lane whose quiet walks may
-// settle by mask, the hot mask. Such a plan's jams disrupt every
-// listener, so a busy jammed slot is noise like an idle jammed one, and
-// only busy unjammed slots are hot.
+// request-phase jam words and, when quiet walks may settle by mask, the
+// hot mask. Such a plan's jams disrupt every listener, so a busy jammed
+// slot is noise like an idle jammed one, and only busy unjammed slots
+// are hot.
 func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
 	l.quietOK, l.jam = true, nil
 	var jam []uint64
@@ -812,7 +761,7 @@ func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
 			l.jam = jam
 		}
 	}
-	if l.r.topo == nil || !l.quietOK {
+	if !l.quietOK {
 		return
 	}
 	busy := l.busy.Words()
@@ -832,14 +781,14 @@ func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
 // state is identical. Otherwise the walk keeps the scalar per-listen
 // path, whose mid-walk death is observable.
 func (l *batchLane) startWalk(w *listenWalk, n *nodeState, p float64, ph *core.Phase) {
-	prepaid := n.meter.CanAfford(int64(ph.Length))
-	*w = listenWalk{
-		n:       n,
-		p:       p,
-		ss:      l.sendSlot[l.sendOff[n.id]:l.sendOff[n.id+1]],
-		prepaid: prepaid,
-		quiet:   prepaid && l.quietOK && l.r.topo != nil,
-	}
+	// Field by field: a whole-struct literal compiles to a block copy
+	// (runtime.duffcopy), which showed in profiles.
+	w.n, w.p = n, p
+	w.ss, w.si = l.sendSlot[l.sendOff[n.id]:l.sendOff[n.id+1]], 0
+	w.prepaid = n.meter.CanAfford(int64(ph.Length))
+	w.quiet = w.prepaid && l.quietOK
+	w.listens, w.phaseL = 0, 0
+	w.reqL, w.reqNoisy = 0, 0
 }
 
 // walkBlock runs w to its end on blkA.
@@ -858,10 +807,7 @@ func (l *batchLane) walkBlock(w *listenWalk, ph *core.Phase, plan *adversary.Pla
 // built here, one bit test per slot; listenPass gathers the masks of
 // the draw lanes' blocks itself.
 func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) bool {
-	switch {
-	case l.r.topo == nil:
-		return l.feedDense(w, blk, ph, plan)
-	case w.quiet:
+	if w.quiet {
 		l.seen.goMasks++
 		var jam uint32
 		if l.jam != nil {
@@ -869,7 +815,7 @@ func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adver
 		}
 		return l.feedQuiet(w, blk, rng.SlotBits(l.hot, blk), jam, ph)
 	}
-	return l.feedSparse(w, blk, ph, plan)
+	return l.feedEach(w, blk, ph, plan)
 }
 
 // finishWalk settles w's tallies into its node and charges its prepaid
@@ -895,55 +841,18 @@ func inform(n *nodeState, ph *core.Phase) {
 	}
 }
 
-// feedDense is the dense lane's walk over one block: the scalar loop's
-// informed/dead checks before each event become returns right after the
-// state changes, which is the same exit point — nothing else mutates
-// them mid-walk.
-func (l *batchLane) feedDense(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
-	n, ss, si := w.n, w.ss, w.si
-	for _, s32 := range blk {
-		for si < len(ss) && ss[si] < s32 {
-			si++
-		}
-		if si < len(ss) && ss[si] == s32 {
-			continue
-		}
-		if w.prepaid {
-			w.listens++
-		} else if err := n.meter.Charge(energy.Listen); err != nil {
-			n.dead = true
-			stop = true
-			break
-		}
-		n.phaseListens++
-		kind, out := l.observe(int(s32), n.id, plan)
-		if ph.Kind == core.PhaseRequest {
-			n.listens++
-			if out != outcomeSilence {
-				n.noisy++
-			}
-		}
-		if out == outcomeReceived && kind == msg.KindData {
-			inform(n, ph)
-			stop = true
-			break
-		}
-	}
-	w.si = si
-	return stop
-}
-
-// feedSparse is the sparse lane's per-listen walk over one block:
-// feedDense's steps — own send skipped before any observation, jammed or
-// not; charge; observe; tallies; the informed exit — with observeSparse
-// resolving each listen. Quiet walks settle by mask instead (feedQuiet);
-// this path serves the rest: unpaid walks (a charge can fail
-// mid-block), targeted plans and plans shorter than the phase (a custom
-// strategy may return one; past its end nothing is jammed).
+// feedEach is a walk over one block one listen at a time, in the scalar
+// loop's steps: own send skipped before any observation, jammed or not;
+// charge; observe; tallies; the informed exit, taken right after the
+// state changes, which is the scalar loop's exit point — nothing else
+// mutates a node mid-walk. Quiet walks settle by mask instead
+// (feedQuiet); this path serves the rest: unpaid walks (a charge can
+// fail mid-block), targeted plans and plans shorter than the phase (a
+// custom strategy may return one; past its end nothing is jammed).
 //
 // The cursor and tallies load into locals on entry and store back on
 // exit, so the hot loop keeps them in registers.
-func (l *batchLane) feedSparse(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
+func (l *batchLane) feedEach(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) (stop bool) {
 	n, ss := w.n, w.ss
 	isReq := ph.Kind == core.PhaseRequest
 	prepaid := w.prepaid
@@ -965,7 +874,7 @@ func (l *batchLane) feedSparse(w *listenWalk, blk []int32, ph *core.Phase, plan 
 			break
 		}
 		phaseL++
-		kind, out := l.observeSparse(slot, n.id, plan)
+		kind, out := l.observe(slot, n.id, plan)
 		if isReq {
 			reqL++
 			if out != outcomeSilence {
@@ -1050,7 +959,7 @@ func (w *listenWalk) settle(m, jam uint32, isReq bool) {
 }
 
 // aliceListens mirrors run.aliceListens on a block schedule, resolving
-// each listen through observe or, on a sparse lane, observeSparse. She
+// each listen through observe. She
 // listens only in request phases, O(log n) times each, a small share of
 // the listen work, so her walk keeps the per-listen path.
 func (l *batchLane) aliceListens(ph *core.Phase, plan *adversary.Plan, out *adversary.PhaseOutcome) {
@@ -1076,12 +985,7 @@ outer:
 				r.alice.dead = true
 				break outer
 			}
-			var o outcome
-			if r.topo != nil {
-				_, o = l.observeSparse(slot, msg.SenderAlice, plan)
-			} else {
-				_, o = l.observe(slot, msg.SenderAlice, plan)
-			}
+			_, o := l.observe(slot, msg.SenderAlice, plan)
 			out.AliceListens++
 			r.alice.listens++
 			if o != outcomeSilence {

@@ -69,14 +69,18 @@ func TestBatchMatchesScalar(t *testing.T) {
 	// MaxPhaseSlots: lanes are independent trials.
 	t.Run("mixed", func(t *testing.T) { batchMatchesScalar(t, 9, mixedLane) })
 	// Phases nobody hears, where the kernel counts sends without putting
-	// them on the channel, and their edges; then sparse listen walks that
-	// settle quiet runs at once, and the walks that must not. Every row
-	// records phases, so per-phase tallies are compared too, and must
-	// reach the phase shape it is named for.
+	// them on the channel, and their edges; then listen walks that settle
+	// quiet runs at once, and the walks that must not, on a Gilbert graph
+	// and on the clique. Every row records phases, so per-phase tallies
+	// are compared too, and must reach the phase shape it is named for.
 	for _, group := range []struct {
 		prefix string
 		rows   []phaseRow
-	}{{"unheard/", unheardRows()}, {"quiet-run/", quietRunRows()}} {
+	}{
+		{"unheard/", unheardRows()},
+		{"quiet-run/", quietRunRows(gilbert)},
+		{"quiet-run/clique/", quietRunRows(topology.Spec{})},
+	} {
 		for _, row := range group.rows {
 			t.Run(group.prefix+row.name, func(t *testing.T) {
 				bs := NewBatchScratch()
@@ -272,23 +276,36 @@ func unheardRows() []phaseRow {
 	}}
 }
 
-// quietRunRows cover the sparse listen walks' quiet runs (listens short
-// of the walk's next own send and the phase's next hot slot, settled a
-// run at once) under a random jam, and
-// the walks that keep the per-listen path: unpaid meters, targeted jams,
-// plans shorter than the phase, and Alice's walk.
-func quietRunRows() []phaseRow {
+// quietRunRows cover the listen walks' quiet runs on topology spec
+// (listens short of the walk's next own send and the phase's next hot
+// slot, settled a run at once) under a random jam, and the walks that
+// keep the per-listen path: unpaid meters, targeted jams, plans shorter
+// than the phase, and Alice's walk.
+//
+// On the clique one unjammed data slot informs every listener, so the
+// propagate phases leave no one to listen in the request phase: there
+// nodes listen at a twentieth of the protocol's rate, and every NACK
+// collides with every other, so a replay lands solo only when it comes
+// every third slot rather than every 61st.
+func quietRunRows(spec topology.Spec) []phaseRow {
 	const n = 64
+	var hardOfHearing func(int) (float64, float64)
+	replayEvery := 61
+	if spec.IsClique() {
+		hardOfHearing = func(int) (float64, float64) { return 0.05, 1 }
+		replayEvery = 3
+	}
 	jammed := func(seed uint64) Options {
 		params := core.PracticalParams(n, 2)
 		params.MaxRound = params.StartRound + 2
 		return Options{
 			Params:       params,
 			Seed:         seed,
-			Topology:     gilbert,
+			Topology:     spec,
 			Strategy:     adversary.RandomJam{P: 0.5},
 			Pool:         energy.NewPool(1 << 14),
 			RecordPhases: true,
+			Perturb:      hardOfHearing,
 		}
 	}
 	// jammedListens reports a phase of the kind in which nodes listened
@@ -388,7 +405,7 @@ func quietRunRows() []phaseRow {
 		name: "request-inform-after-jam",
 		mk: func() Options {
 			o := jammed(308)
-			o.Strategy = replayJam{adversary.RandomJam{P: 0.5}}
+			o.Strategy = replayJam{adversary.RandomJam{P: 0.5}, replayEvery}
 			return o
 		},
 		seen: func(s quietSeen) bool { return s.informAfterJam > 0 },
@@ -407,14 +424,17 @@ func quietRunRows() []phaseRow {
 }
 
 // replayJam is a random jam that, in request phases, also replays the
-// data message every 61 slots from slot 5, so listeners can be informed
-// where nodes only NACK.
-type replayJam struct{ adversary.RandomJam }
+// data message every `every` slots from slot 5, so listeners can be
+// informed where nodes only NACK.
+type replayJam struct {
+	adversary.RandomJam
+	every int
+}
 
 func (s replayJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy.Pool, st *rng.Stream) *adversary.Plan {
 	p := s.RandomJam.PlanPhase(ph, hist, pool, st)
 	if p != nil && ph.Kind == core.PhaseRequest {
-		for slot := 5; slot < ph.Length; slot += 61 {
+		for slot := 5; slot < ph.Length; slot += s.every {
 			p.Inject(slot, msg.Frame{Kind: msg.KindData, From: msg.SenderAlice})
 		}
 	}
@@ -551,8 +571,9 @@ func TestBatchScratchReuse(t *testing.T) {
 			}
 			switch {
 			case tp.spec.IsClique() || !tp.spec.TrialInvariant():
-				// The clique resolves through the global fast path;
-				// Gilbert graphs build into the lane's topology scratch.
+				// The clique needs no graph: every transmission is
+				// audible. Gilbert graphs build into the lane's topology
+				// scratch.
 				if hits+misses != 0 {
 					t.Fatalf("%s batches touched the topology cache: %d hits, %d misses", tp.name, hits, misses)
 				}

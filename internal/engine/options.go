@@ -49,9 +49,9 @@ type Options struct {
 	Seed uint64
 	// Topology selects the neighborhood graph reception is resolved
 	// against (internal/topology). The zero value is the clique — the
-	// paper's single-hop channel — which resolves through the original
-	// global-channel fast path, byte-identical to the pre-topology
-	// engine. Randomized topologies (gilbert) are built
+	// paper's single-hop channel, on which every transmission is
+	// audible — byte-identical to the pre-topology engine. Randomized
+	// topologies (gilbert) are built
 	// deterministically from Seed, so trials stay reproducible across
 	// worker counts.
 	Topology topology.Spec

@@ -27,9 +27,10 @@ func (pathTopo) Degree(node int) int {
 	return 2
 }
 
-// receptionFixture is one sparse request phase of length 10 on
-// pathTopo, put on both the scalar run's channel state and a kernel
-// lane's, with slots 4, 7 and 8 jammed:
+// receptionFixture is one request phase of length 10 on a topology —
+// pathTopo, or the complete topology when topo is nil — put on both the
+// scalar run's channel state and a kernel lane's, with slots 4, 7 and 8
+// jammed:
 //
 //	slot 0: node 3 NACK
 //	slot 1: node 1 data, node 3 NACK
@@ -48,11 +49,13 @@ type receptionFixture struct {
 	ph   core.Phase
 }
 
-func newReceptionFixture(t *testing.T) *receptionFixture {
+func newReceptionFixture(t *testing.T, topo topology.Topology) *receptionFixture {
 	t.Helper()
 	const length = 10
-	topo := pathTopo{}
-	r := &run{opts: &Options{}, topo: topo, csr: topology.BuildCSR(topo, nil), nodes: make([]nodeState, 4)}
+	r := &run{opts: &Options{}, nodes: make([]nodeState, 4)}
+	if topo != nil {
+		r.topo, r.csr = topo, topology.BuildCSR(topo, nil)
+	}
 	for i := range r.nodes {
 		r.nodes[i].id = i
 		r.nodes[i].listenScale, r.nodes[i].sendScale = 1, 1
@@ -104,7 +107,7 @@ func newReceptionFixture(t *testing.T) *receptionFixture {
 // bucket of transmissions under the audibility rules, agreeing with the
 // scalar oracle's lookup.
 func TestSparseReceptionCases(t *testing.T) {
-	f := newReceptionFixture(t)
+	f := newReceptionFixture(t, pathTopo{})
 	for _, tc := range []struct {
 		name     string
 		slot     int
@@ -128,12 +131,51 @@ func TestSparseReceptionCases(t *testing.T) {
 		{"Alice hears node 0 only", 2, msg.SenderAlice, msg.KindNack, outcomeReceived},
 		{"Alice hears her own transmission", 5, msg.SenderAlice, msg.KindData, outcomeReceived},
 	} {
-		kind, out := f.l.observeSparse(tc.slot, tc.listener, f.plan)
+		kind, out := f.l.observe(tc.slot, tc.listener, f.plan)
 		if kind != tc.kind || out != tc.out {
 			t.Errorf("%s: slot %d listener %d: kernel %v/%v, want %v/%v", tc.name, tc.slot, tc.listener, out, kind, tc.out, tc.kind)
 		}
 		if kind, out := f.r.observe(tc.slot, tc.listener, f.plan); kind != tc.kind || out != tc.out {
 			t.Errorf("%s: slot %d listener %d: scalar %v/%v, want %v/%v", tc.name, tc.slot, tc.listener, out, kind, tc.out, tc.kind)
+		}
+	}
+}
+
+// TestCompleteReceptionCases pins the kernel's reception on the
+// complete topology, where every record is audible and a bucket's
+// length alone decides: the named cases resolve as the global channel
+// does, and every slot agrees with the scalar oracle's counts for every
+// listener, Alice included.
+func TestCompleteReceptionCases(t *testing.T) {
+	f := newReceptionFixture(t, nil)
+	for _, tc := range []struct {
+		name     string
+		slot     int
+		listener int
+		kind     msg.Kind
+		out      outcome
+	}{
+		{"solo frame", 0, 0, msg.KindNack, outcomeReceived},
+		{"two-node collision", 1, 0, 0, outcomeNoise},
+		{"injection colliding with a node", 3, 0, 0, outcomeNoise},
+		{"node hears Alice", 5, 1, msg.KindData, outcomeReceived},
+		{"Alice hears her own frame", 5, msg.SenderAlice, msg.KindData, outcomeReceived},
+		{"Alice hears a node", 0, msg.SenderAlice, msg.KindNack, outcomeReceived},
+		{"idle slot", 6, 2, 0, outcomeSilence},
+		{"busy jammed slot", 7, 0, 0, outcomeNoise},
+		{"idle jammed slot", 9, 0, 0, outcomeSilence},
+	} {
+		if kind, out := f.l.observe(tc.slot, tc.listener, f.plan); kind != tc.kind || out != tc.out {
+			t.Errorf("%s: slot %d listener %d: kernel %v/%v, want %v/%v", tc.name, tc.slot, tc.listener, out, kind, tc.out, tc.kind)
+		}
+	}
+	for slot := 0; slot < f.ph.Length; slot++ {
+		for listener := msg.SenderAlice; listener < len(f.r.nodes); listener++ {
+			kind, out := f.l.observe(slot, listener, f.plan)
+			wantKind, wantOut := f.r.observe(slot, listener, f.plan)
+			if kind != wantKind || out != wantOut {
+				t.Errorf("slot %d listener %d: kernel %v/%v, scalar %v/%v", slot, listener, out, kind, wantOut, wantKind)
+			}
 		}
 	}
 }
@@ -144,7 +186,18 @@ func TestSparseReceptionCases(t *testing.T) {
 // the jam at 8, busy with node 3's NACK — on the quiet path (prepaid,
 // untargeted jam), the per-listen path (a meter short of the phase)
 // and under a targeting predicate.
-func TestSparseReceptionOwnSends(t *testing.T) {
+func TestSparseReceptionOwnSends(t *testing.T) { receptionOwnSends(t, pathTopo{}, 1) }
+
+// TestCompleteReceptionOwnSends is TestSparseReceptionOwnSends on the
+// complete topology, where node 3's NACK at slot 0 is heard: noise to
+// the request-phase tally, like the jam at 8.
+func TestCompleteReceptionOwnSends(t *testing.T) { receptionOwnSends(t, nil, 2) }
+
+// receptionOwnSends runs node 1's walk over slots 0, 1, 6, 7 and 8 of
+// the reception fixture on topo, on the quiet path, the per-listen path
+// and under a targeting predicate: three listens, wantNoisy of them
+// noise, and the own sends at 1 and 7 skipped uncharged.
+func receptionOwnSends(t *testing.T, topo topology.Topology, wantNoisy int) {
 	for _, tc := range []struct {
 		name     string
 		budget   int64
@@ -155,7 +208,7 @@ func TestSparseReceptionOwnSends(t *testing.T) {
 		{"targeted", energy.Unlimited, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := newReceptionFixture(t)
+			f := newReceptionFixture(t, topo)
 			if tc.targeted {
 				f.plan.SetDisrupt(func(_, listener int) bool { return listener != 2 })
 			}
@@ -171,8 +224,8 @@ func TestSparseReceptionOwnSends(t *testing.T) {
 				t.Fatal("walk ended early")
 			}
 			f.l.finishWalk(&w)
-			if n.phaseListens != 3 || n.listens != 3 || n.noisy != 1 || n.informed {
-				t.Fatalf("listens %d/%d, noisy %d, informed %v; want 3/3, 1, false", n.phaseListens, n.listens, n.noisy, n.informed)
+			if n.phaseListens != 3 || n.listens != 3 || n.noisy != wantNoisy || n.informed {
+				t.Fatalf("listens %d/%d, noisy %d, informed %v; want 3/3, %d, false", n.phaseListens, n.listens, n.noisy, n.informed, wantNoisy)
 			}
 			if got := n.meter.SpentOn(energy.Listen); got != 3 {
 				t.Fatalf("charged %d listens, want 3", got)

@@ -103,10 +103,12 @@ type run struct {
 	strategy adversary.Strategy
 	pool     *energy.Pool
 
-	// topo is non-nil only for non-complete topologies: the clique (and
-	// any spec whose graph is complete) keeps the global-channel fast
-	// path, byte-identical to the pre-topology engine. csr is the
-	// flattened adjacency view listens resolve against.
+	// topo is non-nil only for non-complete topologies. On a complete
+	// one (the clique, or any spec whose graph is complete) every
+	// transmission is audible: the scalar oracle resolves it from its
+	// global counts, byte-identical to the pre-topology engine, and the
+	// kernel from a bucket's length. csr is the flattened adjacency view
+	// listens resolve against.
 	topo topology.Topology
 	csr  *topology.CSR
 
@@ -178,7 +180,7 @@ func newRunTopo(opts *Options, cached bool) (*run, error) {
 		}
 		if !topo.Complete() {
 			// Complete graphs (a reach-covering grid, say) resolve
-			// identically through the global fast path.
+			// identically as the clique.
 			r.topo = topo
 			r.csr = csr
 		}

@@ -12,7 +12,7 @@ import (
 // the per-node states with
 // their committed-send slices, the device meters, the adversary history
 // and RSSI bitmap, the round schedule, the topology construction /
-// CSR adjacency arrays, and the batch kernel's lane (reception bitsets,
+// CSR adjacency arrays, and the batch kernel's lane (busy bitset,
 // block schedules, transmission buckets) with its cache of trial-invariant
 // graphs — across executions. Run takes one from a pool; a tight trial
 // loop may instead hand its own to consecutive runs via

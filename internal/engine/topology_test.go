@@ -15,8 +15,9 @@ import (
 // TestCompleteGilbertMatchesCliqueFastPath is the kernel-unification
 // guarantee: a Gilbert graph with radius √2 spans the unit square, so
 // every device hears every other — but Complete() stays false, forcing
-// the sparse per-listener resolution path. Results must be bit-for-bit
-// identical to the clique fast path across the behavioural surface
+// per-record audibility checks against the graph. Results must be
+// bit-for-bit identical to the clique's, whose buckets the kernel
+// resolves by length alone, across the behavioural surface
 // (adversaries, budgets, decoys, perturbation, general k).
 func TestCompleteGilbertMatchesCliqueFastPath(t *testing.T) {
 	for name, mk := range equivalenceConfigs() {
@@ -32,7 +33,7 @@ func TestCompleteGilbertMatchesCliqueFastPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(clique, sparse) {
-				t.Fatalf("sparse resolution diverged from the clique fast path:\nclique: %+v\nsparse: %+v", clique, sparse)
+				t.Fatalf("per-record resolution diverged from the clique:\nclique: %+v\nsparse: %+v", clique, sparse)
 			}
 		})
 	}
@@ -62,8 +63,9 @@ func TestExplicitCliqueSpecByteIdentical(t *testing.T) {
 }
 
 // TestCoveringGridUsesFastPath: a grid whose reach spans the lattice is
-// a complete graph, and the engine must notice and keep the global
-// fast path — byte-identical to the clique.
+// a complete graph, and the engine must notice and resolve it as the
+// clique, with no graph behind its buckets — byte-identical to the
+// clique.
 func TestCoveringGridUsesFastPath(t *testing.T) {
 	mk := func() Options {
 		return Options{
