@@ -23,7 +23,7 @@ import (
 // trials are independent — lanes may differ in every Options field —
 // and every Result is byte-identical to the scalar oracle's (RunScalar)
 // for the same Options (pinned by the differential, trace and fuzz
-// tests). Five things make a lane faster than the scalar loop:
+// tests). Four things make a lane faster than the scalar loop:
 //
 //   - Lane-parallel listen draws. The draw is the engine's dominant
 //     cost, and its log/divide tail serializes in the scalar engine.
@@ -53,11 +53,6 @@ import (
 //     phase's hot (busy, unjammed) mask, and in request phases its jam
 //     mask, at every lane's slots, and only hot slots are heard out one
 //     at a time (feedQuiet).
-//   - Cross-trial topology caching. Grid specs are trial-invariant, so
-//     every trial on a BatchScratch shares a single build and CSR from
-//     one topology.Cache; the clique needs no graph at all. A Gilbert
-//     graph is fresh for every seed and builds into the lane's one
-//     topology scratch.
 //   - Unheard phases. A phase that no listener and no reactive strategy
 //     can hear — the benign propagate phase once everyone is informed —
 //     only draws, charges and counts its sends: no send records, channel
@@ -67,8 +62,8 @@ import (
 
 // BatchScratch recycles the batch kernel's working state across trials
 // and RunBatch calls: one engine Scratch, which carries the lane's
-// busy bitset, block schedules and transmission buckets and the
-// cross-trial topology cache next to the per-run buffers. It must never
+// busy bitset, block schedules and transmission buckets next to the
+// per-run buffers and the topology construction scratch. It must never
 // be shared by concurrently executing batches.
 type BatchScratch struct{ sc *Scratch }
 
@@ -215,7 +210,7 @@ func RunBatchContext(ctx context.Context, opts []Options, bs *BatchScratch) ([]*
 // runKernel executes one trial on the lane of o.Scratch, which must be
 // non-nil.
 func runKernel(ctx context.Context, o Options) (*Result, error) {
-	r, err := newRunTopo(&o, true)
+	r, err := newRun(&o)
 	if err != nil {
 		return nil, err
 	}

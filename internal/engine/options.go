@@ -8,8 +8,9 @@
 //     the multi-hop pipeline. Per-slot coin flips are simulated by
 //     geometric skipping with block draws (internal/sampling), so the
 //     work per phase is proportional to the number of *actions*, not
-//     slots; channel state is word-packed bitsets, and sparse
-//     topologies resolve reception through a per-phase index (see
+//     slots; channel state is word-packed bitsets, and a listen
+//     resolves by bucketing the phase's transmissions by slot and
+//     asking the topology which of its slot's records are audible (see
 //     batch.go).
 //   - RunScalar: the scalar reference loop — one slot schedule per
 //     walk, byte-per-slot channel arrays, a binary search per sparse

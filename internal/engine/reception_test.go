@@ -52,10 +52,7 @@ type receptionFixture struct {
 func newReceptionFixture(t *testing.T, topo topology.Topology) *receptionFixture {
 	t.Helper()
 	const length = 10
-	r := &run{opts: &Options{}, nodes: make([]nodeState, 4)}
-	if topo != nil {
-		r.topo, r.csr = topo, topology.BuildCSR(topo, nil)
-	}
+	r := &run{opts: &Options{}, nodes: make([]nodeState, 4), topo: topo}
 	for i := range r.nodes {
 		r.nodes[i].id = i
 		r.nodes[i].listenScale, r.nodes[i].sendScale = 1, 1

@@ -103,14 +103,13 @@ type run struct {
 	strategy adversary.Strategy
 	pool     *energy.Pool
 
-	// topo is non-nil only for non-complete topologies. On a complete
-	// one (the clique, or any spec whose graph is complete) every
+	// topo is non-nil only for non-complete topologies, and listens
+	// resolve audibility against it (see audible). On a complete one
+	// (the clique, or any spec whose graph is complete) every
 	// transmission is audible: the scalar oracle resolves it from its
 	// global counts, byte-identical to the pre-topology engine, and the
-	// kernel from a bucket's length. csr is the flattened adjacency view
-	// listens resolve against.
+	// kernel from a bucket's length.
 	topo topology.Topology
-	csr  *topology.CSR
 
 	nodes []nodeState
 	alice aliceState
@@ -142,17 +141,10 @@ type run struct {
 	phases       []adversary.PhaseOutcome
 }
 
+// newRun validates the options and sets up a run on their scratch. A
+// non-clique spec builds its graph into the scratch's topology buffers,
+// fresh for every trial.
 func newRun(opts *Options) (*run, error) {
-	return newRunTopo(opts, false)
-}
-
-// newRunTopo is newRun with an optional topology cache: the batch
-// kernel sets cached, so every trial on its scratch shares one build of
-// a trial-invariant (grid) graph from the scratch's cache. Otherwise
-// the graph builds into the run's scratch — what a Gilbert graph, fresh
-// for every seed, always does. The graphs are byte-identical either
-// way.
-func newRunTopo(opts *Options, cached bool) (*run, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -164,17 +156,11 @@ func newRunTopo(opts *Options, cached bool) (*run, error) {
 	}
 	r.adoptScratch(r.params.N)
 	if !opts.Topology.IsClique() {
-		var topo topology.Topology
-		var csr *topology.CSR
-		var err error
-		if cached && opts.Topology.TrialInvariant() {
-			topo, csr, err = r.topoCache().Get(opts.Topology, r.params.N)
-		} else {
-			topo, err = opts.Topology.BuildInto(r.params.N, opts.Seed, r.topoScratch())
-			if err == nil && !topo.Complete() {
-				csr = topology.BuildCSR(topo, r.topoScratch())
-			}
+		var tsc *topology.Scratch // nil builds into fresh buffers
+		if opts.Scratch != nil {
+			tsc = &opts.Scratch.topo
 		}
+		topo, err := opts.Topology.BuildInto(r.params.N, opts.Seed, tsc)
 		if err != nil {
 			return nil, fmt.Errorf("engine: %w", err)
 		}
@@ -182,7 +168,6 @@ func newRunTopo(opts *Options, cached bool) (*run, error) {
 			// Complete graphs (a reach-covering grid, say) resolve
 			// identically as the clique.
 			r.topo = topo
-			r.csr = csr
 		}
 	}
 	nodeBudget := int64(energy.Unlimited)
@@ -213,31 +198,6 @@ func newRunTopo(opts *Options, cached bool) (*run, error) {
 	}
 	r.hist.N = r.params.N
 	return r, nil
-}
-
-// topoScratch returns the topology construction scratch carried by the
-// run's engine Scratch (created lazily), or nil — fresh buffers — when
-// the run has no scratch.
-func (r *run) topoScratch() *topology.Scratch {
-	sc := r.opts.Scratch
-	if sc == nil {
-		return nil
-	}
-	if sc.topo == nil {
-		sc.topo = topology.NewScratch()
-	}
-	return sc.topo
-}
-
-// topoCache returns the trial-invariant graph cache carried by the
-// run's engine Scratch (created lazily); only the batch kernel, which
-// always runs on a scratch, asks for it.
-func (r *run) topoCache() *topology.Cache {
-	sc := r.opts.Scratch
-	if sc.cache == nil {
-		sc.cache = topology.NewCache(cacheGraphs)
-	}
-	return sc.cache
 }
 
 func (r *run) done() bool {
@@ -537,20 +497,18 @@ func (r *run) observeSparse(slot, listener int, jammed bool) (msg.Kind, outcome)
 // Adversarial transmissions are audible everywhere (worst-case device
 // placement); Alice↔node audibility is symmetric. Walkers guarantee a
 // node never listens to a slot it transmits in, so src == listener
-// cannot occur for node sources. Queries resolve against the flattened
-// CSR adjacency rather than the Topology interface: one bounded binary
-// search over a compact row instead of a dynamic dispatch per
-// transmission record.
+// cannot occur for node sources. The kernel and the scalar oracle
+// share this one query path into the run's Topology.
 func (r *run) audible(src int32, listener int) bool {
 	switch {
 	case src == txSrcAdversary:
 		return true
 	case src == txSrcAlice:
-		return listener == msg.SenderAlice || r.csr.AliceHears(listener)
+		return listener == msg.SenderAlice || r.topo.AliceHears(listener)
 	case listener == msg.SenderAlice:
-		return r.csr.AliceHears(int(src))
+		return r.topo.AliceHears(int(src))
 	default:
-		return r.csr.Adjacent(int(src), listener)
+		return r.topo.Adjacent(int(src), listener)
 	}
 }
 

@@ -9,14 +9,13 @@ import (
 
 // Scratch recycles a run's working buffers — the per-slot channel
 // state, the per-phase transmission records, the node-cost sort buffer,
-// the per-node states with
-// their committed-send slices, the device meters, the adversary history
-// and RSSI bitmap, the round schedule, the topology construction /
-// CSR adjacency arrays, and the batch kernel's lane (busy bitset,
-// block schedules, transmission buckets) with its cache of trial-invariant
-// graphs — across executions. Run takes one from a pool; a tight trial
-// loop may instead hand its own to consecutive runs via
-// Options.Scratch. Together with the in-place stream/schedule API
+// the per-node states with their committed-send slices, the device
+// meters, the adversary history and RSSI bitmap, the round schedule,
+// the topology construction buffers (a trial's graph is built into
+// them), and the batch kernel's lane (busy bitset, block schedules,
+// transmission buckets) — across executions. Run takes one from a free
+// list; a tight trial loop may instead hand its own to consecutive runs
+// via Options.Scratch. Together with the in-place stream/schedule API
 // (rng.Stream.Reseed, sampling.SlotSchedule.Reset) this drives the
 // steady-state allocation rate to the handful of Result-sized objects a
 // run must hand out (pinned by TestSteadyStateAllocs).
@@ -35,18 +34,11 @@ type Scratch struct {
 	outcomes         []adversary.PhaseOutcome
 	activity         adversary.Bitmap
 	sched            core.Schedule
-	topo             *topology.Scratch // created on first sparse run
+	topo             topology.Scratch
 
-	// The batch kernel's lane state and its cache of trial-invariant
-	// graphs (created on first use), reused across the kernel's trials.
-	lane  batchLane
-	cache *topology.Cache
+	// The batch kernel's lane state, reused across the kernel's trials.
+	lane batchLane
 }
-
-// cacheGraphs is the topology cache's capacity: the trial-invariant
-// graphs of a few sweep points (grid reaches, node counts) that one
-// pooled scratch serves in turn.
-const cacheGraphs = 4
 
 // NewScratch returns an empty scratch; buffers grow to the sizes the
 // runs it serves need.
@@ -77,7 +69,7 @@ func (r *run) adoptScratch(n int) {
 		for i := range r.nodes {
 			// Field by field: a whole-struct assignment would copy
 			// both rng streams, which every walk re-keys before use.
-			// newRunTopo sets id, the meter budget and the scales.
+			// newRun sets id, the meter budget and the scales.
 			node := &r.nodes[i]
 			node.informed, node.mark = false, 0
 			node.terminated, node.dead = false, false

@@ -256,7 +256,7 @@ func RunGrid(opts GridOptions) (*GridResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("multihop: %w", err)
 	}
-	grid := topo.(topology.Grid)
+	grid := topo.(*topology.Grid)
 	gr.Reachable = topology.ReachableWithin(grid, params.K)
 	for id := 0; id < params.N; id++ {
 		d := chebFromOrigin(grid, id)
@@ -274,7 +274,7 @@ func RunGrid(opts GridOptions) (*GridResult, error) {
 
 // chebFromOrigin returns node id's Chebyshev distance from Alice's
 // corner cell.
-func chebFromOrigin(g topology.Grid, id int) int {
+func chebFromOrigin(g *topology.Grid, id int) int {
 	x, y := id%g.Width(), id/g.Width()
 	if x > y {
 		return x

@@ -1,10 +1,6 @@
 package topology
 
-import (
-	"math/bits"
-
-	"rcbcast/internal/rng"
-)
+import "rcbcast/internal/rng"
 
 // Gilbert is the random geometric graph: n points drawn uniformly in
 // the unit square, two nodes adjacent iff their Euclidean distance is
@@ -148,20 +144,6 @@ func (g *Gilbert) Adjacent(src, listener int) bool {
 }
 
 func (g *Gilbert) Degree(node int) int { return g.degs[node] }
-
-// appendHeard implements the CSR fast fill by scanning the listener's
-// bitmatrix row word by word; ids come out ascending.
-func (g *Gilbert) appendHeard(dst []int32, listener int) []int32 {
-	row := g.adj.words[listener*g.adj.row : (listener+1)*g.adj.row]
-	for w, word := range row {
-		base := int32(w * 64)
-		for word != 0 {
-			dst = append(dst, base+int32(bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	return dst
-}
 
 // bitmatrix is a dense n x n adjacency bitset (rows of packed uint64
 // words): O(1) Adjacent at n²/8 bytes, a fine trade at simulation n.

@@ -46,8 +46,8 @@ func (g Grid) Width() int { return g.w }
 func (g Grid) Reach() int { return g.reach }
 
 // Complete reports whether the reach covers the whole lattice, in which
-// case the grid degenerates to the clique and the engine may use the
-// global-channel fast path.
+// case the grid degenerates to the clique and the engine resolves it as
+// one.
 func (g Grid) Complete() bool {
 	return g.reach >= g.w-1 && g.reach >= g.h-1
 }
@@ -80,29 +80,6 @@ func (g Grid) Adjacent(src, listener int) bool {
 	sx, sy := g.cell(src)
 	lx, ly := g.cell(listener)
 	return cheb(sx, sy, lx, ly) <= g.reach
-}
-
-// appendHeard implements the CSR fast fill: the Chebyshev window in
-// row-major order yields ids ascending.
-func (g Grid) appendHeard(dst []int32, listener int) []int32 {
-	x, y := g.cell(listener)
-	for dy := -g.reach; dy <= g.reach; dy++ {
-		ny := y + dy
-		if ny < 0 || ny >= g.h {
-			continue
-		}
-		for dx := -g.reach; dx <= g.reach; dx++ {
-			nx := x + dx
-			if nx < 0 || nx >= g.w {
-				continue
-			}
-			id := ny*g.w + nx
-			if id != listener && id < g.n {
-				dst = append(dst, int32(id))
-			}
-		}
-	}
-	return dst
 }
 
 func (g Grid) Degree(node int) int {

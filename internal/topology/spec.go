@@ -24,8 +24,8 @@ type Spec struct {
 	Radius float64 `json:"radius,omitempty"`
 }
 
-// IsClique reports whether the spec selects the clique — the engine's
-// global-channel fast path.
+// IsClique reports whether the spec selects the clique, the one kind
+// the engine runs without building a graph.
 func (s Spec) IsClique() bool { return s.Kind == "" || s.Kind == "clique" }
 
 // Validate reports the first violated constraint, or nil.
@@ -77,7 +77,11 @@ func (s Spec) BuildInto(n int, seed uint64, sc *Scratch) (Topology, error) {
 	case "", "clique":
 		return NewClique(n), nil
 	case "grid":
-		return NewGrid(n, s.Width, s.Reach), nil
+		if sc == nil {
+			sc = NewScratch()
+		}
+		sc.grid = NewGrid(n, s.Width, s.Reach)
+		return &sc.grid, nil
 	default: // "gilbert", by Validate
 		return NewGilbertInto(n, s.Radius, seed, sc), nil
 	}

@@ -23,9 +23,14 @@
 //     her Byzantine devices anywhere, so the worst case is that every
 //     listener is in range of one — the n-uniform threat model carries
 //     over unchanged;
-//   - the clique resolves through the engine's original global
-//     counts/soloKind arrays, byte-identical to the pre-topology
-//     engine (pinned by the engine equivalence tests).
+//   - on a complete graph (the clique) every transmission is audible,
+//     so reception needs no adjacency query at all; the results stay
+//     byte-identical to the pre-topology engine (pinned by the engine
+//     equivalence tests and the -quick golden).
+//
+// The engine reads a sparse graph through this interface alone: a
+// listen asks AliceHears and Adjacent of the Topology for each record
+// transmitted in its slot.
 //
 // Construction is deterministic: a Gilbert graph is drawn from the rng
 // stream keyed (seed, StreamActor), so a trial's topology is a pure
@@ -42,16 +47,15 @@ package topology
 const StreamActor uint64 = 3
 
 // Topology is an immutable neighborhood graph over Alice and n correct
-// nodes. Implementations must be safe for concurrent readers: both
-// engines resolve listens for many nodes in parallel against one
-// instance.
+// nodes. Implementations must be safe for concurrent readers: one
+// instance may serve many goroutines' runs at once.
 type Topology interface {
 	// Name returns the topology kind ("clique", "grid", "gilbert").
 	Name() string
 	// N returns the number of correct nodes.
 	N() int
-	// Complete reports that every device hears every other device — the
-	// engine's licence to use the global-channel fast path.
+	// Complete reports that every device hears every other device, so
+	// the engine resolves reception without asking for adjacency.
 	Complete() bool
 	// AliceHears reports whether Alice and the node are in range of each
 	// other (audibility is symmetric: it is used both for the node
@@ -67,8 +71,8 @@ type Topology interface {
 }
 
 // Clique is the paper's single-hop model: one shared channel, every
-// device in range of every other. It is the engine's default and fast
-// path.
+// device in range of every other. It is the engine's default; being
+// complete, it needs no adjacency queries.
 type Clique struct{ n int }
 
 // NewClique returns the complete topology over n nodes.
@@ -82,13 +86,17 @@ func (c Clique) Adjacent(src, l int) bool { return src != l }
 func (c Clique) Degree(int) int           { return c.n - 1 }
 
 // ReachableWithin returns the number of nodes within `hops` edge-hops
-// of Alice (an Alice→node edge is one hop), or all of Alice's connected
-// component when hops < 0. This is the graph-theoretic delivery ceiling:
-// the unmodified ε-BROADCAST protocol informs at most the ≤k-hop
+// of Alice (an Alice→node edge is one hop, so hops == 0 reaches none),
+// or all of Alice's connected component when hops < 0. This is the
+// graph-theoretic delivery ceiling: the unmodified ε-BROADCAST protocol
+// informs at most the ≤k-hop
 // neighborhood of Alice on a sparse topology (nodes informed in the
 // final propagation step never relay; DESIGN.md §9), and the multihop
 // pipeline exists to push past it.
 func ReachableWithin(t Topology, hops int) int {
+	if hops == 0 {
+		return 0
+	}
 	n := t.N()
 	dist := make([]int, n)
 	for i := range dist {

@@ -137,7 +137,7 @@ func TestGilbertFullRadiusIsEffectivelyComplete(t *testing.T) {
 	// engine-level equivalence test relies on exactly this.
 	g := NewGilbert(64, math.Sqrt2, 3)
 	if g.Complete() {
-		t.Fatal("gilbert must not claim the fast path")
+		t.Fatal("gilbert must not claim to be complete")
 	}
 	for i := 0; i < 64; i++ {
 		if g.Degree(i) != 63 || !g.AliceHears(i) {
@@ -159,4 +159,82 @@ func TestReachableWithinGrowsByHops(t *testing.T) {
 	if comp := ReachableWithin(g, -1); comp < prev {
 		t.Fatalf("component %d smaller than 6-hop %d", comp, prev)
 	}
+}
+
+// TestReachableWithinRows pins exact counts: an Alice→node edge is the
+// first hop, so zero hops reach nobody and one hop reaches exactly
+// Alice's audience.
+func TestReachableWithinRows(t *testing.T) {
+	grid := NewGrid(25, 5, 1) // Alice hears the 2x2 corner block
+	clique := NewClique(12)
+	for _, tc := range []struct {
+		name string
+		topo Topology
+		hops int
+		want int
+	}{
+		{"grid", grid, 0, 0},
+		{"grid", grid, 1, 4},
+		{"grid", grid, 2, 9},
+		{"grid", grid, 3, 16},
+		{"grid", grid, -1, 25},
+		{"clique", clique, 0, 0},
+		{"clique", clique, 1, 12},
+		{"clique", clique, -1, 12},
+	} {
+		if got := ReachableWithin(tc.topo, tc.hops); got != tc.want {
+			t.Errorf("%s: ReachableWithin(%d) = %d, want %d", tc.name, tc.hops, got, tc.want)
+		}
+	}
+}
+
+// TestGilbertEdgeCountOracle checks the builder against the
+// Reitzner–Schulte–Thäle first moment for the Gilbert graph on the unit
+// square: two uniform points are within distance r with probability
+//
+//	p(r) = πr² − (8/3)r³ + ½r⁴            (r ≤ 1)
+//
+// so E[edges] = C(n,2)·p(r) and E[degree] = (n−1)·p(r). The empirical
+// mean over a deterministic seed sweep must sit within a few standard
+// errors of the analytic value.
+func TestGilbertEdgeCountOracle(t *testing.T) {
+	const (
+		n     = 256
+		r     = 0.2
+		seeds = 300
+	)
+	spec := Spec{Kind: "gilbert", Radius: r}
+	p := math.Pi*r*r - (8.0/3.0)*r*r*r + 0.5*r*r*r*r
+	expected := float64(n*(n-1)/2) * p
+
+	edgeCount := func(topo Topology) float64 {
+		total := 0
+		for v := 0; v < n; v++ {
+			total += topo.Degree(v)
+		}
+		return float64(total) / 2
+	}
+
+	var sum, sumSq float64
+	for seed := uint64(0); seed < seeds; seed++ {
+		fresh, err := spec.Build(n, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fe := edgeCount(fresh)
+		sum += fe
+		sumSq += fe * fe
+	}
+	mean := sum / seeds
+	variance := sumSq/seeds - mean*mean
+	se := math.Sqrt(variance / seeds)
+	if diff := math.Abs(mean - expected); diff > 5*se {
+		t.Fatalf("empirical mean edge count %.2f vs analytic %.2f (|diff|=%.2f > 5·SE=%.2f)",
+			mean, expected, diff, 5*se)
+	}
+	if meanDeg, expDeg := 2*mean/n, float64(n-1)*p; math.Abs(meanDeg-expDeg) > 5*(2*se/n) {
+		t.Fatalf("empirical mean degree %.4f vs analytic %.4f", meanDeg, expDeg)
+	}
+	t.Logf("edges: empirical %.2f, analytic %.2f, SE %.2f (n=%d, r=%g, %d seeds)",
+		mean, expected, se, n, r, seeds)
 }

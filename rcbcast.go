@@ -285,8 +285,8 @@ func EncodeScenario(s Scenario) ([]byte, error) { return scenario.Encode(s) }
 // Topologies (internal/topology): the neighborhood graph reception is
 // resolved against — clique (the paper's single-hop channel, the
 // default), grid, or Gilbert random-geometric. Set Scenario.Topology /
-// Options.Topology; the zero value keeps the engine's byte-identical
-// clique fast path.
+// Options.Topology; the zero value is the clique, byte-identical to the
+// pre-topology engine.
 type (
 	// Topology is the immutable neighborhood graph interface.
 	Topology = topology.Topology
