@@ -1,6 +1,7 @@
 package adversary
 
 import (
+	"math"
 	"testing"
 
 	"rcbcast/internal/core"
@@ -195,58 +196,88 @@ func TestRandomJamRate(t *testing.T) {
 	}
 }
 
-// TestRandomJamMatchesGeometric pins RandomJam's hoisted-log draws to
-// the per-draw Geometric walk they replace: the same jam mask (read
-// through UntargetedJams too) and the stream left in the same state,
-// with and without a pool cap.
+// TestRandomJamMatchesGeometric pins RandomJam's block-drawn slots to
+// the per-draw Geometric walk they replace, on the assembly draw kernel
+// and on the Go path: the same jam mask (read through UntargetedJams
+// too), for P from 1e-6 to 1, the P >= 1, zero and NaN edge cases,
+// phases from one slot to 2^20, and no, a tight and a loose pool cap.
+// Under PlanPhase's stream contract the stream may be left past the
+// walk's last draw, but by less than one block of eight draws.
 func TestRandomJamMatchesGeometric(t *testing.T) {
-	ph, _ := phaseFor(t, core.PhaseInform)
-	for _, p := range []float64{0.05, 0.5, 0.97, 1} {
-		for _, budget := range []int64{-1, 40} {
-			var pool *energy.Pool
-			if budget >= 0 {
-				pool = energy.NewPool(budget)
-			}
-			st := rng.New(11)
-			plan := RandomJam{P: p}.PlanPhase(ph, &History{}, pool, st)
-			ref := rng.New(11)
-			want := NewBitmap(ph.Length)
-			limit := affordableJams(pool, int64(ph.Length))
-			for slot, planned := 0, int64(0); planned < limit; planned++ {
-				g := ref.Geometric(p)
-				if g >= ph.Length-slot {
-					break
-				}
-				slot += g
-				want.Set(slot)
-				if slot++; slot >= ph.Length {
-					break
+	inform, _ := phaseFor(t, core.PhaseInform)
+	was := rng.SetGeoBlock8(true)
+	defer rng.SetGeoBlock8(was)
+	for _, kernel := range []bool{true, false} {
+		rng.SetGeoBlock8(kernel)
+		for _, length := range []int{1, 7, inform.Length, 1 << 20} {
+			ph := inform
+			ph.Length = length
+			for _, p := range []float64{math.NaN(), 0, 1e-6, 0.01, 0.05, 0.5, 0.97, 1, 2} {
+				for _, budget := range []int64{-1, 3, 40, 1 << 20} {
+					checkRandomJam(t, ph, p, budget)
 				}
 			}
-			words, ok := UntargetedJams(plan, ph.Length)
-			if !ok {
-				t.Fatalf("an untargeted plan of the phase's length must report ok")
-			}
-			for slot := 0; slot < ph.Length; slot++ {
-				bit := words[slot/64]>>(slot%64)&1 == 1
-				if plan.Jammed(slot) != want.Get(slot) || bit != want.Get(slot) {
-					t.Fatalf("p=%v budget=%d: slot %d jammed=%v word bit=%v, want %v",
-						p, budget, slot, plan.Jammed(slot), bit, want.Get(slot))
-				}
-			}
-			if st.Uint64() != ref.Uint64() {
-				t.Fatalf("p=%v budget=%d: stream state diverged from the Geometric walk", p, budget)
-			}
-			if _, ok := UntargetedJams(plan, ph.Length+1); ok {
-				t.Fatalf("a plan shorter than the span must not report ok")
-			}
-			plan.SetDisrupt(func(_, listener int) bool { return listener%2 == 0 })
-			if _, ok := UntargetedJams(plan, ph.Length); ok {
-				t.Fatalf("a targeted plan must not report ok")
-			}
-			plan.Release()
 		}
 	}
+}
+
+func checkRandomJam(t *testing.T, ph core.Phase, p float64, budget int64) {
+	t.Helper()
+	var pool *energy.Pool
+	if budget >= 0 {
+		pool = energy.NewPool(budget)
+	}
+	st := rng.New(11)
+	plan := RandomJam{P: p}.PlanPhase(ph, &History{}, pool, st)
+	ref := rng.New(11)
+	want := NewBitmap(ph.Length)
+	limit := affordableJams(pool, int64(ph.Length))
+	for slot, planned := 0, int64(0); planned < limit; planned++ {
+		g := ref.Geometric(p)
+		if g >= ph.Length-slot {
+			break
+		}
+		slot += g
+		want.Set(slot)
+		if slot++; slot >= ph.Length {
+			break
+		}
+	}
+	if want.Count() == 0 {
+		if plan != nil {
+			t.Fatalf("p=%v length=%d budget=%d: the walk jams nothing, the plan %d slots", p, ph.Length, budget, plan.JamCount())
+		}
+		return
+	}
+	if plan == nil {
+		t.Fatalf("p=%v length=%d budget=%d: no plan, the walk jams %d slots", p, ph.Length, budget, want.Count())
+	}
+	words, ok := UntargetedJams(plan, ph.Length)
+	if !ok {
+		t.Fatalf("an untargeted plan of the phase's length must report ok")
+	}
+	for slot := 0; slot < ph.Length; slot++ {
+		bit := words[slot/64]>>(slot%64)&1 == 1
+		if plan.Jammed(slot) != want.Get(slot) || bit != want.Get(slot) {
+			t.Fatalf("p=%v length=%d budget=%d: slot %d jammed=%v word bit=%v, want %v",
+				p, ph.Length, budget, slot, plan.Jammed(slot), bit, want.Get(slot))
+		}
+	}
+	ahead := 0
+	for ; ahead < 7 && *ref != *st; ahead++ {
+		ref.Uint64()
+	}
+	if *ref != *st {
+		t.Fatalf("p=%v length=%d budget=%d: the stream is not within a block past the walk's last draw", p, ph.Length, budget)
+	}
+	if _, ok := UntargetedJams(plan, ph.Length+1); ok {
+		t.Fatalf("a plan shorter than the span must not report ok")
+	}
+	plan.SetDisrupt(func(_, listener int) bool { return listener%2 == 0 })
+	if _, ok := UntargetedJams(plan, ph.Length); ok {
+		t.Fatalf("a targeted plan must not report ok")
+	}
+	plan.Release()
 }
 
 func TestBurstyPattern(t *testing.T) {

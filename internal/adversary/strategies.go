@@ -74,34 +74,35 @@ type RandomJam struct {
 // Name implements Strategy.
 func (s RandomJam) Name() string { return fmt.Sprintf("random-jam(p=%.3g)", s.P) }
 
-// PlanPhase implements Strategy.
+// PlanPhase implements Strategy. It jams the slots of a geometric
+// schedule over the phase, up to the affordable count: the slots one
+// scalar GeometricLnQ draw per jam would place, drawn a block at a time
+// by GeometricSlots. A P of 1 or more jams the first affordable slots
+// without drawing; a zero or NaN P jams nothing. It requires ph.Length
+// <= MaxInt32, as the engine's phases are.
 func (s RandomJam) PlanPhase(ph core.Phase, _ *History, pool *energy.Pool, st *rng.Stream) *Plan {
-	if s.P <= 0 {
+	budget := affordableJams(pool, int64(ph.Length))
+	if !(s.P > 0) || budget <= 0 {
 		return nil
 	}
 	p := NewPlan(ph.Length)
-	var planned int64
-	budget := affordableJams(pool, int64(ph.Length))
-	// GeometricLnQ draws exactly as Geometric(s.P) with the log hoisted;
-	// for P >= 1 Geometric returns 0 without consuming the stream (a NaN
-	// P draws, as it does there).
+	if s.P >= 1 {
+		p.JamRange(0, int(budget))
+		return p
+	}
 	lnQ := math.Log1p(-s.P)
-	slot := 0
-	for planned < budget {
-		g := 0
-		if !(s.P >= 1) {
-			g = st.GeometricLnQ(lnQ)
+	var slots [64]int32
+	var planned int64
+	for pos := 0; planned < budget; {
+		n, done := st.GeometricSlots(lnQ, pos, ph.Length, slots[:min(budget-planned, int64(len(slots)))])
+		for _, slot := range slots[:n] {
+			p.Jam(int(slot))
 		}
-		if g >= ph.Length-slot {
+		planned += int64(n)
+		if done {
 			break
 		}
-		slot += g
-		p.Jam(slot)
-		planned++
-		slot++
-		if slot >= ph.Length {
-			break
-		}
+		pos = int(slots[n-1]) + 1
 	}
 	if planned == 0 {
 		p.Release()

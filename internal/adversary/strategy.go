@@ -64,8 +64,12 @@ type Strategy interface {
 	// pool is read-only advice (Remaining tells the strategy what it can
 	// still afford); the engine performs the actual charging and
 	// truncates plans that overdraw. st is a per-phase deterministic
-	// stream dedicated to the strategy. Returning nil means "do
-	// nothing".
+	// stream dedicated to the strategy, and the call may leave it
+	// anywhere past the last draw it used: a strategy may draw ahead
+	// in blocks and discard the rest, because the engine and the
+	// scalar oracle both re-key the stream before every plan, and a
+	// strategy that hands st on re-keys the part it hands (Composite
+	// derives one stream per part). Returning nil means "do nothing".
 	PlanPhase(ph core.Phase, hist *History, pool *energy.Pool, st *rng.Stream) *Plan
 }
 

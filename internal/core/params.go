@@ -257,15 +257,32 @@ func (p *Params) CanTerminate(round int) bool {
 // slots the device listened to and how many of those were noisy (a
 // received NACK counts as noisy, §2.2).
 func (p *Params) ShouldTerminateQuiet(listens, noisy int) bool {
-	switch p.Quiet {
-	case QuietFraction:
-		if listens < p.quietMinListens() {
-			return false
-		}
-		return float64(noisy) <= p.quietFrac()*float64(listens)
-	default: // QuietAbsolute, the paper's test
-		return noisy <= p.NoisyThreshold()
+	return p.QuietTest().Pass(listens, noisy)
+}
+
+// QuietTest is the request-phase quiet test with its thresholds worked
+// out once, for callers that apply it to every device of a phase.
+type QuietTest struct {
+	fraction   bool
+	minListens int
+	frac       float64
+	maxNoisy   int
+}
+
+// QuietTest returns the quiet test under p's current settings.
+func (p *Params) QuietTest() QuietTest {
+	if p.Quiet == QuietFraction {
+		return QuietTest{fraction: true, minListens: p.quietMinListens(), frac: p.quietFrac()}
 	}
+	return QuietTest{maxNoisy: p.NoisyThreshold()} // QuietAbsolute, the paper's test
+}
+
+// Pass decides the test exactly as ShouldTerminateQuiet does.
+func (q QuietTest) Pass(listens, noisy int) bool {
+	if q.fraction {
+		return listens >= q.minListens && float64(noisy) <= q.frac*float64(listens)
+	}
+	return noisy <= q.maxNoisy
 }
 
 // Validation errors.

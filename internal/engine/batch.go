@@ -643,10 +643,11 @@ func (l *batchLane) adversaryPlan(ph *core.Phase, out *adversary.PhaseOutcome, h
 // laneMinLive is the fewest live lanes worth a lane-kernel call once no
 // listener is left to fill the lanes: the call costs the same however
 // many lanes are live, and on an AVX-512 Xeon (BenchmarkLaneDraw
-// against BenchmarkGeometricBlock8, same invocation) a full call costs
-// about as much as drawing the same blocks for three lanes on the
-// single-stream kernel. Below it the stragglers finish one at a time on
-// blkA.
+// against BenchmarkGeometricBlock8, same invocation, ten runs at
+// GOMAXPROCS=1) a full call costs as much as drawing the same blocks
+// for about three lanes on the single-stream kernel (median 3.15, nine
+// of ten runs within 3.0–3.3; 3.55 before both kernels' log lost its
+// divide). Below it the stragglers finish one at a time on blkA.
 const laneMinLive = 3
 
 // listenWalk is one node's listen walk, resumable: it is fed its drawn

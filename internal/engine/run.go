@@ -617,10 +617,11 @@ func (r *run) endPhase(ph core.Phase) {
 		}
 	case core.PhaseRequest:
 		mayTerminate := r.params.CanTerminate(ph.Round)
+		quiet := r.params.QuietTest()
 		first := ph.Sub <= 1
 		for i := range r.nodes {
 			n := &r.nodes[i]
-			ok := r.params.ShouldTerminateQuiet(n.listens, n.noisy)
+			ok := quiet.Pass(n.listens, n.noisy)
 			if first {
 				n.reqQuietAll = ok
 			} else {
@@ -631,7 +632,7 @@ func (r *run) endPhase(ph core.Phase) {
 			}
 			n.listens, n.noisy = 0, 0
 		}
-		ok := r.params.ShouldTerminateQuiet(r.alice.listens, r.alice.noisy)
+		ok := quiet.Pass(r.alice.listens, r.alice.noisy)
 		if first {
 			r.alice.reqQuietAll = ok
 		} else {

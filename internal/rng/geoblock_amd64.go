@@ -8,12 +8,12 @@ import (
 
 // This file gates the assembly draw kernel (geoblock_amd64.s): up to
 // eight complete geometric draws per call — the xoshiro steps, the
-// 53-bit uniform conversion, the fdlibm log evaluated eight lanes wide
-// in one AVX-512 chain, the quotient by lnQ — handed back as the action
-// slots they place. The kernel's log fuses multiply-adds, so it is not
-// bit-identical to math.Log; it decides a lane only where a few-ulp
-// error cannot move the floor and hands every other call back to the
-// exact Go path (see the assembly's header). Both the error budget and
+// 53-bit uniform conversion, a table-driven log evaluated eight lanes
+// wide in one AVX-512 chain, the quotient by lnQ — handed back as the
+// action slots they place. The kernel's log is not bit-identical to
+// math.Log; it decides a lane only where a few-ulp error cannot move
+// the floor and hands every other call back to the exact Go path (see
+// the assembly's header). Both the error budget and
 // the resulting slots are checked at start-up: useGeoBlock8 requires
 // geoBlock8SelfCheck, and every block draw takes the four-lane Go path
 // wherever it fails.
@@ -59,7 +59,8 @@ func laneSlots8Asm(ls *laneState, dst *[8][laneBlock]int32, live int) (ended uin
 //go:noescape
 func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, out *[8]uint16) (ok bool)
 
-// log8Asm evaluates the kernel's log on eight uniforms.
+// log8Asm evaluates the kernel's log on eight uniforms, each at least
+// 2^-53: the log the kernels take of a draw x, u = x·2^-53.
 //
 //go:noescape
 func log8Asm(u, l *[8]float64)
@@ -146,23 +147,27 @@ func geoBlock8CPU() bool {
 }
 
 // logBudget bounds the kernel log's relative error against math.Log
-// (2^-50, four ulp at the top of a binade). With the reciprocal's and
-// the product's roundings the kernel's quotient then stays within
-// ~1.4e-15 of the scalar one, ~70× inside the assembly's margin.
+// (2^-50: four ulp at the bottom of a binade, eight at the top); the
+// table-driven log measured within 2^-52, a quarter of it. With the
+// reciprocal's and the fused multiply-add's roundings the kernel's
+// quotient plus one then stays within ~1.4e-15 of the scalar one's,
+// ~70× inside the assembly's margin.
 const logBudget = 0x1p-50
 
 // geoBlock8SelfCheck verifies the kernel's two premises before it is
 // ever used. First, its log stays within logBudget of math.Log over a
-// spread of uniforms, including the smallest one and the √2/2
-// adjustment boundary. Second, for every tail length k from 1 to 8,
+// spread of uniforms, including the smallest and the largest ones, both
+// sides of the reduction's split at 3/4 and of the c = 1 interval's
+// lower edge at 31/32. Second, for every tail length k from 1 to 8,
 // over a spread of stream states, skip distributions (dense schedules
 // down to quotients in the MaxInt sentinel regime) and phase windows,
 // its slots and final stream state are bit-identical to k scalar
 // draws placed by the SlotSchedule stopping rule.
 func geoBlock8SelfCheck() bool {
 	sm := uint64(0xc0ffee5eed5a11ad)
-	us := []float64{0x1p-53, 0x1p-52, 0.25, 0.5, math.Sqrt2 / 2, math.Nextafter(math.Sqrt2/2, 0),
-		0.75, 1 - 0x1p-52, 1 - 0x1p-53, 1 - 3*0x1p-53}
+	us := []float64{0x1p-53, 0x1p-52, 0.25, 0.5, 0.375, math.Nextafter(0.375, 0),
+		0.75, math.Nextafter(0.75, 0), 31.0 / 32, math.Nextafter(31.0/32, 0),
+		1 - 0x1p-52, 1 - 0x1p-53, 1 - 3*0x1p-53}
 	for len(us) < 4096 {
 		us = append(us, max(float64(splitMix64(&sm)>>11)*0x1p-53, 0x1p-53))
 	}

@@ -1,65 +1,135 @@
-// AVX-512 draw kernel: up to eight geometric skips per call, turned
-// straight into the action slots a SlotSchedule would place. The
-// xoshiro steps run on the integer ports; the eight log tails run as
-// one zmm chain.
+// AVX-512 draw kernels: up to eight geometric skips of one stream per
+// call (geoSlots8Asm), or a block of skips for each of eight streams
+// (laneSlots8Asm), turned straight into the action slots a SlotSchedule
+// would place. The xoshiro steps run on the integer ports; the log tails
+// run eight lanes to a zmm register.
 //
-// The log is fdlibm's formula (logPortable's operation order) with the
-// multiply-adds fused, so a lane may differ from math.Log by a few ulp.
-// The skip it yields is floor(q) for q = l·(1/lnQ), whose relative
-// error against the scalar l/lnQ is then below ~1.4e-15. A lane is
-// decided by the kernel only when q sits further than 1e-13·q + 1e-13
-// from every integer — about 70× that budget — so both quotients share
-// a floor; a lane at or past length+1 lies outside the phase whatever
-// its exact value (the clamp below), which covers the MaxInt sentinel
-// band too. Any other lane makes the kernel return -1 with the stream
-// state untouched, and the Go caller redoes the whole call with the
-// exact log and the scalar's division. geoBlock8SelfCheck verifies the
-// log's error budget and the slots bit-for-bit at start-up, before
-// this kernel is ever used.
+// The log is table-driven and has no divide. The uniform is u = x·2^-53
+// for x the 53-bit draw as a double (0 nudged to 1). VGETMANTPD reduces
+// x to its mantissa z in [3/4, 3/2), and VGETEXPPD of x·(4/3)·2^-53
+// gives the matching exponent k, so that u = 2^k·z exactly: x·(4/3)
+// reaches the next binade exactly when x's mantissa is 3/2 or more (the
+// rounded 4/3 lands the mantissa 3/2 on a tie that rounds up to 2, and
+// every smaller mantissa below 2). The top four bits of z's fraction
+// index sixteen intervals, 1/16 wide on [1, 3/2) (indices 0-7) and 1/32
+// wide on [3/4, 1) (indices 8-15), each with its own constant c:
+//
+//	log u = k·ln2 + log c + log1p(r),   r = z·(1/c) − 1,
+//
+// with 1/c and log c read from two 16-entry tables by two-table
+// permutes (their high halves as memory operands), r one fused
+// multiply-add, and log1p(r) = r + r²·P(r) for a degree-7 minimax P
+// (error below 2^-50.4 on [-1/32, 0.0304]), evaluated as two Horner
+// halves joined by r^4. Interval 15, [31/32, 1), has c = 1: there r =
+// z − 1 is exact and the log keeps its relative accuracy as u → 1.
+// Every other c sits at its interval's centre, with 1/c picked so that
+// log c rounds to a double within 2^-12 ulp; interval 0, [1, 17/16),
+// holds only u in [2^k, 2^k·17/16) for k <= -1, whose log is far from
+// 0, so its centre keeps |r| <= 1/32 there too. The sum is
+//
+//	y = (k·ln2Hi + log c) + ((k·ln2Lo + r) + r²·P),
+//
+// and no term cancels: where k = 0 and c ≠ 1, |log c| is at least
+// twice |r|, and where k ≠ 0, |y| >= 0.28. Its roundings stay within
+// 2.4·2^-53 of y; measured, the result is within one ulp (2^-52
+// relative) of math.Log over 10^8 random uniforms, the 2^20 smallest and
+// largest, and both neighbours of every interval edge in every binade,
+// a quarter of logBudget (2^-50).
+//
+// The skip it yields is floor(q) for q = l/lnQ. The kernel computes
+// q + 1 as fma(l, 1/lnQ, 1), whose error against the scalar quotient
+// plus one is then below ~1.4e-15·(q+1). A lane is decided by the
+// kernel only when q + 1 sits further than 1e-13·(q+1) + 1e-13 from
+// every integer — about 70× that budget — so both share a floor. q + 1
+// is clamped to length + 3/2 first: a clamped lane's fraction is 1/2,
+// so it is decided, and it lies outside the phase whatever its exact
+// quotient, which covers the MaxInt sentinel band too. Any other lane
+// makes the kernel hand the call back with the stream state untouched,
+// and the Go caller redoes the whole call with the exact log and the
+// scalar's division. geoBlock8SelfCheck and laneSlots8SelfCheck verify
+// the log's error budget and the slots bit-for-bit at start-up, before
+// either kernel is ever used.
 
 #include "textflag.h"
 
-DATA kMantMask<>+0(SB)/8, $0x000FFFFFFFFFFFFF
-GLOBL kMantMask<>(SB), RODATA|NOPTR, $8
-DATA kSqrtMant<>+0(SB)/8, $0x0006A09E667F3BCD
-GLOBL kSqrtMant<>(SB), RODATA|NOPTR, $8
-// 0x3FE doubles as the rebuilt-exponent base and the Frexp bias 1022.
-DATA kExp3FE<>+0(SB)/8, $0x00000000000003FE
-GLOBL kExp3FE<>(SB), RODATA|NOPTR, $8
 DATA kInt1<>+0(SB)/8, $1
 GLOBL kInt1<>(SB), RODATA|NOPTR, $8
 DATA kOne<>+0(SB)/8, $0x3FF0000000000000
 GLOBL kOne<>(SB), RODATA|NOPTR, $8
-DATA kTwo<>+0(SB)/8, $0x4000000000000000
-GLOBL kTwo<>(SB), RODATA|NOPTR, $8
-DATA kHalf<>+0(SB)/8, $0x3FE0000000000000
-GLOBL kHalf<>(SB), RODATA|NOPTR, $8
-DATA kInv53<>+0(SB)/8, $0x3CA0000000000000
-GLOBL kInv53<>(SB), RODATA|NOPTR, $8
+DATA kThreeHalves<>+0(SB)/8, $0x3FF8000000000000
+GLOBL kThreeHalves<>(SB), RODATA|NOPTR, $8
+DATA k2p53<>+0(SB)/8, $0x4340000000000000
+GLOBL k2p53<>(SB), RODATA|NOPTR, $8
+// The rounded 4/3, times 2^-53.
+DATA kFourThirds<>+0(SB)/8, $0x3CA5555555555555
+GLOBL kFourThirds<>(SB), RODATA|NOPTR, $8
 DATA kLn2Hi<>+0(SB)/8, $0x3FE62E42FEE00000
 GLOBL kLn2Hi<>(SB), RODATA|NOPTR, $8
 DATA kLn2Lo<>+0(SB)/8, $0x3DEA39EF35793C76
 GLOBL kLn2Lo<>(SB), RODATA|NOPTR, $8
-DATA kL1<>+0(SB)/8, $0x3FE5555555555593
-GLOBL kL1<>(SB), RODATA|NOPTR, $8
-DATA kL2<>+0(SB)/8, $0x3FD999999997FA04
-GLOBL kL2<>(SB), RODATA|NOPTR, $8
-DATA kL3<>+0(SB)/8, $0x3FD2492494229359
-GLOBL kL3<>(SB), RODATA|NOPTR, $8
-DATA kL4<>+0(SB)/8, $0x3FCC71C51D8E78AF
-GLOBL kL4<>(SB), RODATA|NOPTR, $8
-DATA kL5<>+0(SB)/8, $0x3FC7466496CB03DE
-GLOBL kL5<>(SB), RODATA|NOPTR, $8
-DATA kL6<>+0(SB)/8, $0x3FC39A09D078C69F
-GLOBL kL6<>(SB), RODATA|NOPTR, $8
-DATA kL7<>+0(SB)/8, $0x3FC2F112DF3E5244
-GLOBL kL7<>(SB), RODATA|NOPTR, $8
 DATA kAbsMask<>+0(SB)/8, $0x7FFFFFFFFFFFFFFF
 GLOBL kAbsMask<>(SB), RODATA|NOPTR, $8
 // 1e-13: the near-integer uncertainty margin, ~70× the worst-case
 // relative error between the kernel's quotient and the scalar's.
 DATA kMargin<>+0(SB)/8, $0x3D3C25C268497682
 GLOBL kMargin<>(SB), RODATA|NOPTR, $8
+
+// 1/c and log c for the sixteen intervals of z, in index order: 0-7
+// are [1 + i/16, +1/16), 8-14 are [1/2 + i/32, +1/32), 15 is [31/32, 1)
+// with c = 1.
+DATA kInvC<>+0(SB)/8, $0x3FEF07C1B3AB25D2
+DATA kInvC<>+8(SB)/8, $0x3FED41D43E704AB3
+DATA kInvC<>+16(SB)/8, $0x3FEBACF8E0485547
+DATA kInvC<>+24(SB)/8, $0x3FEA41A43F6E2B72
+DATA kInvC<>+32(SB)/8, $0x3FE8F9C176B7B5E9
+DATA kInvC<>+40(SB)/8, $0x3FE7D05F631EF785
+DATA kInvC<>+48(SB)/8, $0x3FE6C16BEF05D336
+DATA kInvC<>+56(SB)/8, $0x3FE5C98810CF60E0
+DATA kInvC<>+64(SB)/8, $0x3FF4E5E0DE92E3EF
+DATA kInvC<>+72(SB)/8, $0x3FF414140623BE5C
+DATA kInvC<>+80(SB)/8, $0x3FF3521D2F6DE374
+DATA kInvC<>+88(SB)/8, $0x3FF29E40EE5DB990
+DATA kInvC<>+96(SB)/8, $0x3FF1F70491A3815E
+DATA kInvC<>+104(SB)/8, $0x3FF15B1E2735D82C
+DATA kInvC<>+112(SB)/8, $0x3FF0C97133795071
+DATA kInvC<>+120(SB)/8, $0x3FF0000000000000
+GLOBL kInvC<>(SB), RODATA|NOPTR, $128
+DATA kLogC<>+0(SB)/8, $0x3F9F82A2E5685A9D
+DATA kLogC<>+8(SB)/8, $0x3FB6F0D1688EDE52
+DATA kLogC<>+16(SB)/8, $0x3FC29553EAD16BA1
+DATA kLogC<>+24(SB)/8, $0x3FC95259E7BB4369
+DATA kLogC<>+32(SB)/8, $0x3FCFB918ECF0BA20
+DATA kLogC<>+40(SB)/8, $0x3FD2E8E2607DE43B
+DATA kLogC<>+48(SB)/8, $0x3FD5D1BE2F17A824
+DATA kLogC<>+56(SB)/8, $0x3FD89A33D56015F9
+DATA kLogC<>+64(SB)/8, $0xBFD1178F2BC9BDA7
+DATA kLogC<>+72(SB)/8, $0xBFCD103799893BE7
+DATA kLogC<>+80(SB)/8, $0xBFC823C2BF89A4CE
+DATA kLogC<>+88(SB)/8, $0xBFC365FB16D9E946
+DATA kLogC<>+96(SB)/8, $0xBFBDA7287EDE3981
+DATA kLogC<>+104(SB)/8, $0xBFB4D30E1F7AADF5
+DATA kLogC<>+112(SB)/8, $0xBFA894A6B693C5E4
+DATA kLogC<>+120(SB)/8, $0x0000000000000000
+GLOBL kLogC<>(SB), RODATA|NOPTR, $128
+
+// P's coefficients, constant term first: log1p(r) ≈ r + r²·(A0 + A1·r
+// + … + A7·r^7).
+DATA kA0<>+0(SB)/8, $0xBFDFFFFFFFFFFFF5
+GLOBL kA0<>(SB), RODATA|NOPTR, $8
+DATA kA1<>+0(SB)/8, $0x3FD55555555553FD
+GLOBL kA1<>(SB), RODATA|NOPTR, $8
+DATA kA2<>+0(SB)/8, $0xBFD000000005E3B5
+GLOBL kA2<>(SB), RODATA|NOPTR, $8
+DATA kA3<>+0(SB)/8, $0x3FC999999A0F6DE7
+GLOBL kA3<>(SB), RODATA|NOPTR, $8
+DATA kA4<>+0(SB)/8, $0xBFC55554633B19C0
+GLOBL kA4<>(SB), RODATA|NOPTR, $8
+DATA kA5<>+0(SB)/8, $0x3FC2491F94EE40E8
+GLOBL kA5<>(SB), RODATA|NOPTR, $8
+DATA kA6<>+0(SB)/8, $0xBFC0063948CAE708
+GLOBL kA6<>(SB), RODATA|NOPTR, $8
+DATA kA7<>+0(SB)/8, $0x3FBC93BEB100DB28
+GLOBL kA7<>(SB), RODATA|NOPTR, $8
 
 // One xoshiro256** step on the state in R8-R11, leaving the 53-bit
 // output in AX. Mirrors Stream.u53: raw uses the pre-update s1; the
@@ -80,42 +150,52 @@ GLOBL kMargin<>(SB), RODATA|NOPTR, $8
 	XORQ DX, R10;        \
 	ROLQ $45, R11
 
-// LOG8 evaluates the fdlibm log of the eight uniforms in Z0 into Z11,
-// clobbering Z1-Z12: reduce() as integer ops on the double bits (the
-// branch-free √2/2 adjustment), then the fdlibm polynomial with FMA.
-#define LOG8 \
-	VPANDQ.BCST kMantMask<>(SB), Z0, Z1;   \
-	VPSUBQ.BCST kSqrtMant<>(SB), Z1, Z3;   \
-	VPSRLQ $63, Z3, Z3;                    \
-	VPADDQ.BCST kExp3FE<>(SB), Z3, Z4;     \
-	VPSLLQ $52, Z4, Z4;                    \
-	VPORQ Z1, Z4, Z4;                      \
-	VSUBPD.BCST kOne<>(SB), Z4, Z4;        \
-	VPSRLQ $52, Z0, Z5;                    \
-	VPADDQ.BCST kExp3FE<>(SB), Z3, Z6;     \
-	VPSUBQ Z6, Z5, Z5;                     \
-	VCVTQQ2PD Z5, Z5;                      \
-	VADDPD.BCST kTwo<>(SB), Z4, Z6;        \
-	VDIVPD Z6, Z4, Z6;                     \
-	VMULPD Z6, Z6, Z7;                     \
-	VMULPD Z7, Z7, Z8;                     \
-	VBROADCASTSD kL7<>(SB), Z9;            \
-	VFMADD213PD.BCST kL5<>(SB), Z8, Z9;    \
-	VFMADD213PD.BCST kL3<>(SB), Z8, Z9;    \
-	VFMADD213PD.BCST kL1<>(SB), Z8, Z9;    \
-	VMULPD Z7, Z9, Z9;                     \
-	VBROADCASTSD kL6<>(SB), Z10;           \
-	VFMADD213PD.BCST kL4<>(SB), Z8, Z10;   \
-	VFMADD213PD.BCST kL2<>(SB), Z8, Z10;   \
-	VFMADD231PD Z10, Z8, Z9;               \
-	VMULPD.BCST kHalf<>(SB), Z4, Z10;      \
-	VMULPD Z4, Z10, Z10;                   \
-	VADDPD Z9, Z10, Z11;                   \
-	VMULPD.BCST kLn2Lo<>(SB), Z5, Z12;     \
-	VFMADD231PD Z11, Z6, Z12;              \
-	VSUBPD Z12, Z10, Z11;                  \
-	VSUBPD Z4, Z11, Z11;                   \
-	VFMSUB231PD.BCST kLn2Hi<>(SB), Z5, Z11
+// The log runs in four stages over seven registers, so that two logs
+// can interleave stage by stage: x, the draw as a double in [1, 2^53),
+// then free; t into z, then r; i into the index, 1/c, then r²; j into
+// log c, then the result; k into k as a double; p and q into P(r)'s
+// halves and r^4. The 1/c table's entries 0-7 must be in Z26.
+#define LOG_REDUCE(x, t, i, k) \
+	VMULPD.BCST kFourThirds<>(SB), x, k; \
+	VGETMANTPD  $3, x, t;                \
+	VGETEXPPD   k, k;                    \
+	VPSRLQ      $48, t, i
+
+#define LOG_LOOKUP(t, i, j) \
+	VMOVUPD          kLogC<>(SB), j;         \
+	VPERMT2PD        kLogC<>+64(SB), i, j;   \
+	VPERMI2PD        kInvC<>+64(SB), Z26, i; \
+	VFMSUB213PD.BCST kOne<>(SB), i, t;       \
+	VMULPD           t, t, i
+
+#define LOG_POLY(x, t, i, p, q) \
+	VBROADCASTSD     kA7<>(SB), x;    \
+	VBROADCASTSD     kA3<>(SB), p;    \
+	VFMADD213PD.BCST kA6<>(SB), t, x; \
+	VFMADD213PD.BCST kA2<>(SB), t, p; \
+	VFMADD213PD.BCST kA5<>(SB), t, x; \
+	VFMADD213PD.BCST kA1<>(SB), t, p; \
+	VFMADD213PD.BCST kA4<>(SB), t, x; \
+	VFMADD213PD.BCST kA0<>(SB), t, p; \
+	VMULPD           i, i, q;         \
+	VFMADD231PD      x, q, p
+
+#define LOG_SUM(t, i, j, k, p) \
+	VFMADD231PD.BCST kLn2Lo<>(SB), k, t; \
+	VFMADD231PD      p, i, t;            \
+	VFMADD231PD.BCST kLn2Hi<>(SB), k, j; \
+	VADDPD           t, j, j
+
+// LOG8 is one log, from the draw x to its result in j.
+#define LOG8(x, t, i, j, k, p, q) \
+	LOG_REDUCE(x, t, i, k);  \
+	LOG_LOOKUP(t, i, j);     \
+	LOG_POLY(x, t, i, p, q); \
+	LOG_SUM(t, i, j, k, p)
+
+// LOAD_LOG_TABLES puts the 1/c table's low half where the log reads it.
+#define LOAD_LOG_TABLES \
+	VMOVUPD kInvC<>(SB), Z26
 
 // func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) (n, next int)
 TEXT ·geoSlots8Asm(SB), NOSPLIT, $0-64
@@ -126,9 +206,8 @@ TEXT ·geoSlots8Asm(SB), NOSPLIT, $0-64
 	MOVQ 16(SI), R10
 	MOVQ 24(SI), R11
 
-	// Lanes past k stay zero: their uniform becomes 2^-53, a normal
-	// number the log chain handles at full speed, and the k mask drops
-	// them from every result.
+	// Lanes past k stay zero: their draw becomes 1, whose log the chain
+	// takes at full speed, and the k mask drops them from every result.
 	VPXOR X1, X1, X1
 	VPXOR X2, X2, X2
 	VPXOR X3, X3, X3
@@ -171,40 +250,40 @@ drawn:
 	DECL  BX
 	KMOVB BX, K1
 
-	// 53-bit draws -> uniforms (exact; raw < 2^53), with u == 0 nudged
-	// to 2^-53: every other uniform is at least that.
+	// 53-bit draws -> doubles (exact; raw < 2^53), with 0 nudged to 1,
+	// so that each uniform is x·2^-53 >= 2^-53.
 	VINSERTI64X2 $1, X1, Z0, Z0
 	VINSERTI64X2 $2, X2, Z0, Z0
 	VINSERTI64X2 $3, X3, Z0, Z0
+	VPMAXUQ.BCST kInt1<>(SB), Z0, Z0
 	VCVTQQ2PD    Z0, Z0
-	VMULPD.BCST  kInv53<>(SB), Z0, Z0
-	VMAXPD.BCST  kInv53<>(SB), Z0, Z0
 
-	LOG8
+	LOAD_LOG_TABLES
+	LOG8(Z0, Z1, Z2, Z11, Z7, Z8, Z9)
 
-	VBROADCASTSD invLnQ+40(FP), Z13
-	VMULPD       Z13, Z11, Z11
+	// q+1 = l·(1/lnQ) + 1, clamped to length + 3/2: its floor is the
+	// gap plus one.
+	VBROADCASTSD     invLnQ+40(FP), Z13
+	VFMADD213PD.BCST kOne<>(SB), Z13, Z11
+	MOVQ             length+32(FP), BX
+	VCVTSI2SDQ       BX, X5, X5
+	VADDSD           kThreeHalves<>(SB), X5, X5
+	VBROADCASTSD     X5, Z5
+	VMINPD           Z5, Z11, Z11
 
 	// K2 = live lanes whose floor the estimate cannot decide: within the
-	// margin of an integer and below length+1.
-	MOVQ          length+32(FP), BX
-	VCVTSI2SDQ    BX, X5, X5
-	VBROADCASTSD  X5, Z5
-	VADDPD.BCST   kOne<>(SB), Z5, Z6
-	VREDUCEPD     $0, Z11, Z3
-	VPANDQ.BCST   kAbsMask<>(SB), Z3, Z3
-	VBROADCASTSD  kMargin<>(SB), Z4
-	VFMADD213PD   Z4, Z11, Z4
-	VCMPPD        $0x12, Z4, Z3, K1, K2
-	VCMPPD        $0x11, Z6, Z11, K2, K2
-	KORTESTB      K2, K2
-	JNZ           exact
+	// margin of an integer.
+	VREDUCEPD        $0, Z11, Z3
+	VPANDQ.BCST      kAbsMask<>(SB), Z3, Z3
+	VBROADCASTSD     kMargin<>(SB), Z4
+	VFMADD213PD.BCST kMargin<>(SB), Z11, Z4
+	VCMPPD           $0x12, Z4, Z3, K1, K2
+	KORTESTB         K2, K2
+	JNZ              exact
 
-	// Gaps clamped to length, plus one, summed from pos: lane j's slot
-	// is pos-1 + Σ_{i<=j} (min(g_i, length) + 1).
-	VMINPD       Z5, Z11, Z11
+	// Gaps plus one, summed from pos: lane j's slot is
+	// pos-1 + Σ_{i<=j} (g_i + 1), g_i clamped to length.
 	VCVTTPD2QQ   Z11, Z11
-	VPADDQ.BCST  kInt1<>(SB), Z11, Z11
 	VPXORQ       Z2, Z2, Z2
 	VALIGNQ      $7, Z2, Z11, Z3
 	VPADDQ       Z3, Z11, Z11
@@ -247,12 +326,11 @@ exact:
 	MOVQ $0, next+56(FP)
 	VZEROUPPER
 	RET
-
 // The lane kernel: eight schedules side by side, one per lane, each with
 // its own stream, 1/lnQ, pos and length (laneState). Its xoshiro state
 // sits word-major in Z16-Z19, so one step is a dozen zmm ops for all
-// eight streams, and each of the k (up to 16) iterations feeds one draw
-// per lane through LOG8. The quotient, the margin test and the clamp are
+// eight streams, and the k (up to 16) iterations run in pairs whose two
+// log chains interleave (LANE_LOG2). The quotient, the margin test and the clamp are
 // geoSlots8Asm's, lane by lane; each lane keeps its own pos, so no
 // prefix sum is needed. The iterations run in rounds of eight: iteration
 // i's slot column goes to half i%2 of the accumulator for i/2 (Z29,
@@ -299,42 +377,56 @@ DATA kTrPairB<>+48(SB)/8, $0x0000001D0000001C
 DATA kTrPairB<>+56(SB)/8, $0x0000001F0000001E
 GLOBL kTrPairB<>(SB), RODATA|NOPTR, $64
 
-// LANE_DRAW draws one skip per lane and places it: Z5 = pos + min(q,
-// length) truncated, pos = Z5 + 1. K2 collects the live lanes (K1) whose
-// floor the estimate cannot decide; Z25 counts each live lane's slots
-// inside the phase, a prefix because slots ascend.
-#define LANE_DRAW \
-	VPSLLQ      $2, Z17, Z0;                 \
-	VPADDQ      Z17, Z0, Z0;                 \
-	VPROLQ      $7, Z0, Z0;                  \
-	VPSLLQ      $3, Z0, Z1;                  \
-	VPADDQ      Z1, Z0, Z0;                  \
-	VPSRLQ      $11, Z0, Z0;                 \
-	VPSLLQ      $17, Z17, Z1;                \
-	VPXORQ      Z16, Z18, Z18;               \
-	VPXORQ      Z17, Z19, Z19;               \
-	VPXORQ      Z18, Z17, Z17;               \
-	VPXORQ      Z19, Z16, Z16;               \
-	VPXORQ      Z1, Z18, Z18;                \
-	VPROLQ      $45, Z19, Z19;               \
-	VCVTQQ2PD   Z0, Z0;                      \
-	VMULPD      Z28, Z0, Z0;                 \
-	VMAXPD      Z28, Z0, Z0;                 \
-	LOG8;                                    \
-	VMULPD      Z20, Z11, Z11;               \
-	VREDUCEPD   $0, Z11, Z3;                 \
-	VPANDQ.BCST kAbsMask<>(SB), Z3, Z3;      \
-	VMOVAPD     Z26, Z4;                     \
-	VFMADD213PD Z26, Z11, Z4;                \
-	VCMPPD      $0x12, Z4, Z3, K1, K3;       \
-	VCMPPD      $0x11, Z24, Z11, K3, K3;     \
-	KORB        K3, K2, K2;                  \
-	VMINPD      Z23, Z11, Z11;               \
-	VCVTTPD2QQ  Z11, Z11;                    \
-	VPADDQ      Z11, Z21, Z5;                \
-	VPADDQ      Z27, Z5, Z21;                \
-	VPCMPQ      $1, Z22, Z5, K1, K3;         \
-	VPADDQ      Z27, Z25, K3, Z25
+// LANE_STEP steps the eight streams once, leaving their draws as
+// doubles in raw (0 nudged to 1, as in geoSlots8Asm).
+#define LANE_STEP(raw, tmp) \
+	VPSLLQ       $2, Z17, raw;          \
+	VPADDQ       Z17, raw, raw;         \
+	VPROLQ       $7, raw, raw;          \
+	VPSLLQ       $3, raw, tmp;          \
+	VPADDQ       tmp, raw, raw;         \
+	VPSRLQ       $11, raw, raw;         \
+	VPSLLQ       $17, Z17, tmp;         \
+	VPXORQ       Z16, Z18, Z18;         \
+	VPXORQ       Z17, Z19, Z19;         \
+	VPXORQ       Z18, Z17, Z17;         \
+	VPXORQ       Z19, Z16, Z16;         \
+	VPXORQ       tmp, Z18, Z18;         \
+	VPROLQ       $45, Z19, Z19;         \
+	VPMAXUQ.BCST kInt1<>(SB), raw, raw; \
+	VCVTQQ2PD    raw, raw
+
+// LANE_LOG2 takes the logs of two steps' draws, Z0 into Z3 and Z6 into
+// Z9, the two chains interleaved stage by stage.
+#define LANE_LOG2 \
+	LOG_REDUCE(Z0, Z1, Z2, Z4);     \
+	LOG_REDUCE(Z6, Z7, Z8, Z10);    \
+	LOG_LOOKUP(Z1, Z2, Z3);         \
+	LOG_LOOKUP(Z7, Z8, Z9);         \
+	LOG_POLY(Z0, Z1, Z2, Z5, Z12);  \
+	LOG_POLY(Z6, Z7, Z8, Z11, Z14); \
+	LOG_SUM(Z1, Z2, Z3, Z4, Z5);    \
+	LOG_SUM(Z7, Z8, Z9, Z10, Z11)
+
+// LANE_PLACE places the skips whose logs are in l, as geoSlots8Asm
+// does lane by lane: the gap plus one, floor(min(q+1, length + 3/2)),
+// moves each lane's last slot (Z21) to the new one. K2 collects the
+// live lanes (K1) whose floor the estimate cannot decide; Z25 counts
+// each live lane's slots inside the phase, a prefix because slots
+// ascend.
+#define LANE_PLACE(l) \
+	VFMADD213PD.BCST kOne<>(SB), Z20, l;       \
+	VMINPD           Z24, l, l;                \
+	VREDUCEPD        $0, l, Z12;               \
+	VPANDQ.BCST      kAbsMask<>(SB), Z12, Z12; \
+	VBROADCASTSD     kMargin<>(SB), Z14;       \
+	VFMADD213PD.BCST kMargin<>(SB), l, Z14;    \
+	VCMPPD           $0x12, Z14, Z12, K1, K3;  \
+	KORB             K3, K2, K2;               \
+	VCVTTPD2QQ       l, l;                     \
+	VPADDQ           l, Z21, Z21;              \
+	VPCMPQ           $1, Z22, Z21, K1, K3;     \
+	VPADDQ           Z27, Z25, K3, Z25
 
 // func laneSlots8Asm(ls *laneState, dst *[8][16]int32, live int) (ended uint8, ok bool)
 TEXT ·laneSlots8Asm(SB), NOSPLIT, $0-26
@@ -350,11 +442,10 @@ TEXT ·laneSlots8Asm(SB), NOSPLIT, $0-26
 	VMOVUPD      256(SI), Z20
 	VMOVDQU64    384(SI), Z21
 	VMOVDQU64    448(SI), Z22
-	VCVTQQ2PD    Z22, Z23
-	VADDPD.BCST  kOne<>(SB), Z23, Z24
-	VBROADCASTSD kMargin<>(SB), Z26
+	VCVTQQ2PD    Z22, Z24
+	VADDPD.BCST  kThreeHalves<>(SB), Z24, Z24
 	VPBROADCASTQ kInt1<>(SB), Z27
-	VBROADCASTSD kInv53<>(SB), Z28
+	LOAD_LOG_TABLES
 	VPXORQ       Z25, Z25, Z25
 	KXORB        K2, K2, K2
 
@@ -381,45 +472,76 @@ TEXT ·laneSlots8Asm(SB), NOSPLIT, $0-26
 	MOVQ           CX, DX
 	VPXORQ         Z25, Z25, Z25
 
-	// Rounds of up to eight draws: each ends with its columns turned
-	// into rows, stored at the next eight slots of every lane's row.
+	// Z21 holds each lane's last slot, pos-1, until the draws are done.
+	VPSUBQ         Z27, Z21, Z21
+
+	// Rounds of up to eight draws in pairs: each ends with its columns
+	// turned into rows, stored at the next eight slots of every lane's
+	// row. When one draw is left, the pair's second log runs on a copy
+	// of the first and is not placed.
 lanesRound:
-	LANE_DRAW
-	VPMOVQD Z5, Y29
+	LANE_STEP(Z0, Z1)
+	CMPQ CX, $1
+	JEQ  lanesOdd0
+	LANE_STEP(Z6, Z7)
+lanesPair0:
+	LANE_LOG2
+	LANE_PLACE(Z3)
+	VPMOVQD Z21, Y29
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y13
+	LANE_PLACE(Z9)
+	VPMOVQD Z21, Y13
 	VINSERTI64X4 $1, Y13, Z29, Z29
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y30
+
+	LANE_STEP(Z0, Z1)
+	CMPQ CX, $1
+	JEQ  lanesOdd1
+	LANE_STEP(Z6, Z7)
+lanesPair1:
+	LANE_LOG2
+	LANE_PLACE(Z3)
+	VPMOVQD Z21, Y30
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y13
+	LANE_PLACE(Z9)
+	VPMOVQD Z21, Y13
 	VINSERTI64X4 $1, Y13, Z30, Z30
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y31
+
+	LANE_STEP(Z0, Z1)
+	CMPQ CX, $1
+	JEQ  lanesOdd2
+	LANE_STEP(Z6, Z7)
+lanesPair2:
+	LANE_LOG2
+	LANE_PLACE(Z3)
+	VPMOVQD Z21, Y31
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y13
+	LANE_PLACE(Z9)
+	VPMOVQD Z21, Y13
 	VINSERTI64X4 $1, Y13, Z31, Z31
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y15
+
+	LANE_STEP(Z0, Z1)
+	CMPQ CX, $1
+	JEQ  lanesOdd3
+	LANE_STEP(Z6, Z7)
+lanesPair3:
+	LANE_LOG2
+	LANE_PLACE(Z3)
+	VPMOVQD Z21, Y15
 	DECQ    CX
 	JZ      lanesRoundDone
-	LANE_DRAW
-	VPMOVQD Z5, Y13
+	LANE_PLACE(Z9)
+	VPMOVQD Z21, Y13
 	VINSERTI64X4 $1, Y13, Z15, Z15
 	DECQ    CX
-
 lanesRoundDone:
 	// Columns to rows: lane j's draws of this round at dst[j][8r:8r+8].
 	VMOVDQU64     kTrLo<>(SB), Z0
@@ -451,12 +573,26 @@ lanesRoundDone:
 	ADDQ          $32, DI
 	JMP           lanesRound
 
+lanesOdd0:
+	VMOVDQA64 Z0, Z6
+	JMP       lanesPair0
+lanesOdd1:
+	VMOVDQA64 Z0, Z6
+	JMP       lanesPair1
+lanesOdd2:
+	VMOVDQA64 Z0, Z6
+	JMP       lanesPair2
+lanesOdd3:
+	VMOVDQA64 Z0, Z6
+	JMP       lanesPair3
+
 lanesDrawn:
 	KORTESTB K2, K2
 	JNZ      lanesExact
 
 	// ended: live lanes with a slot outside the phase (fewer than k
 	// inside) or whose last slot was the phase's last.
+	VPADDQ       Z27, Z21, Z21
 	VPBROADCASTQ DX, Z0
 	VPCMPQ       $1, Z0, Z25, K1, K3
 	VPCMPQ       $5, Z22, Z21, K1, K4
@@ -557,11 +693,13 @@ bitsShort:
 
 // func log8Asm(u, l *[8]float64)
 TEXT ·log8Asm(SB), NOSPLIT, $0-16
-	MOVQ    u+0(FP), SI
-	VMOVUPD (SI), Z0
-	LOG8
-	MOVQ    l+8(FP), DI
-	VMOVUPD Z11, (DI)
+	MOVQ        u+0(FP), SI
+	VMOVUPD     (SI), Z0
+	VMULPD.BCST k2p53<>(SB), Z0, Z0
+	LOAD_LOG_TABLES
+	LOG8(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	MOVQ        l+8(FP), DI
+	VMOVUPD     Z3, (DI)
 	VZEROUPPER
 	RET
 

@@ -11,13 +11,24 @@ import "rcbcast/internal/rng"
 // Construction draws from the stream keyed (seed, StreamActor), so the
 // graph is a pure function of the engine seed: trials of a sweep each
 // get an independent graph, reproducible across worker counts.
+//
+// The edges are never built: a trial asks about far fewer pairs than
+// the graph has candidates, so Adjacent computes each answer from the
+// two points. Each point keeps the cell of side at least Radius it
+// falls in, and two points are adjacent only in neighbouring cells, the
+// 3×3 pruning a pair-by-pair build would apply.
 type Gilbert struct {
 	n      int
 	radius float64
-	xs, ys []float64
-	adj    bitmatrix
-	degs   []int
+	r2     float64
+	pts    []gilbertPoint
 	alice  []bool
+}
+
+// gilbertPoint is a node's position and the coordinates of its cell.
+type gilbertPoint struct {
+	x, y   float64
+	cx, cy int32
 }
 
 // NewGilbert draws the radius-r geometric graph over n points from the
@@ -34,92 +45,37 @@ func NewGilbertInto(n int, radius float64, seed uint64, sc *Scratch) *Gilbert {
 	if sc == nil {
 		sc = NewScratch()
 	}
-	row := (n + 63) / 64
-	sc.xs = grow(sc.xs, n)
-	sc.ys = grow(sc.ys, n)
-	sc.degs = grow(sc.degs, n)
+	sc.pts = grow(sc.pts, n)
 	sc.alice = grow(sc.alice, n)
-	sc.adjWords = grow(sc.adjWords, row*n)
-	clear(sc.degs)
-	clear(sc.adjWords)
 	g := &Gilbert{
 		n:      n,
 		radius: radius,
-		xs:     sc.xs,
-		ys:     sc.ys,
-		adj:    bitmatrix{words: sc.adjWords, row: row},
-		degs:   sc.degs,
+		r2:     radius * radius,
+		pts:    sc.pts,
 		alice:  sc.alice,
 	}
 	var st rng.Stream
 	st.Reseed(seed, StreamActor)
-	for i := 0; i < n; i++ {
-		g.xs[i] = st.Float64()
-		g.ys[i] = st.Float64()
+	for i := range g.pts {
+		g.pts[i].x = st.Float64()
+		g.pts[i].y = st.Float64()
 	}
-	r2 := radius * radius
-	// Bucket points into cells of side >= radius: all neighbors of a
-	// point lie in its 3x3 cell block. Cell count is capped near sqrt(n)
-	// so tiny radii cannot allocate an absurd cell grid.
+	// Cells of side >= radius: all neighbors of a point lie in its 3x3
+	// cell block. Cell count is capped near sqrt(n) so tiny radii keep
+	// the cells few.
 	cells := 1
 	if radius < 1 {
-		cells = int(1 / radius)
-		if cells < 1 {
-			cells = 1
-		}
-		if max := isqrtCeil(n) + 1; cells > max {
-			cells = max
-		}
+		cells = max(int(1/radius), 1)
+		cells = min(cells, isqrtCeil(n)+1)
 	}
-	// Cell membership as head/next chains over scratch arrays — the
-	// adjacency produced is order-independent, so replacing the
-	// historical per-bucket slices changes no graph.
-	sc.bucketHead = grow(sc.bucketHead, cells*cells)
-	sc.bucketNext = grow(sc.bucketNext, n)
-	for i := range sc.bucketHead {
-		sc.bucketHead[i] = -1
+	cellOf := func(v float64) int32 {
+		return int32(min(int(v*float64(cells)), cells-1))
 	}
-	cellOf := func(v float64) int {
-		c := int(v * float64(cells))
-		if c >= cells {
-			c = cells - 1
-		}
-		return c
-	}
-	for i := 0; i < n; i++ {
-		c := cellOf(g.ys[i])*cells + cellOf(g.xs[i])
-		sc.bucketNext[i] = sc.bucketHead[c]
-		sc.bucketHead[c] = int32(i)
-	}
-	for i := 0; i < n; i++ {
-		cx, cy := cellOf(g.xs[i]), cellOf(g.ys[i])
-		for dy := -1; dy <= 1; dy++ {
-			by := cy + dy
-			if by < 0 || by >= cells {
-				continue
-			}
-			for dx := -1; dx <= 1; dx++ {
-				bx := cx + dx
-				if bx < 0 || bx >= cells {
-					continue
-				}
-				for j32 := sc.bucketHead[by*cells+bx]; j32 >= 0; j32 = sc.bucketNext[j32] {
-					j := int(j32)
-					if j <= i {
-						continue
-					}
-					ddx, ddy := g.xs[i]-g.xs[j], g.ys[i]-g.ys[j]
-					if ddx*ddx+ddy*ddy <= r2 {
-						g.adj.set(i, j)
-						g.adj.set(j, i)
-						g.degs[i]++
-						g.degs[j]++
-					}
-				}
-			}
-		}
-		ddx, ddy := g.xs[i]-0.5, g.ys[i]-0.5
-		g.alice[i] = ddx*ddx+ddy*ddy <= r2
+	for i := range g.pts {
+		p := &g.pts[i]
+		p.cx, p.cy = cellOf(p.x), cellOf(p.y)
+		ddx, ddy := p.x-0.5, p.y-0.5
+		g.alice[i] = ddx*ddx+ddy*ddy <= g.r2
 	}
 	return g
 }
@@ -132,25 +88,29 @@ func (g *Gilbert) Complete() bool { return false }
 func (g *Gilbert) Radius() float64 { return g.radius }
 
 // Position returns node i's point in the unit square.
-func (g *Gilbert) Position(i int) (x, y float64) { return g.xs[i], g.ys[i] }
+func (g *Gilbert) Position(i int) (x, y float64) { return g.pts[i].x, g.pts[i].y }
 
 func (g *Gilbert) AliceHears(node int) bool { return g.alice[node] }
 
+// Adjacent reports whether the two points lie in neighbouring cells and
+// within Radius of each other. Squares ignore the operands' order, so
+// the answer is symmetric.
 func (g *Gilbert) Adjacent(src, listener int) bool {
-	if src == listener {
+	a, b := &g.pts[src], &g.pts[listener]
+	if src == listener || uint32(a.cx-b.cx+1) > 2 || uint32(a.cy-b.cy+1) > 2 {
 		return false
 	}
-	return g.adj.get(src, listener)
+	ddx, ddy := a.x-b.x, a.y-b.y
+	return ddx*ddx+ddy*ddy <= g.r2
 }
 
-func (g *Gilbert) Degree(node int) int { return g.degs[node] }
-
-// bitmatrix is a dense n x n adjacency bitset (rows of packed uint64
-// words): O(1) Adjacent at n²/8 bytes, a fine trade at simulation n.
-type bitmatrix struct {
-	words []uint64
-	row   int // words per row
+// Degree counts the node's neighbours, one Adjacent per node.
+func (g *Gilbert) Degree(node int) int {
+	d := 0
+	for v := range g.pts {
+		if g.Adjacent(node, v) {
+			d++
+		}
+	}
+	return d
 }
-
-func (b bitmatrix) set(i, j int)      { b.words[i*b.row+j/64] |= 1 << (uint(j) % 64) }
-func (b bitmatrix) get(i, j int) bool { return b.words[i*b.row+j/64]&(1<<(uint(j)%64)) != 0 }

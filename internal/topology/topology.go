@@ -30,7 +30,10 @@
 //
 // The engine reads a sparse graph through this interface alone: a
 // listen asks AliceHears and Adjacent of the Topology for each record
-// transmitted in its slot.
+// transmitted in its slot. Neither sparse kind stores its edges: a grid
+// answers from the two cells' coordinates, and a Gilbert graph from the
+// two points and the cells they fall in, so a trial pays for the pairs
+// it asks about rather than for every pair of the graph.
 //
 // Construction is deterministic: a Gilbert graph is drawn from the rng
 // stream keyed (seed, StreamActor), so a trial's topology is a pure
