@@ -119,8 +119,11 @@ func (w *workerClient) submit(ctx context.Context, sh scenario.Shard) (string, e
 // reassigned shard resume mid-stream without re-delivering a trial.
 // Each new line is checked and folded into the shard's summary before
 // buffering (accept). A watchdog abandons the attempt if the stream
-// goes silent for the stall timeout — the SIGKILLed-worker signature,
-// since a dead TCP peer otherwise blocks the read indefinitely.
+// goes silent — no bytes — for the stall timeout: the SIGKILLed-worker
+// signature, since a dead TCP peer otherwise blocks the read
+// indefinitely. Every body read that returns bytes resets it
+// (stallReader), so a slow stream that keeps trickling bytes never trips
+// it, however long a line takes.
 func (w *workerClient) follow(ctx context.Context, id string, st *shardState) error {
 	reqCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -144,12 +147,11 @@ func (w *workerClient) follow(ctx context.Context, id string, st *shardState) er
 
 	skip := st.sent // lines earlier attempts already buffered
 	want := st.shard.Len()
-	br := bufio.NewReader(resp.Body)
+	br := bufio.NewReader(&stallReader{r: resp.Body, wd: wd, stall: w.stall})
 	var rec sink.Record // parse scratch, reused line to line
 	for {
 		line, err := br.ReadBytes('\n')
 		if len(line) > 0 && line[len(line)-1] == '\n' {
-			wd.Reset(w.stall)
 			switch {
 			case skip > 0:
 				skip--
@@ -177,6 +179,22 @@ func (w *workerClient) follow(ctx context.Context, id string, st *shardState) er
 			}
 		}
 	}
+}
+
+// stallReader resets the stall watchdog wd on every read of r that
+// returns bytes: once per body read rather than once per result line.
+type stallReader struct {
+	r     io.Reader
+	wd    *time.Timer
+	stall time.Duration
+}
+
+func (s *stallReader) Read(p []byte) (int, error) {
+	n, err := s.r.Read(p)
+	if n > 0 {
+		s.wd.Reset(s.stall)
+	}
+	return n, err
 }
 
 // snippet compacts an HTTP error body for a log-friendly message.

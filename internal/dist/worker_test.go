@@ -194,6 +194,49 @@ func TestClassifyFaults(t *testing.T) {
 	}
 }
 
+// TestFollowTrickleNeverStalls: the stall watchdog trips on a stream
+// that sends no bytes for the stall timeout, not on a slow one. A
+// worker that trickles each result line in small chunks, a line taking
+// longer than the timeout but no gap coming near it, completes the
+// shard.
+func TestFollowTrickleNeverStalls(t *testing.T) {
+	const (
+		stall  = 200 * time.Millisecond
+		gap    = 20 * time.Millisecond
+		chunks = 16 // a line takes 16 gaps, 320 ms
+	)
+	sh := scenario.Shard{Lo: 0, Hi: 2}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.Method == http.MethodPost:
+			w.WriteHeader(http.StatusAccepted)
+			w.Write([]byte(`{"id":"j1"}`))
+		case strings.HasSuffix(r.URL.Path, "/results"):
+			w.WriteHeader(http.StatusOK)
+			for trial := range sh.Len() {
+				line := recordLine(t, trial)
+				for c := range chunks {
+					time.Sleep(gap)
+					w.Write(line[c*len(line)/chunks : (c+1)*len(line)/chunks])
+					w.(http.Flusher).Flush()
+				}
+			}
+		default:
+			http.Error(w, "unexpected request", http.StatusTeapot)
+		}
+	}))
+	defer srv.Close()
+	w := &workerClient{base: srv.URL, http: srv.Client(), sub: submitBody{Scenario: json.RawMessage(`{}`), Trials: 2},
+		stall: stall, jit: newJitter(0, srv.URL, 0)}
+	st := &shardState{shard: sh, n: 64, lines: make(chan []byte, sh.Len())}
+	if err := w.runShard(context.Background(), st); err != nil {
+		t.Fatalf("trickling stream: %v", err)
+	}
+	if st.sent != sh.Len() {
+		t.Fatalf("buffered %d lines, want %d", st.sent, sh.Len())
+	}
+}
+
 // TestMemberFaultOnHealthyWorkerCharges: a worker that fails every
 // submit with 502 but answers its probes is alive, so its failures are
 // the shard's — the sweep fails after MaxAttempts instead of requeueing

@@ -23,7 +23,7 @@ import (
 // trials are independent — lanes may differ in every Options field —
 // and every Result is byte-identical to the scalar oracle's (RunScalar)
 // for the same Options (pinned by the differential, trace and fuzz
-// tests). Four things make a lane faster than the scalar loop:
+// tests). Five things make a lane faster than the scalar loop:
 //
 //   - Lane-parallel listen draws. The draw is the engine's dominant
 //     cost, and its log/divide tail serializes in the scalar engine.
@@ -34,8 +34,9 @@ import (
 //     last stragglers of a listen pass use sampling.BlockSchedule,
 //     which prefetches one stream's slots in blocks through
 //     rng.Stream.GeometricSlots. Over-drawing a stream is safe here
-//     because the engine re-keys (Reseed) every schedule stream before
-//     each use.
+//     because the engine re-keys every schedule stream before each use:
+//     a pass's node streams eight at a time (rng.Rekey) before the pass
+//     starts, Alice's and the adversary's with Reseed.
 //   - Pull reception, one path for every topology. A phase runs sends,
 //     then buckets its transmissions by slot, then listens. The only
 //     per-slot channel state is a busy bitset, in place of the scalar
@@ -52,11 +53,19 @@ import (
 //     one rng.Lanes.Bits call per Draw (an AVX-512 gather) reads the
 //     phase's hot (busy, unjammed) mask, and in request phases its jam
 //     mask, at every lane's slots, and only hot slots are heard out one
-//     at a time (feedQuiet).
+//     at a time (feedQuiet). A block with no hot slot and no own send to
+//     skip settles with one popcount in listenPass itself.
 //   - Unheard phases. A phase that no listener and no reactive strategy
 //     can hear — the benign propagate phase once everyone is informed —
 //     only draws, charges and counts its sends: no send records, channel
 //     bits or buckets. See heard.
+//   - Listener audiences. On a non-complete topology only the nodes in
+//     Alice's range can hear her frames, so in a phase she sends in, a
+//     quiet walk whose node cannot settles by the hot slots that hold
+//     someone else's record (viewAudience): at a hot slot holding only
+//     hers it would hear silence, so such a slot settles as a plain
+//     listen, and where no hot slot holds anyone else's record its
+//     blocks need no gather at all.
 //
 // The scalar loop (RunScalar) is the byte-identity oracle.
 
@@ -83,6 +92,8 @@ type batchLane struct {
 	blkA, blkB sampling.BlockSchedule
 	draws      rng.Lanes
 	walks      [8]listenWalk
+	rekey      rng.Rekey
+	listeners  []int32 // the listen pass's listeners, in id order
 
 	// The phase's committed node transmissions (heard phases only), node
 	// by node in id order: node i's occupy sendSlot/sendKind[sendOff[i]:
@@ -98,7 +109,13 @@ type batchLane struct {
 	quietOK bool
 	hot     []uint64
 	jam     []uint64
-	seen    quietSeen
+	// Alice's audience (see viewAudience): when audience is set, the hot
+	// slots holding a record other than Alice's, which a quiet walk whose
+	// node cannot hear her settles by instead of hot, and whether any is
+	// set.
+	audience, nodesHot bool
+	hotNodes           []uint64
+	seen               quietSeen
 
 	// The phase's transmissions (heard phases only): txs as committed,
 	// then bucketed by slot (see bucketTx) — the records of the busy slot
@@ -112,9 +129,11 @@ type batchLane struct {
 // quietSeen counts the quiet walks' rarer cases, so the differential
 // tests can prove their rows reach them: a drawn own send on a hot slot,
 // a request-phase walk informed at a hot slot past jammed listens of its
-// block, and a block masked in Go (a straggler's or a p >= 1 walk's,
-// off the draw lanes).
-type quietSeen struct{ hotSends, informAfterJam, goMasks int }
+// block, a block masked in Go (a straggler's or a p >= 1 walk's, off the
+// draw lanes), a block of a walk deaf to Alice settled without a gather
+// (no hot slot holds anyone else's record), and such a walk hearing out
+// a hot slot that does.
+type quietSeen struct{ hotSends, informAfterJam, goMasks, deafSkips, deafHears int }
 
 // scratches recycles the kernel's working state across Run calls that
 // bring no Options.Scratch. Results are byte-identical with and without
@@ -246,6 +265,7 @@ func (l *batchLane) phase(phv core.Phase) {
 	l.aliceSends(ph, &out, heard)
 	l.sendSlot, l.sendKind = l.sendSlot[:0], l.sendKind[:0]
 	off := resize(&l.sendOff, len(r.nodes)+1)
+	l.rekeySenders(ph)
 	for i := range r.nodes {
 		off[i] = int32(len(l.sendSlot))
 		l.planNodeSends(&r.nodes[i], ph, &out, heard)
@@ -433,47 +453,70 @@ func (l *batchLane) hear(slot, listener int) (msg.Kind, outcome) {
 	return kind, outcomeReceived
 }
 
-// planNodeSends mirrors run.planNodeSends walking the lane's block
-// schedules: same streams, same keyed draws, same merge and charging
-// order, slot sequences pinned identical by the sampling differential
-// tests. A heard phase appends the node's sends to the lane's send
-// records (the caller plans nodes in id order and brackets each with
-// sendOff); in an unheard phase (!heard) they are tallied into out as
-// they are charged instead, so a node that dies mid-walk has tallied
-// exactly the sends the scalar engine merges.
-func (l *batchLane) planNodeSends(n *nodeState, ph *core.Phase, out *adversary.PhaseOutcome, heard bool) {
+// dataSend returns the probability and kind of n's data sends in ph:
+// relays in its propagate step once informed, NACKs in request phases
+// while uninformed, and probability 0 otherwise.
+func (l *batchLane) dataSend(n *nodeState, ph *core.Phase) (float64, msg.Kind) {
+	switch ph.Kind {
+	case core.PhasePropagate:
+		if n.informed && l.r.params.SendStep(n.mark) == ph.Step {
+			return clamp01(ph.NodeSendP * n.sendScale), msg.KindData
+		}
+	case core.PhaseRequest:
+		if !n.informed {
+			return clamp01(ph.NodeSendP * n.sendScale), msg.KindNack
+		}
+	}
+	return 0, 0
+}
+
+// rekeySenders re-keys the data and decoy streams of every node that
+// sends in ph, eight at a time, before any node plans its sends. A
+// node's sends change only its own state, so the set planNodeSends
+// walks is fixed for the whole pass.
+func (l *batchLane) rekeySenders(ph *core.Phase) {
 	r := l.r
+	rk := &l.rekey
+	rk.Start(r.opts.Seed)
+	round, ord := uint64(ph.Round), uint64(ph.Ordinal)
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		if !n.active() {
+			continue
+		}
+		if dataP, _ := l.dataSend(n, ph); dataP > 0 {
+			rk.Add(&n.streamA, nodeActor(n.id), round, ord, purpSend)
+		}
+		if ph.DecoyP > 0 {
+			rk.Add(&n.streamB, nodeActor(n.id), round, ord, purpDecoy)
+		}
+	}
+	rk.Flush()
+}
+
+// planNodeSends mirrors run.planNodeSends walking the lane's block
+// schedules: same streams (re-keyed by rekeySenders), same keyed draws,
+// same merge and charging order, slot sequences pinned identical by the
+// sampling differential tests. A heard phase appends the node's sends
+// to the lane's send records (the caller plans nodes in id order and
+// brackets each with sendOff); in an unheard phase (!heard) they are
+// tallied into out as they are charged instead, so a node that dies
+// mid-walk has tallied exactly the sends the scalar engine merges.
+func (l *batchLane) planNodeSends(n *nodeState, ph *core.Phase, out *adversary.PhaseOutcome, heard bool) {
 	n.phaseListens = 0
 	if !n.active() {
 		return
 	}
-	var dataP float64
-	var dataKind msg.Kind
-	switch ph.Kind {
-	case core.PhasePropagate:
-		if n.informed && r.params.SendStep(n.mark) == ph.Step {
-			dataP = clamp01(ph.NodeSendP * n.sendScale)
-			dataKind = msg.KindData
-		}
-	case core.PhaseRequest:
-		if !n.informed {
-			dataP = clamp01(ph.NodeSendP * n.sendScale)
-			dataKind = msg.KindNack
-		}
-	}
+	dataP, dataKind := l.dataSend(n, ph)
 	decoyP := ph.DecoyP
 
-	ord := uint64(ph.Ordinal)
-	round := uint64(ph.Round)
 	var dSlot, cSlot int
 	var dOK, cOK bool
 	if dataP > 0 {
-		n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), round, ord, purpSend)
 		l.blkA.Reset(&n.streamA, dataP, ph.Length)
 		dSlot, dOK = l.blkA.Next()
 	}
 	if decoyP > 0 {
-		n.streamB.Reseed(r.opts.Seed, nodeActor(n.id), round, ord, purpDecoy)
 		l.blkB.Reset(&n.streamB, decoyP, ph.Length)
 		cSlot, cOK = l.blkB.Next()
 	}
@@ -652,27 +695,34 @@ const laneMinLive = 3
 
 // listenWalk is one node's listen walk, resumable: it is fed its drawn
 // slots a block at a time (feed) and settles its tallies at the end
-// (finishWalk), so its cursor and tallies live here between blocks.
+// (finishWalk), so its cursor and tallies live here between blocks. A
+// quiet walk settles by hot, the lane's hot mask, or — aliceDeaf, its
+// node out of Alice's range in a phase she sent in — by the lane's
+// hotNodes, the hot slots it may hear anything at.
 type listenWalk struct {
-	n              *nodeState
-	p              float64 // the walk's listen probability
-	ss             []int32 // the node's own send slots
-	si             int     // the cursor into ss
-	prepaid, quiet bool
-	listens        int64 // prepaid listens, charged at the end
-	phaseL         int64
-	reqL, reqNoisy int
+	n                         *nodeState
+	p                         float64 // the walk's listen probability
+	ss                        []int32 // the node's own send slots
+	si                        int     // the cursor into ss
+	prepaid, quiet, aliceDeaf bool
+	hot                       []uint64
+	listens                   int64 // prepaid listens, charged at the end
+	phaseL                    int64
+	reqL, reqNoisy            int
 }
 
 // listenPass runs every node's listen walk: mirrors of run.walkNodeListens
-// on the lane's channel state, fed from the draw lanes. Each listener
-// (in id order) takes a free lane, with its listen stream re-keyed in
-// place; one Lanes.Draw then advances every live lane's schedule a block,
-// one Lanes.Bits (two in a request phase) reads the hot (and jam) mask at
-// every lane's new slots when quiet walks may settle, and each walk is
-// fed its block, and a lane whose walk ends (informed, dead or its
-// schedule exhausted) takes the next listener. Walks touch only their
-// own node and meter, and the plan and channel state are
+// on the lane's channel state, fed from the draw lanes. The listeners
+// are listed and their streams re-keyed first, eight at a time
+// (rekeyListeners). Each listener (in id order) then takes a free lane;
+// one Lanes.Draw advances every live lane's schedule a block,
+// Lanes.Bits reads the quiet lanes' hot masks at their new slots when
+// quiet walks may settle — hot for the walks that hear Alice, hotNodes
+// for those that do not, and no gather where that is empty — and in a
+// request phase the jam mask, and each walk is fed its block. A quiet block with no hot slot and no own
+// send to skip settles right here; a lane whose walk ends (informed,
+// dead or its schedule exhausted) takes the next listener. Walks touch
+// only their own node and meter, and the plan and channel state are
 // read-only here, so interleaving them is unobservable: every Result
 // stays byte-identical to the scalar oracle's, which walks node by node.
 // Once no listener is left and fewer than laneMinLive lanes are live,
@@ -682,18 +732,14 @@ type listenWalk struct {
 func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 	r := l.r
 	l.viewPlan(ph, plan)
+	l.rekeyListeners(ph)
+	isReq := ph.Kind == core.PhaseRequest
+	var quiet, deaf uint8 // lanes holding a quiet walk, and a deaf one
 	next := 0
 	for {
-		for free := ^l.draws.Live(); free != 0 && next < len(r.nodes); next++ {
-			n := &r.nodes[next]
-			if !n.active() || n.informed {
-				continue
-			}
+		for free := ^l.draws.Live(); free != 0 && next < len(l.listeners); next++ {
+			n := &r.nodes[l.listeners[next]]
 			p := clamp01(ph.NodeListenP * n.listenScale)
-			if p <= 0 {
-				continue
-			}
-			n.streamA.Reseed(r.opts.Seed, nodeActor(n.id), uint64(ph.Round), uint64(ph.Ordinal), purpListen)
 			j := bits.TrailingZeros8(free)
 			w := &l.walks[j]
 			l.startWalk(w, n, p, ph)
@@ -704,12 +750,19 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 			}
 			l.draws.Start(j, &n.streamA, p, ph.Length)
 			free &^= 1 << j
+			quiet, deaf = quiet&^(1<<j), deaf&^(1<<j)
+			if w.quiet {
+				quiet |= 1 << j
+			}
+			if w.aliceDeaf {
+				deaf |= 1 << j
+			}
 		}
 		live := l.draws.Live()
 		if live == 0 {
 			return
 		}
-		if next == len(r.nodes) && bits.OnesCount8(live) < laneMinLive {
+		if next == len(l.listeners) && bits.OnesCount8(live) < laneMinLive {
 			for m := live; m != 0; m &= m - 1 {
 				j := bits.TrailingZeros8(m)
 				w := &l.walks[j]
@@ -720,20 +773,33 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 		}
 		ended := l.draws.Draw()
 		var hot, jam [8]uint16
-		if l.quietOK {
-			l.draws.Bits(l.hot, &hot)
+		if q := live & quiet; q != 0 {
+			if hearing := q &^ deaf; hearing != 0 {
+				l.draws.Bits(l.hot, hearing, &hot)
+			}
+			if d := q & deaf; d != 0 {
+				if l.nodesHot {
+					l.draws.Bits(l.hotNodes, d, &hot)
+				} else {
+					l.seen.deafSkips += bits.OnesCount8(d)
+				}
+			}
 			if l.jam != nil {
-				l.draws.Bits(l.jam, &jam)
+				l.draws.Bits(l.jam, q, &jam)
 			}
 		}
 		for m := live; m != 0; m &= m - 1 {
 			j := bits.TrailingZeros8(m)
 			w := &l.walks[j]
+			blk := l.draws.Slots(j)
 			var stop bool
-			if w.quiet {
-				stop = l.feedQuiet(w, l.draws.Slots(j), uint32(hot[j]), uint32(jam[j]), ph)
-			} else {
-				stop = l.feed(w, l.draws.Slots(j), ph, plan)
+			switch {
+			case !w.quiet:
+				stop = l.feed(w, blk, ph, plan)
+			case hot[j] == 0 && w.sendsPast(blk):
+				w.settle(uint32(1)<<len(blk)-1, uint32(jam[j]), isReq)
+			default:
+				stop = l.feedQuiet(w, blk, uint32(hot[j]), uint32(jam[j]), ph)
 			}
 			if stop || ended&(1<<j) != 0 {
 				l.finishWalk(w)
@@ -743,13 +809,32 @@ func (l *batchLane) listenPass(ph *core.Phase, plan *adversary.Plan) {
 	}
 }
 
+// rekeyListeners lists the nodes that listen in ph — active, uninformed
+// and with a listen probability above 0 — and re-keys their listen
+// streams, eight at a time, before the pass starts any walk. A walk
+// changes only its own node, so the list is fixed for the whole pass.
+func (l *batchLane) rekeyListeners(ph *core.Phase) {
+	r := l.r
+	rk := &l.rekey
+	rk.Start(r.opts.Seed)
+	l.listeners = l.listeners[:0]
+	for i := range r.nodes {
+		n := &r.nodes[i]
+		if n.active() && !n.informed && clamp01(ph.NodeListenP*n.listenScale) > 0 {
+			l.listeners = append(l.listeners, int32(i))
+			rk.Add(&n.streamA, nodeActor(n.id), uint64(ph.Round), uint64(ph.Ordinal), purpListen)
+		}
+	}
+	rk.Flush()
+}
+
 // viewPlan sets the listen pass's view of the plan: quietOK, the
 // request-phase jam words and, when quiet walks may settle by mask, the
-// hot mask. Such a plan's jams disrupt every listener, so a busy jammed
-// slot is noise like an idle jammed one, and only busy unjammed slots
-// are hot.
+// hot mask and Alice's audience (viewAudience). Such a plan's jams
+// disrupt every listener, so a busy jammed slot is noise like an idle
+// jammed one, and only busy unjammed slots are hot.
 func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
-	l.quietOK, l.jam = true, nil
+	l.quietOK, l.jam, l.audience = true, nil, false
 	var jam []uint64
 	if plan != nil {
 		jam, l.quietOK = adversary.UntargetedJams(plan, ph.Length)
@@ -768,6 +853,36 @@ func (l *batchLane) viewPlan(ph *core.Phase, plan *adversary.Plan) {
 			hot[w] &^= jam[w]
 		}
 	}
+	l.viewAudience()
+}
+
+// viewAudience sets Alice's audience for a phase heard on a non-complete
+// topology in which she sent: hotNodes, the hot slots that hold at least
+// one record that is not hers (a node's frame or an injection). Her
+// records are committed first (aliceSends runs before any node's sends),
+// so she sent exactly when the first record is hers. A listener out of
+// her range hears silence at a hot slot holding only her records, and a
+// hot slot is unjammed, so such a listen settles as a plain listen —
+// no noise, no inform — and the listener's quiet walk may settle by
+// hotNodes instead of hot. The clique, where everyone hears her, and
+// phases without her sends keep hot alone.
+func (l *batchLane) viewAudience() {
+	if l.r.topo == nil || len(l.txs) == 0 || l.txs[0].src != txSrcAlice {
+		return
+	}
+	nodes := resize(&l.hotNodes, len(l.hot))
+	clear(nodes)
+	for _, tx := range l.txs {
+		if tx.src != txSrcAlice {
+			nodes[tx.slot>>6] |= 1 << (tx.slot & 63)
+		}
+	}
+	set := uint64(0)
+	for w, h := range l.hot {
+		nodes[w] &= h
+		set |= nodes[w]
+	}
+	l.audience, l.nodesHot = true, set != 0
 }
 
 // startWalk sets w up for n's listen walk at probability p: no slot fed
@@ -783,6 +898,11 @@ func (l *batchLane) startWalk(w *listenWalk, n *nodeState, p float64, ph *core.P
 	w.ss, w.si = l.sendSlot[l.sendOff[n.id]:l.sendOff[n.id+1]], 0
 	w.prepaid = n.meter.CanAfford(int64(ph.Length))
 	w.quiet = w.prepaid && l.quietOK
+	w.aliceDeaf = w.quiet && l.audience && !l.r.topo.AliceHears(n.id)
+	w.hot = l.hot
+	if w.aliceDeaf {
+		w.hot = l.hotNodes
+	}
 	w.listens, w.phaseL = 0, 0
 	w.reqL, w.reqNoisy = 0, 0
 }
@@ -799,9 +919,9 @@ func (l *batchLane) walkBlock(w *listenWalk, ph *core.Phase, plan *adversary.Pla
 
 // feed walks the next drawn slots of w and reports whether the walk is
 // over: its node informed or dead. A quiet walk's block here is a
-// BlockSchedule refill (at most 32 slots), so its hot and jam masks are
-// built here, one bit test per slot; listenPass gathers the masks of
-// the draw lanes' blocks itself.
+// BlockSchedule refill (at most 32 slots), so its masks — the walk's
+// own hot mask, and the jam mask — are built here, one bit test per
+// slot; listenPass gathers the masks of the draw lanes' blocks itself.
 func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adversary.Plan) bool {
 	if w.quiet {
 		l.seen.goMasks++
@@ -809,7 +929,7 @@ func (l *batchLane) feed(w *listenWalk, blk []int32, ph *core.Phase, plan *adver
 		if l.jam != nil {
 			jam = rng.SlotBits(l.jam, blk)
 		}
-		return l.feedQuiet(w, blk, rng.SlotBits(l.hot, blk), jam, ph)
+		return l.feedQuiet(w, blk, rng.SlotBits(w.hot, blk), jam, ph)
 	}
 	return l.feedEach(w, blk, ph, plan)
 }
@@ -924,6 +1044,9 @@ func (l *batchLane) feedQuiet(w *listenWalk, blk []int32, hot, jam uint32, ph *c
 		i := bits.TrailingZeros32(hot)
 		upto := uint32(2)<<i - 1 // blk[0..i]
 		w.settle(listen&upto, jam, isReq)
+		if w.aliceDeaf {
+			l.seen.deafHears++
+		}
 		kind, out := l.hear(int(blk[i]), w.n.id)
 		if isReq && out != outcomeSilence {
 			w.reqNoisy++
@@ -940,6 +1063,13 @@ func (l *batchLane) feedQuiet(w *listenWalk, blk []int32, hot, jam uint32, ph *c
 	}
 	w.settle(listen, jam, isReq)
 	return false
+}
+
+// sendsPast reports whether w has no own send left at or before blk's
+// last slot, so feedQuiet would clear no listen of blk and leave the
+// cursor where it is.
+func (w *listenWalk) sendsPast(blk []int32) bool {
+	return w.si == len(w.ss) || len(blk) == 0 || w.ss[w.si] > blk[len(blk)-1]
 }
 
 // settle tallies the prepaid listens of mask m, of which the jam mask's

@@ -80,6 +80,7 @@ func TestBatchMatchesScalar(t *testing.T) {
 		{"unheard/", unheardRows()},
 		{"quiet-run/", quietRunRows(gilbert)},
 		{"quiet-run/clique/", quietRunRows(topology.Spec{})},
+		{"audience/", audienceRows()},
 	} {
 		for _, row := range group.rows {
 			t.Run(group.prefix+row.name, func(t *testing.T) {
@@ -405,7 +406,7 @@ func quietRunRows(spec topology.Spec) []phaseRow {
 		name: "request-inform-after-jam",
 		mk: func() Options {
 			o := jammed(308)
-			o.Strategy = replayJam{adversary.RandomJam{P: 0.5}, replayEvery}
+			o.Strategy = replayJam{adversary.RandomJam{P: 0.5}, replayEvery, core.PhaseRequest}
 			return o
 		},
 		seen: func(s quietSeen) bool { return s.informAfterJam > 0 },
@@ -423,17 +424,62 @@ func quietRunRows(spec topology.Spec) []phaseRow {
 	}}
 }
 
-// replayJam is a random jam that, in request phases, also replays the
-// data message every `every` slots from slot 5, so listeners can be
-// informed where nodes only NACK.
+// audienceRows cover the quiet walks of listeners out of Alice's range,
+// which settle her inform phases by the hot slots holding someone else's
+// record: with no such slot, a block that needs no gather, and with
+// inform-phase decoys on hot slots, a walk that hears one out; on a
+// Gilbert graph (r = 0.25) and on a grid of reach 2. Only a data frame
+// informs, and in an inform phase only an injection can carry one to a
+// listener out of Alice's range: the replay rows do, so a walk that
+// skipped an injection's slot would diverge.
+func audienceRows() []phaseRow {
+	const n = 64
+	jammed := func(seed uint64, spec topology.Spec, decoyP float64) Options {
+		params := core.PracticalParams(n, 2)
+		params.MaxRound = params.StartRound + 2
+		if decoyP > 0 {
+			params.Decoy = true
+			params.DecoyProb = decoyP
+		}
+		return Options{
+			Params:       params,
+			Seed:         seed,
+			Topology:     spec,
+			Strategy:     adversary.RandomJam{P: 0.5},
+			Pool:         energy.NewPool(1 << 14),
+			RecordPhases: true,
+		}
+	}
+	replayed := func(seed uint64, spec topology.Spec) Options {
+		o := jammed(seed, spec, 0)
+		o.Strategy = replayJam{adversary.RandomJam{P: 0.5}, 61, core.PhaseInform}
+		return o
+	}
+	grid := topology.Spec{Kind: "grid", Reach: 2}
+	skips := func(s quietSeen) bool { return s.deafSkips > 0 }
+	hears := func(s quietSeen) bool { return s.deafHears > 0 }
+	return []phaseRow{
+		{name: "random-jam-gilbert", mk: func() Options { return jammed(311, gilbert, 0) }, seen: skips},
+		{name: "inform-decoys-gilbert", mk: func() Options { return jammed(312, gilbert, 0.02) }, seen: hears},
+		{name: "random-jam-grid", mk: func() Options { return jammed(313, grid, 0) }, seen: skips},
+		{name: "inform-decoys-grid", mk: func() Options { return jammed(314, grid, 0.02) }, seen: hears},
+		{name: "inform-replay-gilbert", mk: func() Options { return replayed(315, gilbert) }, seen: hears},
+		{name: "inform-replay-grid", mk: func() Options { return replayed(316, grid) }, seen: hears},
+	}
+}
+
+// replayJam is a random jam that, in phases of kind `in`, also replays
+// the data message every `every` slots from slot 5, so listeners can be
+// informed where nodes only NACK, or where they cannot hear Alice.
 type replayJam struct {
 	adversary.RandomJam
 	every int
+	in    core.PhaseKind
 }
 
 func (s replayJam) PlanPhase(ph core.Phase, hist *adversary.History, pool *energy.Pool, st *rng.Stream) *adversary.Plan {
 	p := s.RandomJam.PlanPhase(ph, hist, pool, st)
-	if p != nil && ph.Kind == core.PhaseRequest {
+	if p != nil && ph.Kind == s.in {
 		for slot := 5; slot < ph.Length; slot += s.every {
 			p.Inject(slot, msg.Frame{Kind: msg.KindData, From: msg.SenderAlice})
 		}

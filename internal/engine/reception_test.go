@@ -230,3 +230,95 @@ func receptionOwnSends(t *testing.T, topo topology.Topology, wantNoisy int) {
 		})
 	}
 }
+
+// TestAliceAudience pins the quiet walks of listeners out of Alice's
+// range on pathTopo (Alice audible to node 0 alone), in an unjammed
+// inform phase with Alice's frames at slots 2 and 5 and node 2's data
+// at 2. Node 1 cannot hear Alice, so its walk settles by the hot slots
+// holding someone else's record — slot 2 alone: at the Alice-only slot
+// 5 it listens to silence, and at 2 it hears node 2's solo audible
+// frame next to Alice's and is informed. Node 0 hears Alice, and every
+// listen agrees with the scalar oracle.
+func TestAliceAudience(t *testing.T) {
+	const length = 10
+	r := &run{opts: &Options{}, nodes: make([]nodeState, 4), topo: pathTopo{}}
+	for i := range r.nodes {
+		r.nodes[i].id = i
+		r.nodes[i].listenScale, r.nodes[i].sendScale = 1, 1
+		r.nodes[i].meter = energy.NewMeter(energy.Unlimited)
+	}
+	r.ensureBuffers(length)
+	l := &batchLane{r: r}
+	l.ensureBuffers(length)
+	// Alice's records come first, as aliceSends commits them.
+	txs := []txRec{
+		{slot: 2, src: txSrcAlice, kind: uint8(msg.KindData)},
+		{slot: 5, src: txSrcAlice, kind: uint8(msg.KindData)},
+		{slot: 2, src: 2, kind: uint8(msg.KindData)},
+	}
+	l.sendSlot, l.sendKind = []int32{2}, []msg.Kind{msg.KindData}
+	l.sendOff = []int32{0, 0, 0, 1, 1}
+	for _, tx := range txs {
+		r.addTx(int(tx.slot), msg.Kind(tx.kind), tx.src)
+		l.addTx(int(tx.slot), msg.Kind(tx.kind), tx.src)
+	}
+	slices.SortStableFunc(r.txs, func(a, b txRec) int { return int(a.slot - b.slot) })
+	l.bucketTx()
+	ph := core.Phase{Kind: core.PhaseInform, Length: length}
+	l.viewPlan(&ph, nil)
+	if !l.audience || !l.nodesHot || l.hotNodes[0] != 1<<2 {
+		t.Fatalf("audience %v, nodes hot %v, hotNodes %#x; want true, true, 0x4", l.audience, l.nodesHot, l.hotNodes)
+	}
+	for _, tc := range []struct {
+		name           string
+		slot, listener int
+		kind           msg.Kind
+		out            outcome
+	}{
+		{"deaf listener, solo audible node frame next to Alice's", 2, 1, msg.KindData, outcomeReceived},
+		{"deaf listener, Alice-only slot", 5, 1, 0, outcomeSilence},
+		{"Alice's audience, node frame out of range", 2, 0, msg.KindData, outcomeReceived},
+		{"Alice's audience, Alice-only slot", 5, 0, msg.KindData, outcomeReceived},
+	} {
+		kind, out := l.observe(tc.slot, tc.listener, nil)
+		if kind != tc.kind || out != tc.out {
+			t.Errorf("%s: kernel %v/%v, want %v/%v", tc.name, out, kind, tc.out, tc.kind)
+		}
+		if kind, out := r.observe(tc.slot, tc.listener, nil); kind != tc.kind || out != tc.out {
+			t.Errorf("%s: scalar %v/%v, want %v/%v", tc.name, out, kind, tc.out, tc.kind)
+		}
+	}
+
+	var w listenWalk
+	deaf := &r.nodes[1]
+	l.startWalk(&w, deaf, 0.5, &ph)
+	if !w.quiet || !w.aliceDeaf {
+		t.Fatalf("node 1's walk: quiet %v, deaf %v; want both", w.quiet, w.aliceDeaf)
+	}
+	if l.feed(&w, []int32{3, 5}, &ph, nil) {
+		t.Fatal("node 1 informed at the Alice-only slot")
+	}
+	if l.seen.deafHears != 0 {
+		t.Fatal("node 1 heard out the Alice-only slot")
+	}
+	if !l.feed(&w, []int32{2, 7}, &ph, nil) {
+		t.Fatal("node 1 not informed by node 2's frame")
+	}
+	l.finishWalk(&w)
+	if !deaf.informed || deaf.phaseListens != 3 || l.seen.deafHears != 1 {
+		t.Fatalf("node 1: informed %v, %d listens, %d deaf hears; want true, 3, 1", deaf.informed, deaf.phaseListens, l.seen.deafHears)
+	}
+
+	near := &r.nodes[0]
+	l.startWalk(&w, near, 0.5, &ph)
+	if w.aliceDeaf {
+		t.Fatal("node 0's walk marked deaf to Alice")
+	}
+	if l.feed(&w, []int32{1}, &ph, nil) || !l.feed(&w, []int32{5}, &ph, nil) {
+		t.Fatal("node 0 not informed by Alice's solo frame")
+	}
+	l.finishWalk(&w)
+	if !near.informed || near.phaseListens != 2 {
+		t.Fatalf("node 0: informed %v, %d listens; want true, 2", near.informed, near.phaseListens)
+	}
+}

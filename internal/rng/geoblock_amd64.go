@@ -48,16 +48,18 @@ func geoSlots8Asm(s *[4]uint64, dst *int32, k, pos, length int, invLnQ float64) 
 //go:noescape
 func laneSlots8Asm(ls *laneState, dst *[8][laneBlock]int32, live int) (ended uint8, ok bool)
 
-// laneBits8Asm is Lanes.Bits's kernel: for each lane j, bit i of out[j]
-// is bit slots[j][i] of the bit string at words (bit s in word s>>6 at
-// position s&63), for i below the lane's count ls.n[j]; higher bits are
-// zero. Slots past a lane's count are never read as indices, so they
-// may point anywhere. It returns ok = false, writing nothing, when some
-// lane with a nonzero count has a phase longer than limit, the bits the
-// words hold. Only valid when useLaneBits8 is true.
+// laneBits8Asm is Lanes.Bits's kernel: for each lane j in the lanes
+// mask, bit i of out[j] is bit slots[j][i] of the bit string at words
+// (bit s in word s>>6 at position s&63), for i below the lane's count
+// ls.n[j]; higher bits are zero. The other lanes' out entries are left
+// as they are, and their slots are never read. Slots past a lane's
+// count are never read as indices, so they may point anywhere. It
+// returns ok = false, writing nothing, when some lane in the mask with a
+// nonzero count has a phase longer than limit, the bits the words hold.
+// Only valid when useLaneBits8 is true.
 //
 //go:noescape
-func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, out *[8]uint16) (ok bool)
+func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, lanes uint8, out *[8]uint16) (ok bool)
 
 // log8Asm evaluates the kernel's log on eight uniforms, each at least
 // 2^-53: the log the kernels take of a draw x, u = x·2^-53.
@@ -327,11 +329,14 @@ func laneBits8SelfCheck() bool {
 				ls.slots[j][i] = int32(trial % 64) // bit set in words[0] of all-ones trials
 			}
 		}
-		var got, want [8]uint16
-		if !laneBits8Asm(&ls.st, &ls.slots, &words[0], len(words)*64, &got) {
+		// Lanes outside the mask keep their out entries.
+		lanes := uint8(splitMix64(&sm)) | 1<<(trial%8)
+		got := [8]uint16{0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead, 0xdead}
+		want := got
+		if !laneBits8Asm(&ls.st, &ls.slots, &words[0], len(words)*64, lanes, &got) {
 			return false
 		}
-		ls.bitsGo(words[:], &want)
+		ls.bitsGo(words[:], lanes, &want)
 		if got != want {
 			return false
 		}

@@ -617,8 +617,10 @@ lanesExact:
 	VZEROUPPER
 	RET
 
-// The lane bit-gather: for each lane, the bits of a word array at the
-// slots the lane kernel (or the Go path) placed in the last Draw. Each
+// The lane bit-gather: for each lane asked for, the bits of a word
+// array at the slots the lane kernel (or the Go path) placed in the
+// last Draw. The lanes mask is walked lowest bit first, so a lane not
+// asked for costs nothing and its out entry is left as it is. Each
 // lane's row of 16 dword slots becomes 16 dword indices (slot>>5, words
 // read as little-endian dwords) and shifts (slot&31); one VPGATHERDD,
 // masked by the lane's count, loads the dwords, and VPSRLVD + VPTESTMD
@@ -640,17 +642,19 @@ GLOBL kDword31<>(SB), RODATA|NOPTR, $4
 DATA kDword1<>+0(SB)/4, $1
 GLOBL kDword1<>(SB), RODATA|NOPTR, $4
 
-// func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, out *[8]uint16) (ok bool)
-TEXT ·laneBits8Asm(SB), NOSPLIT, $0-41
-	MOVQ ls+0(FP), SI
-	MOVQ slots+8(FP), DI
-	MOVQ words+16(FP), R8
-	MOVQ out+32(FP), R9
+// func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, lanes uint8, out *[8]uint16) (ok bool)
+TEXT ·laneBits8Asm(SB), NOSPLIT, $0-49
+	MOVQ    ls+0(FP), SI
+	MOVQ    slots+8(FP), DI
+	MOVQ    words+16(FP), R8
+	MOVBQZX lanes+32(FP), BX
+	MOVQ    out+40(FP), R9
 
-	// Every lane with a count must have its phase inside the words:
-	// its counted slots lie below its length.
+	// Every lane asked for with a count must have its phase inside the
+	// words: its counted slots lie below its length.
+	KMOVB        BX, K4
 	VMOVDQU64    512(SI), Z0
-	VPTESTMQ     Z0, Z0, K1
+	VPTESTMQ     Z0, Z0, K4, K1
 	VMOVDQU64    448(SI), Z1
 	VPBROADCASTQ limit+24(FP), Z2
 	VPCMPQ       $6, Z2, Z1, K1, K2
@@ -660,14 +664,19 @@ TEXT ·laneBits8Asm(SB), NOSPLIT, $0-41
 	VMOVDQU32      kIota16<>(SB), Z3
 	VPBROADCASTD   kDword31<>(SB), Z4
 	VPBROADCASTD   kDword1<>(SB), Z5
-	LEAQ           512(SI), R10
-	MOVQ           $8, CX
 
 bitsLane:
-	VPBROADCASTD (R10), Z6
+	TESTQ        BX, BX
+	JZ           bitsDone
+	BSFQ         BX, CX
+	LEAQ         -1(BX), AX
+	ANDQ         AX, BX
+	MOVQ         CX, DX
+	SHLQ         $6, DX
+	VPBROADCASTD 512(SI)(CX*8), Z6
 	VPCMPUD      $1, Z6, Z3, K1
 	KMOVW        K1, K2
-	VMOVDQU32    (DI), Z7
+	VMOVDQU32    (DI)(DX*1), Z7
 	VPSRLD       $5, Z7, Z8
 	VPANDD       Z4, Z7, Z7
 	VPXORD       Z9, Z9, Z9
@@ -675,19 +684,16 @@ bitsLane:
 	VPSRLVD      Z7, Z9, Z9
 	VPTESTMD     Z5, Z9, K2, K3
 	KMOVW        K3, AX
-	MOVW         AX, (R9)
-	ADDQ         $64, DI
-	ADDQ         $8, R10
-	ADDQ         $2, R9
-	DECQ         CX
-	JNZ          bitsLane
+	MOVW         AX, (R9)(CX*2)
+	JMP          bitsLane
 
-	MOVB $1, ok+40(FP)
+bitsDone:
+	MOVB $1, ok+48(FP)
 	VZEROUPPER
 	RET
 
 bitsShort:
-	MOVB $0, ok+40(FP)
+	MOVB $0, ok+48(FP)
 	VZEROUPPER
 	RET
 

@@ -31,6 +31,6 @@ func laneSlots8Asm(ls *laneState, dst *[8][laneBlock]int32, live int) (ended uin
 	panic("rng: laneSlots8Asm without assembly kernel")
 }
 
-func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, out *[8]uint16) (ok bool) {
+func laneBits8Asm(ls *laneState, slots *[8][laneBlock]int32, words *uint64, limit int, lanes uint8, out *[8]uint16) (ok bool) {
 	panic("rng: laneBits8Asm without assembly kernel")
 }

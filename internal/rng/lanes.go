@@ -15,9 +15,9 @@ import (
 // stream as geoSlots8Asm's do. Its cost does not depend on how many
 // lanes are live; callers keep the lanes full and finish stragglers on
 // the single-stream path (Handoff, then GeometricSlots). After a Draw,
-// Bits reads a bitset at every lane's new slots at once (one AVX-512
-// gather per lane, laneBits8Asm), so a caller can test a whole block of
-// slots against a per-slot mask with a few popcounts.
+// Bits reads a bitset at the new slots of the lanes it is asked for
+// (one AVX-512 gather per lane, laneBits8Asm), so a caller can test a
+// whole block of slots against a per-slot mask with a few popcounts.
 //
 // Like GeometricSlots, a lane draws whole blocks: the block in which its
 // schedule ends is drawn to its end, so the stream is left ahead of the
@@ -151,28 +151,34 @@ func (ls *Lanes) drawGo() (ended uint8) {
 // Slots returns the slots lane j placed in the last Draw.
 func (ls *Lanes) Slots(j int) []int32 { return ls.slots[j][:ls.st.n[j]] }
 
-// Bits gathers the bits of words at the slots of the last Draw: bit i of
-// out[j] is bit Slots(j)[i] of words (bit s in words[s>>6] at position
-// s&63), and the bits past a lane's count are zero. It panics if a lane
-// that placed slots has a phase longer than words covers.
-func (ls *Lanes) Bits(words []uint64, out *[8]uint16) {
+// Bits gathers the bits of words at the slots of the last Draw, for
+// the lanes in the mask lanes: bit i of out[j] is bit Slots(j)[i] of
+// words (bit s in words[s>>6] at position s&63), and the bits past a
+// lane's count are zero. The entries of lanes outside the mask are left
+// as they are, so a caller can fill out from different words for
+// different lanes, one call each, and a lane no call asks for costs
+// nothing. It panics if a lane in the mask that placed slots has a
+// phase longer than words covers.
+func (ls *Lanes) Bits(words []uint64, lanes uint8, out *[8]uint16) {
 	if useLaneBits8 && len(words) > 0 {
-		if laneBits8Asm(&ls.st, &ls.slots, &words[0], 64*len(words), out) {
+		if laneBits8Asm(&ls.st, &ls.slots, &words[0], 64*len(words), lanes, out) {
 			return
 		}
 		panic("rng: Lanes.Bits: words shorter than a lane's phase")
 	}
-	for j := range 8 {
+	for m := lanes; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros8(m)
 		if ls.st.n[j] > 0 && ls.st.length[j] > 64*len(words) {
 			panic("rng: Lanes.Bits: words shorter than a lane's phase")
 		}
 	}
-	ls.bitsGo(words, out)
+	ls.bitsGo(words, lanes, out)
 }
 
 // bitsGo is Bits's pure-Go path, and the bit-gather's reference.
-func (ls *Lanes) bitsGo(words []uint64, out *[8]uint16) {
-	for j := range out {
+func (ls *Lanes) bitsGo(words []uint64, lanes uint8, out *[8]uint16) {
+	for m := lanes; m != 0; m &= m - 1 {
+		j := bits.TrailingZeros8(m)
 		out[j] = uint16(SlotBits(words, ls.Slots(j)))
 	}
 }

@@ -79,10 +79,11 @@ func TestLaneSlots8Asm(t *testing.T) {
 }
 
 // TestLaneBits8Asm pins the bit-gather against per-slot bit tests: random
-// words, every lane count 0-16, a slot in the phase's last word, and
-// stale slots past each count that point outside the words (a gather
-// that loaded them would fault). A lane whose phase overruns the words
-// is refused.
+// words, every lane count 0-16, a slot in the phase's last word, stale
+// slots past each count that point outside the words (a gather that
+// loaded them would fault), and every lane mask, whose other lanes keep
+// their entries. A lane in the mask whose phase overruns the words is
+// refused; one outside it is not read.
 func TestLaneBits8Asm(t *testing.T) {
 	if !geoBlock8CPU() {
 		t.Skip("no AVX-512 F/DQ/VL on this machine; lane bit-gathers take the Go path")
@@ -103,23 +104,30 @@ func TestLaneBits8Asm(t *testing.T) {
 		}
 		var ls Lanes
 		bitsLanes(&ls, uint64(trial), counts, 64*len(words)-trial%64)
-		var got [8]uint16
-		if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 64*len(words), &got) {
+		lanes := uint8(trial*37 + trial>>8)
+		if trial%3 == 0 {
+			lanes = 0xff
+		}
+		got := stale
+		if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 64*len(words), lanes, &got) {
 			t.Fatalf("trial %d: the gather refused slots inside the words", trial)
 		}
-		if want := wantBits(&ls, words); got != want {
-			t.Fatalf("trial %d counts %v: got %04x, want %04x", trial, ls.st.n, got, want)
+		if want := wantBits(&ls, words, lanes, stale); got != want {
+			t.Fatalf("trial %d counts %v lanes %08b: got %04x, want %04x", trial, ls.st.n, lanes, got, want)
 		}
 	}
 	var ls Lanes
 	words := make([]uint64, 2)
 	bitsLanes(&ls, 1, [8]uint8{0, 0, 0, 1}, 129)
 	var got [8]uint16
-	if laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, &got) {
+	if laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, 0xff, &got) {
 		t.Fatal("the gather accepted a lane whose phase overruns the words")
 	}
+	if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, 0xf7, &got) || got != ([8]uint16{}) {
+		t.Fatalf("lane outside the mask: got ok=false or bits %04x", got)
+	}
 	ls.st.n[3] = 0
-	if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, &got) || got != ([8]uint16{}) {
+	if !laneBits8Asm(&ls.st, &ls.slots, &words[0], 128, 0xff, &got) || got != ([8]uint16{}) {
 		t.Fatalf("lanes without slots: got ok=false or bits %04x", got)
 	}
 }

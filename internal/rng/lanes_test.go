@@ -268,9 +268,13 @@ func bitsLanes(ls *Lanes, seed uint64, counts [8]uint8, length int) {
 }
 
 // wantBits is the bit-gather by definition: one bit test per counted
-// slot.
-func wantBits(ls *Lanes, words []uint64) (out [8]uint16) {
+// slot of every lane in the mask lanes, the other entries of out kept.
+func wantBits(ls *Lanes, words []uint64, lanes uint8, out [8]uint16) [8]uint16 {
 	for j := range out {
+		if lanes&(1<<j) == 0 {
+			continue
+		}
+		out[j] = 0
 		for i, s := range ls.slots[j][:ls.st.n[j]] {
 			if words[s/64]&(1<<(s%64)) != 0 {
 				out[j] |= 1 << i
@@ -280,15 +284,19 @@ func wantBits(ls *Lanes, words []uint64) (out [8]uint16) {
 	return out
 }
 
+// stale fills the out entries a gather must leave alone.
+var stale = [8]uint16{0xdead, 0xbeef, 0xfeed, 0xface, 0xcafe, 0xf00d, 0xbead, 0xdeed}
+
 // FuzzLaneBitsMatchGo checks Lanes.Bits, on the AVX-512 gather where the
 // machine has it, against per-slot bit tests for fuzzed words, lane
-// counts 0-16 and phase lengths, with stale slots past every lane's
-// count pointing outside the words: they must not fault or set bits.
+// counts 0-16, phase lengths and lane masks, with stale slots past every
+// lane's count pointing outside the words: they must not fault or set
+// bits, and the lanes outside the mask must keep their entries.
 func FuzzLaneBitsMatchGo(f *testing.F) {
-	f.Add(uint64(1), uint64(0x0102030405060708), uint8(3), uint8(0))
-	f.Add(uint64(7), uint64(0x1010101010101010), uint8(1), uint8(63))
-	f.Add(uint64(9), uint64(0), uint8(40), uint8(1))
-	f.Fuzz(func(t *testing.T, seed, counts uint64, nwords, short uint8) {
+	f.Add(uint64(1), uint64(0x0102030405060708), uint8(3), uint8(0), uint8(0xff))
+	f.Add(uint64(7), uint64(0x1010101010101010), uint8(1), uint8(63), uint8(0x5a))
+	f.Add(uint64(9), uint64(0), uint8(40), uint8(1), uint8(0))
+	f.Fuzz(func(t *testing.T, seed, counts uint64, nwords, short, lanes uint8) {
 		was := SetGeoBlock8(true)
 		defer SetGeoBlock8(was)
 		words := make([]uint64, int(nwords)%48+1)
@@ -302,12 +310,12 @@ func FuzzLaneBitsMatchGo(f *testing.F) {
 		}
 		var ls Lanes
 		bitsLanes(&ls, seed, cs, 64*len(words)-int(short)%64)
-		want := wantBits(&ls, words)
-		var got, gotGo [8]uint16
-		ls.Bits(words, &got)
-		ls.bitsGo(words, &gotGo)
+		want := wantBits(&ls, words, lanes, stale)
+		got, gotGo := stale, stale
+		ls.Bits(words, lanes, &got)
+		ls.bitsGo(words, lanes, &gotGo)
 		if got != want || gotGo != want {
-			t.Fatalf("counts %v: got %04x (Go path %04x), want %04x", ls.st.n, got, gotGo, want)
+			t.Fatalf("counts %v lanes %08b: got %04x (Go path %04x), want %04x", ls.st.n, lanes, got, gotGo, want)
 		}
 	})
 }
@@ -323,6 +331,6 @@ func BenchmarkLaneBits(b *testing.B) {
 	words := make([]uint64, 1<<10)
 	var out [8]uint16
 	for b.Loop() {
-		ls.Bits(words, &out)
+		ls.Bits(words, 0xff, &out)
 	}
 }

@@ -24,11 +24,14 @@ func splitMix64(state *uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// mixInit is the key mixer's initial state.
+const mixInit uint64 = 0x853c49e6748fea9b
+
 // Mix collapses a key path into a single 64-bit value. Mixing is
 // order-sensitive: Mix(1, 2) != Mix(2, 1). An empty path yields a fixed
 // nonzero constant so that a zero-value key still produces a usable stream.
 func Mix(parts ...uint64) uint64 {
-	state := uint64(0x853c49e6748fea9b)
+	state := mixInit
 	for _, p := range parts {
 		mixPart(&state, p)
 	}
@@ -48,7 +51,7 @@ func mixPart(state *uint64, p uint64) {
 // combined slice. It is the allocation-free key mixer behind Reseed and
 // DeriveInto.
 func mixSeeded(seed uint64, path []uint64) uint64 {
-	state := uint64(0x853c49e6748fea9b)
+	state := mixInit
 	mixPart(&state, seed)
 	for _, p := range path {
 		mixPart(&state, p)
